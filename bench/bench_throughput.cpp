@@ -14,8 +14,8 @@
 // records the relative cost (DESIGN.md §8 budgets it at < 2%).
 //
 // The kernel-tier study (DESIGN.md §14) times the same serial ingest under
-// every kernel tier the machine supports — scalar, autovec, and the
-// hand-written AVX2 kernel — by forcing the dispatch in-process. The tiers
+// every kernel tier the machine supports — scalar and the hand-written AVX2
+// kernel — by forcing the dispatch in-process. The tiers
 // are bit-exact (tests/test_batch_equivalence.cpp), so the per-tier ratios
 // are pure kernel speedups; `avx2_index_speedup_vs_scalar` is the ratio
 // check_perf_baseline.py holds to the >= 2.5x acceptance floor.
@@ -518,7 +518,6 @@ KernelStudy run_kernel_study(const flow::Trace& trace) {
     tiers.push_back(simd::resolve_kernel_tier());  // honors avx2 fallback
   } else {
     tiers.push_back(simd::KernelTier::kScalar);
-    tiers.push_back(simd::KernelTier::kAutovec);
     if (study.cpu_supports_avx2) tiers.push_back(simd::KernelTier::kAvx2);
   }
   study.points.resize(tiers.size());

@@ -1,14 +1,13 @@
 // Lock-free single-producer / single-consumer ring of BLOCKS.
 //
-// SpscQueue (spsc_queue.h) moves items; this sibling moves whole
-// process_batch-sized blocks, which is what the sharded runtime's block-staged
-// ingest path (DESIGN.md §13) hands off: the producer stages keys DIRECTLY
-// into the in-ring block it has open (zero staging copy), then publishes the
-// whole block with ONE release store; the consumer borrows the block in place
-// (no dequeue copy), feeds it to the batched sketch kernel, and releases the
-// slot with one release store. Per item, the ring costs one store on each
-// side — the per-entry cursor traffic that made the item ring the bottleneck
-// of the PR-5 kernel is amortized over the block.
+// The ring moves whole process_batch-sized blocks, which is what the sharded
+// runtime's block-staged ingest path (DESIGN.md §13) hands off: the producer
+// stages keys DIRECTLY into the in-ring block it has open (zero staging
+// copy), then publishes the whole block with ONE release store; the consumer
+// borrows the block in place (no dequeue copy), feeds it to the batched
+// sketch kernel, and releases the slot with one release store. Per item, the
+// ring costs one store on each side — per-entry cursor traffic is amortized
+// over the block.
 //
 // Layout: `block_count` payload blocks of `block_size` T slots, each block
 // padded out to a whole number of cache lines and the base 64-byte aligned,
@@ -18,8 +17,13 @@
 // the queue (the runtime uses them for payload tagging — unit keys /
 // key-byte pairs / weighted adds / epoch markers).
 //
-// Protocol (same DPDK-style cursor discipline as SpscQueue, one cursor step
-// per BLOCK):
+// Protocol: the classic bounded ring with monotonic 64-bit produce/consume
+// cursors (they never wrap in practice) plus each side's CACHED copy of the
+// opposite cursor, so the hot path touches a shared cache line only when the
+// cached view says the ring looks full/empty — the trick DPDK's rte_ring and
+// folly::ProducerConsumerQueue use. The producer publishes with a release
+// store of head_, the consumer acquires head_ before reading (and vice versa
+// for tail_ on the return path). One cursor step per BLOCK:
 //   producer:  T* slots = q.try_open();        // nullptr => ring full
 //              ... fill slots[0..n) ...
 //              q.publish(n, kind, aux);        // ONE release store
@@ -30,9 +34,12 @@
 //
 // The producer may hold at most one block open per queue; the consumer must
 // finish reading a View before release() — the slot is recycled after that.
-// Roles are machine-checked exactly like SpscQueue's: try_open/publish
-// require the producer role, try_front/release the consumer role, and each
-// side's cached cursor is FCM_GUARDED_BY its role.
+// Roles are machine-checked thread-safety capabilities (see
+// common/thread_annotations.h): try_open/publish require the producer role,
+// try_front/release the consumer role, and each side's cached cursor is
+// FCM_GUARDED_BY its role. A thread declares its role once per scope with
+// assume_producer() / assume_consumer(), runtime no-ops that let Clang's
+// -Wthread-safety prove the SPSC discipline at every call site.
 #pragma once
 
 #include <atomic>
@@ -43,10 +50,12 @@
 #include <vector>
 
 #include "common/contracts.h"
-#include "common/spsc_queue.h"  // kCacheLineBytes
 #include "common/thread_annotations.h"
 
 namespace fcm::common {
+
+// Destructive interference distance; 64 bytes on every target we build for.
+inline constexpr std::size_t kCacheLineBytes = 64;
 
 template <typename T>
 class BlockQueue {
@@ -66,8 +75,8 @@ class BlockQueue {
     std::uint64_t aux = 0;
   };
 
-  // `block_count` blocks of `block_size` slots each. Unlike SpscQueue the
-  // ring ops are per block, so block_count needs no power-of-two shape.
+  // `block_count` blocks of `block_size` slots each. The ring ops are per
+  // block, so block_count needs no power-of-two shape.
   BlockQueue(std::size_t block_count, std::size_t block_size)
       : block_count_(block_count),
         block_size_(block_size),
@@ -91,7 +100,8 @@ class BlockQueue {
   std::size_t block_count() const noexcept { return block_count_; }
   std::size_t block_size() const noexcept { return block_size_; }
 
-  // Published-but-unconsumed blocks; approximate (see SpscQueue::size_approx).
+  // Published-but-unconsumed blocks; exact only when both sides are
+  // quiescent. For monitoring, not for synchronization decisions.
   std::size_t size_approx_blocks() const noexcept {
     return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -
                                     tail_.load(std::memory_order_acquire));
@@ -105,7 +115,7 @@ class BlockQueue {
     return high_water_.load(std::memory_order_relaxed);
   }
 
-  // --- thread roles (see SpscQueue) ----------------------------------------
+  // --- thread roles --------------------------------------------------------
   void assume_producer() const FCM_ASSERT_CAPABILITY(producer_role_) {}
   void assume_consumer() const FCM_ASSERT_CAPABILITY(consumer_role_) {}
 

@@ -14,7 +14,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <type_traits>
 
@@ -129,11 +128,9 @@ class SeededHash {
   }
 
   // 32-bit-output variant of index_batch, used by the hot kernels. A
-  // fast-range index is always < width < 2^32, so narrowing loses nothing —
-  // but a uniform 32-bit loop (32-bit keys in, 32-bit indices out) is what
-  // the auto-vectorizer actually packs; the widening store of the size_t
-  // variant defeats it ("no vectype" under GCC 12). Bit-identical values to
-  // the span<size_t> overload (tests/test_batch_equivalence.cpp).
+  // fast-range index is always < width < 2^32, so narrowing loses nothing,
+  // and 32-bit indices are what the AVX2 kernel stores. Bit-identical values
+  // to the span<size_t> overload (tests/test_batch_equivalence.cpp).
   //
   // Routed through the kernel tier dispatch (simd_dispatch.h) for 4-byte
   // keys: equivalent to index_hash_batch without the raw-hash output.
@@ -150,24 +147,14 @@ class SeededHash {
   void hash_batch(std::span<const T> keys,
                   std::span<std::uint32_t> out) const noexcept {
     const std::size_t n = keys.size();
-    if constexpr (sizeof(T) == sizeof(std::uint32_t)) {
-      const simd::KernelTier tier = simd::active_kernel_tier();
 #if FCM_SIMD_X86
-      if (tier == simd::KernelTier::kAvx2) {
+    if constexpr (sizeof(T) == sizeof(std::uint32_t)) {
+      if (simd::active_kernel_tier() == simd::KernelTier::kAvx2) {
         simd::avx2_hash_batch_u32(keys.data(), n, seed_, out.data());
         return;
       }
-#endif
-      if (tier != simd::KernelTier::kScalar) {
-        // Autovec: stage the key bytes, hash in place (uniform u32 -> u32
-        // loop; same staging trick as index_hash_batch below).
-        std::memcpy(out.data(), keys.data(), n * sizeof(std::uint32_t));
-        for (std::size_t i = 0; i < n; ++i) {
-          out[i] = bob_hash_u32(out[i], seed_);
-        }
-        return;
-      }
     }
+#endif
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = bob_hash_value(keys[i], seed_);
     }
@@ -182,49 +169,19 @@ class SeededHash {
                         std::span<std::uint32_t> out,
                         std::span<std::uint32_t> raw) const noexcept {
     const std::size_t n = keys.size();
-    // fast_range32 spelled with a u32 width so the multiply stays in the
-    // u32 x u32 -> u64 widening form the vectorizer maps onto pmuludq; the
-    // generic size_t multiply inside fast_range32 reads as an unsupported
-    // 64-bit operation and blocks packing. Identical results: width < 2^32
-    // is already fast_range32's precondition.
+    // Fast-range with a u32 width: the u32 x u32 -> u64 multiply the AVX2
+    // kernel performs. Identical results: width < 2^32 is already
+    // fast_range32's precondition.
     const auto w = static_cast<std::uint32_t>(width);
-    if constexpr (sizeof(T) == sizeof(std::uint32_t)) {
-      const simd::KernelTier tier = simd::active_kernel_tier();
 #if FCM_SIMD_X86
-      if (tier == simd::KernelTier::kAvx2) {
+    if constexpr (sizeof(T) == sizeof(std::uint32_t)) {
+      if (simd::active_kernel_tier() == simd::KernelTier::kAvx2) {
         simd::avx2_index_batch_u32(keys.data(), n, seed_, w, out.data(),
                                    raw.empty() ? nullptr : raw.data());
         return;
       }
-#endif
-      if (tier != simd::KernelTier::kScalar) {
-        // Autovec (the PR-5 shape): stage the key bytes into `out` first
-        // (same bytes bob_hash_value's bit_cast would read), then hash in
-        // place — the struct-typed key load is the one remaining statement
-        // GCC refuses to pack, and a uniform u32 -> u32 loop over a single
-        // array has no such load and no aliasing question. One 4n-byte copy
-        // is noise next to the hashing.
-        std::memcpy(out.data(), keys.data(), n * sizeof(std::uint32_t));
-        if (raw.empty()) {
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t h = bob_hash_u32(out[i], seed_);
-            out[i] = static_cast<std::uint32_t>(
-                (static_cast<std::uint64_t>(h) * w) >> 32);
-          }
-        } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t h = bob_hash_u32(out[i], seed_);
-            raw[i] = h;
-            out[i] = static_cast<std::uint32_t>(
-                (static_cast<std::uint64_t>(h) * w) >> 32);
-          }
-        }
-        return;
-      }
-      // Scalar tier falls through to the per-key loop below: the loads go
-      // through the key type, which is exactly the shape GCC declines to
-      // vectorize — the honest pre-batching baseline.
     }
+#endif
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t h = bob_hash_value(keys[i], seed_);
       if (!raw.empty()) raw[i] = h;

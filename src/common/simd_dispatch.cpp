@@ -14,7 +14,7 @@ namespace {
 std::atomic<int> g_forced_tier{-1};
 
 KernelTier probe_kernel_tier() noexcept {
-  return cpu_supports_avx2() ? KernelTier::kAvx2 : KernelTier::kAutovec;
+  return cpu_supports_avx2() ? KernelTier::kAvx2 : KernelTier::kScalar;
 }
 
 }  // namespace
@@ -23,8 +23,6 @@ std::string_view kernel_tier_name(KernelTier tier) noexcept {
   switch (tier) {
     case KernelTier::kScalar:
       return "scalar";
-    case KernelTier::kAutovec:
-      return "autovec";
     case KernelTier::kAvx2:
       return "avx2";
   }
@@ -33,7 +31,6 @@ std::string_view kernel_tier_name(KernelTier tier) noexcept {
 
 std::optional<KernelTier> parse_kernel_tier(std::string_view name) noexcept {
   if (name == "scalar") return KernelTier::kScalar;
-  if (name == "autovec") return KernelTier::kAutovec;
   if (name == "avx2") return KernelTier::kAvx2;
   return std::nullopt;
 }
@@ -50,7 +47,7 @@ KernelTier resolve_kernel_tier() noexcept {
   if (const char* env = std::getenv("FCM_FORCE_KERNEL")) {
     if (const auto forced = parse_kernel_tier(env)) {
       if (*forced == KernelTier::kAvx2 && !cpu_supports_avx2()) {
-        return KernelTier::kAutovec;
+        return KernelTier::kScalar;
       }
       return *forced;
     }

@@ -1,22 +1,19 @@
 // Runtime CPU dispatch for the batched ingest kernels (DESIGN.md §14).
 //
-// Three tiers share one contract — bit-identical output to the scalar
+// Two tiers share one contract — bit-identical output to the scalar
 // per-key path:
 //
-//   kScalar   the pre-batching shape: one bob_hash_value + fast_range32 per
-//             key, loads typed through the key struct (the form GCC declines
-//             to auto-vectorize). Ground truth for the dispatch-matrix tests
-//             and the denominator of the bench speedup columns.
-//   kAutovec  the PR-5 kernel: keys staged into the output array, then a
-//             uniform u32 -> u32 in-place loop the auto-vectorizer packs.
+//   kScalar   one bob_hash_value + fast_range32 per key. Ground truth for the
+//             dispatch-matrix tests, the denominator of the bench speedup
+//             columns, and the kernel on every CPU without AVX2.
 //   kAvx2     hand-written 8-lane AVX2 (fcm_kernel_avx2.cpp): vectorized
 //             BobHash + Lemire fast-range, and a gather/compare/store level-1
 //             saturating-increment fast path for FcmTree::apply_block.
 //
-// The tier is resolved once per process: FCM_FORCE_KERNEL=scalar|autovec|avx2
-// wins if set (an avx2 request on a CPU without AVX2 falls back to autovec),
-// otherwise the cpuid probe picks kAvx2 when available and kAutovec when not.
-// Tests and the bench force tiers in-process via force_kernel_tier().
+// The tier is resolved once per process: FCM_FORCE_KERNEL=scalar|avx2 wins if
+// set (an avx2 request on a CPU without AVX2 falls back to scalar), otherwise
+// the cpuid probe picks kAvx2 when available and kScalar when not. Tests and
+// the bench force tiers in-process via force_kernel_tier().
 //
 // This header deliberately contains no intrinsics and never includes
 // <immintrin.h>: the AVX2 entry points below are declared on plain pointers
@@ -30,7 +27,7 @@
 #include <string_view>
 
 // x86-64 is the only ISA we hand-vectorize for; everything else resolves to
-// kAutovec at most. (MSVC would need a cpuid path; this tree is gcc/clang.)
+// kScalar. (MSVC would need a cpuid path; this tree is gcc/clang.)
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define FCM_SIMD_X86 1
 #else
@@ -41,8 +38,7 @@ namespace fcm::common::simd {
 
 enum class KernelTier : int {
   kScalar = 0,
-  kAutovec = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 // Stable lowercase names, matching the FCM_FORCE_KERNEL spellings.
@@ -55,7 +51,7 @@ std::optional<KernelTier> parse_kernel_tier(std::string_view name) noexcept;
 bool cpu_supports_avx2() noexcept;
 
 // Resolves the tier from scratch: FCM_FORCE_KERNEL if set and valid (with
-// the avx2-on-unsupported-CPU fallback to autovec), else the cpuid probe.
+// the avx2-on-unsupported-CPU fallback to scalar), else the cpuid probe.
 // Ignores force_kernel_tier(); exists so tests can pin the env contract.
 KernelTier resolve_kernel_tier() noexcept;
 

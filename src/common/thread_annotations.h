@@ -139,8 +139,8 @@ class FCM_SCOPED_CAPABILITY MutexLock {
 };
 
 // An annotation-only capability naming a thread-ownership role rather than a
-// lock: "the single SPSC producer", "the one driver thread", "the
-// EpochManager's owning thread". Nothing acquires it at runtime — the code
+// lock: "the single SPSC producer", "the one driver thread", "the thread
+// driving this ingest handle". Nothing acquires it at runtime — the code
 // path that is the role calls assert_held(), an empty inline function that
 // (under Clang) marks the capability held for the rest of the scope. That
 // lets FCM_GUARDED_BY express cursor/staging ownership the same way it

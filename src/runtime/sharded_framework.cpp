@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/affinity.h"
 #include "common/block_queue.h"
 #include "common/contracts.h"
 #include "common/hash.h"
@@ -182,7 +181,6 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
     datapath::HeavyFlowCache::Options cache_options;
     cache_options.entries = options_.cache_entries;
     cache_options.ways = options_.cache_ways;
-    cache_options.seed = options_.cache_seed;
     cache_ = std::make_unique<datapath::HeavyFlowCache>(cache_options);
   }
   {
@@ -740,10 +738,6 @@ ShardedFcmFramework::EpochReport ShardedFcmFramework::wait_epoch(
 // --- worker -----------------------------------------------------------------
 
 void ShardedFcmFramework::worker_loop(Shard& shard) {
-  if (options_.pin_workers) {
-    // Best-effort: false (no affinity API / restricted cpuset) runs unpinned.
-    common::pin_current_thread(shard.index);
-  }
   // Applies one published block to the active generation. Unit-key blocks
   // feed the batched kernel IN PLACE from ring memory — the span is only
   // valid until release(), which every caller performs right after.
@@ -989,9 +983,24 @@ void ShardedFcmFramework::stop() {
   {
     common::MutexLock lock(mutex_);
     // Workers have drained every ring (markers included), so all requested
-    // epochs will be merged; wait for the coordinator to catch up, then
-    // release it.
+    // epochs will be merged; wait for the coordinator to catch up.
     while (epochs_merged_ != rotations_requested_) cv_.wait(lock);
+    // Un-rotated tail traffic: with the workers joined, the driver makes the
+    // flip a marker would have made, and the coordinator merges the closed
+    // generation as one final epoch.
+    const bool tail = std::any_of(
+        shards_.begin(), shards_.end(), [](const std::unique_ptr<Shard>& shard) {
+          return shard->packets_in_generation[shard->active] > 0;
+        });
+    if (tail) {
+      for (auto& shard : shards_) {
+        shard->active ^= 1;
+        ++shard_flips_[shard->index];
+      }
+      ++rotations_requested_;
+      cv_.notify_all();
+      while (epochs_merged_ != rotations_requested_) cv_.wait(lock);
+    }
     coordinator_stop_ = true;
   }
   cv_.notify_all();

@@ -127,10 +127,6 @@ class ShardedFcmFramework {
     // older than this is published at the next ingest call on its handle, so
     // trickle traffic reaches the workers without waiting for a rotation.
     std::chrono::nanoseconds flush_interval{0};
-    // Pin each shard worker to logical CPU (shard index mod hardware
-    // concurrency) via common/affinity.h. A performance hint: platforms
-    // without an affinity API (or restricted cpusets) run unpinned.
-    bool pin_workers = false;
     // Merged epoch snapshots retained for cross-epoch queries (>= 1).
     std::size_t retained_epochs = 4;
     // 0: reuse framework.heavy_hitter_threshold for heavy-change detection.
@@ -148,7 +144,6 @@ class ShardedFcmFramework {
     // packets into one ring block, so `packets` counts items there.
     std::size_t cache_entries = 0;
     std::size_t cache_ways = 4;       // set associativity (see HeavyFlowCache)
-    std::uint64_t cache_seed = 0xcac4e;
     // Run the (expensive) EM analysis on the merged sketch at each rotation.
     bool analyze_on_rotate = false;
     // Telemetry sink (DESIGN.md §8). Defaults to the process-global
@@ -167,8 +162,8 @@ class ShardedFcmFramework {
     std::string metrics_instance;
   };
 
-  // What one epoch boundary produces, computed on the MERGED sketch — the
-  // same quantities EpochManager::EpochSummary reports for the serial path.
+  // What one epoch boundary produces, computed on the MERGED sketch (the
+  // Figure-1 collect/rotate loop's per-window output).
   struct EpochReport {
     std::size_t index = 0;
     std::uint64_t packets = 0;
@@ -287,13 +282,16 @@ class ShardedFcmFramework {
   // Returns the epoch index to pass to wait_epoch().
   std::size_t rotate_async();
 
-  // rotate_async() + wait_epoch(): the blocking, EpochManager-like rotation.
+  // rotate_async() + wait_epoch(): the blocking rotation.
   EpochReport rotate();
 
-  // Flushes staged items, drains and joins all threads. Implicit un-rotated
-  // tail traffic is discarded with the active generation (rotate first if it
-  // matters). Secondary handles must be flushed and quiescent. Idempotent;
-  // called by the destructor.
+  // Flushes staged items (the heavy-flow cache included), drains and joins
+  // all threads. Un-rotated tail traffic is not dropped: if any shard's
+  // active generation holds packets, it is closed and merged as one final
+  // epoch, counted by epochs_completed() and returned by merged_epoch(0).
+  // With no traffic since the last rotation, stop() adds no epoch.
+  // Secondary handles must be flushed and quiescent. Idempotent; called by
+  // the destructor.
   void stop();
 
   // --- results (any thread) ----------------------------------------------

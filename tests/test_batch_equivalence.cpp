@@ -463,8 +463,8 @@ TEST(BatchEquivalence, ShardedBlockStagedSpansBitExactAcrossSizesAndShards) {
 
 // --- kernel dispatch matrix (DESIGN.md §14) ----------------------------------
 //
-// Every kernel tier — scalar, autovec, and (on capable CPUs) the hand-written
-// AVX2 kernel — forced in-process through force_kernel_tier(), must produce
+// Every kernel tier — scalar and (on capable CPUs) the hand-written AVX2
+// kernel — forced in-process through force_kernel_tier(), must produce
 // bit-identical hashes, indices, tree state, promotion counters, and per-key
 // estimates. The scalar per-key entry points (FcmTree::add, FcmSketch::update)
 // never dispatch, so they are the tier-independent ground truth throughout.
@@ -474,7 +474,7 @@ using fcm::common::simd::KernelTier;
 // Tiers available on this machine. AVX2 joins the matrix only when the CPU
 // supports it; CI's perf-smoke asserts capable runners actually take it.
 std::vector<KernelTier> equivalence_tiers() {
-  std::vector<KernelTier> tiers{KernelTier::kScalar, KernelTier::kAutovec};
+  std::vector<KernelTier> tiers{KernelTier::kScalar};
   if (fcm::common::simd::cpu_supports_avx2()) tiers.push_back(KernelTier::kAvx2);
   return tiers;
 }
@@ -677,20 +677,20 @@ TEST(DispatchMatrix, TierParsingAndEnvResolution) {
   using fcm::common::simd::parse_kernel_tier;
   using fcm::common::simd::resolve_kernel_tier;
   EXPECT_EQ(parse_kernel_tier("scalar"), KernelTier::kScalar);
-  EXPECT_EQ(parse_kernel_tier("autovec"), KernelTier::kAutovec);
   EXPECT_EQ(parse_kernel_tier("avx2"), KernelTier::kAvx2);
+  EXPECT_EQ(parse_kernel_tier("autovec"), std::nullopt);
   EXPECT_EQ(parse_kernel_tier("AVX2"), std::nullopt);
   EXPECT_EQ(parse_kernel_tier(""), std::nullopt);
 
   // The FCM_FORCE_KERNEL contract: a valid value wins; avx2 on a CPU
-  // without AVX2 degrades to autovec; garbage falls back to the probe.
+  // without AVX2 degrades to scalar; garbage falls back to the probe.
   const KernelTier probed = resolve_kernel_tier();
   ASSERT_EQ(setenv("FCM_FORCE_KERNEL", "scalar", 1), 0);
   EXPECT_EQ(resolve_kernel_tier(), KernelTier::kScalar);
   ASSERT_EQ(setenv("FCM_FORCE_KERNEL", "avx2", 1), 0);
   EXPECT_EQ(resolve_kernel_tier(), fcm::common::simd::cpu_supports_avx2()
                                        ? KernelTier::kAvx2
-                                       : KernelTier::kAutovec);
+                                       : KernelTier::kScalar);
   ASSERT_EQ(setenv("FCM_FORCE_KERNEL", "bogus", 1), 0);
   EXPECT_EQ(resolve_kernel_tier(), probed);
   ASSERT_EQ(unsetenv("FCM_FORCE_KERNEL"), 0);

@@ -1,13 +1,13 @@
-// Tests for the sharded ingestion runtime (src/runtime/) and its SPSC ring.
+// Tests for the sharded ingestion runtime (src/runtime/) and its block ring.
 //
-// The headline property (ISSUE acceptance criterion): merged N-shard count
-// queries are bit-exact equal to a serial FcmSketch fed the same fixed-seed
-// trace, for N in {1, 2, 4, 8}. Also covered: the lock-free SpscQueue in
-// isolation and across threads, epoch double-buffering (two back-to-back
-// windows each serial-equivalent), non-stalling rotate_async, heavy-hitter
-// re-qualification across shards at runtime level, byte mode, TopK mode,
-// backpressure under a tiny ring, teardown discipline, and option
-// validation via contracts.
+// The headline property: merged N-shard count queries are bit-exact equal to
+// a serial FcmSketch fed the same fixed-seed trace, for N in {1, 2, 4, 8}.
+// Also covered: the lock-free BlockQueue in isolation and across threads,
+// epoch double-buffering (two back-to-back windows each serial-equivalent),
+// non-stalling rotate_async, heavy-hitter re-qualification across shards at
+// runtime level, heavy changes on realistic windows, byte mode, TopK mode,
+// backpressure under a tiny ring, teardown discipline (stop() closes the
+// un-rotated tail as a final epoch), and option validation via contracts.
 //
 // CI runs this binary under TSan (FCM_SANITIZE=thread): every cross-thread
 // handoff in the runtime is exercised here.
@@ -26,10 +26,11 @@
 
 #include "common/block_queue.h"
 #include "common/contracts.h"
-#include "common/spsc_queue.h"
 #include "flow/flow_key.h"
 #include "flow/packet.h"
+#include "flow/synthetic.h"
 #include "framework/fcm_framework.h"
+#include "metrics/metrics.h"
 #include "obs/metrics_registry.h"
 #include "runtime/sharded_framework.h"
 
@@ -37,7 +38,6 @@ namespace {
 
 using fcm::common::BlockQueue;
 using fcm::common::ContractViolation;
-using fcm::common::SpscQueue;
 using fcm::core::FcmConfig;
 using fcm::flow::FlowKey;
 using fcm::flow::Packet;
@@ -99,114 +99,6 @@ std::vector<FlowKey> distinct_keys(const std::vector<Packet>& trace) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   return keys;
-}
-
-// --- SpscQueue: single-threaded semantics -----------------------------------
-
-TEST(SpscQueue, RejectsNonPowerOfTwoCapacity) {
-  EXPECT_THROW(SpscQueue<int>(0), ContractViolation);
-  EXPECT_THROW(SpscQueue<int>(1), ContractViolation);
-  EXPECT_THROW(SpscQueue<int>(3), ContractViolation);
-  EXPECT_THROW(SpscQueue<int>(100), ContractViolation);
-  EXPECT_NO_THROW(SpscQueue<int>(2));
-  EXPECT_NO_THROW(SpscQueue<int>(1 << 10));
-}
-
-TEST(SpscQueue, FifoOrderAndCapacityBound) {
-  SpscQueue<int> queue(8);
-  // Single-threaded test: this thread plays both SPSC roles.
-  queue.assume_producer();
-  queue.assume_consumer();
-  EXPECT_EQ(queue.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(queue.try_push(i));
-  EXPECT_FALSE(queue.try_push(99)) << "push into a full ring must fail";
-  EXPECT_EQ(queue.size_approx(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    int out = -1;
-    ASSERT_TRUE(queue.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  int out = -1;
-  EXPECT_FALSE(queue.try_pop(out)) << "pop from an empty ring must fail";
-  EXPECT_EQ(queue.size_approx(), 0u);
-}
-
-TEST(SpscQueue, BulkPushTakesWhatFitsAndBulkPopReturnsInOrder) {
-  SpscQueue<int> queue(8);
-  queue.assume_producer();
-  queue.assume_consumer();
-  std::vector<int> in(12);
-  std::iota(in.begin(), in.end(), 0);
-  EXPECT_EQ(queue.try_push_bulk(std::span<const int>(in)), 8u);
-
-  std::vector<int> out(5);
-  EXPECT_EQ(queue.try_pop_bulk(std::span<int>(out)), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i], i);
-
-  // Room for 5 more; wrap-around path.
-  std::span<const int> rest(in.data() + 8, 4);
-  EXPECT_EQ(queue.try_push_bulk(rest), 4u);
-  std::vector<int> out2(16);
-  EXPECT_EQ(queue.try_pop_bulk(std::span<int>(out2)), 7u);
-  const int expect[] = {5, 6, 7, 8, 9, 10, 11};
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(out2[i], expect[i]);
-}
-
-TEST(SpscQueue, WrapsManyTimesWithoutCorruption) {
-  SpscQueue<std::uint64_t> queue(4);
-  queue.assume_producer();
-  queue.assume_consumer();
-  std::uint64_t next_in = 0;
-  std::uint64_t next_out = 0;
-  for (int round = 0; round < 1000; ++round) {
-    while (queue.try_push(next_in)) ++next_in;
-    std::uint64_t v;
-    while (queue.try_pop(v)) {
-      ASSERT_EQ(v, next_out);
-      ++next_out;
-    }
-  }
-  EXPECT_EQ(next_in, next_out);
-  EXPECT_EQ(next_in, 4000u);
-}
-
-// --- SpscQueue: cross-thread handoff (TSan target) --------------------------
-
-TEST(SpscQueue, ThreadedHandoffDeliversEveryItemInOrder) {
-  constexpr std::uint64_t kItems = 200000;
-  SpscQueue<std::uint64_t> queue(1 << 8);
-
-  std::jthread consumer([&queue] {
-    queue.assume_consumer();
-    std::uint64_t expected = 0;
-    std::vector<std::uint64_t> batch(64);
-    while (expected < kItems) {
-      const std::size_t n = queue.try_pop_bulk(std::span<std::uint64_t>(batch));
-      if (n == 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(batch[i], expected) << "items reordered or corrupted";
-        ++expected;
-      }
-    }
-  });
-
-  queue.assume_producer();  // the test main thread is the producer
-  std::vector<std::uint64_t> staged(32);
-  std::uint64_t next = 0;
-  while (next < kItems) {
-    const std::uint64_t n = std::min<std::uint64_t>(32, kItems - next);
-    for (std::uint64_t i = 0; i < n; ++i) staged[i] = next + i;
-    std::span<const std::uint64_t> pending(staged.data(), n);
-    while (!pending.empty()) {
-      const std::size_t pushed = queue.try_push_bulk(pending);
-      pending = pending.subspan(pushed);
-      if (!pending.empty()) std::this_thread::yield();
-    }
-    next += n;
-  }
 }
 
 // --- BlockQueue: block hand-off semantics ------------------------------------
@@ -534,11 +426,14 @@ TEST(ShardedRuntime, HeavyChangesReportedAcrossEpochs) {
 
   const FlowKey surging{0xc0ffee01};
   const FlowKey steady{0xc0ffee02};
-  // Epoch 0: steady is heavy, surging absent.
+  const FlowKey vanishing{0xc0ffee03};
+  // Epoch 0: steady and vanishing are heavy, surging absent.
   for (int i = 0; i < 500; ++i) sharded.ingest(steady);
+  for (int i = 0; i < 500; ++i) sharded.ingest(vanishing);
   const auto report0 = sharded.rotate();
   EXPECT_TRUE(report0.heavy_changes.empty()) << "no previous epoch to diff";
-  // Epoch 1: surging appears at 600, steady stays at ~500 (delta below T).
+  // Epoch 1: surging appears at 600, vanishing drops to 0, steady stays at
+  // ~500 (delta below T).
   for (int i = 0; i < 600; ++i) sharded.ingest(surging);
   for (int i = 0; i < 500; ++i) sharded.ingest(steady);
   const auto report1 = sharded.rotate();
@@ -546,8 +441,44 @@ TEST(ShardedRuntime, HeavyChangesReportedAcrossEpochs) {
   const auto& hc = report1.heavy_changes;
   EXPECT_TRUE(std::find(hc.begin(), hc.end(), surging) != hc.end())
       << "flow surging by 600 (> T=300) across epochs not flagged";
+  EXPECT_TRUE(std::find(hc.begin(), hc.end(), vanishing) != hc.end())
+      << "flow dropping by 500 (> T=300) across epochs not flagged";
   EXPECT_TRUE(std::find(hc.begin(), hc.end(), steady) == hc.end())
       << "steady flow (delta ~0) wrongly flagged as heavy change";
+}
+
+// The single-shard runtime as the serial Figure-1 loop on realistic traffic:
+// two synthetic windows with shifted flow sizes, heavy changes scored against
+// the exact ground truth, and the per-epoch EM analysis attached to the
+// report.
+TEST(ShardedRuntime, RealisticWindowsHeavyChangeEndToEnd) {
+  fcm::flow::SyntheticTraceConfig config;
+  config.packet_count = 80'000;
+  config.flow_count = 8'000;
+  const fcm::flow::WindowPair pair = fcm::flow::make_window_pair(config, 0.5);
+
+  ShardedFcmFramework::Options options;
+  options.framework = small_framework_options();
+  options.framework.fcm = FcmConfig::for_memory(120'000, 2, 8, {8, 16, 32});
+  options.framework.heavy_hitter_threshold = config.packet_count / 2000;
+  options.shard_count = 1;
+  options.analyze_on_rotate = true;
+  ShardedFcmFramework sharded(options);
+
+  sharded.ingest(pair.window_a.packets());
+  sharded.rotate();
+  sharded.ingest(pair.window_b.packets());
+  const auto report = sharded.rotate();
+
+  ASSERT_TRUE(report.analysis.has_value());
+  EXPECT_GT(report.analysis->estimated_flows, 0.0);
+  const auto actual = fcm::flow::true_heavy_changes(
+      fcm::flow::GroundTruth(pair.window_a), fcm::flow::GroundTruth(pair.window_b),
+      options.framework.heavy_hitter_threshold);
+  ASSERT_FALSE(actual.empty()) << "fixture produced no true heavy changes";
+  const auto scores =
+      fcm::metrics::classification_scores(report.heavy_changes, actual);
+  EXPECT_GT(scores.f1, 0.8);
 }
 
 TEST(ShardedRuntime, RotateAsyncDoesNotStallIngest) {
@@ -647,6 +578,43 @@ TEST(ShardedRuntime, StopIsIdempotentAndDestructorIsSafeWithoutRotation) {
     // Results remain queryable after stop().
     EXPECT_EQ(sharded.flow_size(FlowKey{1}), 1u);
     EXPECT_EQ(sharded.epochs_completed(), 1u);
+  }
+}
+
+// stop() closes the un-rotated tail as a final epoch instead of discarding
+// it: every packet lands in merged_epoch(0), with the heavy-flow cache's
+// residents and the staged partial blocks included. The tail falls in
+// generation 0 without an earlier rotation and in generation 1 after one.
+TEST(ShardedRuntime, StopClosesUnrotatedTailAsFinalEpoch) {
+  const std::vector<Packet> trace = fixed_trace(0x57a1, 12000, 600);
+  FcmFramework serial(small_framework_options());
+  for (const Packet& packet : trace) serial.process(packet.key);
+
+  for (const std::size_t cache_entries : {0ul, 256ul}) {
+    for (const std::size_t earlier_epochs : {0ul, 1ul}) {
+      SCOPED_TRACE("cache_entries=" + std::to_string(cache_entries) +
+                   " earlier_epochs=" + std::to_string(earlier_epochs));
+      ShardedFcmFramework::Options options;
+      options.framework = small_framework_options();
+      options.shard_count = 3;
+      options.cache_entries = cache_entries;
+      ShardedFcmFramework sharded(options);
+      for (std::size_t e = 0; e < earlier_epochs; ++e) {
+        sharded.ingest(FlowKey{7});
+        sharded.rotate();
+      }
+      for (const Packet& packet : trace) sharded.ingest(packet.key);
+      sharded.stop();
+
+      // ASSERT, not EXPECT: wait_epoch on an epoch that never closes blocks.
+      ASSERT_EQ(sharded.epochs_completed(), earlier_epochs + 1);
+      EXPECT_EQ(sharded.wait_epoch(earlier_epochs).packets, trace.size());
+      const FcmFramework merged = sharded.merged_epoch(0);
+      for (const FlowKey key : distinct_keys(trace)) {
+        ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
+      }
+      sharded.check_invariants();
+    }
   }
 }
 
@@ -802,27 +770,7 @@ TEST(ShardedRuntime, AdaptiveFlushPublishesPartialBlocksBeforeRotation) {
   }
 }
 
-// --- pinning and occupancy ----------------------------------------------------
-
-TEST(ShardedRuntime, PinWorkersIsExactAndDegradesGracefully) {
-  // Pinning is a performance hint (no-op where unsupported); results must be
-  // identical either way, on any core count.
-  const std::vector<Packet> trace = fixed_trace(0x919, 10000, 600);
-  FcmFramework serial(small_framework_options());
-  for (const Packet& packet : trace) serial.process(packet.key);
-
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.shard_count = 2;
-  options.pin_workers = true;
-  ShardedFcmFramework sharded(options);
-  for (const Packet& packet : trace) sharded.ingest(packet.key);
-  sharded.rotate();
-  const FcmFramework merged = sharded.merged_epoch();
-  for (const FlowKey key : distinct_keys(trace)) {
-    ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
-  }
-}
+// --- occupancy ----------------------------------------------------------------
 
 TEST(ShardedRuntime, QueueHighWaterReportsPerShardFractions) {
   ShardedFcmFramework::Options options;

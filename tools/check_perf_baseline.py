@@ -3,63 +3,55 @@
 
 Two baseline families, dispatched on the JSON ``schema`` field:
 
-``fcm.bench.throughput.v2`` / ``...v3`` (batched ingest kernel + cache)
+``fcm.bench.throughput.v5`` (batched ingest, cache, sharding, kernel tiers)
     Compares a freshly measured ``bench_throughput --scaling-only`` JSON
     against the committed ``BENCH_throughput.json``. Absolute packets/sec
     are machine-dependent and useless across CI runners, so the guard
-    compares the in-run ``batch_speedup`` RATIO (batch pps / scalar pps,
-    both best-of-N interleaved within one process on one machine — see
-    EXPERIMENTS.md, throughput methodology). That ratio cancels CPU model
-    and frequency, leaving the kernel's relative advantage.
+    compares in-run RATIOS (both sides best-of-N interleaved within one
+    process on one machine — see EXPERIMENTS.md, throughput methodology).
+    A ratio cancels CPU model and frequency, leaving the relative advantage.
 
     Checks:
       1. schema match between baseline and current run;
-      2. serial (single-thread) batch_speedup must not fall more than
-         ``--tolerance`` (default 15%) below the committed baseline's;
+      2. serial (single-thread) batch_speedup (batch pps / scalar pps) must
+         not fall more than ``--tolerance`` (default 15%) below the committed
+         baseline's;
       3. serial batch_speedup must stay >= 1.0 (the batch path must never
-         be slower than the scalar path it replaces).
-
-    v3 adds the heavy-flow-cache study (DESIGN.md §12) and two checks on
-    its in-run ``cache_speedup`` ratio (cache-on vs cache-off pps on the
-    skewed Zipf-1.3 trace, same process, same machine):
-      4. it must not fall more than ``--tolerance`` below the baseline's;
-      5. it must stay >= 1.2 (the acceptance floor: an exact-match cache
-         that does not beat the sketch walk by 20% on elephant-dominated
+         be slower than the scalar path it replaces);
+      4. the heavy-flow-cache study's ``cache_speedup`` (cache-on vs
+         cache-off pps on the skewed Zipf-1.3 trace, DESIGN.md §12) must not
+         fall more than ``--tolerance`` below the baseline's;
+      5. cache_speedup must stay >= 1.2 (the acceptance floor: an exact-match
+         cache that does not beat the sketch walk by 20% on elephant-dominated
          traffic is not pulling its weight). Machine-local ratio, so this
-         check stays fatal across machine classes.
-
-    v5 adds the kernel-tier study (DESIGN.md §14) plus two provenance rules:
-      9. the ``kernels`` section records every kernel tier's serial
-         throughput, forced in-process; when both the scalar and avx2 rows
-         are present, ``avx2_index_speedup_vs_scalar`` must stay >= 2.5
-         (the ISSUE-10 acceptance floor — an in-run same-machine ratio, so
-         fatal on every machine class) and >= 1.0 for the end-to-end ingest
-         ratio (the AVX2 kernel must never lose to scalar);
-      10. v5 baselines must carry real provenance: a committed baseline
-         with ``git_rev: "unknown"`` is rejected outright (exit 2), and a
-         current run with an unknown rev only warns (it cannot be blessed
-         as a baseline without fixing the build first). Baseline-relative
-         drift checks (serial batch_speedup, cache_speedup, sharded
-         vs-serial ratios) FAIL instead of warning whenever the committed
-         baseline itself has ``hardware_concurrency >= 2`` — those are
-         in-run ratios, so a multi-core-provenance baseline makes them
-         binding even when the current runner's core count differs.
-
-    v4 adds the block-staged sharded hand-off columns (DESIGN.md §13) and a
-    sharded-scaling section with its own provenance rule:
-      6. the CURRENT run must have ``hardware_concurrency >= 2`` — on a
-         single-core runner the sharded-scaling numbers measure nothing but
-         scheduler round-robin, so this section FAILS outright (not a
-         warning): a 1-core CI runner can never silently bless or re-pin a
-         scaling baseline. (ISSUE 9 satellite; absolute pps stays warn-only
-         across machine classes as before.)
+         check stays fatal across machine classes;
+      6. the sharded-scaling section (block-staged hand-off, DESIGN.md §13)
+         requires the CURRENT run to have ``hardware_concurrency >= 2`` — on a
+         single-core runner the scaling numbers measure nothing but scheduler
+         round-robin, so this section FAILS outright (not a warning): a 1-core
+         CI runner can never silently bless or re-pin a scaling baseline;
       7. in-run floors, fatal on any multi-core machine: 1-shard sharded
          batch ingest >= 0.9x the serial batch path (the block hand-off tax
          cap) and 1-shard in-shard batch_speedup >= 1.4x (batching must
          survive the ring);
       8. aggregate scaling: 4-shard batch pps >= 1.6x 1-shard batch pps,
          enforced when the runner has >= 4 hardware threads (warned below
-         that, where 4 workers cannot actually run in parallel).
+         that, where 4 workers cannot actually run in parallel);
+      9. the ``kernels`` section records the serial throughput of each kernel
+         tier (scalar, avx2; DESIGN.md §14), forced in-process; when both rows
+         are present, ``avx2_index_speedup_vs_scalar`` must stay >= 2.5 (an
+         in-run same-machine ratio, so fatal on every machine class) and the
+         end-to-end ingest ratio >= 1.0 (the AVX2 kernel must never lose to
+         scalar);
+      10. baselines must carry real provenance: a committed baseline with
+         ``git_rev: "unknown"`` is rejected outright (exit 2), and a current
+         run with an unknown rev only warns (it cannot be blessed as a
+         baseline without fixing the build first). Baseline-relative drift
+         checks (serial batch_speedup, cache_speedup, sharded vs-serial
+         ratios) FAIL instead of warning whenever the committed baseline
+         itself has ``hardware_concurrency >= 2`` — those are in-run ratios,
+         so a multi-core-provenance baseline makes them binding even when the
+         current runner's core count differs.
 
 ``fcm.bench.agg.v1`` (aggregation service, DESIGN.md §11)
     Compares a fresh ``bench_agg`` JSON against ``BENCH_agg.json``.
@@ -92,20 +84,13 @@ import argparse
 import json
 import sys
 
-KNOWN_SCHEMAS = (
-    "fcm.bench.throughput.v2",
-    "fcm.bench.throughput.v3",
-    "fcm.bench.throughput.v4",
-    "fcm.bench.throughput.v5",
-    "fcm.bench.agg.v1",
-)
-# Schemas whose committed baselines must carry real git provenance.
-PROVENANCE_REQUIRED_SCHEMAS = ("fcm.bench.throughput.v5",)
+THROUGHPUT_SCHEMA = "fcm.bench.throughput.v5"
+KNOWN_SCHEMAS = (THROUGHPUT_SCHEMA, "fcm.bench.agg.v1")
 CACHE_SPEEDUP_FLOOR = 1.2
-# v5 kernel-tier floors (in-run same-machine ratios, DESIGN.md §14):
-AVX2_INDEX_VS_SCALAR_FLOOR = 2.5  # hash+fast-range kernel, ISSUE-10 target
+# Kernel-tier floors (in-run same-machine ratios, DESIGN.md §14):
+AVX2_INDEX_VS_SCALAR_FLOOR = 2.5  # hash+fast-range kernel
 AVX2_INGEST_VS_SCALAR_FLOOR = 1.0  # end-to-end serial ingest sanity
-# v4 sharded-scaling floors (in-run ratios, DESIGN.md §13 / ISSUE 9):
+# Sharded-scaling floors (in-run ratios, DESIGN.md §13):
 SHARDED_VS_SERIAL_FLOOR = 0.9  # 1-shard sharded batch vs serial batch
 SHARDED_BATCH_SPEEDUP_FLOOR = 1.4  # in-shard batch vs scalar at 1 shard
 SHARDED_4V1_FLOOR = 1.6  # 4-shard vs 1-shard aggregate batch pps
@@ -126,7 +111,7 @@ def load(path: str, *, is_baseline: bool = False) -> dict:
             file=sys.stderr,
         )
         sys.exit(2)
-    if schema in PROVENANCE_REQUIRED_SCHEMAS:
+    if schema == THROUGHPUT_SCHEMA:
         rev = data.get("git_rev")
         if rev in (None, "", "unknown"):
             if is_baseline:
@@ -213,61 +198,54 @@ def check_throughput(baseline: dict, current: dict, args) -> int:
         )
         failed = True
 
-    if baseline["schema"] in ("fcm.bench.throughput.v3",
-                              "fcm.bench.throughput.v4",
-                              "fcm.bench.throughput.v5"):
-        base_cache = baseline["cache"]["cache_speedup"]
-        cur_cache = current["cache"]["cache_speedup"]
-        cache_floor = base_cache * (1.0 - args.tolerance)
-        print(
-            f"cache_speedup: baseline {base_cache:.3f}x, "
-            f"current {cur_cache:.3f}x, floor {cache_floor:.3f}x "
-            f"(hard floor {CACHE_SPEEDUP_FLOOR:.1f}x)"
+    base_cache = baseline["cache"]["cache_speedup"]
+    cur_cache = current["cache"]["cache_speedup"]
+    cache_floor = base_cache * (1.0 - args.tolerance)
+    print(
+        f"cache_speedup: baseline {base_cache:.3f}x, "
+        f"current {cur_cache:.3f}x, floor {cache_floor:.3f}x "
+        f"(hard floor {CACHE_SPEEDUP_FLOOR:.1f}x)"
+    )
+    if cur_cache < cache_floor:
+        message = (
+            f"cache_speedup {cur_cache:.3f}x regressed more than "
+            f"{args.tolerance:.0%} below the committed {base_cache:.3f}x"
         )
-        if cur_cache < cache_floor:
-            message = (
-                f"cache_speedup {cur_cache:.3f}x regressed more than "
-                f"{args.tolerance:.0%} below the committed {base_cache:.3f}x"
-            )
-            if comparable:
-                print(f"check_perf_baseline: FAIL — {message}", file=sys.stderr)
-                failed = True
-            else:
-                print(
-                    "check_perf_baseline: WARN — committed baseline has "
-                    "single-core provenance and the core count differs; not "
-                    f"failing on: {message}",
-                    file=sys.stderr,
-                )
-        if cur_cache < CACHE_SPEEDUP_FLOOR:
-            # In-run ratio on one machine: fatal regardless of machine class.
+        if comparable:
+            print(f"check_perf_baseline: FAIL — {message}", file=sys.stderr)
+            failed = True
+        else:
             print(
-                f"check_perf_baseline: FAIL — heavy-flow cache speedup "
-                f"{cur_cache:.3f}x is below the {CACHE_SPEEDUP_FLOOR:.1f}x "
-                "acceptance floor on the skewed trace",
+                "check_perf_baseline: WARN — committed baseline has "
+                "single-core provenance and the core count differs; not "
+                f"failing on: {message}",
                 file=sys.stderr,
             )
-            failed = True
+    if cur_cache < CACHE_SPEEDUP_FLOOR:
+        # In-run ratio on one machine: fatal regardless of machine class.
+        print(
+            f"check_perf_baseline: FAIL — heavy-flow cache speedup "
+            f"{cur_cache:.3f}x is below the {CACHE_SPEEDUP_FLOOR:.1f}x "
+            "acceptance floor on the skewed trace",
+            file=sys.stderr,
+        )
+        failed = True
 
-    if baseline["schema"] in ("fcm.bench.throughput.v4",
-                              "fcm.bench.throughput.v5"):
-        if check_sharded_scaling(baseline, current, args):
-            failed = True
-
-    if baseline["schema"] == "fcm.bench.throughput.v5":
-        if check_kernels(baseline, current):
-            failed = True
+    if check_sharded_scaling(baseline, current, args):
+        failed = True
+    if check_kernels(current):
+        failed = True
     return 1 if failed else 0
 
 
-def check_kernels(baseline: dict, current: dict) -> int:
-    """The v5 kernel-tier section: the AVX2 kernel's in-run advantage over
+def check_kernels(current: dict) -> int:
+    """The kernel-tier section: the AVX2 kernel's in-run advantage over
     the forced scalar tier, same process, same machine — fatal everywhere."""
     failed = False
     kernels = current.get("kernels")
     if kernels is None:
         print(
-            "check_perf_baseline: FAIL — v5 run is missing the kernels "
+            "check_perf_baseline: FAIL — run is missing the kernels "
             "section (bench too old for the baseline schema?)",
             file=sys.stderr,
         )
@@ -281,7 +259,7 @@ def check_kernels(baseline: dict, current: dict) -> int:
     )
     if not kernels.get("cpu_supports_avx2"):
         # Nothing to hold to the floor on a non-AVX2 machine; the dispatch
-        # matrix tests still cover scalar/autovec equivalence there.
+        # matrix tests still cover the scalar tier there.
         print(
             "check_perf_baseline: NOTE — no AVX2 on this machine; skipping "
             "the kernel-speedup floors"
@@ -323,15 +301,15 @@ def check_kernels(baseline: dict, current: dict) -> int:
 
 
 def check_sharded_scaling(baseline: dict, current: dict, args) -> int:
-    """The v4 block-staged hand-off section: in-run ratio floors, plus the
+    """The block-staged hand-off section: in-run ratio floors, plus the
     provenance rule that a single-core runner FAILS rather than warns."""
     failed = False
     cur_cores = current.get("hardware_concurrency")
 
     if cur_cores is None or cur_cores < 2:
-        # The satellite fix: scheduling N workers onto one core measures
-        # nothing about the hand-off, and warn-only behavior here is how the
-        # repo's previous scaling baseline got recorded on a 1-core container.
+        # Scheduling N workers onto one core measures nothing about the
+        # hand-off, and warn-only behavior here is how an earlier scaling
+        # baseline got recorded on a 1-core container.
         print(
             "check_perf_baseline: FAIL — sharded-scaling section requires "
             f"hardware_concurrency >= 2, current run has {cur_cores!r}; "
@@ -511,7 +489,7 @@ def main() -> int:
             "missing); machine-bound regressions will warn instead of fail"
         )
 
-    if baseline["schema"].startswith("fcm.bench.throughput."):
+    if baseline["schema"] == THROUGHPUT_SCHEMA:
         result = check_throughput(baseline, current, args)
     else:
         result = check_agg(baseline, current, args)
