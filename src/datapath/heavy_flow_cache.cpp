@@ -96,8 +96,8 @@ void HeavyFlowCache::check_invariants() const {
     }
   }
   // Conservation ledger: everything accepted is either still resident or was
-  // handed back to the caller for demotion. (drain()/clear() reset both
-  // sides together.)
+  // handed back to the caller for demotion. drain() keeps it balanced by
+  // moving the resident units into evicted_units_; only clear() resets it.
   FCM_ASSERT(offered_units_ == resident + evicted_units_,
              "HeavyFlowCache: unit ledger out of balance");
   FCM_ASSERT(hits_ + misses_ >= evictions_,

@@ -63,8 +63,9 @@ class HeavyFlowCache {
     }
   }
 
-  // for_each + clear in one sweep: hands every resident flow to `visit` for
-  // demotion into the sketch and empties the table (epoch rotation).
+  // Hands every resident flow to `visit` for demotion into the sketch and
+  // empties the table in one sweep (epoch rotation). Unlike clear(), the
+  // hit/miss/eviction counters and the unit ledger stay cumulative.
   template <typename Visitor>
   void drain(Visitor&& visit) {
     for (Entry& entry : table_) {

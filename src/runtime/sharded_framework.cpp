@@ -29,7 +29,7 @@ enum BlockKind : std::uint32_t {
   // One flow key in slot 0 carrying `aux` packets/bytes (a heavy-flow-cache
   // demotion). aux is the full u64 weight — no u32 chunking on the ring.
   kWeighted = 2,
-  // In-band epoch marker (driver rings only; count == 0).
+  // In-band epoch marker (count == 0).
   kMarker = 3,
 };
 
@@ -37,7 +37,7 @@ enum BlockKind : std::uint32_t {
 // hash family, which is seeded per tree from FcmConfig).
 constexpr std::uint32_t kShardHashSeed = 0x51a8d5;
 
-// Progressive backoff for spin loops (producer backpressure, idle workers,
+// Progressive backoff for spin loops (driver backpressure, idle workers,
 // blocked marker pushes). Yield first; park briefly once clearly idle so a
 // single-core host still makes progress.
 void backoff(unsigned& spins) {
@@ -58,7 +58,7 @@ void backoff(unsigned& spins) {
 // BlockQueue::size_approx_blocks, itself acquire-ordered), so idle periods
 // cost nothing.
 struct ShardedFcmFramework::Instruments {
-  obs::Counter* backpressure_spins = nullptr;   // producer spins on full rings
+  obs::Counter* backpressure_spins = nullptr;   // driver spins on full rings
   obs::Counter* blocks_published = nullptr;     // block publications (all kinds)
   obs::Counter* partial_flushes = nullptr;      // blocks published < flush_batch
   obs::Counter* cache_hits = nullptr;           // heavy-flow cache, driver side
@@ -81,23 +81,20 @@ struct ShardedFcmFramework::Instruments {
 struct ShardedFcmFramework::Shard {
   Shard(std::size_t shard_index,
         const framework::FcmFramework::Options& replica_options,
-        std::size_t block_count, std::size_t block_size,
-        std::size_t producer_count)
+        std::size_t block_count, std::size_t block_size)
       : index(shard_index) {
     replicas.reserve(2);
     replicas.emplace_back(replica_options);
     replicas.emplace_back(replica_options);
-    rings.reserve(producer_count);
-    for (std::size_t p = 0; p < producer_count; ++p) {
-      rings.push_back(std::make_unique<common::BlockQueue<flow::FlowKey>>(
-          block_count, block_size));
-    }
+    // Allocated after the replicas: the other order shifts the heap layout
+    // and measured 4 MiB more peak RSS on perfbench capture_bytes.
+    ring = std::make_unique<common::BlockQueue<flow::FlowKey>>(block_count,
+                                                               block_size);
   }
 
   const std::size_t index;  // shard number (stripe + label value)
-  // One strictly-SPSC block ring per producer; rings[0] is the driver's and
-  // the only one that carries epoch markers.
-  std::vector<std::unique_ptr<common::BlockQueue<flow::FlowKey>>> rings;
+  // The driver -> worker SPSC block ring; carries data and epoch markers.
+  std::unique_ptr<common::BlockQueue<flow::FlowKey>> ring;
   // Double-buffered generations: `active` is worker-local; the coordinator
   // only touches replicas[g] after every worker has flipped away from g
   // (ordered through mutex_-guarded flip counters).
@@ -128,8 +125,6 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
   FCM_REQUIRE(options_.flush_batch >= 1 &&
                   options_.flush_batch <= options_.queue_capacity,
               "ShardedFcmFramework: flush_batch must be in [1, queue_capacity]");
-  FCM_REQUIRE(options_.producer_count >= 1 && options_.producer_count <= 64,
-              "ShardedFcmFramework: producer_count must be in [1, 64]");
   FCM_REQUIRE(options_.flush_interval.count() >= 0,
               "ShardedFcmFramework: flush_interval must be >= 0");
   FCM_REQUIRE(options_.retained_epochs >= 1,
@@ -169,14 +164,9 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
   shards_.reserve(options_.shard_count);
   for (std::size_t s = 0; s < options_.shard_count; ++s) {
     shards_.push_back(std::make_unique<Shard>(s, replica_options, block_count,
-                                              options_.flush_batch,
-                                              options_.producer_count));
+                                              options_.flush_batch));
   }
-  handles_.reserve(options_.producer_count);
-  for (std::size_t p = 0; p < options_.producer_count; ++p) {
-    handles_.push_back(
-        std::unique_ptr<IngestHandle>(new IngestHandle(*this, p)));
-  }
+  open_.resize(options_.shard_count);
   if (options_.cache_entries > 0) {
     datapath::HeavyFlowCache::Options cache_options;
     cache_options.entries = options_.cache_entries;
@@ -218,7 +208,7 @@ void ShardedFcmFramework::init_instruments() {
       "Producer spin iterations while a shard ring was full");
   instruments->blocks_published = &registry->counter(
       "fcm_runtime_blocks_published_total", base_labels(),
-      "Staged blocks published to shard rings (all producers, all kinds)");
+      "Staged blocks published to shard rings (all kinds)");
   instruments->partial_flushes = &registry->counter(
       "fcm_runtime_partial_flushes_total", base_labels(),
       "Blocks published before reaching flush_batch keys (deadline flush, "
@@ -282,24 +272,14 @@ void ShardedFcmFramework::init_instruments() {
       instruments->queue_depth_gauges.push_back(registry->gauge_callback(
           "fcm_runtime_queue_depth", shard_labels(raw->index),
           [raw, this] {
-            std::size_t blocks = 0;
-            for (const auto& ring : raw->rings) {
-              blocks += ring->size_approx_blocks();
-            }
-            return static_cast<double>(blocks * options_.flush_batch);
+            return static_cast<double>(raw->ring->size_approx_blocks() *
+                                       options_.flush_batch);
           },
-          "Ring occupancy in staged items, summed over producers (sampled at "
-          "scrape)"));
+          "Ring occupancy in staged items (sampled at scrape)"));
       instruments->queue_depth_gauges.push_back(registry->gauge_callback(
           "fcm_runtime_queue_high_water_blocks", shard_labels(raw->index),
-          [raw] {
-            std::size_t high = 0;
-            for (const auto& ring : raw->rings) {
-              high = std::max(high, ring->high_water_blocks());
-            }
-            return static_cast<double>(high);
-          },
-          "Peak ring occupancy in blocks (max across producers)"));
+          [raw] { return static_cast<double>(raw->ring->high_water_blocks()); },
+          "Peak ring occupancy in blocks"));
     }
   } catch (const std::logic_error&) {
     instruments->queue_depth_gauges.clear();
@@ -309,26 +289,11 @@ void ShardedFcmFramework::init_instruments() {
 
 ShardedFcmFramework::~ShardedFcmFramework() { stop(); }
 
-// --- ingest handles (block staging) ------------------------------------------
+// --- block staging (driver thread) -----------------------------------------
 
-ShardedFcmFramework::IngestHandle::IngestHandle(ShardedFcmFramework& owner,
-                                                std::size_t producer)
-    : owner_(owner), producer_(producer) {
-  role_.assert_held();  // constructing thread; real owner asserts per call
-  open_.resize(owner_.shards_.size());
-}
-
-ShardedFcmFramework::IngestHandle& ShardedFcmFramework::ingest_handle(
-    std::size_t producer) {
-  FCM_REQUIRE(producer >= 1 && producer < handles_.size(),
-              "ShardedFcmFramework: secondary producer index out of range "
-              "(handle 0 is the driver's own; see Options::producer_count)");
-  return *handles_[producer];
-}
-
-void ShardedFcmFramework::IngestHandle::open_block(std::size_t shard) {
-  auto& ring = *owner_.shards_[shard]->rings[producer_];
-  ring.assume_producer();  // this handle's thread IS the ring's producer
+void ShardedFcmFramework::open_block(std::size_t shard) {
+  auto& ring = *shards_[shard]->ring;
+  ring.assume_producer();  // the driver thread IS every ring's producer
   OpenBlock& open = open_[shard];
   flow::FlowKey* slots = ring.try_open();
   if (slots == nullptr) [[unlikely]] {
@@ -337,29 +302,26 @@ void ShardedFcmFramework::IngestHandle::open_block(std::size_t shard) {
       backoff(spins);  // ring full: backpressure
       slots = ring.try_open();
     } while (slots == nullptr);
-    if (owner_.instruments_ != nullptr) {
-      owner_.instruments_->backpressure_spins->inc_at(shard, spins);
+    if (instruments_ != nullptr) {
+      instruments_->backpressure_spins->inc_at(shard, spins);
     }
   }
   open.slots = slots;
   open.fill = 0;
-  if (owner_.track_block_time_) open.opened = std::chrono::steady_clock::now();
+  if (track_block_time_) open.opened = std::chrono::steady_clock::now();
 }
 
-void ShardedFcmFramework::IngestHandle::publish_block(std::size_t shard,
-                                                      std::uint32_t kind,
-                                                      std::uint64_t aux) {
+void ShardedFcmFramework::publish_block(std::size_t shard, std::uint32_t kind,
+                                        std::uint64_t aux) {
   OpenBlock& open = open_[shard];
-  auto& ring = *owner_.shards_[shard]->rings[producer_];
+  auto& ring = *shards_[shard]->ring;
   ring.assume_producer();
   ring.publish(open.fill, kind, aux);
-  if (owner_.instruments_ != nullptr) {
-    Instruments& ins = *owner_.instruments_;
+  if (instruments_ != nullptr) {
+    Instruments& ins = *instruments_;
     ins.blocks_published->inc_at(shard);
-    if (open.fill < owner_.options_.flush_batch) {
-      ins.partial_flushes->inc_at(shard);
-    }
-    if (ins.flush_latency_seconds != nullptr && owner_.track_block_time_) {
+    if (open.fill < options_.flush_batch) ins.partial_flushes->inc_at(shard);
+    if (ins.flush_latency_seconds != nullptr && track_block_time_) {
       ins.flush_latency_seconds->observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         open.opened)
@@ -370,43 +332,36 @@ void ShardedFcmFramework::IngestHandle::publish_block(std::size_t shard,
   open.fill = 0;
 }
 
-void ShardedFcmFramework::IngestHandle::stage_unit(std::size_t shard,
-                                                   flow::FlowKey key) {
+void ShardedFcmFramework::stage_unit(std::size_t shard, flow::FlowKey key) {
   OpenBlock& open = open_[shard];
   if (open.slots == nullptr) [[unlikely]] open_block(shard);
   open.slots[open.fill++] = key;
-  if (open.fill == owner_.options_.flush_batch) {
-    publish_block(shard, kUnitKeys, 0);
-  }
+  if (open.fill == options_.flush_batch) publish_block(shard, kUnitKeys, 0);
 }
 
-void ShardedFcmFramework::IngestHandle::stage_pair(std::size_t shard,
-                                                   flow::FlowKey key,
-                                                   std::uint32_t bytes) {
+void ShardedFcmFramework::stage_pair(std::size_t shard, flow::FlowKey key,
+                                     std::uint32_t bytes) {
   OpenBlock& open = open_[shard];
   // flush_batch may be odd: a pair never splits across blocks, so publish a
   // fill_batch-1 partial first when only one slot is left.
   if (open.slots != nullptr &&
-      open.fill + 2 > owner_.options_.flush_batch) [[unlikely]] {
+      open.fill + 2 > options_.flush_batch) [[unlikely]] {
     publish_block(shard, kPairs, 0);
   }
   if (open.slots == nullptr) [[unlikely]] open_block(shard);
   open.slots[open.fill] = key;
   open.slots[open.fill + 1] = std::bit_cast<flow::FlowKey>(bytes);
   open.fill += 2;
-  if (open.fill + 2 > owner_.options_.flush_batch) {
-    publish_block(shard, kPairs, 0);
-  }
+  if (open.fill + 2 > options_.flush_batch) publish_block(shard, kPairs, 0);
 }
 
-void ShardedFcmFramework::IngestHandle::stage_weighted(std::size_t shard,
-                                                       flow::FlowKey key,
-                                                       std::uint64_t weight) {
+void ShardedFcmFramework::stage_weighted(std::size_t shard, flow::FlowKey key,
+                                         std::uint64_t weight) {
   // Keep per-shard arrival order: close out any staged traffic first, then
   // publish the weight as a single-key block with the full u64 in aux.
   OpenBlock& open = open_[shard];
   if (open.slots != nullptr && open.fill > 0) {
-    publish_block(shard, owner_.byte_mode_ ? kPairs : kUnitKeys, 0);
+    publish_block(shard, byte_mode_ ? kPairs : kUnitKeys, 0);
   }
   if (open.slots == nullptr) open_block(shard);
   open.slots[0] = key;
@@ -414,21 +369,30 @@ void ShardedFcmFramework::IngestHandle::stage_weighted(std::size_t shard,
   publish_block(shard, kWeighted, weight);
 }
 
-std::size_t ShardedFcmFramework::IngestHandle::route_shard(flow::FlowKey key) {
-  const std::size_t shard_count = owner_.shards_.size();
+std::size_t ShardedFcmFramework::route_shard(flow::FlowKey key) {
+  const std::size_t shard_count = shards_.size();
   if (shard_count == 1) return 0;
-  if (owner_.options_.fanout == Fanout::kHashByKey) {
-    return owner_.shard_hash_.index(key, shard_count);
+  if (options_.fanout == Fanout::kHashByKey) {
+    return shard_hash_.index(key, shard_count);
   }
   const std::size_t shard = rr_next_;
   rr_next_ = rr_next_ + 1 == shard_count ? 0 : rr_next_ + 1;
   return shard;
 }
 
-void ShardedFcmFramework::IngestHandle::ingest_keys(
-    std::span<const flow::FlowKey> keys) {
-  const std::size_t shard_count = owner_.shards_.size();
-  const std::size_t block = owner_.options_.flush_batch;
+void ShardedFcmFramework::route_item(flow::FlowKey key, std::uint32_t count) {
+  if (byte_mode_) {
+    stage_pair(route_shard(key), key, count);
+  } else if (count == 1) {
+    stage_unit(route_shard(key), key);
+  } else {
+    stage_weighted(route_shard(key), key, count);
+  }
+}
+
+void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
+  const std::size_t shard_count = shards_.size();
+  const std::size_t block = options_.flush_batch;
   if (shard_count == 1) {
     // Single shard: no routing hash at all — memcpy runs straight into the
     // in-ring block. This is the path the 1-shard-vs-serial floor measures.
@@ -444,7 +408,7 @@ void ShardedFcmFramework::IngestHandle::ingest_keys(
       rest = rest.subspan(n);
       if (open.fill == block) publish_block(0, kUnitKeys, 0);
     }
-  } else if (owner_.options_.fanout == Fanout::kHashByKey) {
+  } else if (options_.fanout == Fanout::kHashByKey) {
     // Bulk shard hashing: one vectorizable index_batch per kBatchBlock chunk
     // (bit-identical to the per-item route_shard above), then scatter into
     // the per-shard open blocks.
@@ -453,22 +417,19 @@ void ShardedFcmFramework::IngestHandle::ingest_keys(
     while (!rest.empty()) {
       const std::size_t n = std::min(rest.size(), common::kBatchBlock);
       const std::span<const flow::FlowKey> chunk = rest.first(n);
-      owner_.shard_hash_.index_batch(
-          chunk, shard_count, std::span<std::uint32_t>(shard_index, n));
-      for (std::size_t i = 0; i < n; ++i) {
-        stage_unit(shard_index[i], chunk[i]);
-      }
+      shard_hash_.index_batch(chunk, shard_count,
+                              std::span<std::uint32_t>(shard_index, n));
+      for (std::size_t i = 0; i < n; ++i) stage_unit(shard_index[i], chunk[i]);
       rest = rest.subspan(n);
     }
   } else {
     for (const flow::FlowKey key : keys) stage_unit(route_shard(key), key);
   }
-  maybe_deadline_flush();
 }
 
-void ShardedFcmFramework::IngestHandle::ingest_packets(
+void ShardedFcmFramework::ingest_packets(
     std::span<const flow::Packet> packets) {
-  if (owner_.byte_mode_) {
+  if (byte_mode_) {
     for (const flow::Packet& packet : packets) {
       // count == 0 is reserved (a marker-like empty pair makes no sense).
       FCM_REQUIRE(packet.bytes > 0,
@@ -480,31 +441,29 @@ void ShardedFcmFramework::IngestHandle::ingest_packets(
       stage_unit(route_shard(packet.key), packet.key);
     }
   }
-  maybe_deadline_flush();
 }
 
-void ShardedFcmFramework::IngestHandle::maybe_deadline_flush() {
-  if (owner_.options_.flush_interval.count() == 0) return;
+void ShardedFcmFramework::maybe_deadline_flush() {
+  if (options_.flush_interval.count() == 0) return;
   const auto now = std::chrono::steady_clock::now();
   for (std::size_t s = 0; s < open_.size(); ++s) {
     OpenBlock& open = open_[s];
     if (open.slots != nullptr && open.fill > 0 &&
-        now - open.opened >= owner_.options_.flush_interval) {
-      publish_block(s, owner_.byte_mode_ ? kPairs : kUnitKeys, 0);
+        now - open.opened >= options_.flush_interval) {
+      publish_block(s, byte_mode_ ? kPairs : kUnitKeys, 0);
     }
   }
 }
 
-void ShardedFcmFramework::IngestHandle::flush() {
-  role_.assert_held();
+void ShardedFcmFramework::flush_staging() {
   for (std::size_t s = 0; s < open_.size(); ++s) {
     OpenBlock& open = open_[s];
     if (open.slots == nullptr) continue;
     if (open.fill > 0) {
-      publish_block(s, owner_.byte_mode_ ? kPairs : kUnitKeys, 0);
+      publish_block(s, byte_mode_ ? kPairs : kUnitKeys, 0);
     } else {
       // Reserved but never filled: hand the slot back without publishing.
-      auto& ring = *owner_.shards_[s]->rings[producer_];
+      auto& ring = *shards_[s]->ring;
       ring.assume_producer();
       ring.abandon();
       open.slots = nullptr;
@@ -512,50 +471,7 @@ void ShardedFcmFramework::IngestHandle::flush() {
   }
 }
 
-void ShardedFcmFramework::IngestHandle::ingest(flow::FlowKey key) {
-  role_.assert_held();
-  FCM_ASSERT(!owner_.stop_.load(std::memory_order_acquire),
-             "ShardedFcmFramework: handle ingest after stop()");
-  stage_unit(route_shard(key), key);
-  maybe_deadline_flush();
-}
-
-void ShardedFcmFramework::IngestHandle::ingest(const flow::Packet& packet) {
-  role_.assert_held();
-  FCM_ASSERT(!owner_.stop_.load(std::memory_order_acquire),
-             "ShardedFcmFramework: handle ingest after stop()");
-  ingest_packets(std::span<const flow::Packet>(&packet, 1));
-}
-
-void ShardedFcmFramework::IngestHandle::ingest(
-    std::span<const flow::FlowKey> keys) {
-  role_.assert_held();
-  FCM_ASSERT(!owner_.stop_.load(std::memory_order_acquire),
-             "ShardedFcmFramework: handle ingest after stop()");
-  ingest_keys(keys);
-}
-
-void ShardedFcmFramework::IngestHandle::ingest(
-    std::span<const flow::Packet> packets) {
-  role_.assert_held();
-  FCM_ASSERT(!owner_.stop_.load(std::memory_order_acquire),
-             "ShardedFcmFramework: handle ingest after stop()");
-  ingest_packets(packets);
-}
-
 // --- data plane (driver thread) --------------------------------------------
-
-void ShardedFcmFramework::route_item(flow::FlowKey key, std::uint32_t count) {
-  IngestHandle& handle = *handles_[0];
-  handle.role_.assert_held();  // the driver thread IS producer 0
-  if (byte_mode_) {
-    handle.stage_pair(handle.route_shard(key), key, count);
-  } else if (count == 1) {
-    handle.stage_unit(handle.route_shard(key), key);
-  } else {
-    handle.stage_weighted(handle.route_shard(key), key, count);
-  }
-}
 
 void ShardedFcmFramework::offer_cached(flow::FlowKey key, std::uint32_t count) {
   const datapath::HeavyFlowCache::Result result = cache_->offer(key, count);
@@ -563,13 +479,10 @@ void ShardedFcmFramework::offer_cached(flow::FlowKey key, std::uint32_t count) {
     case datapath::HeavyFlowCache::Result::Outcome::kHit:
     case datapath::HeavyFlowCache::Result::Outcome::kInserted:
       return;  // absorbed at the driver; nothing crosses a ring
-    case datapath::HeavyFlowCache::Result::Outcome::kEvicted: {
-      IngestHandle& handle = *handles_[0];
-      handle.role_.assert_held();
-      handle.stage_weighted(handle.route_shard(result.evicted_key),
-                            result.evicted_key, result.evicted_count);
+    case datapath::HeavyFlowCache::Result::Outcome::kEvicted:
+      stage_weighted(route_shard(result.evicted_key), result.evicted_key,
+                     result.evicted_count);
       return;
-    }
     case datapath::HeavyFlowCache::Result::Outcome::kBypass:
       route_item(key, count);  // flow 0: the cache's empty-slot sentinel
       return;
@@ -578,23 +491,14 @@ void ShardedFcmFramework::offer_cached(flow::FlowKey key, std::uint32_t count) {
 
 void ShardedFcmFramework::drain_cache() {
   if (cache_ == nullptr) return;
-  // Counters first: clear() resets the cache's cumulative ledger, so the
-  // published baselines reset with it below.
   publish_cache_metrics();
-  // Collect, then route from THIS scope (not a lambda) so the thread-safety
-  // analysis sees the driver capability at every staging call site.
-  std::vector<std::pair<flow::FlowKey, std::uint64_t>> resident;
-  resident.reserve(cache_->resident_flows());
-  cache_->for_each([&resident](flow::FlowKey key, std::uint64_t count) {
-    resident.emplace_back(key, count);
+  // One sweep demotes every resident flow into its shard and empties the
+  // table. The hit/miss/eviction counters stay cumulative, so the published
+  // baselines stay valid.
+  cache_->drain([this](flow::FlowKey key, std::uint64_t count) {
+    driver_role_.assert_held();  // runs inline on the driver thread
+    stage_weighted(route_shard(key), key, count);
   });
-  cache_->clear();
-  cache_published_hits_ = cache_published_misses_ = cache_published_evictions_ = 0;
-  IngestHandle& handle = *handles_[0];
-  handle.role_.assert_held();
-  for (const auto& [key, count] : resident) {
-    handle.stage_weighted(handle.route_shard(key), key, count);
-  }
 }
 
 void ShardedFcmFramework::publish_cache_metrics() {
@@ -611,14 +515,12 @@ void ShardedFcmFramework::publish_cache_metrics() {
 void ShardedFcmFramework::ingest(flow::FlowKey key) {
   driver_role_.assert_held();
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
-  IngestHandle& handle = *handles_[0];
-  handle.role_.assert_held();
   if (cache_ != nullptr) {
     offer_cached(key, 1);
   } else {
-    handle.stage_unit(handle.route_shard(key), key);
+    stage_unit(route_shard(key), key);
   }
-  handle.maybe_deadline_flush();
+  maybe_deadline_flush();
 }
 
 void ShardedFcmFramework::ingest(const flow::Packet& packet) {
@@ -631,26 +533,20 @@ void ShardedFcmFramework::ingest(const flow::Packet& packet) {
                 "ShardedFcmFramework: zero-byte packet in byte-count mode");
     count = packet.bytes;
   }
-  IngestHandle& handle = *handles_[0];
-  handle.role_.assert_held();
   if (cache_ != nullptr) {
     offer_cached(packet.key, count);
   } else {
     route_item(packet.key, count);
   }
-  handle.maybe_deadline_flush();
+  maybe_deadline_flush();
 }
 
 void ShardedFcmFramework::ingest(std::span<const flow::Packet> packets) {
   driver_role_.assert_held();
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
-  IngestHandle& handle = *handles_[0];
-  handle.role_.assert_held();
   if (cache_ == nullptr) {
-    handle.ingest_packets(packets);
-    return;
-  }
-  if (byte_mode_) {
+    ingest_packets(packets);
+  } else if (byte_mode_) {
     for (const flow::Packet& packet : packets) {
       FCM_REQUIRE(packet.bytes > 0,
                   "ShardedFcmFramework: zero-byte packet in byte-count mode");
@@ -659,20 +555,18 @@ void ShardedFcmFramework::ingest(std::span<const flow::Packet> packets) {
   } else {
     for (const flow::Packet& packet : packets) offer_cached(packet.key, 1);
   }
-  handle.maybe_deadline_flush();
+  maybe_deadline_flush();
 }
 
 void ShardedFcmFramework::ingest(std::span<const flow::FlowKey> keys) {
   driver_role_.assert_held();
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
-  IngestHandle& handle = *handles_[0];
-  handle.role_.assert_held();
   if (cache_ == nullptr) {
-    handle.ingest_keys(keys);
-    return;
+    ingest_keys(keys);
+  } else {
+    for (const flow::FlowKey key : keys) offer_cached(key, 1);
   }
-  for (const flow::FlowKey key : keys) offer_cached(key, 1);
-  handle.maybe_deadline_flush();
+  maybe_deadline_flush();
 }
 
 // --- epoch rotation ---------------------------------------------------------
@@ -695,14 +589,10 @@ std::size_t ShardedFcmFramework::rotate_async() {
   // flow into its shard BEFORE the markers, so the merged epoch conserves
   // totals exactly (each flow's units reach the sketch ahead of the flip).
   drain_cache();
-  // Publish the driver's partial blocks; secondary handles must already be
-  // flushed and quiescent (ownership rules in the class comment) — the
-  // workers drain their rings to empty when they pop the marker below.
-  IngestHandle& handle = *handles_[0];
-  handle.role_.assert_held();
-  handle.flush();
+  // Publish the partial blocks so they land ahead of the markers below.
+  flush_staging();
   for (auto& shard : shards_) {
-    auto& ring = *shard->rings[0];
+    auto& ring = *shard->ring;
     ring.assume_producer();
     flow::FlowKey* slots = ring.try_open();
     unsigned spins = 0;
@@ -740,7 +630,7 @@ ShardedFcmFramework::EpochReport ShardedFcmFramework::wait_epoch(
 void ShardedFcmFramework::worker_loop(Shard& shard) {
   // Applies one published block to the active generation. Unit-key blocks
   // feed the batched kernel IN PLACE from ring memory — the span is only
-  // valid until release(), which every caller performs right after.
+  // valid until release(), which the loop below performs right after.
   std::uint64_t data_items = 0;
   std::uint64_t data_bytes = 0;
   const auto apply_block =
@@ -798,37 +688,19 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
     data_items = 0;
     data_bytes = 0;
   };
-  // Drains one secondary ring to empty; returns true if anything was popped.
-  const auto drain_ring = [&](common::BlockQueue<flow::FlowKey>& ring) {
-    ring.assume_consumer();
-    common::BlockQueue<flow::FlowKey>::View view;
-    bool popped = false;
-    while (ring.try_front(view)) {
-      apply_block(view);
-      ring.release();
-      popped = true;
-    }
-    return popped;
-  };
 
-  auto& driver_ring = *shard.rings[0];
-  driver_ring.assume_consumer();  // this worker IS each ring's single consumer
+  auto& ring = *shard.ring;
+  ring.assume_consumer();  // this worker IS the ring's single consumer
   unsigned spins = 0;
   for (;;) {
     bool any = false;
     common::BlockQueue<flow::FlowKey>::View view;
-    // The driver ring carries data AND epoch markers.
-    while (driver_ring.try_front(view)) {
+    while (ring.try_front(view)) {
       any = true;
       if (view.kind == kMarker) {
-        // Epoch boundary. Secondary producers are quiesced across rotation
-        // (ownership rules), so draining their rings to empty hands the
-        // closing generation exactly its traffic. Then flip and publish the
-        // flip: the mutex makes every replica write above happen-before the
-        // coordinator's reads once it observes the new flip count.
-        for (std::size_t p = 1; p < shard.rings.size(); ++p) {
-          drain_ring(*shard.rings[p]);
-        }
+        // Epoch boundary: flip and publish the flip. The mutex makes every
+        // replica write above happen-before the coordinator's reads once it
+        // observes the new flip count.
         publish_data_items();
         {
           common::MutexLock lock(mutex_);
@@ -839,14 +711,11 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
       } else {
         apply_block(view);
       }
-      driver_ring.release();
-    }
-    for (std::size_t p = 1; p < shard.rings.size(); ++p) {
-      any |= drain_ring(*shard.rings[p]);
+      ring.release();
     }
     publish_data_items();
     if (!any) {
-      // Check AFTER a failed drain so rings filled before stop() empty out.
+      // Check AFTER a failed drain so a ring filled before stop() empties out.
       if (stop_.load(std::memory_order_acquire)) return;
       backoff(spins);
     } else {
@@ -969,20 +838,14 @@ void ShardedFcmFramework::stop() {
   driver_role_.assert_held();
   if (stopped_) return;
   drain_cache();  // un-rotated tail: hand it to the workers like a flush
-  {
-    // Secondary handles must already be flushed by their owning threads
-    // (ownership rules); the driver can only flush its own staging.
-    IngestHandle& handle = *handles_[0];
-    handle.role_.assert_held();
-    handle.flush();
-  }
+  flush_staging();
   stop_.store(true, std::memory_order_release);
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
   {
     common::MutexLock lock(mutex_);
-    // Workers have drained every ring (markers included), so all requested
+    // Workers have drained their rings (markers included), so all requested
     // epochs will be merged; wait for the coordinator to catch up.
     while (epochs_merged_ != rotations_requested_) cv_.wait(lock);
     // Un-rotated tail traffic: with the workers joined, the driver makes the
@@ -1036,12 +899,8 @@ std::vector<double> ShardedFcmFramework::queue_high_water() const {
   std::vector<double> high_water;
   high_water.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    std::size_t high = 0;
-    for (const auto& ring : shard->rings) {
-      high = std::max(high, ring->high_water_blocks());
-    }
-    high_water.push_back(static_cast<double>(high) /
-                         static_cast<double>(shard->rings[0]->block_count()));
+    high_water.push_back(static_cast<double>(shard->ring->high_water_blocks()) /
+                         static_cast<double>(shard->ring->block_count()));
   }
   return high_water;
 }

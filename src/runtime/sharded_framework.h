@@ -14,9 +14,9 @@
 // — and handed to the existing control plane (EM/FSD, entropy, heavy change)
 // unchanged.
 //
-// Block staging (DESIGN.md §13): every producer keeps one OPEN block per
-// shard, reserved in place inside that shard's ring (zero staging copy).
-// Span ingest bulk-hashes shard indices a kBatchBlock chunk at a time
+// Block staging (DESIGN.md §13): the driver keeps one OPEN block per shard,
+// reserved in place inside that shard's ring (zero staging copy). Span
+// ingest bulk-hashes shard indices a kBatchBlock chunk at a time
 // (SeededHash::index_batch — the same vectorizable kernel the sketch hashes
 // use) and scatters keys into the open blocks; a block that reaches
 // flush_batch keys is published with one release store. Optional adaptive
@@ -24,22 +24,9 @@
 // open longer than the deadline, so trickle traffic reaches the workers with
 // bounded latency instead of waiting for a rotation.
 //
-// Multi-producer ingest: Options::producer_count > 1 gives each extra
-// producer thread its own IngestHandle — per-producer staging plus a private
-// ring per (producer, shard) pair, so every ring stays strictly SPSC.
-// Ownership rules (machine-checked per handle via its ThreadRole):
-//   - exactly one thread drives each handle (and the driver thread, which
-//     owns handle 0 implicitly, is the only one that may rotate/stop);
-//   - secondary handles must be flushed and quiescent from before
-//     rotate_async()/stop() until the rotation completes (wait_epoch
-//     returns) — epoch markers travel only on the driver's rings, and a
-//     worker that pops one drains the secondary rings to empty to close the
-//     epoch, which is exact precisely because quiesced producers cannot be
-//     mid-publish.
-//
 // Epoch double-buffering: each worker holds TWO replica generations, active
 // and draining. rotate_async() pushes an in-band epoch marker block into
-// every driver ring; a worker that pops the marker flips to the other
+// every shard ring; a worker that pops the marker flips to the other
 // generation and keeps consuming — ingest never stalls on a rotation. A
 // background epoch coordinator waits until every worker has flipped, merges
 // the drained generation (off the ingest path), derives the epoch report
@@ -58,10 +45,10 @@
 // Thread discipline (machine-checked, DESIGN.md §10): ingest(),
 // rotate_async(), rotate() and stop() must all be called from ONE driver
 // thread — expressed as the driver_role_ capability: the public driver entry
-// points assert it, the private helpers REQUIRE it, and driver-only state is
-// GUARDED_BY it. Each IngestHandle carries its own role capability guarding
-// its staging state the same way. wait_epoch()/merged_epoch()/last_report()
-// are safe from any thread (they only read mutex_-guarded published state).
+// points assert it, the private helpers (block staging included) REQUIRE it,
+// and driver-only state (the open blocks included) is GUARDED_BY it.
+// wait_epoch()/merged_epoch()/last_report() are safe from any thread (they
+// only read mutex_-guarded published state).
 // The destructor stops and joins all threads; workers are std::jthread, so
 // teardown is exception-safe (tools/fcm_lint.py bans plain std::thread in
 // src/ for exactly this reason).
@@ -95,9 +82,9 @@ class ShardedFcmFramework {
     // per-shard heavy-hitter detection sees whole flows; load balance
     // follows the flow-size distribution.
     kHashByKey,
-    // Strict round-robin (per producer). Perfect load balance; flows are
-    // split across shards (merge keeps counts exact; heavy hitters rely on
-    // the ceil(T/N) per-shard threshold + post-merge re-qualification).
+    // Strict round-robin. Perfect load balance; flows are split across
+    // shards (merge keeps counts exact; heavy hitters rely on the ceil(T/N)
+    // per-shard threshold + post-merge re-qualification).
     kRoundRobin,
   };
 
@@ -106,26 +93,20 @@ class ShardedFcmFramework {
     // (with the heavy-hitter threshold lowered to ceil(T / shard_count)).
     framework::FcmFramework::Options framework;
     std::size_t shard_count = 4;
-    // Ring capacity per (producer, shard) pair, in ITEMS; must be a power of
-    // two >= 2 and >= flush_batch. The ring actually holds
-    // queue_capacity / flush_batch whole blocks. Ingest applies backpressure
-    // (spins) when a ring is full.
+    // Ring capacity per shard, in ITEMS; must be a power of two >= 2 and
+    // >= flush_batch. The ring actually holds queue_capacity / flush_batch
+    // whole blocks. Ingest applies backpressure (spins) when a ring is full.
     std::size_t queue_capacity = 1 << 14;
     // Block size: keys are staged per shard directly into the in-ring block
     // and published flush_batch at a time, so one release store covers a
     // whole process_batch-sized run. Byte-count mode stages (key, bytes)
     // pairs, so it needs flush_batch >= 2.
     std::size_t flush_batch = 64;
-    // Ingest handles (producer threads). Handle 0 is the driver thread's own
-    // (the plain ingest() entry points); handles 1..producer_count-1 are
-    // claimed with ingest_handle() and may run on other threads. Each extra
-    // producer costs one ring per shard.
-    std::size_t producer_count = 1;
     Fanout fanout = Fanout::kHashByKey;
     // Adaptive flush deadline: 0 (default) publishes blocks only when full
     // (or at rotation/stop). > 0 bounds staging latency — a partial block
-    // older than this is published at the next ingest call on its handle, so
-    // trickle traffic reaches the workers without waiting for a rotation.
+    // older than this is published at the next ingest call, so trickle
+    // traffic reaches the workers without waiting for a rotation.
     std::chrono::nanoseconds flush_interval{0};
     // Merged epoch snapshots retained for cross-epoch queries (>= 1).
     std::size_t retained_epochs = 4;
@@ -188,66 +169,6 @@ class ShardedFcmFramework {
     double fanout_imbalance = 1.0;
   };
 
-  // One producer's ingest endpoint: per-shard open blocks staged in place in
-  // that producer's private rings. Exactly ONE thread may drive a handle
-  // (its ThreadRole capability guards the staging state); see the ownership
-  // rules in the file comment for how handles interact with rotation.
-  class IngestHandle {
-   public:
-    IngestHandle(const IngestHandle&) = delete;
-    IngestHandle& operator=(const IngestHandle&) = delete;
-
-    void ingest(flow::FlowKey key);
-    void ingest(const flow::Packet& packet);
-    void ingest(std::span<const flow::FlowKey> keys);
-    void ingest(std::span<const flow::Packet> packets);
-    // Publishes every non-empty open block (partial blocks included) and
-    // hands empty reserved blocks back. REQUIRED before the driver rotates
-    // or stops (see ownership rules).
-    void flush();
-
-    std::size_t producer_index() const noexcept { return producer_; }
-
-   private:
-    friend class ShardedFcmFramework;
-
-    // A block reserved in the ring for one shard, being filled in place.
-    struct OpenBlock {
-      flow::FlowKey* slots = nullptr;  // null => no block reserved
-      std::uint32_t fill = 0;
-      // Set at first staging into the block when deadline flushing or the
-      // flush-latency histogram needs it.
-      std::chrono::steady_clock::time_point opened{};
-    };
-
-    IngestHandle(ShardedFcmFramework& owner, std::size_t producer);
-
-    void open_block(std::size_t shard) FCM_REQUIRES(role_);
-    void publish_block(std::size_t shard, std::uint32_t kind,
-                       std::uint64_t aux) FCM_REQUIRES(role_);
-    void stage_unit(std::size_t shard, flow::FlowKey key) FCM_REQUIRES(role_);
-    void stage_pair(std::size_t shard, flow::FlowKey key, std::uint32_t bytes)
-        FCM_REQUIRES(role_);
-    void stage_weighted(std::size_t shard, flow::FlowKey key,
-                        std::uint64_t weight) FCM_REQUIRES(role_);
-    void ingest_keys(std::span<const flow::FlowKey> keys) FCM_REQUIRES(role_);
-    void ingest_packets(std::span<const flow::Packet> packets)
-        FCM_REQUIRES(role_);
-    std::size_t route_shard(flow::FlowKey key) FCM_REQUIRES(role_);
-    // Deadline flush: publishes partial blocks older than flush_interval.
-    // Checked at the end of every public ingest call on this handle.
-    void maybe_deadline_flush() FCM_REQUIRES(role_);
-
-    ShardedFcmFramework& owner_;
-    const std::size_t producer_;
-    // The one-thread-per-handle contract as a capability (the producer
-    // analogue of driver_role_); all staging state below is guarded by it.
-    common::ThreadRole role_;
-    std::vector<OpenBlock> open_ FCM_GUARDED_BY(role_);
-    // Per-producer round-robin cursor (kRoundRobin fanout).
-    std::size_t rr_next_ FCM_GUARDED_BY(role_) = 0;
-  };
-
   explicit ShardedFcmFramework(Options options);
   ~ShardedFcmFramework();
 
@@ -265,20 +186,12 @@ class ShardedFcmFramework {
   void ingest(std::span<const flow::Packet> packets);
   void ingest(std::span<const flow::FlowKey> keys);
 
-  // Secondary producer endpoint `producer` in [1, producer_count): claim it
-  // once and drive it from exactly one thread. Handle 0 is the driver's own
-  // staging (used by the ingest() overloads above) and cannot be claimed —
-  // it routes through the heavy-flow cache and marker protocol, which are
-  // driver-only.
-  IngestHandle& ingest_handle(std::size_t producer);
-
   // Closes the current epoch without stalling ingest: pushes epoch markers
   // and returns immediately; the coordinator thread drains, merges, and
   // publishes in the background while workers fill the other generation.
   // At most one rotation is in flight: if the previous epoch is still
   // merging, this call first waits for it (ingest from this thread pauses,
   // but the workers keep draining their rings meanwhile).
-  // Secondary handles must be flushed and quiescent (ownership rules above).
   // Returns the epoch index to pass to wait_epoch().
   std::size_t rotate_async();
 
@@ -290,8 +203,7 @@ class ShardedFcmFramework {
   // active generation holds packets, it is closed and merged as one final
   // epoch, counted by epochs_completed() and returned by merged_epoch(0).
   // With no traffic since the last rotation, stop() adds no epoch.
-  // Secondary handles must be flushed and quiescent. Idempotent; called by
-  // the destructor.
+  // Idempotent; called by the destructor.
   void stop();
 
   // --- results (any thread) ----------------------------------------------
@@ -313,7 +225,7 @@ class ShardedFcmFramework {
   const Options& options() const noexcept { return options_; }
 
   // Per-shard ring-occupancy high-water marks as a fraction of ring blocks
-  // (max across producers; approximate, see BlockQueue::high_water_blocks).
+  // (approximate, see BlockQueue::high_water_blocks).
   // The scaling study's occupancy column. Safe from any thread.
   std::vector<double> queue_high_water() const;
 
@@ -330,12 +242,40 @@ class ShardedFcmFramework {
 
  private:
   struct Shard;
+  // A block reserved in one shard's ring, being filled in place.
+  struct OpenBlock {
+    flow::FlowKey* slots = nullptr;  // null => no block reserved
+    std::uint32_t fill = 0;
+    // Set at first staging into the block when deadline flushing or the
+    // flush-latency histogram needs it.
+    std::chrono::steady_clock::time_point opened{};
+  };
 
   void init_instruments();
-  // Driver-side routing helpers delegate to handle 0's staging (the driver
-  // thread owns both capabilities).
+  // Block staging (DESIGN.md §13): the driver is every ring's producer.
+  void open_block(std::size_t shard) FCM_REQUIRES(driver_role_);
+  void publish_block(std::size_t shard, std::uint32_t kind, std::uint64_t aux)
+      FCM_REQUIRES(driver_role_);
+  void stage_unit(std::size_t shard, flow::FlowKey key)
+      FCM_REQUIRES(driver_role_);
+  void stage_pair(std::size_t shard, flow::FlowKey key, std::uint32_t bytes)
+      FCM_REQUIRES(driver_role_);
+  void stage_weighted(std::size_t shard, flow::FlowKey key,
+                      std::uint64_t weight) FCM_REQUIRES(driver_role_);
+  std::size_t route_shard(flow::FlowKey key) FCM_REQUIRES(driver_role_);
   void route_item(flow::FlowKey key, std::uint32_t count)
       FCM_REQUIRES(driver_role_);
+  // Cache-off span paths.
+  void ingest_keys(std::span<const flow::FlowKey> keys)
+      FCM_REQUIRES(driver_role_);
+  void ingest_packets(std::span<const flow::Packet> packets)
+      FCM_REQUIRES(driver_role_);
+  // Deadline flush: publishes partial blocks older than flush_interval.
+  // Checked at the end of every public ingest call.
+  void maybe_deadline_flush() FCM_REQUIRES(driver_role_);
+  // Publishes every non-empty open block (partial blocks included) and hands
+  // empty reserved blocks back; runs before the epoch markers and at stop().
+  void flush_staging() FCM_REQUIRES(driver_role_);
   // Cache front end (no-ops when cache_ is null): per-item offer, epoch
   // drain into the rings, and counter publication.
   void offer_cached(flow::FlowKey key, std::uint32_t count)
@@ -357,20 +297,22 @@ class ShardedFcmFramework {
   common::SeededHash shard_hash_;
   std::uint64_t per_shard_hh_threshold_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<IngestHandle>> handles_;
 
   // The "one driver thread" contract as a capability: the thread that calls
   // ingest()/rotate*/stop() owns this role (asserted at those entry points),
   // and everything below it is driver-private state.
   common::ThreadRole driver_role_;
   bool stopped_ FCM_GUARDED_BY(driver_role_) = false;
+  // Staging: one open block per shard, and the kRoundRobin cursor.
+  std::vector<OpenBlock> open_ FCM_GUARDED_BY(driver_role_);
+  std::size_t rr_next_ FCM_GUARDED_BY(driver_role_) = 0;
   // Driver-side heavy-flow cache (null when cache_entries == 0) and the
   // cumulative counter values already pushed to the registry.
   std::unique_ptr<datapath::HeavyFlowCache> cache_ FCM_GUARDED_BY(driver_role_);
   std::uint64_t cache_published_hits_ FCM_GUARDED_BY(driver_role_) = 0;
   std::uint64_t cache_published_misses_ FCM_GUARDED_BY(driver_role_) = 0;
   std::uint64_t cache_published_evictions_ FCM_GUARDED_BY(driver_role_) = 0;
-  // Producer-visible flag only; workers/coordinator use it for shutdown —
+  // Worker shutdown flag (set by stop() after the final flush) —
   // control state, not telemetry, so it is exempt from the raw-atomic rule.
   std::atomic<bool> stop_{false};  // fcm-lint: allow(raw-atomic)
 

@@ -21,8 +21,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -683,7 +685,27 @@ TEST(DispatchMatrix, TierParsingAndEnvResolution) {
   EXPECT_EQ(parse_kernel_tier(""), std::nullopt);
 
   // The FCM_FORCE_KERNEL contract: a valid value wins; avx2 on a CPU
-  // without AVX2 degrades to scalar; garbage falls back to the probe.
+  // without AVX2 degrades to scalar; garbage falls back to the probe. The
+  // probe is read with the variable unset, and the caller's value comes back
+  // on every exit, so the test holds whatever environment it starts in.
+  class SavedForceKernelEnv {
+   public:
+    SavedForceKernelEnv() {
+      if (const char* value = std::getenv("FCM_FORCE_KERNEL")) saved_ = value;
+      unsetenv("FCM_FORCE_KERNEL");
+    }
+    ~SavedForceKernelEnv() {
+      if (saved_) {
+        setenv("FCM_FORCE_KERNEL", saved_->c_str(), 1);
+      } else {
+        unsetenv("FCM_FORCE_KERNEL");
+      }
+    }
+
+   private:
+    std::optional<std::string> saved_;
+  };
+  const SavedForceKernelEnv saved_env;
   const KernelTier probed = resolve_kernel_tier();
   ASSERT_EQ(setenv("FCM_FORCE_KERNEL", "scalar", 1), 0);
   EXPECT_EQ(resolve_kernel_tier(), KernelTier::kScalar);

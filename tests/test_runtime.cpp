@@ -618,110 +618,66 @@ TEST(ShardedRuntime, StopClosesUnrotatedTailAsFinalEpoch) {
   }
 }
 
-// --- multi-producer ingest ----------------------------------------------------
+// --- heavy-flow cache counters ---------------------------------------------
 
-// Several capture threads feed one runtime through their own IngestHandles
-// (per-producer rings keep every ring strictly SPSC). FCM counters are linear
-// and order-independent, so the merged epoch must be bit-exact equal to a
-// serial run over the union of all slices — no matter how the producer
-// threads interleave. CI runs this under TSan: every handle/ring hand-off and
-// the quiesce-before-rotate protocol is exercised across real threads.
-TEST(ShardedRuntime, MultiProducerIngestBitExactVersusSerial) {
-  const std::vector<Packet> trace = fixed_trace(0x3097, 30000, 1200);
-  FcmFramework serial(small_framework_options());
-  for (const Packet& packet : trace) serial.process(packet.key);
-
-  std::vector<FlowKey> keys;
-  keys.reserve(trace.size());
-  for (const Packet& packet : trace) keys.push_back(packet.key);
-  const std::size_t third = keys.size() / 3;
-  const std::span<const FlowKey> all(keys);
-  const auto driver_slice = all.subspan(0, third);
-  const auto slice1 = all.subspan(third, third);
-  const auto slice2 = all.subspan(2 * third);
-
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.shard_count = 4;
-  options.producer_count = 3;
-  ShardedFcmFramework sharded(options);
-
-  {
-    // Secondary producers: one span-heavy, one per-key, both flushing before
-    // they exit — joined before rotate_async(), which is exactly the
-    // "flushed and quiescent across rotation" ownership rule.
-    std::jthread producer1([&sharded, slice1] {
-      auto& handle = sharded.ingest_handle(1);
-      std::span<const FlowKey> rest = slice1;
-      while (!rest.empty()) {
-        const std::size_t n = std::min<std::size_t>(333, rest.size());
-        handle.ingest(rest.subspan(0, n));
-        rest = rest.subspan(n);
-      }
-      handle.flush();
-    });
-    std::jthread producer2([&sharded, slice2] {
-      auto& handle = sharded.ingest_handle(2);
-      for (const FlowKey key : slice2) handle.ingest(key);
-      handle.flush();
-    });
-    sharded.ingest(driver_slice);  // the driver ingests its own slice meanwhile
-  }
-
-  const auto report = sharded.rotate();
-  EXPECT_EQ(report.packets, keys.size())
-      << "multi-producer traffic lost or double-counted";
-  const FcmFramework merged = sharded.merged_epoch();
-  for (const FlowKey key : distinct_keys(trace)) {
-    ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
-  }
-  sharded.check_invariants();
-}
-
-// A second epoch after the producers re-attach (new threads re-driving the
-// same handles) stays exact: the quiesce window only spans the rotation.
-TEST(ShardedRuntime, MultiProducerSecondEpochAfterRequiesce) {
-  const std::vector<Packet> window_a = fixed_trace(0x51, 8000, 500);
-  const std::vector<Packet> window_b = fixed_trace(0x52, 8000, 500);
-  FcmFramework serial_a(small_framework_options());
-  for (const Packet& packet : window_a) serial_a.process(packet.key);
-  FcmFramework serial_b(small_framework_options());
-  for (const Packet& packet : window_b) serial_b.process(packet.key);
-
+// The driver-side cache publishes cumulative hit/miss/eviction counters at
+// every rotation and at stop(). Every nonzero key offered is either a hit or
+// a miss (key 0 bypasses the cache), and demotions at each rotation hand the
+// resident flows to the closing epoch, so the merged epochs together count
+// every packet ingested.
+TEST(ShardedRuntime, CacheCountersCoverEveryOfferedKey) {
+  fcm::obs::MetricsRegistry registry;
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.shard_count = 2;
-  options.producer_count = 2;
-  options.retained_epochs = 2;
+  options.cache_entries = 64;  // small: the Zipf tail keeps evicting
+  options.metrics = &registry;
+  options.metrics_instance = "cache";
   ShardedFcmFramework sharded(options);
 
-  const auto feed_epoch = [&sharded](const std::vector<Packet>& window) {
-    const std::size_t half = window.size() / 2;
-    std::jthread producer([&sharded, &window, half] {
-      auto& handle = sharded.ingest_handle(1);
-      for (std::size_t i = half; i < window.size(); ++i) {
-        handle.ingest(window[i].key);
-      }
-      handle.flush();
-    });
-    for (std::size_t i = 0; i < half; ++i) sharded.ingest(window[i].key);
+  const std::vector<Packet> trace = fixed_trace(0xcace, 24000, 1500);
+  std::vector<FlowKey> keys;
+  keys.reserve(trace.size());
+  for (const Packet& packet : trace) keys.push_back(packet.key);
+  const std::span<const FlowKey> all(keys);
+  const std::size_t quarter = keys.size() / 4;
+
+  std::uint64_t ingested = 0;
+  std::uint64_t nonzero_offered = 0;
+  const auto feed = [&](std::span<const FlowKey> window) {
+    sharded.ingest(window.first(window.size() / 2));
+    for (const FlowKey key : window.subspan(window.size() / 2)) {
+      sharded.ingest(key);
+    }
+    sharded.ingest(FlowKey{0});  // bypasses the cache
+    ingested += window.size() + 1;
+    for (const FlowKey key : window) nonzero_offered += key.value != 0 ? 1 : 0;
   };
 
-  feed_epoch(window_a);
-  const auto report_a = sharded.rotate();
-  feed_epoch(window_b);
-  const auto report_b = sharded.rotate();
+  std::uint64_t epoch_packets = 0;
+  for (std::size_t w = 0; w < 3; ++w) {
+    feed(all.subspan(w * quarter, quarter));
+    epoch_packets += sharded.rotate().packets;
+  }
+  feed(all.subspan(3 * quarter));  // un-rotated tail, closed by stop()
+  sharded.stop();
 
-  EXPECT_EQ(report_a.packets, window_a.size());
-  EXPECT_EQ(report_b.packets, window_b.size());
-  const FcmFramework merged_b = sharded.merged_epoch(0);
-  const FcmFramework merged_a = sharded.merged_epoch(1);
-  for (const FlowKey key : distinct_keys(window_a)) {
-    ASSERT_EQ(merged_a.flow_size(key), serial_a.flow_size(key));
-  }
-  for (const FlowKey key : distinct_keys(window_b)) {
-    ASSERT_EQ(merged_b.flow_size(key), serial_b.flow_size(key));
-  }
+  ASSERT_EQ(sharded.epochs_completed(), 4u);
+  epoch_packets += sharded.wait_epoch(3).packets;
+  EXPECT_EQ(epoch_packets, ingested);
+
+  const std::vector<fcm::obs::MetricLabel> labels = {{"instance", "cache"}};
+  const std::uint64_t hits =
+      registry.counter("fcm_datapath_cache_hits_total", labels).value();
+  const std::uint64_t misses =
+      registry.counter("fcm_datapath_cache_misses_total", labels).value();
+  const std::uint64_t evictions =
+      registry.counter("fcm_datapath_cache_evictions_total", labels).value();
+  EXPECT_EQ(hits + misses, nonzero_offered);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_LE(evictions, misses);
+  sharded.check_invariants();
 }
 
 // --- adaptive flush -----------------------------------------------------------
@@ -810,8 +766,6 @@ TEST(ShardedRuntime, RejectsInvalidOptions) {
                }),
                ContractViolation);
   EXPECT_THROW(make([](auto& o) { o.retained_epochs = 0; }), ContractViolation);
-  EXPECT_THROW(make([](auto& o) { o.producer_count = 0; }), ContractViolation);
-  EXPECT_THROW(make([](auto& o) { o.producer_count = 65; }), ContractViolation);
   EXPECT_THROW(
       make([](auto& o) { o.flush_interval = std::chrono::nanoseconds(-1); }),
       ContractViolation);
@@ -821,23 +775,6 @@ TEST(ShardedRuntime, RejectsInvalidOptions) {
                  o.flush_batch = 1;
                }),
                ContractViolation);
-}
-
-TEST(ShardedRuntime, IngestHandleClaimsValidated) {
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.shard_count = 2;
-  options.producer_count = 2;
-  ShardedFcmFramework sharded(options);
-  EXPECT_THROW(sharded.ingest_handle(0), ContractViolation)
-      << "handle 0 is the driver's own staging";
-  EXPECT_THROW(sharded.ingest_handle(2), ContractViolation);
-  auto& handle = sharded.ingest_handle(1);
-  EXPECT_EQ(handle.producer_index(), 1u);
-  handle.ingest(FlowKey{42});
-  handle.flush();
-  sharded.rotate();
-  EXPECT_EQ(sharded.flow_size(FlowKey{42}), 1u);
 }
 
 TEST(ShardedRuntime, ByteModeRejectsZeroBytePackets) {

@@ -104,15 +104,16 @@ Rules:
 
   staging-ownership
                    Inside ``src/runtime`` (the block-staged ingest layer),
-                   per-producer staging state — open-block buffers
+                   the driver's staging state — open-block buffers
                    (``open_``), staging arrays (``*staging*_``), and
                    round-robin cursors (``rr_*_``) — must be declared
-                   ``FCM_GUARDED_BY`` a producer role on the same line, so
-                   the ownership rule "one producer drives a handle at a
-                   time" is visible to Clang's thread-safety analysis.
+                   ``FCM_GUARDED_BY`` the driver role on the same line, so
+                   the ownership rule "only the driver thread stages
+                   blocks" is visible to Clang's thread-safety analysis.
                    Additionally, the span-ingest bodies (``ingest``,
                    ``ingest_keys``, ``ingest_packets``, ``stage_*``,
-                   ``route_item``, ``flush``) may not call per-item
+                   ``route_item``, ``flush_staging``,
+                   ``maybe_deadline_flush``, ``flush``) may not call per-item
                    ``try_push``/``try_push_bulk``: the hand-off is
                    whole blocks through ``BlockQueue::try_open``/
                    ``publish`` — per-packet queue pushes reintroduce the
@@ -257,11 +258,11 @@ HOTPATH_LOCK_RE = re.compile(
 )
 
 # Rule: staging-ownership — src/runtime only. The block-staged ingest path
-# (DESIGN.md §13) keeps per-producer staging state (open blocks, staging
+# (DESIGN.md §13) keeps the driver's staging state (open blocks, staging
 # buffers, round-robin cursors) as plain unsynchronized members whose
-# safety contract is "exactly one producer drives a handle at a time";
-# that contract only holds if the members are FCM_GUARDED_BY a producer
-# role so Clang's analysis can see violations. Declaration heuristic: a
+# safety contract is "only the driver thread stages blocks"; that contract
+# only holds if the members are FCM_GUARDED_BY the driver role so Clang's
+# analysis can see violations. Declaration heuristic: a
 # type token, then a staging-style member name, then ;/=/{ — a guarded
 # declaration has FCM_GUARDED_BY between the name and the terminator, so
 # it never matches. The leading keyword guard keeps `return rr_next_;`
@@ -283,6 +284,8 @@ STAGING_INGEST_FN_NAMES = {
     "stage_pair",
     "stage_weighted",
     "route_item",
+    "flush_staging",
+    "maybe_deadline_flush",
     "flush",
 }
 
@@ -846,8 +849,8 @@ def lint_file(
             add(
                 lineno,
                 "staging-ownership",
-                "per-producer staging state declared without "
-                "FCM_GUARDED_BY(<producer role>); the single-producer "
+                "driver staging state declared without "
+                "FCM_GUARDED_BY(<driver role>); the single-driver "
                 "ownership contract must be visible to thread-safety "
                 "analysis (DESIGN.md §13) "
                 "(or '// fcm-lint: allow(staging-ownership)')",
