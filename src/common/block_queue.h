@@ -13,9 +13,9 @@
 // padded out to a whole number of cache lines and the base 64-byte aligned,
 // so a staged block never shares a line with its neighbor and the consumer
 // streams it without false sharing. Each block has a header slot
-// {count, kind, aux} on its own cache line; `kind` and `aux` are opaque to
-// the queue (the runtime uses them for payload tagging — unit keys /
-// key-byte pairs / weighted adds / epoch markers).
+// {count, kind} on its own cache line; `kind` is opaque to the queue (the
+// runtime tags payloads with it — unit keys / (key, weight) pairs / epoch
+// markers).
 //
 // Protocol: the classic bounded ring with monotonic 64-bit produce/consume
 // cursors (they never wrap in practice) plus each side's CACHED copy of the
@@ -26,7 +26,7 @@
 // for tail_ on the return path). One cursor step per BLOCK:
 //   producer:  T* slots = q.try_open();        // nullptr => ring full
 //              ... fill slots[0..n) ...
-//              q.publish(n, kind, aux);        // ONE release store
+//              q.publish(n, kind);             // ONE release store
 //              (or q.abandon() to hand the reserved slot back unused)
 //   consumer:  BlockQueue<T>::View v;
 //              if (q.try_front(v)) { ... read v.data[0..v.count) ... ;
@@ -72,7 +72,6 @@ class BlockQueue {
     const T* data = nullptr;
     std::uint32_t count = 0;
     std::uint32_t kind = 0;
-    std::uint64_t aux = 0;
   };
 
   // `block_count` blocks of `block_size` slots each. The ring ops are per
@@ -137,15 +136,14 @@ class BlockQueue {
 
   // Publishes the open block: writes the header, then ONE release store of
   // the produce cursor makes header and payload visible to the consumer.
-  void publish(std::uint32_t count, std::uint32_t kind,
-               std::uint64_t aux = 0) noexcept FCM_REQUIRES(producer_role_) {
+  void publish(std::uint32_t count,
+               std::uint32_t kind) noexcept FCM_REQUIRES(producer_role_) {
     FCM_ASSERT(open_, "BlockQueue: publish without an open block");
     FCM_ASSERT(count <= block_size_, "BlockQueue: block overfilled");
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     Header& header = headers_[head % block_count_];
     header.count = count;
     header.kind = kind;
-    header.aux = aux;
     head_.store(head + 1, std::memory_order_release);
     open_ = false;
     const std::size_t inflight =
@@ -180,7 +178,6 @@ class BlockQueue {
     out.data = base_ + slot * stride_;
     out.count = header.count;
     out.kind = header.kind;
-    out.aux = header.aux;
     return true;
   }
 
@@ -198,7 +195,6 @@ class BlockQueue {
   struct alignas(kCacheLineBytes) Header {
     std::uint32_t count = 0;
     std::uint32_t kind = 0;
-    std::uint64_t aux = 0;
   };
 
   static constexpr std::size_t pad_to_line(std::size_t block_size) noexcept {

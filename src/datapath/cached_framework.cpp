@@ -2,8 +2,6 @@
 
 #include <unordered_set>
 
-#include "common/contracts.h"
-
 namespace fcm::datapath {
 
 CachedFramework::CachedFramework(Options options)
@@ -15,41 +13,14 @@ CachedFramework::CachedFramework(Options options)
         options_.framework.metrics = options_.metrics;
         return options_.framework;
       }()),
-      cache_(options_.cache) {
-  obs::MetricsRegistry* registry = options_.metrics;
-  if (registry == nullptr) return;
-  std::vector<obs::MetricLabel> labels;
-  if (!options_.metrics_instance.empty()) {
-    labels.push_back({"instance", options_.metrics_instance});
-  }
-  instruments_.hits = &registry->counter(
-      "fcm_datapath_cache_hits_total", labels,
-      "Packets absorbed exactly by the heavy-flow cache");
-  instruments_.misses = &registry->counter(
-      "fcm_datapath_cache_misses_total", labels,
-      "Packets that installed or displaced a heavy-flow cache entry");
-  instruments_.evictions = &registry->counter(
-      "fcm_datapath_cache_evictions_total", labels,
-      "Flows demoted from the heavy-flow cache into the sketch");
-  instruments_.resident_flows = &registry->gauge(
-      "fcm_datapath_cache_resident_flows", labels,
-      "Flows currently held exactly in the heavy-flow cache");
-}
+      cache_(options_.cache),
+      metrics_(options_.metrics, options_.metrics_instance) {}
 
 void CachedFramework::offer(flow::FlowKey key, std::uint64_t count) {
   if (count == 0) return;  // kBytes mode: a zero-byte packet adds nothing
   const HeavyFlowCache::Result result = cache_.offer(key, count);
-  switch (result.outcome) {
-    case HeavyFlowCache::Result::Outcome::kHit:
-    case HeavyFlowCache::Result::Outcome::kInserted:
-      return;
-    case HeavyFlowCache::Result::Outcome::kEvicted:
-      framework_.process_weighted(result.evicted_key, result.evicted_count);
-      return;
-    case HeavyFlowCache::Result::Outcome::kBypass:
-      // Flow 0 (the cache's empty-slot sentinel) always takes the sketch.
-      framework_.process_weighted(key, count);
-      return;
+  if (result.demote_count > 0) {
+    framework_.process_weighted(result.demote_key, result.demote_count);
   }
 }
 
@@ -99,7 +70,7 @@ std::vector<flow::FlowKey> CachedFramework::heavy_hitters() const {
 }
 
 framework::FcmFramework CachedFramework::snapshot() const {
-  publish_metrics();
+  metrics_.publish(cache_);
   framework::FcmFramework folded = framework_;
   cache_.for_each([&](flow::FlowKey key, std::uint64_t count) {
     folded.process_weighted(key, count);
@@ -108,31 +79,15 @@ framework::FcmFramework CachedFramework::snapshot() const {
 }
 
 void CachedFramework::reset() {
-  publish_metrics();
+  metrics_.publish(cache_);
   framework_.reset();
-  cache_.clear();
-  published_hits_ = published_misses_ = published_evictions_ = 0;
-}
-
-void CachedFramework::publish_metrics() const {
-  if (instruments_.hits == nullptr) return;
-  instruments_.hits->inc(cache_.hits() - published_hits_);
-  instruments_.misses->inc(cache_.misses() - published_misses_);
-  instruments_.evictions->inc(cache_.evictions() - published_evictions_);
-  instruments_.resident_flows->set(
-      static_cast<double>(cache_.resident_flows()));
-  published_hits_ = cache_.hits();
-  published_misses_ = cache_.misses();
-  published_evictions_ = cache_.evictions();
+  // The resident counts go the way of the sketch they would have joined.
+  cache_.drain([](flow::FlowKey, std::uint64_t) {});
 }
 
 void CachedFramework::check_invariants() const {
   framework_.check_invariants();
   cache_.check_invariants();
-  FCM_ASSERT(published_hits_ <= cache_.hits() &&
-                 published_misses_ <= cache_.misses() &&
-                 published_evictions_ <= cache_.evictions(),
-             "CachedFramework: published counters ahead of the cache ledger");
 }
 
 }  // namespace fcm::datapath

@@ -57,12 +57,14 @@ class CachedFramework {
 
   // Cache folded into a copy of the framework: a self-contained serial
   // FcmFramework for the epoch pipeline (merge/analyze/WireCodec). Costs a
-  // full sketch copy; call per epoch, not per packet. Also publishes cache
-  // counters to the registry.
+  // full sketch copy; call per epoch, not per packet. Also publishes the
+  // cache series (CacheMetrics) to the registry.
   framework::FcmFramework snapshot() const;
   framework::FcmFramework::Report analyze() const { return snapshot().analyze(); }
   double cardinality() const { return snapshot().cardinality(); }
 
+  // Empties the sketch and the cache. The cache counters stay cumulative,
+  // like the sharded runtime's across rotations.
   void reset();
 
   const HeavyFlowCache& cache() const noexcept { return cache_; }
@@ -72,31 +74,16 @@ class CachedFramework {
     return framework_.memory_bytes() + cache_.memory_bytes();
   }
 
-  // Pushes hit/miss/eviction deltas and the resident gauge to the registry.
-  // The hot path touches no atomics; deltas accumulate in the cache's plain
-  // counters and land here (also called by snapshot()).
-  void publish_metrics() const;
-
   void check_invariants() const;
 
  private:
-  struct Instruments {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Gauge* resident_flows = nullptr;
-  };
-
   void offer(flow::FlowKey key, std::uint64_t count);
 
   Options options_;
   framework::FcmFramework framework_;
   HeavyFlowCache cache_;
-  Instruments instruments_;
-  // Last published cumulative values (publish_metrics emits deltas).
-  mutable std::uint64_t published_hits_ = 0;
-  mutable std::uint64_t published_misses_ = 0;
-  mutable std::uint64_t published_evictions_ = 0;
+  // Published from the const snapshot(); only its delta baselines change.
+  mutable CacheMetrics metrics_;
 };
 
 }  // namespace fcm::datapath

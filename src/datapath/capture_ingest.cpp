@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <vector>
 
 namespace fcm::datapath {
 
@@ -22,7 +23,6 @@ DecodedCapture decode_capture(std::span<const std::byte> data) {
     ++decoded.stats.parsed;
     decoded.trace.append(flow::Packet{parsed.tuple.source_key(),
                                       parsed.wire_bytes, parsed.timestamp_ns});
-    decoded.tuples.push_back(parsed.tuple);
   }
   decoded.stats.capture = reader.stats();
   return decoded;

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "datapath/packet_parser.h"
 #include "datapath/pcap_reader.h"
@@ -36,8 +35,7 @@ struct DecodeStats {
 };
 
 struct DecodedCapture {
-  flow::Trace trace;                    // key = FiveTuple::source_key()
-  std::vector<flow::FiveTuple> tuples;  // parallel to trace.packets()
+  flow::Trace trace;  // key = FiveTuple::source_key()
   DecodeStats stats;
 };
 

@@ -20,8 +20,8 @@ HeavyFlowCache::Result HeavyFlowCache::offer(flow::FlowKey key,
                                              std::uint64_t count) {
   // FlowKey{0} doubles as the empty-slot sentinel (same convention as
   // TopKFilter): installing it would alias an empty way, so flow 0 always
-  // takes the sketch path. The caller routes it; nothing is lost.
-  if (key.value == 0) return Result{};
+  // takes the sketch path: the offer itself is demoted; nothing is lost.
+  if (key.value == 0) return Result{Result::Outcome::kBypass, key, count};
   const std::size_t base = set_base(key);
   std::size_t victim = base;
   for (std::size_t way = 0; way < options_.ways; ++way) {
@@ -51,7 +51,7 @@ HeavyFlowCache::Result HeavyFlowCache::offer(flow::FlowKey key,
   ++misses_;
   ++evictions_;
   offered_units_ += count;
-  evicted_units_ += result.evicted_count;
+  evicted_units_ += result.demote_count;
   return result;
 }
 
@@ -63,12 +63,6 @@ std::uint64_t HeavyFlowCache::count_of(flow::FlowKey key) const {
     if (entry.key == key) return entry.count;
   }
   return 0;
-}
-
-void HeavyFlowCache::clear() {
-  table_.assign(options_.entries, Entry{});
-  hits_ = misses_ = evictions_ = 0;
-  offered_units_ = evicted_units_ = 0;
 }
 
 std::uint64_t HeavyFlowCache::resident_units() const {
@@ -97,11 +91,45 @@ void HeavyFlowCache::check_invariants() const {
   }
   // Conservation ledger: everything accepted is either still resident or was
   // handed back to the caller for demotion. drain() keeps it balanced by
-  // moving the resident units into evicted_units_; only clear() resets it.
+  // moving the resident units into evicted_units_; nothing resets it.
   FCM_ASSERT(offered_units_ == resident + evicted_units_,
              "HeavyFlowCache: unit ledger out of balance");
   FCM_ASSERT(hits_ + misses_ >= evictions_,
              "HeavyFlowCache: more evictions than offers");
+}
+
+CacheMetrics::CacheMetrics(obs::MetricsRegistry* registry,
+                           const std::string& instance) {
+  if (registry == nullptr) return;
+  std::vector<obs::MetricLabel> labels;
+  if (!instance.empty()) labels.push_back({"instance", instance});
+  hits_ = &registry->counter(
+      "fcm_datapath_cache_hits_total", labels,
+      "Packets absorbed exactly by a resident heavy-flow cache entry");
+  misses_ = &registry->counter(
+      "fcm_datapath_cache_misses_total", labels,
+      "Packets that installed or displaced a heavy-flow cache entry");
+  evictions_ = &registry->counter(
+      "fcm_datapath_cache_evictions_total", labels,
+      "Flows displaced from the heavy-flow cache and demoted to the sketch");
+  resident_flows_ = &registry->gauge(
+      "fcm_datapath_cache_resident_flows", labels,
+      "Flows held exactly in the heavy-flow cache at the last publish");
+}
+
+void CacheMetrics::publish(const HeavyFlowCache& cache) {
+  if (hits_ == nullptr) return;
+  FCM_ASSERT(published_hits_ <= cache.hits() &&
+                 published_misses_ <= cache.misses() &&
+                 published_evictions_ <= cache.evictions(),
+             "CacheMetrics: published counters ahead of the cache ledger");
+  hits_->inc(cache.hits() - published_hits_);
+  misses_->inc(cache.misses() - published_misses_);
+  evictions_->inc(cache.evictions() - published_evictions_);
+  resident_flows_->set(static_cast<double>(cache.resident_flows()));
+  published_hits_ = cache.hits();
+  published_misses_ = cache.misses();
+  published_evictions_ = cache.evictions();
 }
 
 }  // namespace fcm::datapath

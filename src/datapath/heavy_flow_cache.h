@@ -8,17 +8,21 @@
 // Eviction is smallest-count-in-set: a newly arriving flow always installs
 // (recency), displacing the set's lightest entry (frequency). Hot flows
 // accumulate large exact counts and become practically unevictable; the
-// Zipf tail keeps displacing itself. The caller owns what to do with the
-// eviction (Result::kEvicted) and with the resident counts at an epoch
-// boundary (drain()).
+// Zipf tail keeps displacing itself. Every offer names what the sketch must
+// absorb (Result::demote_key/demote_count), and drain() hands back the
+// resident counts at an epoch boundary; the host only decides where those
+// units go. FCM counters are order-independent sums, so a demotion may be
+// applied as one weighted add or split into parts without changing a bit.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
 #include "flow/flow_key.h"
+#include "obs/metrics_registry.h"
 
 namespace fcm::datapath {
 
@@ -34,16 +38,20 @@ class HeavyFlowCache {
     std::uint64_t seed = 0xcac4e;
   };
 
+  // What the sketch must absorb after an offer: demote_count units of
+  // demote_key, or nothing when demote_count == 0 (the cache kept them).
+  // Hosts need only `if (r.demote_count > 0) sink(r.demote_key,
+  // r.demote_count)`; `outcome` says why, for tests and telemetry.
   struct Result {
     enum class Outcome : std::uint8_t {
       kHit,       // resident flow; count absorbed exactly
       kInserted,  // new flow installed into an empty way
-      kEvicted,   // new flow installed; evicted_* must go to the sketch
-      kBypass,    // key 0 (the empty-slot sentinel): caller feeds the sketch
+      kEvicted,   // new flow installed; the displaced flow is demoted
+      kBypass,    // key 0 (the empty-slot sentinel): the offer is demoted
     };
     Outcome outcome = Outcome::kBypass;
-    flow::FlowKey evicted_key{};
-    std::uint64_t evicted_count = 0;
+    flow::FlowKey demote_key{};
+    std::uint64_t demote_count = 0;
   };
 
   explicit HeavyFlowCache(Options options);
@@ -64,7 +72,7 @@ class HeavyFlowCache {
   }
 
   // Hands every resident flow to `visit` for demotion into the sketch and
-  // empties the table in one sweep (epoch rotation). Unlike clear(), the
+  // empties the table in one sweep (epoch rotation, reset). The
   // hit/miss/eviction counters and the unit ledger stay cumulative.
   template <typename Visitor>
   void drain(Visitor&& visit) {
@@ -76,8 +84,6 @@ class HeavyFlowCache {
       }
     }
   }
-
-  void clear();
 
   // Conservation bookkeeping: units accepted (hits + installs), units handed
   // back through evictions, and units currently resident. At all times
@@ -121,6 +127,28 @@ class HeavyFlowCache {
   std::uint64_t evictions_ = 0;
   std::uint64_t offered_units_ = 0;
   std::uint64_t evicted_units_ = 0;
+};
+
+// The fcm_datapath_cache_* series, shared by every host of a HeavyFlowCache
+// (CachedFramework, the sharded runtime's driver). The hot path touches no
+// atomics: the cache's plain counters accumulate, and publish() pushes the
+// deltas since the last call plus the resident-flows gauge. A null registry
+// makes publish() a no-op.
+class CacheMetrics {
+ public:
+  CacheMetrics(obs::MetricsRegistry* registry, const std::string& instance);
+
+  void publish(const HeavyFlowCache& cache);
+
+ private:
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+  obs::Counter* evictions_ = nullptr;
+  obs::Gauge* resident_flows_ = nullptr;
+  // Cumulative cache counters already pushed (publish emits deltas).
+  std::uint64_t published_hits_ = 0;
+  std::uint64_t published_misses_ = 0;
+  std::uint64_t published_evictions_ = 0;
 };
 
 }  // namespace fcm::datapath

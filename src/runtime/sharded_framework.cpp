@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,16 +23,18 @@ namespace {
 enum BlockKind : std::uint32_t {
   // `count` FlowKeys, each one packet — fed to process_batch in place.
   kUnitKeys = 0,
-  // Byte-count mode: count/2 (key, byte-count) pairs interleaved in the
-  // payload (byte counts are data-dependent, so the +1-only batch kernel
-  // does not apply; pairs keep one ring for both modes).
+  // count/2 (key, u32 weight) pairs interleaved in the payload, each applied
+  // with process_weighted: byte-mode packets (weight = bytes) and every
+  // heavy-flow-cache demotion. Weights are data-dependent, so the +1-only
+  // batch kernel does not apply.
   kPairs = 1,
-  // One flow key in slot 0 carrying `aux` packets/bytes (a heavy-flow-cache
-  // demotion). aux is the full u64 weight — no u32 chunking on the ring.
-  kWeighted = 2,
   // In-band epoch marker (count == 0).
-  kMarker = 3,
+  kMarker = 2,
 };
+
+// Heaviest weight one pair carries; heavier cache demotions split.
+constexpr std::uint32_t kMaxPairWeight =
+    std::numeric_limits<std::uint32_t>::max();
 
 // Flow -> shard hash seed (any fixed constant; independent of the sketch
 // hash family, which is seeded per tree from FcmConfig).
@@ -61,9 +64,6 @@ struct ShardedFcmFramework::Instruments {
   obs::Counter* backpressure_spins = nullptr;   // driver spins on full rings
   obs::Counter* blocks_published = nullptr;     // block publications (all kinds)
   obs::Counter* partial_flushes = nullptr;      // blocks published < flush_batch
-  obs::Counter* cache_hits = nullptr;           // heavy-flow cache, driver side
-  obs::Counter* cache_misses = nullptr;
-  obs::Counter* cache_evictions = nullptr;
   obs::Counter* rotations = nullptr;            // rotate_async() calls
   obs::Counter* epochs_merged = nullptr;        // epochs published
   obs::Counter* overflow_promotions = nullptr;  // FCM overflow trips (merged)
@@ -111,7 +111,10 @@ struct ShardedFcmFramework::Shard {
 };
 
 ShardedFcmFramework::ShardedFcmFramework(Options options)
-    : options_(std::move(options)), shard_hash_(kShardHashSeed) {
+    : options_(std::move(options)),
+      shard_hash_(kShardHashSeed),
+      cache_metrics_(options_.cache_entries > 0 ? options_.metrics : nullptr,
+                     options_.metrics_instance) {
   // The constructing thread owns the driver role until the instance is handed
   // to the (single) ingest thread; needed so cache_ setup below type-checks.
   driver_role_.assert_held();
@@ -131,9 +134,10 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
               "ShardedFcmFramework: must retain at least one epoch");
   byte_mode_ = options_.framework.count_mode ==
                framework::FcmFramework::CountMode::kBytes;
-  FCM_REQUIRE(!byte_mode_ || options_.flush_batch >= 2,
-              "ShardedFcmFramework: byte-count mode stages (key, bytes) pairs "
-              "and needs flush_batch >= 2");
+  data_kind_ = byte_mode_ || options_.cache_entries > 0 ? kPairs : kUnitKeys;
+  FCM_REQUIRE(data_kind_ == kUnitKeys || options_.flush_batch >= 2,
+              "ShardedFcmFramework: byte-count mode and the heavy-flow cache "
+              "stage (key, weight) pairs and need flush_batch >= 2");
   track_block_time_ = options_.flush_interval.count() > 0;
   if (options_.heavy_change_threshold == 0) {
     options_.heavy_change_threshold = options_.framework.heavy_hitter_threshold;
@@ -212,18 +216,7 @@ void ShardedFcmFramework::init_instruments() {
   instruments->partial_flushes = &registry->counter(
       "fcm_runtime_partial_flushes_total", base_labels(),
       "Blocks published before reaching flush_batch keys (deadline flush, "
-      "rotation, weighted hand-off)");
-  if (options_.cache_entries > 0) {
-    instruments->cache_hits = &registry->counter(
-        "fcm_datapath_cache_hits_total", base_labels(),
-        "Packets absorbed exactly by the driver-side heavy-flow cache");
-    instruments->cache_misses = &registry->counter(
-        "fcm_datapath_cache_misses_total", base_labels(),
-        "Packets that installed or displaced a heavy-flow cache entry");
-    instruments->cache_evictions = &registry->counter(
-        "fcm_datapath_cache_evictions_total", base_labels(),
-        "Flows demoted from the heavy-flow cache into their shard");
-  }
+      "rotation, stop)");
   instruments->rotations = &registry->counter(
       "fcm_runtime_rotations_total", base_labels(),
       "Epoch rotations requested (rotate_async calls)");
@@ -311,12 +304,11 @@ void ShardedFcmFramework::open_block(std::size_t shard) {
   if (track_block_time_) open.opened = std::chrono::steady_clock::now();
 }
 
-void ShardedFcmFramework::publish_block(std::size_t shard, std::uint32_t kind,
-                                        std::uint64_t aux) {
+void ShardedFcmFramework::publish_block(std::size_t shard) {
   OpenBlock& open = open_[shard];
   auto& ring = *shards_[shard]->ring;
   ring.assume_producer();
-  ring.publish(open.fill, kind, aux);
+  ring.publish(open.fill, data_kind_);
   if (instruments_ != nullptr) {
     Instruments& ins = *instruments_;
     ins.blocks_published->inc_at(shard);
@@ -336,37 +328,34 @@ void ShardedFcmFramework::stage_unit(std::size_t shard, flow::FlowKey key) {
   OpenBlock& open = open_[shard];
   if (open.slots == nullptr) [[unlikely]] open_block(shard);
   open.slots[open.fill++] = key;
-  if (open.fill == options_.flush_batch) publish_block(shard, kUnitKeys, 0);
+  if (open.fill == options_.flush_batch) publish_block(shard);
 }
 
 void ShardedFcmFramework::stage_pair(std::size_t shard, flow::FlowKey key,
-                                     std::uint32_t bytes) {
+                                     std::uint32_t weight) {
   OpenBlock& open = open_[shard];
   // flush_batch may be odd: a pair never splits across blocks, so publish a
   // fill_batch-1 partial first when only one slot is left.
   if (open.slots != nullptr &&
       open.fill + 2 > options_.flush_batch) [[unlikely]] {
-    publish_block(shard, kPairs, 0);
+    publish_block(shard);
   }
   if (open.slots == nullptr) [[unlikely]] open_block(shard);
   open.slots[open.fill] = key;
-  open.slots[open.fill + 1] = std::bit_cast<flow::FlowKey>(bytes);
+  open.slots[open.fill + 1] = std::bit_cast<flow::FlowKey>(weight);
   open.fill += 2;
-  if (open.fill + 2 > options_.flush_batch) publish_block(shard, kPairs, 0);
+  if (open.fill + 2 > options_.flush_batch) publish_block(shard);
 }
 
-void ShardedFcmFramework::stage_weighted(std::size_t shard, flow::FlowKey key,
+void ShardedFcmFramework::stage_demotion(flow::FlowKey key,
                                          std::uint64_t weight) {
-  // Keep per-shard arrival order: close out any staged traffic first, then
-  // publish the weight as a single-key block with the full u64 in aux.
-  OpenBlock& open = open_[shard];
-  if (open.slots != nullptr && open.fill > 0) {
-    publish_block(shard, byte_mode_ ? kPairs : kUnitKeys, 0);
+  // FCM counters are order-independent sums, so a weight too heavy for one
+  // pair lands exactly as several pairs.
+  const std::size_t shard = route_shard(key);
+  for (; weight > kMaxPairWeight; weight -= kMaxPairWeight) {
+    stage_pair(shard, key, kMaxPairWeight);
   }
-  if (open.slots == nullptr) open_block(shard);
-  open.slots[0] = key;
-  open.fill = 1;
-  publish_block(shard, kWeighted, weight);
+  stage_pair(shard, key, common::checked_narrow<std::uint32_t>(weight));
 }
 
 std::size_t ShardedFcmFramework::route_shard(flow::FlowKey key) {
@@ -380,17 +369,11 @@ std::size_t ShardedFcmFramework::route_shard(flow::FlowKey key) {
   return shard;
 }
 
-void ShardedFcmFramework::route_item(flow::FlowKey key, std::uint32_t count) {
-  if (byte_mode_) {
-    stage_pair(route_shard(key), key, count);
-  } else if (count == 1) {
-    stage_unit(route_shard(key), key);
-  } else {
-    stage_weighted(route_shard(key), key, count);
-  }
-}
-
 void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
+  if (cache_ != nullptr) {
+    for (const flow::FlowKey key : keys) offer_cached(key, 1);
+    return;
+  }
   const std::size_t shard_count = shards_.size();
   const std::size_t block = options_.flush_batch;
   if (shard_count == 1) {
@@ -406,7 +389,7 @@ void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
                   n * sizeof(flow::FlowKey));
       open.fill += common::checked_narrow<std::uint32_t>(n);
       rest = rest.subspan(n);
-      if (open.fill == block) publish_block(0, kUnitKeys, 0);
+      if (open.fill == block) publish_block(0);
     }
   } else if (options_.fanout == Fanout::kHashByKey) {
     // Bulk shard hashing: one vectorizable index_batch per kBatchBlock chunk
@@ -434,8 +417,14 @@ void ShardedFcmFramework::ingest_packets(
       // count == 0 is reserved (a marker-like empty pair makes no sense).
       FCM_REQUIRE(packet.bytes > 0,
                   "ShardedFcmFramework: zero-byte packet in byte-count mode");
-      stage_pair(route_shard(packet.key), packet.key, packet.bytes);
+      if (cache_ != nullptr) {
+        offer_cached(packet.key, packet.bytes);
+      } else {
+        stage_pair(route_shard(packet.key), packet.key, packet.bytes);
+      }
     }
+  } else if (cache_ != nullptr) {
+    for (const flow::Packet& packet : packets) offer_cached(packet.key, 1);
   } else {
     for (const flow::Packet& packet : packets) {
       stage_unit(route_shard(packet.key), packet.key);
@@ -450,7 +439,7 @@ void ShardedFcmFramework::maybe_deadline_flush() {
     OpenBlock& open = open_[s];
     if (open.slots != nullptr && open.fill > 0 &&
         now - open.opened >= options_.flush_interval) {
-      publish_block(s, byte_mode_ ? kPairs : kUnitKeys, 0);
+      publish_block(s);
     }
   }
 }
@@ -460,7 +449,7 @@ void ShardedFcmFramework::flush_staging() {
     OpenBlock& open = open_[s];
     if (open.slots == nullptr) continue;
     if (open.fill > 0) {
-      publish_block(s, byte_mode_ ? kPairs : kUnitKeys, 0);
+      publish_block(s);
     } else {
       // Reserved but never filled: hand the slot back without publishing.
       auto& ring = *shards_[s]->ring;
@@ -473,48 +462,30 @@ void ShardedFcmFramework::flush_staging() {
 
 // --- data plane (driver thread) --------------------------------------------
 
-void ShardedFcmFramework::offer_cached(flow::FlowKey key, std::uint32_t count) {
+void ShardedFcmFramework::offer_cached(flow::FlowKey key, std::uint64_t count) {
+  // Hits and installs stay at the driver; nothing crosses a ring for them.
   const datapath::HeavyFlowCache::Result result = cache_->offer(key, count);
-  switch (result.outcome) {
-    case datapath::HeavyFlowCache::Result::Outcome::kHit:
-    case datapath::HeavyFlowCache::Result::Outcome::kInserted:
-      return;  // absorbed at the driver; nothing crosses a ring
-    case datapath::HeavyFlowCache::Result::Outcome::kEvicted:
-      stage_weighted(route_shard(result.evicted_key), result.evicted_key,
-                     result.evicted_count);
-      return;
-    case datapath::HeavyFlowCache::Result::Outcome::kBypass:
-      route_item(key, count);  // flow 0: the cache's empty-slot sentinel
-      return;
+  if (result.demote_count > 0) {
+    stage_demotion(result.demote_key, result.demote_count);
   }
 }
 
 void ShardedFcmFramework::drain_cache() {
   if (cache_ == nullptr) return;
-  publish_cache_metrics();
+  cache_metrics_.publish(*cache_);
   // One sweep demotes every resident flow into its shard and empties the
-  // table. The hit/miss/eviction counters stay cumulative, so the published
-  // baselines stay valid.
+  // table; the cache counters stay cumulative for the next publish.
   cache_->drain([this](flow::FlowKey key, std::uint64_t count) {
     driver_role_.assert_held();  // runs inline on the driver thread
-    stage_weighted(route_shard(key), key, count);
+    stage_demotion(key, count);
   });
-}
-
-void ShardedFcmFramework::publish_cache_metrics() {
-  if (cache_ == nullptr || instruments_ == nullptr) return;
-  instruments_->cache_hits->inc(cache_->hits() - cache_published_hits_);
-  instruments_->cache_misses->inc(cache_->misses() - cache_published_misses_);
-  instruments_->cache_evictions->inc(cache_->evictions() -
-                                     cache_published_evictions_);
-  cache_published_hits_ = cache_->hits();
-  cache_published_misses_ = cache_->misses();
-  cache_published_evictions_ = cache_->evictions();
 }
 
 void ShardedFcmFramework::ingest(flow::FlowKey key) {
   driver_role_.assert_held();
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
+  FCM_REQUIRE(!byte_mode_,
+              "ShardedFcmFramework: byte-count mode ingests packets, not keys");
   if (cache_ != nullptr) {
     offer_cached(key, 1);
   } else {
@@ -526,46 +497,23 @@ void ShardedFcmFramework::ingest(flow::FlowKey key) {
 void ShardedFcmFramework::ingest(const flow::Packet& packet) {
   driver_role_.assert_held();
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
-  std::uint32_t count = 1;
-  if (byte_mode_) {
-    // count == 0 is reserved.
-    FCM_REQUIRE(packet.bytes > 0,
-                "ShardedFcmFramework: zero-byte packet in byte-count mode");
-    count = packet.bytes;
-  }
-  if (cache_ != nullptr) {
-    offer_cached(packet.key, count);
-  } else {
-    route_item(packet.key, count);
-  }
+  ingest_packets(std::span<const flow::Packet>(&packet, 1));
   maybe_deadline_flush();
 }
 
 void ShardedFcmFramework::ingest(std::span<const flow::Packet> packets) {
   driver_role_.assert_held();
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
-  if (cache_ == nullptr) {
-    ingest_packets(packets);
-  } else if (byte_mode_) {
-    for (const flow::Packet& packet : packets) {
-      FCM_REQUIRE(packet.bytes > 0,
-                  "ShardedFcmFramework: zero-byte packet in byte-count mode");
-      offer_cached(packet.key, packet.bytes);
-    }
-  } else {
-    for (const flow::Packet& packet : packets) offer_cached(packet.key, 1);
-  }
+  ingest_packets(packets);
   maybe_deadline_flush();
 }
 
 void ShardedFcmFramework::ingest(std::span<const flow::FlowKey> keys) {
   driver_role_.assert_held();
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
-  if (cache_ == nullptr) {
-    ingest_keys(keys);
-  } else {
-    for (const flow::FlowKey key : keys) offer_cached(key, 1);
-  }
+  FCM_REQUIRE(!byte_mode_,
+              "ShardedFcmFramework: byte-count mode ingests packets, not keys");
+  ingest_keys(keys);
   maybe_deadline_flush();
 }
 
@@ -600,7 +548,7 @@ std::size_t ShardedFcmFramework::rotate_async() {
       backoff(spins);
       slots = ring.try_open();
     }
-    ring.publish(0, kMarker, 0);
+    ring.publish(0, kMarker);
   }
   std::size_t epoch;
   {
@@ -643,32 +591,25 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
             data_items += view.count;
             break;
           case kPairs: {
-            // Byte accounting folds into the same decode loop that feeds the
-            // replica — no second sweep over the block (DESIGN.md §14).
-            std::uint64_t block_bytes = 0;
+            // Weight accounting folds into the same decode loop that feeds
+            // the replica — no second sweep over the block (DESIGN.md §14).
+            std::uint64_t block_weight = 0;
+            framework::FcmFramework& replica = shard.replicas[shard.active];
             for (std::uint32_t i = 0; i + 1 < view.count; i += 2) {
-              const auto bytes = std::bit_cast<std::uint32_t>(view.data[i + 1]);
-              shard.replicas[shard.active].process(
-                  flow::Packet{view.data[i], bytes, 0});
-              block_bytes += bytes;
+              const auto weight =
+                  std::bit_cast<std::uint32_t>(view.data[i + 1]);
+              replica.process_weighted(view.data[i], weight);
+              block_weight += weight;
             }
-            shard.packets_in_generation[shard.active] += view.count / 2;
-            shard.bytes_in_generation[shard.active] += block_bytes;
-            data_items += view.count / 2;
-            data_bytes += block_bytes;
-            break;
-          }
-          case kWeighted: {
-            shard.replicas[shard.active].process_weighted(view.data[0],
-                                                          view.aux);
-            // In byte mode a demotion is one ring item (see Options docs);
-            // in packet mode it carries `aux` packets.
-            const std::uint64_t units = byte_mode_ ? 1 : view.aux;
-            shard.packets_in_generation[shard.active] += units;
-            data_items += units;
+            // A byte-mode pair is one item of `weight` bytes (see Options
+            // docs); a packet-mode pair carries `weight` packets.
+            const std::uint64_t items =
+                byte_mode_ ? view.count / 2 : block_weight;
+            shard.packets_in_generation[shard.active] += items;
+            data_items += items;
             if (byte_mode_) {
-              shard.bytes_in_generation[shard.active] += view.aux;
-              data_bytes += view.aux;
+              shard.bytes_in_generation[shard.active] += block_weight;
+              data_bytes += block_weight;
             }
             break;
           }

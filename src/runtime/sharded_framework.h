@@ -99,8 +99,8 @@ class ShardedFcmFramework {
     std::size_t queue_capacity = 1 << 14;
     // Block size: keys are staged per shard directly into the in-ring block
     // and published flush_batch at a time, so one release store covers a
-    // whole process_batch-sized run. Byte-count mode stages (key, bytes)
-    // pairs, so it needs flush_batch >= 2.
+    // whole process_batch-sized run. Byte-count mode and the heavy-flow
+    // cache stage (key, weight) pairs, so they need flush_batch >= 2.
     std::size_t flush_batch = 64;
     Fanout fanout = Fanout::kHashByKey;
     // Adaptive flush deadline: 0 (default) publishes blocks only when full
@@ -114,15 +114,16 @@ class ShardedFcmFramework {
     std::uint64_t heavy_change_threshold = 0;
     // Exact-match heavy-flow cache in FRONT of the fan-out (DESIGN.md §12):
     // 0 disables it. Hot flows are absorbed at the DRIVER — a cache hit
-    // never crosses a ring at all — and are demoted as one weighted
-    // block on eviction and at every rotation, so each merged epoch holds
+    // never crosses a ring at all — and are demoted as one (key, weight)
+    // pair on eviction and at every rotation (several pairs past 2^32 - 1
+    // units), staged like any other pair, so each merged epoch holds
     // exactly the traffic ingested into it (the plain-FCM merged COUNTER
     // state is bit-exact equal to a cache-off run; the on-path HH ledger is
     // trajectory-dependent but never misses a truly heavy flow — the
     // differential battery checks both). With the cache enabled,
     // EpochReport::packets still counts true
     // packets in kPackets mode, but in kBytes mode demotions collapse many
-    // packets into one ring block, so `packets` counts items there.
+    // packets into one pair, so `packets` counts pairs there.
     std::size_t cache_entries = 0;
     std::size_t cache_ways = 4;       // set associativity (see HeavyFlowCache)
     // Run the (expensive) EM analysis on the merged sketch at each rotation.
@@ -150,9 +151,10 @@ class ShardedFcmFramework {
     std::uint64_t packets = 0;
     // Payload bytes this epoch, tallied per shard in the same worker sweep
     // that applies the blocks (DESIGN.md §14's fold-into-one-pass rule).
-    // Meaningful in kBytes mode (pairs carry the size, weighted demotions
-    // carry summed bytes); 0 in kPackets mode, where sizes never cross the
-    // rings. Also exported per shard as fcm_runtime_shard_bytes_total.
+    // Meaningful in kBytes mode (every pair carries its weight in bytes,
+    // cache demotions included); 0 in kPackets mode, where sizes never
+    // cross the rings. Also exported per shard as
+    // fcm_runtime_shard_bytes_total.
     std::uint64_t bytes = 0;
     double cardinality = 0.0;
     // HyperLogLog sidecar estimate when framework.single_pass_sweep is on
@@ -176,6 +178,8 @@ class ShardedFcmFramework {
   ShardedFcmFramework& operator=(const ShardedFcmFramework&) = delete;
 
   // --- data plane (driver thread only) -----------------------------------
+  // The key overloads count one packet per key; kBytes mode needs packet
+  // sizes and rejects them (ContractViolation).
   void ingest(flow::FlowKey key);
   void ingest(const flow::Packet& packet);
   // Span overloads (DESIGN.md §9/§13): shard indices are bulk-hashed a
@@ -254,18 +258,16 @@ class ShardedFcmFramework {
   void init_instruments();
   // Block staging (DESIGN.md §13): the driver is every ring's producer.
   void open_block(std::size_t shard) FCM_REQUIRES(driver_role_);
-  void publish_block(std::size_t shard, std::uint32_t kind, std::uint64_t aux)
-      FCM_REQUIRES(driver_role_);
+  void publish_block(std::size_t shard) FCM_REQUIRES(driver_role_);
   void stage_unit(std::size_t shard, flow::FlowKey key)
       FCM_REQUIRES(driver_role_);
-  void stage_pair(std::size_t shard, flow::FlowKey key, std::uint32_t bytes)
+  void stage_pair(std::size_t shard, flow::FlowKey key, std::uint32_t weight)
       FCM_REQUIRES(driver_role_);
-  void stage_weighted(std::size_t shard, flow::FlowKey key,
-                      std::uint64_t weight) FCM_REQUIRES(driver_role_);
+  // A cache demotion of any weight, as one or more pairs in its shard.
+  void stage_demotion(flow::FlowKey key, std::uint64_t weight)
+      FCM_REQUIRES(driver_role_);
   std::size_t route_shard(flow::FlowKey key) FCM_REQUIRES(driver_role_);
-  void route_item(flow::FlowKey key, std::uint32_t count)
-      FCM_REQUIRES(driver_role_);
-  // Cache-off span paths.
+  // Span bodies shared by the ingest overloads (cache on or off).
   void ingest_keys(std::span<const flow::FlowKey> keys)
       FCM_REQUIRES(driver_role_);
   void ingest_packets(std::span<const flow::Packet> packets)
@@ -276,17 +278,19 @@ class ShardedFcmFramework {
   // Publishes every non-empty open block (partial blocks included) and hands
   // empty reserved blocks back; runs before the epoch markers and at stop().
   void flush_staging() FCM_REQUIRES(driver_role_);
-  // Cache front end (no-ops when cache_ is null): per-item offer, epoch
-  // drain into the rings, and counter publication.
-  void offer_cached(flow::FlowKey key, std::uint32_t count)
+  // Cache front end: per-item offer (cache_ must be set), and the epoch
+  // drain into the rings with counter publication (no-op without a cache).
+  void offer_cached(flow::FlowKey key, std::uint64_t count)
       FCM_REQUIRES(driver_role_);
   void drain_cache() FCM_REQUIRES(driver_role_);
-  void publish_cache_metrics() FCM_REQUIRES(driver_role_);
   void worker_loop(Shard& shard);
   void coordinator_loop();
 
   Options options_;
   bool byte_mode_ = false;
+  // The one data block kind this instance stages (kPairs in byte mode or
+  // with the cache on, kUnitKeys otherwise). Set once at construction.
+  std::uint32_t data_kind_ = 0;
   // Record block open timestamps (needed by deadline flushing; also feeds
   // the flush-latency histogram). Off when flush_interval == 0 so the
   // full-block fast path never reads the clock. Set once at construction.
@@ -306,12 +310,10 @@ class ShardedFcmFramework {
   // Staging: one open block per shard, and the kRoundRobin cursor.
   std::vector<OpenBlock> open_ FCM_GUARDED_BY(driver_role_);
   std::size_t rr_next_ FCM_GUARDED_BY(driver_role_) = 0;
-  // Driver-side heavy-flow cache (null when cache_entries == 0) and the
-  // cumulative counter values already pushed to the registry.
+  // Driver-side heavy-flow cache (null when cache_entries == 0) and its
+  // registry series (registered only with the cache on).
   std::unique_ptr<datapath::HeavyFlowCache> cache_ FCM_GUARDED_BY(driver_role_);
-  std::uint64_t cache_published_hits_ FCM_GUARDED_BY(driver_role_) = 0;
-  std::uint64_t cache_published_misses_ FCM_GUARDED_BY(driver_role_) = 0;
-  std::uint64_t cache_published_evictions_ FCM_GUARDED_BY(driver_role_) = 0;
+  datapath::CacheMetrics cache_metrics_ FCM_GUARDED_BY(driver_role_);
   // Worker shutdown flag (set by stop() after the final flush) —
   // control state, not telemetry, so it is exempt from the raw-atomic rule.
   std::atomic<bool> stop_{false};  // fcm-lint: allow(raw-atomic)

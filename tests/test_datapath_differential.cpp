@@ -36,6 +36,7 @@
 #include "flow/flow_key.h"
 #include "flow/trace.h"
 #include "framework/fcm_framework.h"
+#include "obs/metrics_registry.h"
 #include "property_harness.h"
 #include "runtime/sharded_framework.h"
 
@@ -253,6 +254,43 @@ TEST(DatapathDifferential, ResetRestoresEmptyState) {
   CachedFramework fresh(cached_options());
   EXPECT_EQ(WireCodec::serialize(cached.snapshot()),
             WireCodec::serialize(fresh.snapshot()));
+}
+
+// The serial host's fcm_datapath_cache_* series: across snapshot() and
+// reset(), every nonzero key offered is one registry hit or miss (key 0
+// bypasses the cache), and the resident gauge reports the cache's own count.
+TEST(DatapathDifferential, CacheSeriesCoverEveryOfferedKeyAcrossReset) {
+  obs::MetricsRegistry registry;
+  CachedFramework::Options options = cached_options();
+  options.metrics = &registry;
+  options.metrics_instance = "serial";
+  CachedFramework cached(options);
+
+  std::uint64_t nonzero_offered = 0;
+  const auto feed = [&](std::vector<flow::FlowKey> keys) {
+    keys.push_back(flow::FlowKey{0});
+    for (const flow::FlowKey key : keys) {
+      cached.process(key);
+      nonzero_offered += key.value != 0 ? 1 : 0;
+    }
+  };
+  feed(zipf_keys(kSeed, 20'000, 2'000));
+  EXPECT_GT(cached.snapshot().flow_size(flow::FlowKey{1}), 0u);
+  cached.reset();
+  feed(zipf_keys(kSeed + 1, 20'000, 2'000));
+  EXPECT_GT(cached.snapshot().flow_size(flow::FlowKey{1}), 0u);
+
+  const std::vector<obs::MetricLabel> labels = {{"instance", "serial"}};
+  const std::uint64_t hits =
+      registry.counter("fcm_datapath_cache_hits_total", labels).value();
+  const std::uint64_t misses =
+      registry.counter("fcm_datapath_cache_misses_total", labels).value();
+  EXPECT_EQ(hits + misses, nonzero_offered);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(cached.cache().resident_flows(), 0u);
+  EXPECT_EQ(
+      registry.gauge("fcm_datapath_cache_resident_flows", labels).value(),
+      static_cast<double>(cached.cache().resident_flows()));
 }
 
 // --- sharded runtime --------------------------------------------------------

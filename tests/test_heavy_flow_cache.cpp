@@ -30,8 +30,13 @@ HeavyFlowCache::Options tiny_options(std::size_t entries = 8,
 TEST(HeavyFlowCache, InsertThenHitAccumulatesExactly) {
   HeavyFlowCache cache(tiny_options());
   const flow::FlowKey key{42};
-  EXPECT_EQ(cache.offer(key, 3).outcome, Outcome::kInserted);
-  EXPECT_EQ(cache.offer(key, 4).outcome, Outcome::kHit);
+  const auto inserted = cache.offer(key, 3);
+  const auto hit = cache.offer(key, 4);
+  EXPECT_EQ(inserted.outcome, Outcome::kInserted);
+  EXPECT_EQ(hit.outcome, Outcome::kHit);
+  // The cache kept both offers: nothing to demote.
+  EXPECT_EQ(inserted.demote_count, 0u);
+  EXPECT_EQ(hit.demote_count, 0u);
   EXPECT_EQ(cache.count_of(key), 7u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
@@ -44,6 +49,9 @@ TEST(HeavyFlowCache, KeyZeroAlwaysBypasses) {
   HeavyFlowCache cache(tiny_options());
   const auto result = cache.offer(flow::FlowKey{0}, 5);
   EXPECT_EQ(result.outcome, Outcome::kBypass);
+  // The offer itself is what the caller must demote.
+  EXPECT_EQ(result.demote_key, flow::FlowKey{0});
+  EXPECT_EQ(result.demote_count, 5u);
   EXPECT_EQ(cache.resident_flows(), 0u);
   EXPECT_EQ(cache.offered_units(), 0u);  // bypassed units are the caller's
   cache.check_invariants();
@@ -60,8 +68,8 @@ TEST(HeavyFlowCache, EvictsTheSmallestCountInTheSet) {
   const auto result = cache.offer(flow::FlowKey{99}, 1);
   ASSERT_EQ(result.outcome, Outcome::kEvicted);
   // The victim is the lightest resident flow (id 2, count 2).
-  EXPECT_EQ(result.evicted_key, flow::FlowKey{2});
-  EXPECT_EQ(result.evicted_count, 2u);
+  EXPECT_EQ(result.demote_key, flow::FlowKey{2});
+  EXPECT_EQ(result.demote_count, 2u);
   EXPECT_EQ(cache.count_of(flow::FlowKey{2}), 0u);
   EXPECT_EQ(cache.count_of(flow::FlowKey{99}), 1u);
   EXPECT_EQ(cache.evictions(), 1u);
@@ -133,16 +141,6 @@ TEST(HeavyFlowCache, ForEachMatchesCountOf) {
     ++visited;
   });
   EXPECT_EQ(visited, cache.resident_flows());
-}
-
-TEST(HeavyFlowCache, ClearDiscardsLedgerAndContents) {
-  HeavyFlowCache cache(tiny_options());
-  cache.offer(flow::FlowKey{1}, 5);
-  cache.clear();
-  EXPECT_EQ(cache.resident_flows(), 0u);
-  EXPECT_EQ(cache.offered_units(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  cache.check_invariants();
 }
 
 TEST(HeavyFlowCache, RejectsBadGeometry) {

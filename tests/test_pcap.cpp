@@ -953,7 +953,6 @@ TEST(CaptureIngest, DecodesToTraceWithWireLengths) {
 
   const DecodedCapture decoded = datapath::decode_capture(capture);
   ASSERT_EQ(decoded.trace.size(), 2u);
-  EXPECT_EQ(decoded.tuples.size(), 2u);
   EXPECT_EQ(decoded.stats.parsed, 2u);
   EXPECT_EQ(decoded.stats.capture.records, 3u);
   EXPECT_EQ(decoded.stats.parse_failures(), 1u);

@@ -113,13 +113,12 @@ TEST(BlockQueue, OpenPublishConsumeRoundTrip) {
   std::uint32_t* slots = queue.try_open();
   ASSERT_NE(slots, nullptr);
   for (std::uint32_t i = 0; i < 10; ++i) slots[i] = 100 + i;
-  queue.publish(10, /*kind=*/7, /*aux=*/0xabcdef);
+  queue.publish(10, /*kind=*/7);
 
   BlockQueue<std::uint32_t>::View view;
   ASSERT_TRUE(queue.try_front(view));
   EXPECT_EQ(view.count, 10u);
   EXPECT_EQ(view.kind, 7u);
-  EXPECT_EQ(view.aux, 0xabcdefu);
   for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(view.data[i], 100 + i);
   // try_front does not consume: same block again.
   ASSERT_TRUE(queue.try_front(view));
@@ -140,7 +139,7 @@ TEST(BlockQueue, AbandonHandsReservedSlotBack) {
   EXPECT_FALSE(queue.try_front(view));
   // ...and the cursor did not advance: the same slot is handed out again.
   EXPECT_EQ(queue.try_open(), first);
-  queue.publish(1, 0, 0);
+  queue.publish(1, 0);
   ASSERT_TRUE(queue.try_front(view));
   EXPECT_EQ(view.count, 1u);
 }
@@ -155,7 +154,7 @@ TEST(BlockQueue, FullRingReturnsNullAndWrapsWithoutCorruption) {
     std::uint64_t* slots;
     while ((slots = queue.try_open()) != nullptr) {
       for (std::size_t i = 0; i < 4; ++i) slots[i] = next_in++;
-      queue.publish(4, 0, 0);
+      queue.publish(4, 0);
     }
     EXPECT_EQ(queue.size_approx_blocks(), 3u) << "null only when full";
     BlockQueue<std::uint64_t>::View view;
@@ -188,7 +187,7 @@ TEST(BlockQueue, ThreadedBlockHandoffDeliversEveryBlockInOrder) {
         std::this_thread::yield();
         continue;
       }
-      ASSERT_EQ(view.aux, block_index) << "header/payload tearing";
+      ASSERT_EQ(view.kind, block_index) << "header/payload tearing";
       for (std::uint32_t i = 0; i < view.count; ++i) {
         ASSERT_EQ(view.data[i], expected);
         ++expected;
@@ -206,7 +205,7 @@ TEST(BlockQueue, ThreadedBlockHandoffDeliversEveryBlockInOrder) {
     // Variable fill so partial blocks cross threads too.
     const std::uint32_t fill = 1 + static_cast<std::uint32_t>(b % kBlockSize);
     for (std::uint32_t i = 0; i < fill; ++i) slots[i] = next++;
-    queue.publish(fill, 0, /*aux=*/b);
+    queue.publish(fill, /*kind=*/static_cast<std::uint32_t>(b));
   }
 }
 
@@ -680,6 +679,44 @@ TEST(ShardedRuntime, CacheCountersCoverEveryOfferedKey) {
   sharded.check_invariants();
 }
 
+// A resident flow heavier than a pair's u32 weight slot is demoted at
+// rotation as several pairs; the shard's counters sum them back exactly.
+TEST(ShardedRuntime, CacheDemotionHeavierThanU32SumsBackExactly) {
+  FcmFramework::Options fw = small_framework_options();
+  fw.count_mode = FcmFramework::CountMode::kBytes;
+  ShardedFcmFramework::Options options;
+  options.framework = fw;
+  options.shard_count = 2;
+  options.cache_entries = 64;
+  options.metrics = nullptr;
+  ShardedFcmFramework sharded(options);
+
+  const FlowKey key{0x5eed};
+  const std::vector<Packet> packets = {{key, 4'000'000'000u, 0},
+                                       {key, 4'000'000'000u, 1},
+                                       {key, 3'000'000'000u, 2}};
+  FcmFramework serial(fw);
+  for (const Packet& packet : packets) serial.process(packet);
+  sharded.ingest(std::span<const Packet>(packets));
+  const ShardedFcmFramework::EpochReport report = sharded.rotate();
+  EXPECT_EQ(report.bytes, 11'000'000'000u);
+
+  const FcmFramework merged = sharded.merged_epoch();
+  ASSERT_EQ(merged.sketch().tree_count(), serial.sketch().tree_count());
+  for (std::size_t t = 0; t < serial.sketch().tree_count(); ++t) {
+    for (std::size_t l = 1; l <= serial.sketch().config().stage_count(); ++l) {
+      const auto got = merged.sketch().tree(t).stage(l);
+      const auto want = serial.sketch().tree(t).stage(l);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "tree " << t << " stage " << l << " node " << i;
+      }
+    }
+  }
+  EXPECT_EQ(merged.flow_size(key), serial.flow_size(key));
+}
+
 // --- adaptive flush -----------------------------------------------------------
 
 // Trickle traffic: far fewer keys than flush_batch, NO rotation. With
@@ -775,6 +812,12 @@ TEST(ShardedRuntime, RejectsInvalidOptions) {
                  o.flush_batch = 1;
                }),
                ContractViolation);
+  // So does the heavy-flow cache: every demotion is a (key, weight) pair.
+  EXPECT_THROW(make([](auto& o) {
+                 o.cache_entries = 64;
+                 o.flush_batch = 1;
+               }),
+               ContractViolation);
 }
 
 TEST(ShardedRuntime, ByteModeRejectsZeroBytePackets) {
@@ -787,6 +830,19 @@ TEST(ShardedRuntime, ByteModeRejectsZeroBytePackets) {
   sharded.ingest(Packet{FlowKey{1}, 100, 0});
   sharded.rotate();
   EXPECT_EQ(sharded.flow_size(FlowKey{1}), 100u);
+}
+
+TEST(ShardedRuntime, ByteModeRejectsBareKeys) {
+  // A key carries no byte count: byte mode ingests packets only.
+  ShardedFcmFramework::Options options;
+  options.framework = small_framework_options();
+  options.framework.count_mode = FcmFramework::CountMode::kBytes;
+  options.shard_count = 2;
+  ShardedFcmFramework sharded(options);
+  const std::vector<FlowKey> keys = {FlowKey{1}, FlowKey{2}};
+  EXPECT_THROW(sharded.ingest(FlowKey{1}), ContractViolation);
+  EXPECT_THROW(sharded.ingest(std::span<const FlowKey>(keys)),
+               ContractViolation);
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ Rules:
                    blocks" is visible to Clang's thread-safety analysis.
                    Additionally, the span-ingest bodies (``ingest``,
                    ``ingest_keys``, ``ingest_packets``, ``stage_*``,
-                   ``route_item``, ``flush_staging``,
+                   ``offer_cached``, ``drain_cache``, ``flush_staging``,
                    ``maybe_deadline_flush``, ``flush``) may not call per-item
                    ``try_push``/``try_push_bulk``: the hand-off is
                    whole blocks through ``BlockQueue::try_open``/
@@ -282,8 +282,9 @@ STAGING_INGEST_FN_NAMES = {
     "ingest_packets",
     "stage_unit",
     "stage_pair",
-    "stage_weighted",
-    "route_item",
+    "stage_demotion",
+    "offer_cached",
+    "drain_cache",
     "flush_staging",
     "maybe_deadline_flush",
     "flush",
