@@ -232,11 +232,9 @@ struct ScalingPoint {
   // and the column is clamped to zero rather than reporting a nonsensical
   // "metrics make it faster".
   double metrics_overhead_pct = 0.0;
-  // v4 characterization columns (one dedicated run, flush_interval = 1ms):
-  // per-shard ring-occupancy high-water as a fraction of ring blocks, and
-  // the mean block residency from open to publish.
+  // Characterization column (one dedicated run): per-shard ring-occupancy
+  // high-water as a fraction of ring blocks.
   std::vector<double> queue_high_water;
-  double flush_latency_mean_seconds = 0.0;
 };
 
 // Interleaved best-of-9 (EXPERIMENTS.md): each repeat times every column
@@ -311,27 +309,18 @@ std::vector<ScalingPoint> run_scaling_study(const flow::Trace& trace) {
   };
 
   // One dedicated (untimed-column) run per shard count that characterizes
-  // the block hand-off: flush_interval > 0 turns on block-residency
-  // timestamps, a private registry collects the flush-latency histogram, and
-  // queue_high_water() reads the ring occupancy peaks after the rotation.
+  // the block hand-off: queue_high_water() reads the ring occupancy peaks
+  // after the rotation.
   const auto characterize = [&](ScalingPoint& point) {
-    obs::MetricsRegistry registry;
     runtime::ShardedFcmFramework::Options options;
     options.framework = fw;
     options.shard_count = point.shards;
     options.fanout = runtime::ShardedFcmFramework::Fanout::kHashByKey;
-    options.flush_interval = std::chrono::milliseconds(1);
-    options.metrics = &registry;
+    options.metrics = nullptr;
     runtime::ShardedFcmFramework sharded(options);
     sharded.ingest(key_span);
     sharded.rotate();
     point.queue_high_water = sharded.queue_high_water();
-    const obs::Histogram& latency = registry.histogram(
-        "fcm_runtime_flush_latency_seconds", obs::Histogram::latency_bounds());
-    if (latency.count() > 0) {
-      point.flush_latency_mean_seconds =
-          latency.sum() / static_cast<double>(latency.count());
-    }
   };
 
   // All three timed columns (scalar, batch, batch+metrics) are interleaved
@@ -480,14 +469,11 @@ namespace simd = common::simd;
 // machine-portable the same way batch_speedup and cache_speedup are.
 struct KernelTierPoint {
   simd::KernelTier tier = simd::KernelTier::kScalar;
-  // SeededHash::index_hash_batch alone, kBatchBlock chunks over the
-  // dispersed trace: the hash+fast-range kernel the AVX2 TU vectorizes.
+  // SeededHash::index_batch alone, kBatchBlock chunks over the dispersed
+  // trace: the hash+fast-range kernel the AVX2 TU vectorizes.
   double index_keys_per_sec = 0.0;
   // Serial FcmFramework::process_batch — hash kernel + level-1 fast path.
   double ingest_pps = 0.0;
-  // Same with the single-pass sweep enabled: measures what folding the
-  // cardinality sidecars into the ingest sweep costs on top of ingest_pps.
-  double sweep_pps = 0.0;
 };
 
 struct KernelStudy {
@@ -525,8 +511,6 @@ KernelStudy run_kernel_study(const flow::Trace& trace) {
 
   framework::FcmFramework::Options fw;
   fw.fcm = core::FcmConfig::for_memory(kMemory, 2, 8, {8, 16, 32});
-  framework::FcmFramework::Options fw_sweep = fw;
-  fw_sweep.single_pass_sweep = true;
 
   std::vector<flow::FlowKey> keys;
   keys.reserve(trace.size());
@@ -566,13 +550,6 @@ KernelStudy run_kernel_study(const flow::Trace& trace) {
               framework.process_batch(key_span);
             }));
       }
-      {
-        framework::FcmFramework framework(fw_sweep);
-        point.sweep_pps =
-            std::max(point.sweep_pps, time_packets_per_sec(trace, [&] {
-              framework.process_batch(key_span);
-            }));
-      }
     }
   }
   simd::force_kernel_tier(std::nullopt);
@@ -606,8 +583,7 @@ void write_kernels_object(std::ostream& out, const KernelStudy& study,
     const KernelTierPoint& point = study.points[i];
     out << indent << "    {\"tier\": \"" << simd::kernel_tier_name(point.tier)
         << "\", \"index_keys_per_sec\": " << point.index_keys_per_sec
-        << ", \"ingest_packets_per_sec\": " << point.ingest_pps
-        << ", \"sweep_packets_per_sec\": " << point.sweep_pps << "}"
+        << ", \"ingest_packets_per_sec\": " << point.ingest_pps << "}"
         << (i + 1 < study.points.size() ? "," : "") << "\n";
   }
   out << indent << "  ],\n";
@@ -645,12 +621,11 @@ void print_kernel_study(const KernelStudy& study) {
               study.active_tier.c_str(),
               study.forced_env.empty() ? "" : ", FCM_FORCE_KERNEL=",
               study.forced_env.c_str(), kInterleavedRepeats);
-  std::printf("%-10s %16s %14s %14s\n", "tier", "index keys/s", "ingest pps",
-              "sweep pps");
+  std::printf("%-10s %16s %14s\n", "tier", "index keys/s", "ingest pps");
   for (const KernelTierPoint& point : study.points) {
-    std::printf("%-10s %16.0f %14.0f %14.0f\n",
+    std::printf("%-10s %16.0f %14.0f\n",
                 std::string(simd::kernel_tier_name(point.tier)).c_str(),
-                point.index_keys_per_sec, point.ingest_pps, point.sweep_pps);
+                point.index_keys_per_sec, point.ingest_pps);
   }
   if (study.avx2_index_speedup > 0.0) {
     std::printf("avx2 vs scalar: index %.2fx, ingest %.2fx\n",
@@ -712,8 +687,7 @@ void write_scaling_json(const std::string& path, const flow::Trace& trace,
       if (i > 0) out << ", ";
       out << p.queue_high_water[i];
     }
-    out << "], \"flush_latency_mean_seconds\": "
-        << p.flush_latency_mean_seconds << "}";
+    out << "]}";
   }
   out << "\n  ]\n}\n";
 }
@@ -722,21 +696,21 @@ void print_scaling(const std::vector<ScalingPoint>& points) {
   std::printf("\nsharded-runtime scaling (hash fanout, %u hardware threads, "
               "best of %d interleaved)\n",
               std::thread::hardware_concurrency(), kInterleavedRepeats);
-  std::printf("%-10s %14s %14s %8s %8s %14s %9s %9s %10s\n", "config",
+  std::printf("%-10s %14s %14s %8s %8s %14s %9s %9s\n", "config",
               "scalar pps", "batch pps", "batch x", "vs ser", "w/metrics",
-              "overhead", "occ max", "flush us");
+              "overhead", "occ max");
   for (const ScalingPoint& p : points) {
     const double occupancy_max =
         p.queue_high_water.empty()
             ? 0.0
             : *std::max_element(p.queue_high_water.begin(),
                                 p.queue_high_water.end());
-    std::printf("%-10s %14.0f %14.0f %7.2fx %7.2fx %14.0f %8.2f%% %8.1f%% %10.2f\n",
+    std::printf("%-10s %14.0f %14.0f %7.2fx %7.2fx %14.0f %8.2f%% %8.1f%%\n",
                 p.shards == 0 ? "serial"
                               : (std::to_string(p.shards) + " shards").c_str(),
                 p.scalar_pps, p.batch_pps, p.batch_speedup, p.speedup_vs_serial,
                 p.batch_pps_metrics, p.metrics_overhead_pct,
-                100.0 * occupancy_max, 1e6 * p.flush_latency_mean_seconds);
+                100.0 * occupancy_max);
   }
   std::printf("acceptance: serial batch_speedup >= 1.5x; metrics overhead "
               "< 2%% (DESIGN.md §8/§9)\n");

@@ -635,11 +635,6 @@ sketch::HyperLogLog WireCodec::deserialize_hll(
 
 std::vector<std::byte> WireCodec::serialize(const framework::FcmFramework& fw) {
   const framework::FcmFramework::Options& options = fw.options_;
-  // The single-pass sweep sidecars (DESIGN.md §14) are a local ingest
-  // optimization and are not part of the wire format; silently dropping
-  // them would make a round-trip lossy, so refuse outright.
-  FCM_REQUIRE(!options.single_pass_sweep,
-              "wire: sweep-enabled frameworks are not wire-transportable");
   WireWriter payload;
   payload.u8(fw.with_topk_.has_value() ? 1 : 0);
   encode_config(payload, options.fcm);

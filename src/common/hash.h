@@ -133,41 +133,11 @@ class SeededHash {
   // to the span<size_t> overload (tests/test_batch_equivalence.cpp).
   //
   // Routed through the kernel tier dispatch (simd_dispatch.h) for 4-byte
-  // keys: equivalent to index_hash_batch without the raw-hash output.
+  // keys. Every kernel tier is bit-identical — the tier only changes how the
+  // same arithmetic is scheduled (tests/test_batch_equivalence.cpp pins this).
   template <typename T>
   void index_batch(std::span<const T> keys, std::size_t width,
                    std::span<std::uint32_t> out) const noexcept {
-    index_hash_batch(keys, width, out, {});
-  }
-
-  // Raw (pre-reduction) bob hashes for a whole block, behind the same tier
-  // dispatch. The single-pass sweep (DESIGN.md §14) feeds these to the
-  // cardinality sidecars instead of re-hashing.
-  template <typename T>
-  void hash_batch(std::span<const T> keys,
-                  std::span<std::uint32_t> out) const noexcept {
-    const std::size_t n = keys.size();
-#if FCM_SIMD_X86
-    if constexpr (sizeof(T) == sizeof(std::uint32_t)) {
-      if (simd::active_kernel_tier() == simd::KernelTier::kAvx2) {
-        simd::avx2_hash_batch_u32(keys.data(), n, seed_, out.data());
-        return;
-      }
-    }
-#endif
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = bob_hash_value(keys[i], seed_);
-    }
-  }
-
-  // Fused form: reduced indices plus (optionally) the raw hashes they came
-  // from. `raw` may be empty (no raw output) or at least keys.size() long.
-  // Every kernel tier is bit-identical — the tier only changes how the same
-  // arithmetic is scheduled (tests/test_batch_equivalence.cpp pins this).
-  template <typename T>
-  void index_hash_batch(std::span<const T> keys, std::size_t width,
-                        std::span<std::uint32_t> out,
-                        std::span<std::uint32_t> raw) const noexcept {
     const std::size_t n = keys.size();
     // Fast-range with a u32 width: the u32 x u32 -> u64 multiply the AVX2
     // kernel performs. Identical results: width < 2^32 is already
@@ -176,15 +146,13 @@ class SeededHash {
 #if FCM_SIMD_X86
     if constexpr (sizeof(T) == sizeof(std::uint32_t)) {
       if (simd::active_kernel_tier() == simd::KernelTier::kAvx2) {
-        simd::avx2_index_batch_u32(keys.data(), n, seed_, w, out.data(),
-                                   raw.empty() ? nullptr : raw.data());
+        simd::avx2_index_batch_u32(keys.data(), n, seed_, w, out.data());
         return;
       }
     }
 #endif
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t h = bob_hash_value(keys[i], seed_);
-      if (!raw.empty()) raw[i] = h;
       out[i] = static_cast<std::uint32_t>(
           (static_cast<std::uint64_t>(h) * w) >> 32);
     }

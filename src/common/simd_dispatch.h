@@ -71,17 +71,11 @@ void force_kernel_tier(std::optional<KernelTier> tier) noexcept;
 // Callers must check active_kernel_tier() == kAvx2 first; the symbols exist
 // whenever FCM_SIMD_X86 but execute AVX2 instructions unconditionally.
 
-// 8-lane bob_hash_u32 over `n` contiguous 4-byte keys. `keys` must point to
+// Fused 8-lane bob_hash_u32 + Lemire fast-range over `n` contiguous 4-byte
+// keys: idx[i] = (u64(bob(keys[i])) * width) >> 32. `keys` must point to
 // n * 4 readable bytes (FlowKey or uint32_t — same bytes either way).
-void avx2_hash_batch_u32(const void* keys, std::size_t n, std::uint32_t seed,
-                         std::uint32_t* hashes) noexcept;
-
-// Fused hash + Lemire fast-range: idx[i] = (u64(bob(keys[i])) * width) >> 32.
-// When `raw_hashes` is non-null the pre-reduction hashes are stored too (the
-// single-pass sweep reuses them for the cardinality sidecars).
 void avx2_index_batch_u32(const void* keys, std::size_t n, std::uint32_t seed,
-                          std::uint32_t width, std::uint32_t* idx,
-                          std::uint32_t* raw_hashes) noexcept;
+                          std::uint32_t width, std::uint32_t* idx) noexcept;
 
 // Level-1 saturating-increment fast path: processes leading groups of 8
 // indices (gather counters, verify every lane < cap and no duplicate index

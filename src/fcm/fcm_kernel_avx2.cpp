@@ -71,40 +71,19 @@ inline std::uint32_t load_u32(const unsigned char* p) noexcept {
 
 }  // namespace
 
-void avx2_hash_batch_u32(const void* keys, std::size_t n, std::uint32_t seed,
-                         std::uint32_t* hashes) noexcept {
-  const auto* in = static_cast<const unsigned char*>(keys);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8, in += 32) {
-    const __m256i k =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hashes + i),
-                        bob_hash_u32x8(k, seed));
-  }
-  for (; i < n; ++i, in += sizeof(std::uint32_t)) {
-    hashes[i] = bob_hash_u32(load_u32(in), seed);
-  }
-}
-
 void avx2_index_batch_u32(const void* keys, std::size_t n, std::uint32_t seed,
-                          std::uint32_t width, std::uint32_t* idx,
-                          std::uint32_t* raw_hashes) noexcept {
+                          std::uint32_t width, std::uint32_t* idx) noexcept {
   const __m256i w = _mm256_set1_epi32(static_cast<int>(width));
   const auto* in = static_cast<const unsigned char*>(keys);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8, in += 32) {
     const __m256i k =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in));
-    const __m256i h = bob_hash_u32x8(k, seed);
-    if (raw_hashes != nullptr) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(raw_hashes + i), h);
-    }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx + i),
-                        fast_range32x8(h, w));
+                        fast_range32x8(bob_hash_u32x8(k, seed), w));
   }
   for (; i < n; ++i, in += sizeof(std::uint32_t)) {
     const std::uint32_t h = bob_hash_u32(load_u32(in), seed);
-    if (raw_hashes != nullptr) raw_hashes[i] = h;
     // Implicit u64 -> u32 narrowing; a fast-range result is < width < 2^32.
     idx[i] = (static_cast<std::uint64_t>(h) * width) >> 32;
   }

@@ -29,8 +29,7 @@ std::uint64_t FcmSketch::add(flow::FlowKey key, std::uint64_t count) {
   return estimate;
 }
 
-void FcmSketch::add_batch(std::span<const flow::FlowKey> keys,
-                          BlockSweep sweep) {
+void FcmSketch::add_batch(std::span<const flow::FlowKey> keys) {
   const std::size_t total = keys.size();
   if (total == 0) return;
   // Cross-tree software pipeline (DESIGN.md §9): for each kBatchBlock block,
@@ -50,24 +49,11 @@ void FcmSketch::add_batch(std::span<const flow::FlowKey> keys,
   std::uint32_t idx_b[kMaxTrees][common::kBatchBlock];
   auto* cur = &idx_a;
   auto* next = &idx_b;
-  // Raw tree-0 hashes for the sweep hook; consumed inside stage(), so one
-  // buffer serves both pipeline slots.
-  std::uint32_t raw[common::kBatchBlock];
   const auto stage = [&](std::size_t base,
                          std::uint32_t (*out)[kMaxTrees][common::kBatchBlock]) {
     const std::size_t n = std::min(common::kBatchBlock, total - base);
     const auto block = keys.subspan(base, n);
-    if (sweep) {
-      // Tree 0 surfaces its raw hashes in the same kernel sweep; the hook
-      // sees every block exactly once, in key order.
-      trees_[0].index_block_hashes(block,
-                                   std::span<std::uint32_t>((*out)[0], n),
-                                   std::span<std::uint32_t>(raw, n));
-      sweep.fn(sweep.ctx, block, std::span<const std::uint32_t>(raw, n));
-    } else {
-      trees_[0].index_block(block, std::span<std::uint32_t>((*out)[0], n));
-    }
-    for (std::size_t t = 1; t < tree_count; ++t) {
+    for (std::size_t t = 0; t < tree_count; ++t) {
       trees_[t].index_block(block, std::span<std::uint32_t>((*out)[t], n));
     }
     return n;

@@ -43,28 +43,7 @@ class FcmSketch {
   // block through FcmTree::add_batch (bulk hashing + level-1 prefetch +
   // branch-light fast path); per-key min estimates accumulate across trees in
   // a stack buffer so the heavy-hitter check runs once per key at the end.
-  void add_batch(std::span<const flow::FlowKey> keys) {
-    add_batch(keys, BlockSweep{});
-  }
-
-  // Single-pass sweep hook (DESIGN.md §14): when set, invoked once per
-  // staged block with the block's keys and tree-0's raw 32-bit bob hashes —
-  // computed once by the ingest kernel and shared with the leaf indexing —
-  // so consumers (cardinality sidecars, per-shard metrics) ride the same
-  // sweep instead of re-hashing in a second pass. Plain function pointer +
-  // context, keeping the hot path allocation-free.
-  struct BlockSweep {
-    using Fn = void (*)(void* ctx, std::span<const flow::FlowKey> keys,
-                        std::span<const std::uint32_t> tree0_hashes);
-    Fn fn = nullptr;
-    void* ctx = nullptr;
-    explicit operator bool() const noexcept { return fn != nullptr; }
-  };
-
-  // add_batch with the sweep hook. The hook fires at block-staging time,
-  // before the block is applied; tree state is bit-identical to the plain
-  // overload (the hook only *reads* keys and hashes).
-  void add_batch(std::span<const flow::FlowKey> keys, BlockSweep sweep);
+  void add_batch(std::span<const flow::FlowKey> keys);
 
   // Count-query (§3.2): min over trees. Never underestimates.
   std::uint64_t query(flow::FlowKey key) const noexcept;

@@ -74,16 +74,6 @@ void FcmTree::index_block(std::span<const flow::FlowKey> keys,
   }
 }
 
-void FcmTree::index_block_hashes(std::span<const flow::FlowKey> keys,
-                                 std::span<std::uint32_t> idx,
-                                 std::span<std::uint32_t> raw) const noexcept {
-  hash_.index_hash_batch(keys, config_.leaf_count, idx, raw);
-  const std::uint32_t* const level1 = stages_[0].data();
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    FCM_PREFETCH_WRITE(level1 + idx[i]);
-  }
-}
-
 void FcmTree::apply_block(std::span<const std::uint32_t> idx,
                           std::span<std::uint64_t> min_estimates) {
 #if FCM_SIMD_X86

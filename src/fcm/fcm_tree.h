@@ -75,14 +75,6 @@ class FcmTree {
   void apply_block(std::span<const std::uint32_t> idx,
                    std::span<std::uint64_t> min_estimates);
 
-  // index_block that additionally writes the raw (pre-reduction) bob hashes
-  // into `raw` (raw.size() >= keys.size()). The single-pass sweep (DESIGN.md
-  // §14) feeds them to the cardinality sidecars, which share this tree's
-  // hash function, instead of hashing the block a second time.
-  void index_block_hashes(std::span<const flow::FlowKey> keys,
-                          std::span<std::uint32_t> idx,
-                          std::span<std::uint32_t> raw) const noexcept;
-
   // Count-query (paper §3.2): sum along the overflow path.
   std::uint64_t query(flow::FlowKey key) const noexcept {
     return query_at(leaf_index(key));

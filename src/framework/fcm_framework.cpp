@@ -30,18 +30,6 @@ FcmFramework::FcmFramework(Options options) : options_(std::move(options)) {
       plain_->set_heavy_hitter_threshold(options_.heavy_hitter_threshold);
     }
   }
-  if (options_.single_pass_sweep) {
-    FCM_REQUIRE(options_.topk_entries == 0,
-                "FcmFramework: the single-pass sweep requires the plain-FCM "
-                "data plane (the Top-K filter diverts the key stream)");
-    // The sidecars ride tree-0's hash function: the ingest kernel computes
-    // that hash anyway, so sweep_block reuses it instead of re-hashing.
-    const common::SeededHash h0 = plain_->tree(0).hash();
-    sweep_linear_.emplace(options_.sweep_linear_bits, h0);
-    sweep_hll_.emplace(options_.sweep_hll_registers, h0);
-    sweep_aux_hash_ =
-        common::SeededHash(h0.seed() ^ sketch::HyperLogLog::kAuxSeedXor);
-  }
 }
 
 const core::FcmSketch& FcmFramework::active_sketch() const {
@@ -54,15 +42,11 @@ void FcmFramework::process(flow::FlowKey key) {
   } else {
     plain_->update(key);
   }
-  if (sweep_linear_) sweep_update(key);
 }
 
 void FcmFramework::process(const flow::Packet& packet) {
   if (options_.count_mode == CountMode::kBytes) {
     plain_->add(packet.key, packet.bytes);
-    // Cardinality is per-flow, not per-byte: one sidecar update regardless
-    // of the packet's size (idempotent anyway — distinct-set semantics).
-    if (sweep_linear_) sweep_update(packet.key);
   } else {
     process(packet.key);
   }
@@ -88,16 +72,9 @@ void FcmFramework::process(std::span<const flow::Packet> packets) {
 void FcmFramework::process_batch(std::span<const flow::FlowKey> keys) {
   if (with_topk_) {
     with_topk_->add_batch(keys);
-    return;
-  }
-  if (!sweep_linear_) {
+  } else {
     plain_->add_batch(keys);
-    return;
   }
-  // Single-pass sweep: the sketch hands every staged block (keys + tree-0
-  // raw hashes) to sweep_block, so the sidecars ride the same kernel sweep.
-  plain_->add_batch(keys,
-                    core::FcmSketch::BlockSweep{&sweep_block_thunk, this});
 }
 
 void FcmFramework::process_weighted(flow::FlowKey key, std::uint64_t count) {
@@ -106,38 +83,7 @@ void FcmFramework::process_weighted(flow::FlowKey key, std::uint64_t count) {
     with_topk_->add_weighted(key, count);
   } else {
     plain_->add(key, count);
-    // One update for the whole weighted insert: sidecars count distinct
-    // flows, and N unit inserts of the same key set the same bit/register.
-    if (sweep_linear_) sweep_update(key);
   }
-}
-
-void FcmFramework::sweep_update(flow::FlowKey key) {
-  sweep_linear_->update(key);
-  sweep_hll_->update(key);
-}
-
-void FcmFramework::sweep_block(std::span<const flow::FlowKey> keys,
-                               std::span<const std::uint32_t> tree0_hashes) {
-  const std::size_t n = keys.size();
-  sketch::LinearCounting& lc = *sweep_linear_;
-  for (std::size_t i = 0; i < n; ++i) lc.update_hash(tree0_hashes[i]);
-  // The HLL needs 64 hash bits; the high half is tree-0's hash (free), the
-  // low half comes from the aux hash function, batched through the same
-  // kernel tier as the ingest hashing.
-  std::uint32_t aux[common::kBatchBlock];
-  sweep_aux_hash_.hash_batch(keys, std::span<std::uint32_t>(aux, n));
-  sketch::HyperLogLog& hll = *sweep_hll_;
-  for (std::size_t i = 0; i < n; ++i) {
-    hll.update_hash((static_cast<std::uint64_t>(tree0_hashes[i]) << 32) |
-                    aux[i]);
-  }
-}
-
-void FcmFramework::sweep_block_thunk(void* ctx,
-                                     std::span<const flow::FlowKey> keys,
-                                     std::span<const std::uint32_t> tree0_hashes) {
-  static_cast<FcmFramework*>(ctx)->sweep_block(keys, tree0_hashes);
 }
 
 std::uint64_t FcmFramework::flow_size(flow::FlowKey key) const {
@@ -215,18 +161,10 @@ void FcmFramework::merge(const FcmFramework& other) {
   FCM_REQUIRE(
       options_.heavy_hitter_threshold == other.options_.heavy_hitter_threshold,
       "FcmFramework::merge: mismatched heavy-hitter thresholds");
-  FCM_REQUIRE(options_.single_pass_sweep == other.options_.single_pass_sweep,
-              "FcmFramework::merge: mismatched single-pass sweep settings");
   if (with_topk_) {
     with_topk_->merge(*other.with_topk_);
   } else {
     plain_->merge(*other.plain_);
-  }
-  if (sweep_linear_) {
-    // Exact sidecar merges (bitmap OR / register max): the merged state is
-    // bit-identical to one framework fed both streams.
-    sweep_linear_->merge(*other.sweep_linear_);
-    sweep_hll_->merge(*other.sweep_hll_);
   }
 }
 
@@ -246,22 +184,6 @@ void FcmFramework::reset() {
   } else {
     plain_->clear();
   }
-  if (sweep_linear_) {
-    sweep_linear_->clear();
-    sweep_hll_->clear();
-  }
-}
-
-const sketch::LinearCounting& FcmFramework::sweep_linear() const {
-  FCM_REQUIRE(sweep_linear_.has_value(),
-              "FcmFramework: single-pass sweep is not enabled");
-  return *sweep_linear_;
-}
-
-const sketch::HyperLogLog& FcmFramework::sweep_hll() const {
-  FCM_REQUIRE(sweep_hll_.has_value(),
-              "FcmFramework: single-pass sweep is not enabled");
-  return *sweep_hll_;
 }
 
 std::size_t FcmFramework::memory_bytes() const {
@@ -271,13 +193,6 @@ std::size_t FcmFramework::memory_bytes() const {
 void FcmFramework::check_invariants() const {
   FCM_ASSERT(plain_.has_value() != with_topk_.has_value(),
              "FcmFramework: exactly one data-plane variant must be active");
-  FCM_ASSERT(sweep_linear_.has_value() == options_.single_pass_sweep &&
-                 sweep_hll_.has_value() == options_.single_pass_sweep,
-             "FcmFramework: sweep sidecars out of step with options");
-  if (sweep_linear_) {
-    FCM_ASSERT(sweep_linear_->hash().seed() == plain_->tree(0).hash().seed(),
-               "FcmFramework: sweep sidecar hash diverged from tree 0");
-  }
   if (with_topk_) {
     with_topk_->check_invariants();
   } else {

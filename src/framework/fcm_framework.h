@@ -14,7 +14,6 @@
 #include "fcm/fcm_topk.h"
 #include "flow/packet.h"
 #include "obs/metrics_registry.h"
-#include "sketch/cardinality.h"
 
 namespace fcm::agg {
 class WireCodec;  // wire-format (de)serializer, the single state-access friend
@@ -47,21 +46,6 @@ class FcmFramework {
     // no registry is touched anywhere in the pipeline. Must outlive the
     // framework when non-null.
     obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
-    // Single-pass multi-query sweep (DESIGN.md §14, the Count-Less
-    // fold-everything-into-one-pass discipline): maintain LinearCounting and
-    // HyperLogLog cardinality sidecars updated from the SAME hashes the
-    // ingest kernel already computes — batched ingest feeds them via
-    // FcmSketch::BlockSweep with tree-0's raw hashes, scalar entry points
-    // update them per key. Both produce bit-identical sidecar state, and
-    // both are bit-identical to running the sidecars as a separate pass over
-    // the same keys (tests pin this). Plain-FCM only: the Top-K filter
-    // diverts heavy flows before the sketch, so a sketch-coupled sweep would
-    // see a different key stream (the constructor rejects the combination).
-    // Not wire-transportable — WireCodec rejects sweep-enabled frameworks.
-    bool single_pass_sweep = false;
-    // Sidecar geometry, used only when single_pass_sweep is set.
-    std::size_t sweep_linear_bits = std::size_t{1} << 13;
-    std::size_t sweep_hll_registers = std::size_t{1} << 11;
   };
 
   explicit FcmFramework(Options options);
@@ -92,14 +76,6 @@ class FcmFramework {
   std::uint64_t flow_size(flow::FlowKey key) const;
   double cardinality() const;
   std::vector<flow::FlowKey> heavy_hitters() const;
-
-  // --- single-pass sweep sidecars (Options::single_pass_sweep) ------------
-  bool single_pass_sweep_enabled() const noexcept {
-    return sweep_linear_.has_value();
-  }
-  // The sidecars; FCM_REQUIRE the sweep is enabled.
-  const sketch::LinearCounting& sweep_linear() const;
-  const sketch::HyperLogLog& sweep_hll() const;
 
   // --- control plane ------------------------------------------------------
   struct Report {
@@ -168,28 +144,9 @@ class FcmFramework {
 
   const core::FcmSketch& active_sketch() const;
 
-  // Per-key sidecar update for the scalar entry points (process(key),
-  // process_weighted); batched ingest goes through sweep_block instead.
-  void sweep_update(flow::FlowKey key);
-  // BlockSweep body: folds tree-0's raw hashes into the LinearCounting
-  // bitmap and — after computing the aux hashes through the same tiered
-  // batch kernel — the HyperLogLog registers.
-  void sweep_block(std::span<const flow::FlowKey> keys,
-                   std::span<const std::uint32_t> tree0_hashes);
-  static void sweep_block_thunk(void* ctx, std::span<const flow::FlowKey> keys,
-                                std::span<const std::uint32_t> tree0_hashes);
-
   Options options_;
   std::optional<core::FcmSketch> plain_;
   std::optional<core::FcmTopK> with_topk_;
-  // Single-pass sweep sidecars (engaged iff Options::single_pass_sweep):
-  // constructed over tree-0's hash function so sweep_block(tree0 hashes)
-  // and sweep_update(key) produce bit-identical state.
-  std::optional<sketch::LinearCounting> sweep_linear_;
-  std::optional<sketch::HyperLogLog> sweep_hll_;
-  // The HLL's second hash function (seed ^ HyperLogLog::kAuxSeedXor),
-  // batched through the kernel tiers in sweep_block.
-  common::SeededHash sweep_aux_hash_;
 };
 
 }  // namespace fcm::framework

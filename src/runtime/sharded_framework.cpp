@@ -63,12 +63,11 @@ void backoff(unsigned& spins) {
 struct ShardedFcmFramework::Instruments {
   obs::Counter* backpressure_spins = nullptr;   // driver spins on full rings
   obs::Counter* blocks_published = nullptr;     // block publications (all kinds)
-  obs::Counter* partial_flushes = nullptr;      // blocks published < flush_batch
+  obs::Counter* partial_flushes = nullptr;      // blocks published not full
   obs::Counter* rotations = nullptr;            // rotate_async() calls
   obs::Counter* epochs_merged = nullptr;        // epochs published
   obs::Counter* overflow_promotions = nullptr;  // FCM overflow trips (merged)
   obs::Counter* cardinality_saturations = nullptr;
-  obs::Histogram* flush_latency_seconds = nullptr;  // block open -> publish
   obs::Histogram* merge_seconds = nullptr;          // coordinator merge time
   obs::Histogram* rotation_wait_seconds = nullptr;  // driver stall per rotate
   obs::Gauge* epoch_packets = nullptr;          // last epoch's packet count
@@ -128,8 +127,6 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
   FCM_REQUIRE(options_.flush_batch >= 1 &&
                   options_.flush_batch <= options_.queue_capacity,
               "ShardedFcmFramework: flush_batch must be in [1, queue_capacity]");
-  FCM_REQUIRE(options_.flush_interval.count() >= 0,
-              "ShardedFcmFramework: flush_interval must be >= 0");
   FCM_REQUIRE(options_.retained_epochs >= 1,
               "ShardedFcmFramework: must retain at least one epoch");
   byte_mode_ = options_.framework.count_mode ==
@@ -138,7 +135,11 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
   FCM_REQUIRE(data_kind_ == kUnitKeys || options_.flush_batch >= 2,
               "ShardedFcmFramework: byte-count mode and the heavy-flow cache "
               "stage (key, weight) pairs and need flush_batch >= 2");
-  track_block_time_ = options_.flush_interval.count() > 0;
+  // A pair never splits across blocks, so a pair block is full one slot
+  // short of an odd flush_batch.
+  full_fill_ = common::checked_narrow<std::uint32_t>(
+      data_kind_ == kPairs ? options_.flush_batch & ~std::size_t{1}
+                           : options_.flush_batch);
   if (options_.heavy_change_threshold == 0) {
     options_.heavy_change_threshold = options_.framework.heavy_hitter_threshold;
   }
@@ -215,8 +216,7 @@ void ShardedFcmFramework::init_instruments() {
       "Staged blocks published to shard rings (all kinds)");
   instruments->partial_flushes = &registry->counter(
       "fcm_runtime_partial_flushes_total", base_labels(),
-      "Blocks published before reaching flush_batch keys (deadline flush, "
-      "rotation, stop)");
+      "Blocks published before they were full (rotation, stop)");
   instruments->rotations = &registry->counter(
       "fcm_runtime_rotations_total", base_labels(),
       "Epoch rotations requested (rotate_async calls)");
@@ -229,9 +229,6 @@ void ShardedFcmFramework::init_instruments() {
   instruments->cardinality_saturations = &registry->counter(
       "fcm_sketch_cardinality_saturations_total", base_labels(),
       "Linear-counting cardinality estimates that hit the full-table guard");
-  instruments->flush_latency_seconds = &registry->histogram(
-      "fcm_runtime_flush_latency_seconds", obs::Histogram::latency_bounds(),
-      base_labels(), "Block residency from open to publish");
   instruments->merge_seconds = &registry->histogram(
       "fcm_runtime_merge_seconds", obs::Histogram::latency_bounds(),
       base_labels(), "Coordinator N-way merge + requalify wall time");
@@ -301,7 +298,6 @@ void ShardedFcmFramework::open_block(std::size_t shard) {
   }
   open.slots = slots;
   open.fill = 0;
-  if (track_block_time_) open.opened = std::chrono::steady_clock::now();
 }
 
 void ShardedFcmFramework::publish_block(std::size_t shard) {
@@ -312,13 +308,7 @@ void ShardedFcmFramework::publish_block(std::size_t shard) {
   if (instruments_ != nullptr) {
     Instruments& ins = *instruments_;
     ins.blocks_published->inc_at(shard);
-    if (open.fill < options_.flush_batch) ins.partial_flushes->inc_at(shard);
-    if (ins.flush_latency_seconds != nullptr && track_block_time_) {
-      ins.flush_latency_seconds->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        open.opened)
-              .count());
-    }
+    if (open.fill < full_fill_) ins.partial_flushes->inc_at(shard);
   }
   open.slots = nullptr;
   open.fill = 0;
@@ -328,23 +318,17 @@ void ShardedFcmFramework::stage_unit(std::size_t shard, flow::FlowKey key) {
   OpenBlock& open = open_[shard];
   if (open.slots == nullptr) [[unlikely]] open_block(shard);
   open.slots[open.fill++] = key;
-  if (open.fill == options_.flush_batch) publish_block(shard);
+  if (open.fill == full_fill_) publish_block(shard);
 }
 
 void ShardedFcmFramework::stage_pair(std::size_t shard, flow::FlowKey key,
                                      std::uint32_t weight) {
   OpenBlock& open = open_[shard];
-  // flush_batch may be odd: a pair never splits across blocks, so publish a
-  // fill_batch-1 partial first when only one slot is left.
-  if (open.slots != nullptr &&
-      open.fill + 2 > options_.flush_batch) [[unlikely]] {
-    publish_block(shard);
-  }
   if (open.slots == nullptr) [[unlikely]] open_block(shard);
   open.slots[open.fill] = key;
   open.slots[open.fill + 1] = std::bit_cast<flow::FlowKey>(weight);
   open.fill += 2;
-  if (open.fill + 2 > options_.flush_batch) publish_block(shard);
+  if (open.fill == full_fill_) publish_block(shard);
 }
 
 void ShardedFcmFramework::stage_demotion(flow::FlowKey key,
@@ -358,15 +342,10 @@ void ShardedFcmFramework::stage_demotion(flow::FlowKey key,
   stage_pair(shard, key, common::checked_narrow<std::uint32_t>(weight));
 }
 
-std::size_t ShardedFcmFramework::route_shard(flow::FlowKey key) {
+std::size_t ShardedFcmFramework::route_shard(flow::FlowKey key) const {
   const std::size_t shard_count = shards_.size();
   if (shard_count == 1) return 0;
-  if (options_.fanout == Fanout::kHashByKey) {
-    return shard_hash_.index(key, shard_count);
-  }
-  const std::size_t shard = rr_next_;
-  rr_next_ = rr_next_ + 1 == shard_count ? 0 : rr_next_ + 1;
-  return shard;
+  return shard_hash_.index(key, shard_count);
 }
 
 void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
@@ -375,7 +354,6 @@ void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
     return;
   }
   const std::size_t shard_count = shards_.size();
-  const std::size_t block = options_.flush_batch;
   if (shard_count == 1) {
     // Single shard: no routing hash at all — memcpy runs straight into the
     // in-ring block. This is the path the 1-shard-vs-serial floor measures.
@@ -383,15 +361,15 @@ void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
     OpenBlock& open = open_[0];
     while (!rest.empty()) {
       if (open.slots == nullptr) open_block(0);
-      const std::size_t room = block - open.fill;
+      const std::size_t room = full_fill_ - open.fill;
       const std::size_t n = std::min(room, rest.size());
       std::memcpy(open.slots + open.fill, rest.data(),
                   n * sizeof(flow::FlowKey));
       open.fill += common::checked_narrow<std::uint32_t>(n);
       rest = rest.subspan(n);
-      if (open.fill == block) publish_block(0);
+      if (open.fill == full_fill_) publish_block(0);
     }
-  } else if (options_.fanout == Fanout::kHashByKey) {
+  } else {
     // Bulk shard hashing: one vectorizable index_batch per kBatchBlock chunk
     // (bit-identical to the per-item route_shard above), then scatter into
     // the per-shard open blocks.
@@ -405,8 +383,6 @@ void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
       for (std::size_t i = 0; i < n; ++i) stage_unit(shard_index[i], chunk[i]);
       rest = rest.subspan(n);
     }
-  } else {
-    for (const flow::FlowKey key : keys) stage_unit(route_shard(key), key);
   }
 }
 
@@ -428,18 +404,6 @@ void ShardedFcmFramework::ingest_packets(
   } else {
     for (const flow::Packet& packet : packets) {
       stage_unit(route_shard(packet.key), packet.key);
-    }
-  }
-}
-
-void ShardedFcmFramework::maybe_deadline_flush() {
-  if (options_.flush_interval.count() == 0) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (std::size_t s = 0; s < open_.size(); ++s) {
-    OpenBlock& open = open_[s];
-    if (open.slots != nullptr && open.fill > 0 &&
-        now - open.opened >= options_.flush_interval) {
-      publish_block(s);
     }
   }
 }
@@ -491,21 +455,18 @@ void ShardedFcmFramework::ingest(flow::FlowKey key) {
   } else {
     stage_unit(route_shard(key), key);
   }
-  maybe_deadline_flush();
 }
 
 void ShardedFcmFramework::ingest(const flow::Packet& packet) {
   driver_role_.assert_held();
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
   ingest_packets(std::span<const flow::Packet>(&packet, 1));
-  maybe_deadline_flush();
 }
 
 void ShardedFcmFramework::ingest(std::span<const flow::Packet> packets) {
   driver_role_.assert_held();
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
   ingest_packets(packets);
-  maybe_deadline_flush();
 }
 
 void ShardedFcmFramework::ingest(std::span<const flow::FlowKey> keys) {
@@ -514,7 +475,6 @@ void ShardedFcmFramework::ingest(std::span<const flow::FlowKey> keys) {
   FCM_REQUIRE(!byte_mode_,
               "ShardedFcmFramework: byte-count mode ingests packets, not keys");
   ingest_keys(keys);
-  maybe_deadline_flush();
 }
 
 // --- epoch rotation ---------------------------------------------------------
@@ -592,7 +552,7 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
             break;
           case kPairs: {
             // Weight accounting folds into the same decode loop that feeds
-            // the replica — no second sweep over the block (DESIGN.md §14).
+            // the replica — no second pass over the block.
             std::uint64_t block_weight = 0;
             framework::FcmFramework& replica = shard.replicas[shard.active];
             for (std::uint32_t i = 0; i + 1 < view.count; i += 2) {
@@ -729,9 +689,6 @@ void ShardedFcmFramework::coordinator_loop() {
     // above), so they are exactly this epoch's deltas.
     report.overflow_promotions = merged.overflow_promotion_count();
     report.cardinality = merged.cardinality();
-    if (merged.single_pass_sweep_enabled()) {
-      report.sweep_cardinality = merged.sweep_hll().estimate();
-    }
     report.heavy_hitters = merged.heavy_hitters();
     if (instruments_ != nullptr) {
       instruments_->merge_seconds->observe(merge_seconds);

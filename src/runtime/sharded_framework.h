@@ -2,8 +2,8 @@
 //
 // The paper's data plane sustains line rate because every FCM update is an
 // independent O(1) register op; this runtime recovers that parallelism in
-// software. Producer threads hash-partition traffic into per-shard blocks
-// and hand WHOLE blocks to N shard workers over lock-free block rings
+// software. One driver thread hash-partitions traffic into per-shard blocks
+// and hands WHOLE blocks to N shard workers over lock-free block rings
 // (common/block_queue.h); each worker owns a private FcmFramework replica
 // (plain FCM or FCM+TopK) and feeds popped blocks straight into the batched
 // ingest kernel (FcmFramework::process_batch), so the hot path is entirely
@@ -19,10 +19,9 @@
 // ingest bulk-hashes shard indices a kBatchBlock chunk at a time
 // (SeededHash::index_batch — the same vectorizable kernel the sketch hashes
 // use) and scatters keys into the open blocks; a block that reaches
-// flush_batch keys is published with one release store. Optional adaptive
-// flush (Options::flush_interval) publishes a partial block once it has been
-// open longer than the deadline, so trickle traffic reaches the workers with
-// bounded latency instead of waiting for a rotation.
+// flush_batch keys is published with one release store. Partial blocks are
+// published at rotation and stop(), ahead of the epoch markers, so every
+// packet lands in the epoch it was ingested into.
 //
 // Epoch double-buffering: each worker holds TWO replica generations, active
 // and draining. rotate_async() pushes an in-band epoch marker block into
@@ -34,13 +33,13 @@
 // epoch, optional EM analysis), clears the drained replicas for reuse, and
 // publishes the merged framework into a bounded history.
 //
-// Heavy hitters under sharding: a flow split across shards can cross the
-// global threshold T only in aggregate, so shard replicas record candidates
-// at ceil(T / N) (pigeonhole: a flow with true count >= T has >= ceil(T/N)
-// packets in some shard, and FCM never underestimates, so some shard records
-// it). After the merge the coordinator re-qualifies the union against the
-// merged counters at T — flows below T globally are dropped, flows that
-// cross T only after merging are kept.
+// Heavy hitters under sharding: fanout hashes the flow key, so each flow's
+// packets all reach one shard. Shard replicas record candidates at the
+// conservative ceil(T / N) (by pigeonhole, a flow with true count >= T has
+// >= ceil(T/N) packets in some shard however the stream is partitioned, and
+// FCM never underestimates). After the merge the coordinator re-qualifies
+// the union against the merged counters at T, dropping every candidate whose
+// merged estimate is below T.
 //
 // Thread discipline (machine-checked, DESIGN.md §10): ingest(),
 // rotate_async(), rotate() and stop() must all be called from ONE driver
@@ -55,7 +54,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -82,10 +80,6 @@ class ShardedFcmFramework {
     // per-shard heavy-hitter detection sees whole flows; load balance
     // follows the flow-size distribution.
     kHashByKey,
-    // Strict round-robin. Perfect load balance; flows are split across
-    // shards (merge keeps counts exact; heavy hitters rely on the ceil(T/N)
-    // per-shard threshold + post-merge re-qualification).
-    kRoundRobin,
   };
 
   struct Options {
@@ -100,14 +94,11 @@ class ShardedFcmFramework {
     // Block size: keys are staged per shard directly into the in-ring block
     // and published flush_batch at a time, so one release store covers a
     // whole process_batch-sized run. Byte-count mode and the heavy-flow
-    // cache stage (key, weight) pairs, so they need flush_batch >= 2.
+    // cache stage (key, weight) pairs, so they need flush_batch >= 2; a pair
+    // never splits, so their blocks are full at flush_batch rounded down to
+    // even. Partial blocks are published only at rotation and stop().
     std::size_t flush_batch = 64;
     Fanout fanout = Fanout::kHashByKey;
-    // Adaptive flush deadline: 0 (default) publishes blocks only when full
-    // (or at rotation/stop). > 0 bounds staging latency — a partial block
-    // older than this is published at the next ingest call, so trickle
-    // traffic reaches the workers without waiting for a rotation.
-    std::chrono::nanoseconds flush_interval{0};
     // Merged epoch snapshots retained for cross-epoch queries (>= 1).
     std::size_t retained_epochs = 4;
     // 0: reuse framework.heavy_hitter_threshold for heavy-change detection.
@@ -149,17 +140,14 @@ class ShardedFcmFramework {
   struct EpochReport {
     std::size_t index = 0;
     std::uint64_t packets = 0;
-    // Payload bytes this epoch, tallied per shard in the same worker sweep
-    // that applies the blocks (DESIGN.md §14's fold-into-one-pass rule).
+    // Payload bytes this epoch, tallied per shard in the same worker loop
+    // that applies the blocks (DESIGN.md §13.1).
     // Meaningful in kBytes mode (every pair carries its weight in bytes,
     // cache demotions included); 0 in kPackets mode, where sizes never
     // cross the rings. Also exported per shard as
     // fcm_runtime_shard_bytes_total.
     std::uint64_t bytes = 0;
     double cardinality = 0.0;
-    // HyperLogLog sidecar estimate when framework.single_pass_sweep is on
-    // (folded into the ingest sweep; exact-merged across shards), else 0.
-    double sweep_cardinality = 0.0;
     std::vector<flow::FlowKey> heavy_hitters;   // re-qualified at global T
     std::vector<flow::FlowKey> heavy_changes;   // vs. previous merged epoch
     std::optional<framework::FcmFramework::Report> analysis;
@@ -250,9 +238,6 @@ class ShardedFcmFramework {
   struct OpenBlock {
     flow::FlowKey* slots = nullptr;  // null => no block reserved
     std::uint32_t fill = 0;
-    // Set at first staging into the block when deadline flushing or the
-    // flush-latency histogram needs it.
-    std::chrono::steady_clock::time_point opened{};
   };
 
   void init_instruments();
@@ -266,15 +251,13 @@ class ShardedFcmFramework {
   // A cache demotion of any weight, as one or more pairs in its shard.
   void stage_demotion(flow::FlowKey key, std::uint64_t weight)
       FCM_REQUIRES(driver_role_);
-  std::size_t route_shard(flow::FlowKey key) FCM_REQUIRES(driver_role_);
+  std::size_t route_shard(flow::FlowKey key) const
+      FCM_REQUIRES(driver_role_);
   // Span bodies shared by the ingest overloads (cache on or off).
   void ingest_keys(std::span<const flow::FlowKey> keys)
       FCM_REQUIRES(driver_role_);
   void ingest_packets(std::span<const flow::Packet> packets)
       FCM_REQUIRES(driver_role_);
-  // Deadline flush: publishes partial blocks older than flush_interval.
-  // Checked at the end of every public ingest call.
-  void maybe_deadline_flush() FCM_REQUIRES(driver_role_);
   // Publishes every non-empty open block (partial blocks included) and hands
   // empty reserved blocks back; runs before the epoch markers and at stop().
   void flush_staging() FCM_REQUIRES(driver_role_);
@@ -291,11 +274,11 @@ class ShardedFcmFramework {
   // The one data block kind this instance stages (kPairs in byte mode or
   // with the cache on, kUnitKeys otherwise). Set once at construction.
   std::uint32_t data_kind_ = 0;
-  // Record block open timestamps (needed by deadline flushing; also feeds
-  // the flush-latency histogram). Off when flush_interval == 0 so the
-  // full-block fast path never reads the clock. Set once at construction.
-  bool track_block_time_ = false;
-  // Flow -> shard mapping (kHashByKey): one SeededHash so the per-item path
+  // Fill at which a staged block is full and published: flush_batch for
+  // unit keys, flush_batch rounded down to even for pairs. Set once at
+  // construction.
+  std::uint32_t full_fill_ = 0;
+  // Flow -> shard mapping: one SeededHash so the per-item path
   // (index) and the span path (index_batch) are bit-identical by
   // construction (common/hash.h pins that equivalence).
   common::SeededHash shard_hash_;
@@ -307,9 +290,8 @@ class ShardedFcmFramework {
   // and everything below it is driver-private state.
   common::ThreadRole driver_role_;
   bool stopped_ FCM_GUARDED_BY(driver_role_) = false;
-  // Staging: one open block per shard, and the kRoundRobin cursor.
+  // Staging: one open block per shard.
   std::vector<OpenBlock> open_ FCM_GUARDED_BY(driver_role_);
-  std::size_t rr_next_ FCM_GUARDED_BY(driver_role_) = 0;
   // Driver-side heavy-flow cache (null when cache_entries == 0) and its
   // registry series (registered only with the cache on).
   std::unique_ptr<datapath::HeavyFlowCache> cache_ FCM_GUARDED_BY(driver_role_);

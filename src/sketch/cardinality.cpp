@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/bitutil.h"
-#include "common/contracts.h"
 
 namespace fcm::sketch {
 
@@ -15,22 +14,8 @@ LinearCounting::LinearCounting(std::size_t bits, std::uint64_t seed)
   if (bits == 0) throw std::invalid_argument("LinearCounting: bits must be positive");
 }
 
-LinearCounting::LinearCounting(std::size_t bits, common::SeededHash hash)
-    : hash_(hash), bitmap_(bits, false) {
-  if (bits == 0) throw std::invalid_argument("LinearCounting: bits must be positive");
-}
-
 void LinearCounting::update(flow::FlowKey key) {
   bitmap_[hash_.index(key, bitmap_.size())] = true;
-}
-
-void LinearCounting::merge(const LinearCounting& other) {
-  FCM_REQUIRE(bitmap_.size() == other.bitmap_.size() &&
-                  hash_.seed() == other.hash_.seed(),
-              "LinearCounting::merge: mismatched geometry or hash");
-  for (std::size_t i = 0; i < bitmap_.size(); ++i) {
-    if (other.bitmap_[i]) bitmap_[i] = true;
-  }
 }
 
 std::size_t LinearCounting::zero_bits() const {
@@ -58,40 +43,20 @@ HyperLogLog::HyperLogLog(std::size_t register_count, std::uint64_t seed)
   registers_.assign(register_count, 0);
 }
 
-HyperLogLog::HyperLogLog(std::size_t register_count, common::SeededHash hash)
-    : hash_(hash) {
-  if (register_count < 16 || !common::is_power_of_two(register_count)) {
-    throw std::invalid_argument("HyperLogLog: register count must be a power of two >= 16");
-  }
-  index_bits_ = static_cast<unsigned>(std::countr_zero(register_count));
-  registers_.assign(register_count, 0);
-}
-
 HyperLogLog HyperLogLog::for_memory(std::size_t memory_bytes, std::uint64_t seed) {
   return HyperLogLog(common::round_down_pow2(memory_bytes), seed);
 }
 
 void HyperLogLog::update(flow::FlowKey key) {
   // Two independent 32-bit hashes give a 64-bit value: plenty of rank bits.
-  update_hash((static_cast<std::uint64_t>(hash_(key)) << 32) |
-              common::bob_hash_value(key, hash_.seed() ^ kAuxSeedXor));
-}
-
-void HyperLogLog::update_hash(std::uint64_t h) noexcept {
+  const std::uint64_t h =
+      (static_cast<std::uint64_t>(hash_(key)) << 32) |
+      common::bob_hash_value(key, hash_.seed() ^ kAuxSeedXor);
   const std::size_t index = h >> (64 - index_bits_);
   const std::uint64_t rest = h << index_bits_;
   const auto rank = static_cast<std::uint8_t>(
       rest == 0 ? 64 - index_bits_ + 1 : std::countl_zero(rest) + 1);
   registers_[index] = std::max(registers_[index], rank);
-}
-
-void HyperLogLog::merge(const HyperLogLog& other) {
-  FCM_REQUIRE(registers_.size() == other.registers_.size() &&
-                  hash_.seed() == other.hash_.seed(),
-              "HyperLogLog::merge: mismatched geometry or hash");
-  for (std::size_t i = 0; i < registers_.size(); ++i) {
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
-  }
 }
 
 double HyperLogLog::estimate() const {

@@ -21,27 +21,12 @@ class LinearCounting {
  public:
   explicit LinearCounting(std::size_t bits, std::uint64_t seed = 0x11c0);
 
-  // Shares an existing hash function instead of deriving one from a seed:
-  // the single-pass sweep (DESIGN.md §14) builds its sidecar with the FCM
-  // tree-0 hash so update_hash(tree0_raw_hash) ≡ update(key) bit for bit.
-  LinearCounting(std::size_t bits, common::SeededHash hash);
-
   void update(flow::FlowKey key);
-  // update() with the bob hash already in hand (h == hash()(key)).
-  void update_hash(std::uint32_t h) noexcept {
-    bitmap_[common::fast_range32(h, bitmap_.size())] = true;
-  }
   double estimate() const;
-
-  // Bitmap union — the sidecar merge. Distinct-set semantics make this
-  // exact: OR of the shards' bitmaps equals the serial run's bitmap.
-  // Requires identical geometry and hash seed (FCM_REQUIRE).
-  void merge(const LinearCounting& other);
 
   std::size_t memory_bytes() const { return bitmap_.size() / 8; }
   std::size_t bit_count() const { return bitmap_.size(); }
   std::size_t zero_bits() const;
-  common::SeededHash hash() const noexcept { return hash_; }
   void clear();
 
  private:
@@ -53,40 +38,27 @@ class LinearCounting {
 
 class HyperLogLog {
  public:
-  // The second 32-bit hash that widens update()'s value to 64 bits uses
-  // seed hash().seed() ^ kAuxSeedXor. Exposed so the single-pass sweep can
-  // compute the same aux hash in bulk and feed update_hash().
-  static constexpr std::uint32_t kAuxSeedXor = 0x9e3779b9u;
-
   // `register_count` must be a power of two >= 16. The paper's setup uses
   // 8-bit registers.
   explicit HyperLogLog(std::size_t register_count, std::uint64_t seed = 0x4211);
 
-  // Shares an existing hash function (see LinearCounting's hash ctor).
-  HyperLogLog(std::size_t register_count, common::SeededHash hash);
-
   static HyperLogLog for_memory(std::size_t memory_bytes, std::uint64_t seed = 0x4211);
 
   void update(flow::FlowKey key);
-  // update() with the 64-bit hash already assembled:
-  //   h == (u64(hash()(key)) << 32) | bob(key, hash().seed() ^ kAuxSeedXor)
-  void update_hash(std::uint64_t h) noexcept;
 
   // Standard HLL estimate with small-range (linear counting) and large-range
   // corrections.
   double estimate() const;
 
-  // Per-register max — the sidecar merge. Exact for distinct-set semantics:
-  // max over shards equals the serial run's registers. Requires identical
-  // geometry and hash seed (FCM_REQUIRE).
-  void merge(const HyperLogLog& other);
-
   std::size_t memory_bytes() const { return registers_.size(); }
-  common::SeededHash hash() const noexcept { return hash_; }
   void clear();
 
  private:
   friend class ::fcm::agg::WireCodec;
+
+  // Seed of the second 32-bit hash that widens update()'s value to 64 bits:
+  // hash_.seed() ^ kAuxSeedXor.
+  static constexpr std::uint32_t kAuxSeedXor = 0x9e3779b9u;
 
   common::SeededHash hash_;
   unsigned index_bits_;

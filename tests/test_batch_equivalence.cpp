@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -36,7 +35,6 @@
 #include "flow/packet.h"
 #include "framework/fcm_framework.h"
 #include "runtime/sharded_framework.h"
-#include "sketch/cardinality.h"
 #include "sketch/cm_sketch.h"
 
 namespace {
@@ -504,41 +502,14 @@ TEST(DispatchMatrix, IndexBatchBitExactAcrossTiers) {
     for (const std::size_t n : kMatrixSizes) {
       const auto keys = skewed_keys(n, 17 + n);
       std::vector<std::uint32_t> idx(n);
-      std::vector<std::uint32_t> raw(n);
       for (const std::size_t width : {1ul, 7ul, 2048ul, 600000ul}) {
-        hash.index_hash_batch(std::span<const FlowKey>(keys), width,
-                              std::span<std::uint32_t>(idx),
-                              std::span<std::uint32_t>(raw));
+        hash.index_batch(std::span<const FlowKey>(keys), width,
+                         std::span<std::uint32_t>(idx));
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(idx[i], hash.index(keys[i], width))
               << "tier " << fcm::common::simd::kernel_tier_name(tier)
               << " n=" << n << " width=" << width << " i=" << i;
-          ASSERT_EQ(raw[i], hash(keys[i]));
         }
-        // The raw-less overload takes the same tiered path.
-        hash.index_batch(std::span<const FlowKey>(keys), width,
-                         std::span<std::uint32_t>(idx));
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(idx[i], hash.index(keys[i], width));
-        }
-      }
-    }
-  }
-}
-
-TEST(DispatchMatrix, HashBatchMatchesScalarOperator) {
-  const fcm::common::SeededHash hash(0x9a27);
-  for (const KernelTier tier : equivalence_tiers()) {
-    ForcedTier forced(tier);
-    for (const std::size_t n : kMatrixSizes) {
-      const auto keys = skewed_keys(n, 29 + n);
-      std::vector<std::uint32_t> hashes(n);
-      hash.hash_batch(std::span<const FlowKey>(keys),
-                      std::span<std::uint32_t>(hashes));
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hashes[i], hash(keys[i]))
-            << "tier " << fcm::common::simd::kernel_tier_name(tier)
-            << " n=" << n << " i=" << i;
       }
     }
   }
@@ -719,159 +690,12 @@ TEST(DispatchMatrix, TierParsingAndEnvResolution) {
   EXPECT_EQ(resolve_kernel_tier(), probed);
 }
 
-// --- single-pass multi-query sweep (DESIGN.md §14) ---------------------------
-//
-// Options::single_pass_sweep folds the cardinality sidecars into the ingest
-// sweep, reusing tree-0's raw hashes. "Identical to the separate-pass path"
-// is literal: the sidecar state (hence every estimate) must be bit-equal to
-// LinearCounting/HyperLogLog instances fed the same keys on their own, and
-// the sketch state must be untouched by the sweep.
-
-FcmFramework::Options sweep_options() {
-  FcmFramework::Options options;
-  options.fcm = small_config();
-  options.single_pass_sweep = true;
-  options.metrics = nullptr;
-  return options;
-}
-
-TEST(SinglePassSweep, MatchesSeparatePassAcrossTiers) {
-  for (const KernelTier tier : equivalence_tiers()) {
-    ForcedTier forced(tier);
-    for (const std::size_t n : kMatrixSizes) {
-      const auto keys = skewed_keys(n, 61 + n);
-      FcmFramework swept(sweep_options());
-      FcmFramework plain(sweep_options());
-      // Batched single-pass ingest vs the scalar per-key entry point.
-      swept.process_batch(std::span<const FlowKey>(keys));
-      for (const FlowKey key : keys) plain.process(key);
-
-      // Separate-pass reference: standalone sidecars over the same hash.
-      const auto h0 = swept.sketch().tree(0).hash();
-      fcm::sketch::LinearCounting ref_lc(
-          sweep_options().sweep_linear_bits, h0);
-      fcm::sketch::HyperLogLog ref_hll(
-          sweep_options().sweep_hll_registers, h0);
-      for (const FlowKey key : keys) {
-        ref_lc.update(key);
-        ref_hll.update(key);
-      }
-
-      const char* name = fcm::common::simd::kernel_tier_name(tier).data();
-      EXPECT_EQ(swept.sweep_linear().zero_bits(), ref_lc.zero_bits())
-          << "tier " << name << " n=" << n;
-      EXPECT_EQ(swept.sweep_linear().estimate(), ref_lc.estimate());
-      EXPECT_EQ(swept.sweep_hll().estimate(), ref_hll.estimate())
-          << "tier " << name << " n=" << n;
-      // Scalar-entry sidecars agree bit for bit with the batched sweep.
-      EXPECT_EQ(plain.sweep_linear().zero_bits(),
-                swept.sweep_linear().zero_bits());
-      EXPECT_EQ(plain.sweep_hll().estimate(), swept.sweep_hll().estimate());
-      // And the sweep changed nothing in the sketch itself.
-      expect_sketch_identical(plain.sketch(), swept.sketch());
-    }
-  }
-}
-
-TEST(SinglePassSweep, WeightedAndByteModeCountDistinctFlows) {
-  // Weighted inserts and byte-mode packets update the sidecars once per
-  // call — bit-identical to the separate-pass sidecars fed one update per
-  // packet, because repeated updates of one key are idempotent.
-  const auto keys = skewed_keys(500, 83, 64);
-
-  FcmFramework::Options byte_options = sweep_options();
-  byte_options.count_mode = FcmFramework::CountMode::kBytes;
-  FcmFramework bytes_fw(byte_options);
-  FcmFramework weighted_fw(sweep_options());
-  for (const FlowKey key : keys) {
-    bytes_fw.process(Packet{key, 1400, 0});
-    weighted_fw.process_weighted(key, 37);
-  }
-
-  const auto h0 = bytes_fw.sketch().tree(0).hash();
-  fcm::sketch::LinearCounting ref_lc(sweep_options().sweep_linear_bits, h0);
-  fcm::sketch::HyperLogLog ref_hll(sweep_options().sweep_hll_registers, h0);
-  for (const FlowKey key : keys) {
-    ref_lc.update(key);
-    ref_hll.update(key);
-  }
-  EXPECT_EQ(bytes_fw.sweep_linear().zero_bits(), ref_lc.zero_bits());
-  EXPECT_EQ(bytes_fw.sweep_hll().estimate(), ref_hll.estimate());
-  EXPECT_EQ(weighted_fw.sweep_linear().zero_bits(), ref_lc.zero_bits());
-  EXPECT_EQ(weighted_fw.sweep_hll().estimate(), ref_hll.estimate());
-}
-
-TEST(SinglePassSweep, MergeAndResetPreserveSidecars) {
-  const auto keys = skewed_keys(4000, 91, 700);
-  const std::size_t half = keys.size() / 2;
-
-  FcmFramework left(sweep_options());
-  FcmFramework right(sweep_options());
-  FcmFramework whole(sweep_options());
-  left.process_batch(std::span<const FlowKey>(keys).subspan(0, half));
-  right.process_batch(std::span<const FlowKey>(keys).subspan(half));
-  whole.process_batch(std::span<const FlowKey>(keys));
-
-  left.merge(right);
-  EXPECT_EQ(left.sweep_linear().zero_bits(), whole.sweep_linear().zero_bits());
-  EXPECT_EQ(left.sweep_linear().estimate(), whole.sweep_linear().estimate());
-  EXPECT_EQ(left.sweep_hll().estimate(), whole.sweep_hll().estimate());
-  expect_trees_identical(left.sketch(), whole.sketch());
-
-  left.reset();
-  EXPECT_EQ(left.sweep_linear().zero_bits(),
-            sweep_options().sweep_linear_bits);
-}
-
-TEST(SinglePassSweep, ShardedSweepMatchesSerialSinglePass) {
-  // The sweep rides the sharded workers' process_batch calls; the exact
-  // OR/max sidecar merges make each merged epoch's sidecars bit-equal to a
-  // serial single-pass framework fed that epoch's keys. Runs under TSan via
-  // the sanitizer jobs (worker threads + coordinator merge).
-  const auto keys = skewed_keys(20000, 131, 1500);
-  const std::size_t half = keys.size() / 2;
-
-  for (const std::size_t shards : {1ul, 4ul}) {
-    ShardedFcmFramework::Options options;
-    options.framework = sweep_options();
-    options.metrics = nullptr;
-    options.shard_count = shards;
-    ShardedFcmFramework sharded(options);
-
-    std::span<const FlowKey> all(keys);
-    sharded.ingest(all.subspan(0, half));
-    const std::size_t epoch0 = sharded.rotate_async();
-    sharded.ingest(all.subspan(half));
-    const std::size_t epoch1 = sharded.rotate_async();
-    const auto report0 = sharded.wait_epoch(epoch0);
-    sharded.wait_epoch(epoch1);
-
-    FcmFramework serial0(sweep_options());
-    serial0.process_batch(all.subspan(0, half));
-    FcmFramework serial1(sweep_options());
-    serial1.process_batch(all.subspan(half));
-
-    const FcmFramework merged0 = sharded.merged_epoch(1);
-    const FcmFramework merged1 = sharded.merged_epoch(0);
-    EXPECT_EQ(merged0.sweep_linear().zero_bits(),
-              serial0.sweep_linear().zero_bits())
-        << "shards=" << shards;
-    EXPECT_EQ(merged0.sweep_hll().estimate(), serial0.sweep_hll().estimate());
-    EXPECT_EQ(merged1.sweep_linear().zero_bits(),
-              serial1.sweep_linear().zero_bits());
-    EXPECT_EQ(merged1.sweep_hll().estimate(), serial1.sweep_hll().estimate());
-    // The report surfaces the HLL sidecar estimate directly.
-    EXPECT_EQ(report0.sweep_cardinality, serial0.sweep_hll().estimate());
-    expect_trees_identical(merged0.sketch(), serial0.sketch());
-    sharded.stop();
-  }
-}
-
-TEST(SinglePassSweep, ShardedByteModeReportsBytes) {
+TEST(BatchEquivalence, ShardedByteModeReportsBytes) {
   // Byte accounting folded into the worker's block-apply sweep: the epoch
   // report's bytes equal the exact sum of ingested packet sizes.
   ShardedFcmFramework::Options options;
-  options.framework = sweep_options();
+  options.framework.fcm = small_config();
+  options.framework.metrics = nullptr;
   options.framework.count_mode = FcmFramework::CountMode::kBytes;
   options.metrics = nullptr;
   options.shard_count = 2;
@@ -891,34 +715,6 @@ TEST(SinglePassSweep, ShardedByteModeReportsBytes) {
   const auto report = sharded.wait_epoch(sharded.rotate_async());
   EXPECT_EQ(report.bytes, total_bytes);
   EXPECT_EQ(report.packets, packets.size());
-}
-
-TEST(BatchEquivalence, ShardedAdaptiveFlushStillBitExact) {
-  // A 1ns deadline forces a partial-block publish at EVERY ingest call — the
-  // maximally adversarial flush schedule. Early publication must be a pure
-  // latency change: merged state identical to the batch-only run and to
-  // serial.
-  const auto keys = skewed_keys(5000, 321, 900);
-  ShardedFcmFramework::Options options;
-  options.framework.fcm = small_config();
-  options.framework.metrics = nullptr;
-  options.metrics = nullptr;
-  options.shard_count = 4;
-  options.flush_interval = std::chrono::nanoseconds(1);
-  ShardedFcmFramework sharded(options);
-
-  std::span<const FlowKey> rest(keys);
-  while (!rest.empty()) {
-    const std::size_t n = std::min<std::size_t>(17, rest.size());
-    sharded.ingest(rest.subspan(0, n));
-    rest = rest.subspan(n);
-  }
-  sharded.rotate();
-
-  FcmFramework::Options serial_options = options.framework;
-  FcmFramework serial(serial_options);
-  serial.process_batch(std::span<const FlowKey>(keys));
-  expect_trees_identical(serial.sketch(), sharded.merged_epoch(0).sketch());
 }
 
 }  // namespace

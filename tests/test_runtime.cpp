@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <random>
@@ -213,8 +212,8 @@ TEST(BlockQueue, ThreadedBlockHandoffDeliversEveryBlockInOrder) {
 
 // The acceptance criterion: for N in {1,2,4,8}, ingesting a fixed-seed trace
 // through N shards and merging yields count queries bit-exact equal to one
-// serial framework. Round-robin fanout splits individual flows across
-// shards, which is the adversarial case for merge correctness.
+// serial framework. (Flows split across shards, the adversarial case for
+// merge correctness, are covered by test_merge.)
 TEST(ShardedRuntime, MergedCountsBitExactVersusSerialForAllShardCounts) {
   const std::vector<Packet> trace = fixed_trace(0xfcf1ed);
   const std::vector<FlowKey> keys = distinct_keys(trace);
@@ -227,7 +226,6 @@ TEST(ShardedRuntime, MergedCountsBitExactVersusSerialForAllShardCounts) {
     ShardedFcmFramework::Options options;
     options.framework = small_framework_options();
     options.shard_count = shard_count;
-    options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
 
     ShardedFcmFramework sharded(options);
     for (const Packet& packet : trace) sharded.ingest(packet.key);
@@ -283,7 +281,6 @@ TEST(ShardedRuntime, ByteModeCountsBytesExactly) {
   ShardedFcmFramework::Options options;
   options.framework = fw;
   options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
   sharded.ingest(std::span<const Packet>(trace));
   sharded.rotate();
@@ -309,7 +306,6 @@ TEST(ShardedRuntime, TopKModeNeverUnderestimatesAndMatchesSerialHeavyFlows) {
   ShardedFcmFramework::Options options;
   options.framework = fw;
   options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
   for (const Packet& packet : trace) sharded.ingest(packet.key);
   const auto report = sharded.rotate();
@@ -332,11 +328,11 @@ TEST(ShardedRuntime, TopKModeNeverUnderestimatesAndMatchesSerialHeavyFlows) {
 
 // --- heavy hitters across shards --------------------------------------------
 
-// Runtime-level regression for the satellite: a flow that crosses the global
-// threshold only in aggregate (each shard sees < T) must still be reported,
-// and flows below T globally must not be (candidates are re-qualified
-// against the merged sketch, deduplicated).
-TEST(ShardedRuntime, HeavyHitterCrossesThresholdOnlyAfterMerge) {
+// Shard replicas record candidates at ceil(T/N); the merged report must hold
+// each flow at >= T exactly once and nothing below ceil(T/N) (candidates are
+// re-qualified against the merged sketch at T, deduplicated). Split-flow
+// re-qualification is covered by test_merge's split_flow case.
+TEST(ShardedRuntime, HeavyHittersRequalifiedAtGlobalThreshold) {
   constexpr std::uint64_t kThreshold = 400;
   FcmFramework::Options fw = small_framework_options();
   fw.heavy_hitter_threshold = kThreshold;
@@ -344,22 +340,21 @@ TEST(ShardedRuntime, HeavyHitterCrossesThresholdOnlyAfterMerge) {
   ShardedFcmFramework::Options options;
   options.framework = fw;
   options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
 
-  const FlowKey split_flow{0x0a000001};   // 600 packets, 150 per shard < 400
+  const FlowKey heavy_flow{0x0a000001};   // 600 packets: above T
   const FlowKey small_flow{0x0a000002};   // 200 packets: below T globally
   const FlowKey tiny_flow{0x0a000003};    // 80 packets: below even ceil(T/N)
-  for (int i = 0; i < 600; ++i) sharded.ingest(split_flow);
+  for (int i = 0; i < 600; ++i) sharded.ingest(heavy_flow);
   for (int i = 0; i < 200; ++i) sharded.ingest(small_flow);
   for (int i = 0; i < 80; ++i) sharded.ingest(tiny_flow);
 
   const auto report = sharded.rotate();
   const auto& hh = report.heavy_hitters;
-  EXPECT_TRUE(std::find(hh.begin(), hh.end(), split_flow) != hh.end())
-      << "flow crossing T only after merging was dropped";
+  EXPECT_TRUE(std::find(hh.begin(), hh.end(), heavy_flow) != hh.end())
+      << "flow above T was dropped";
   EXPECT_TRUE(std::find(hh.begin(), hh.end(), tiny_flow) == hh.end());
-  // No duplicates even though several shards recorded the same candidate.
+  // No duplicates in the union of the shards' candidate sets.
   auto sorted = hh;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
@@ -385,7 +380,6 @@ TEST(ShardedRuntime, BackToBackEpochsEachMatchTheirSerialWindow) {
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   options.retained_epochs = 2;
   ShardedFcmFramework sharded(options);
 
@@ -420,7 +414,6 @@ TEST(ShardedRuntime, HeavyChangesReportedAcrossEpochs) {
   ShardedFcmFramework::Options options;
   options.framework = fw;
   options.shard_count = 2;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
 
   const FlowKey surging{0xc0ffee01};
@@ -537,7 +530,6 @@ TEST(ShardedRuntime, TinyQueueBackpressureLosesNothing) {
   options.shard_count = 4;
   options.queue_capacity = 64;  // force constant ring-full backpressure
   options.flush_batch = 16;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
 
   const std::vector<Packet> trace = fixed_trace(0x7e57, 30000, 1000);
@@ -717,50 +709,66 @@ TEST(ShardedRuntime, CacheDemotionHeavierThanU32SumsBackExactly) {
   EXPECT_EQ(merged.flow_size(key), serial.flow_size(key));
 }
 
-// --- adaptive flush -----------------------------------------------------------
+// --- partial blocks -----------------------------------------------------------
 
-// Trickle traffic: far fewer keys than flush_batch, NO rotation. With
-// flush_interval set, the deadline flush must publish the partial block, so
-// the per-shard packet counter advances while the epoch is still open. (With
-// flush_interval == 0 these keys would sit staged until rotate/stop.)
-TEST(ShardedRuntime, AdaptiveFlushPublishesPartialBlocksBeforeRotation) {
+// Trickle traffic: far fewer keys than flush_batch. The partial block stays
+// staged while the epoch is open and is published at rotation, ahead of the
+// marker, so every key lands in the epoch it was ingested into.
+TEST(ShardedRuntime, TrickleReachesItsEpochAtRotation) {
   fcm::obs::MetricsRegistry registry;
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.shard_count = 1;
   options.flush_batch = 64;
-  options.flush_interval = std::chrono::milliseconds(1);
   options.metrics = &registry;
   options.metrics_instance = "trickle";
   ShardedFcmFramework sharded(options);
 
   // The series the runtime publishes into (idempotent lookup by name+labels).
-  fcm::obs::Counter& shard_packets = registry.counter(
-      "fcm_runtime_shard_packets_total", {{"instance", "trickle"}, {"shard", "0"}});
   fcm::obs::Counter& partial_flushes =
       registry.counter("fcm_runtime_partial_flushes_total", {{"instance", "trickle"}});
 
-  for (std::uint32_t i = 1; i <= 5; ++i) sharded.ingest(FlowKey{i});
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  // This call finds the staged block past its deadline and publishes it
-  // (6 keys, block size 64 — a partial block by a wide margin).
-  sharded.ingest(FlowKey{6});
+  for (std::uint32_t i = 1; i <= 6; ++i) sharded.ingest(FlowKey{i});
+  EXPECT_EQ(partial_flushes.value(), 0u);
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (shard_packets.value() < 6 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(shard_packets.value(), 6u)
-      << "partial block never reached the worker without a rotation";
-  EXPECT_GE(partial_flushes.value(), 1u);
-
-  // The early publish must not change results.
-  sharded.rotate();
+  const auto report = sharded.rotate();
+  EXPECT_EQ(partial_flushes.value(), 1u);
+  EXPECT_EQ(report.packets, 6u);
   for (std::uint32_t i = 1; i <= 6; ++i) {
     EXPECT_EQ(sharded.flow_size(FlowKey{i}), 1u);
   }
+}
+
+// A (key, bytes) pair never splits across blocks, so with an odd flush_batch
+// a pair block is full one slot short: it must be published as full, not
+// counted as a partial flush.
+TEST(ShardedRuntime, OddFlushBatchPairBlocksAreFull) {
+  fcm::obs::MetricsRegistry registry;
+  ShardedFcmFramework::Options options;
+  options.framework = small_framework_options();
+  options.framework.count_mode = FcmFramework::CountMode::kBytes;
+  options.shard_count = 1;
+  options.flush_batch = 5;
+  options.metrics = &registry;
+  options.metrics_instance = "odd";
+  ShardedFcmFramework sharded(options);
+
+  fcm::obs::Counter& blocks_published =
+      registry.counter("fcm_runtime_blocks_published_total", {{"instance", "odd"}});
+  fcm::obs::Counter& partial_flushes =
+      registry.counter("fcm_runtime_partial_flushes_total", {{"instance", "odd"}});
+
+  std::uint64_t total_bytes = 0;
+  for (std::uint32_t i = 1; i <= 8; ++i) {
+    const Packet packet{FlowKey{i}, 100 + i, 0};
+    sharded.ingest(packet);
+    total_bytes += packet.bytes;
+  }
+  const auto report = sharded.rotate();
+
+  EXPECT_EQ(blocks_published.value(), 4u);  // two pairs per block
+  EXPECT_EQ(partial_flushes.value(), 0u);
+  EXPECT_EQ(report.bytes, total_bytes);
 }
 
 // --- occupancy ----------------------------------------------------------------
@@ -769,7 +777,6 @@ TEST(ShardedRuntime, QueueHighWaterReportsPerShardFractions) {
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.shard_count = 2;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
   const std::vector<Packet> trace = fixed_trace(0x44, 20000, 800);
   for (const Packet& packet : trace) sharded.ingest(packet.key);
@@ -803,9 +810,6 @@ TEST(ShardedRuntime, RejectsInvalidOptions) {
                }),
                ContractViolation);
   EXPECT_THROW(make([](auto& o) { o.retained_epochs = 0; }), ContractViolation);
-  EXPECT_THROW(
-      make([](auto& o) { o.flush_interval = std::chrono::nanoseconds(-1); }),
-      ContractViolation);
   // Byte mode stages (key, bytes) pairs: a 1-slot block cannot hold one.
   EXPECT_THROW(make([](auto& o) {
                  o.framework.count_mode = FcmFramework::CountMode::kBytes;

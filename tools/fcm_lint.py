@@ -113,7 +113,7 @@ Rules:
                    Additionally, the span-ingest bodies (``ingest``,
                    ``ingest_keys``, ``ingest_packets``, ``stage_*``,
                    ``offer_cached``, ``drain_cache``, ``flush_staging``,
-                   ``maybe_deadline_flush``, ``flush``) may not call per-item
+                   ``flush``) may not call per-item
                    ``try_push``/``try_push_bulk``: the hand-off is
                    whole blocks through ``BlockQueue::try_open``/
                    ``publish`` — per-packet queue pushes reintroduce the
@@ -286,7 +286,6 @@ STAGING_INGEST_FN_NAMES = {
     "offer_cached",
     "drain_cache",
     "flush_staging",
-    "maybe_deadline_flush",
     "flush",
 }
 
