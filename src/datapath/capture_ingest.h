@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 
@@ -41,12 +42,19 @@ struct DecodedCapture {
 
 // Decodes an in-memory capture. Packet bytes are the ORIGINAL wire length
 // (so kBytes-mode frameworks measure real traffic volume even for sliced
-// captures). Throws PcapError only for structural pre-packet damage; every
-// mid-stream problem lands in stats.
-DecodedCapture decode_capture(std::span<const std::byte> data);
+// captures). Throws PcapError only for structural pre-packet damage (empty
+// input included); every mid-stream problem lands in stats.
+//
+// Runs the same refill loop as load_capture, copying at most `chunk_bytes`
+// (> 0) of `data` per refill; the default feeds the whole span at once.
+// Every chunk size yields the same trace and ledger.
+DecodedCapture decode_capture(
+    std::span<const std::byte> data,
+    std::size_t chunk_bytes = std::numeric_limits<std::size_t>::max());
 
-// Reads `path` fully and decodes it. Throws std::runtime_error on I/O
-// failure, PcapError as above.
+// Streams the file at `path` through a reusable 1 MiB buffer and decodes it;
+// the buffer grows only for a record or block larger than itself. Throws
+// std::runtime_error on I/O failure, PcapError as above.
 DecodedCapture load_capture(const std::string& path);
 
 // Publishes the decode ledger as fcm_datapath_* counters (hit the same

@@ -41,12 +41,12 @@ const char* to_string(RecordOutcome outcome) {
     case RecordOutcome::kEndOfCapture: return "end-of-capture";
     case RecordOutcome::kTruncated: return "truncated";
     case RecordOutcome::kMalformedTerminal: return "malformed-terminal";
+    case RecordOutcome::kNeedMoreInput: return "need-more-input";
   }
   return "unknown";
 }
 
 PcapReader::PcapReader(std::span<const std::byte> data) : cursor_(data) {
-  FCM_REQUIRE(!data.empty(), "PcapReader: empty capture buffer");
   if (!cursor_.can_read(4)) throw PcapError("pcap: shorter than any magic");
   const std::uint32_t magic = ByteCursor(cursor_.peek_bytes(4)).u32le();
   switch (magic) {
@@ -79,22 +79,41 @@ void PcapReader::parse_classic_header() {
   }
 }
 
+void PcapReader::refill(std::span<const std::byte> data, bool final) {
+  cursor_ = ByteCursor(data);
+  final_ = final;
+}
+
 RecordOutcome PcapReader::next(RawRecord& out) {
   if (terminated_) return RecordOutcome::kEndOfCapture;
   const RecordOutcome outcome = format_ == Format::kPcapNg
                                     ? next_pcapng(out)
                                     : next_classic(out);
-  if (outcome != RecordOutcome::kRecord) terminated_ = true;
+  if (outcome != RecordOutcome::kRecord &&
+      outcome != RecordOutcome::kNeedMoreInput) {
+    terminated_ = true;
+  }
   return outcome;
+}
+
+// The chunk ran out exactly on a record boundary.
+RecordOutcome PcapReader::end_of_chunk() const noexcept {
+  return final_ ? RecordOutcome::kEndOfCapture : RecordOutcome::kNeedMoreInput;
+}
+
+// The chunk ends inside the record or block at the cursor, which is left
+// unconsumed. Only the final chunk makes that a truncation.
+RecordOutcome PcapReader::cut_short() noexcept {
+  if (!final_) return RecordOutcome::kNeedMoreInput;
+  ++stats_.truncated;
+  return RecordOutcome::kTruncated;
 }
 
 RecordOutcome PcapReader::next_classic(RawRecord& out) {
   for (;;) {
-    if (cursor_.remaining() == 0) return RecordOutcome::kEndOfCapture;
-    if (!cursor_.can_read(16)) {
-      ++stats_.truncated;
-      return RecordOutcome::kTruncated;
-    }
+    if (cursor_.remaining() == 0) return end_of_chunk();
+    if (!cursor_.can_read(16)) return cut_short();
+    const ByteCursor record_start = cursor_;
     const std::uint64_t seconds = cursor_.u32(big_endian_);
     const std::uint64_t subsecond = cursor_.u32(big_endian_);
     const std::uint32_t capture_length = cursor_.u32(big_endian_);
@@ -106,8 +125,8 @@ RecordOutcome PcapReader::next_classic(RawRecord& out) {
       return RecordOutcome::kMalformedTerminal;
     }
     if (!cursor_.can_read(capture_length)) {
-      ++stats_.truncated;
-      return RecordOutcome::kTruncated;
+      cursor_ = record_start;  // the body arrives with the next chunk
+      return cut_short();
     }
     const std::uint64_t subsecond_limit =
         nanosecond_ ? kNanosPerSecond : 1'000'000;
@@ -211,11 +230,8 @@ bool PcapReader::parse_simple_packet(ByteCursor body, std::size_t body_size,
 
 RecordOutcome PcapReader::next_pcapng(RawRecord& out) {
   for (;;) {
-    if (cursor_.remaining() == 0) return RecordOutcome::kEndOfCapture;
-    if (!cursor_.can_read(12)) {
-      ++stats_.truncated;
-      return RecordOutcome::kTruncated;
-    }
+    if (cursor_.remaining() == 0) return end_of_chunk();
+    if (!cursor_.can_read(12)) return cut_short();
     ByteCursor head(cursor_.peek_bytes(12));
     const std::uint32_t type_le = head.u32le();
     const std::uint32_t length_word_le = head.u32le();
@@ -244,10 +260,7 @@ RecordOutcome PcapReader::next_pcapng(RawRecord& out) {
       ++stats_.malformed_terminal;
       return RecordOutcome::kMalformedTerminal;
     }
-    if (!cursor_.can_read(total_length)) {
-      ++stats_.truncated;
-      return RecordOutcome::kTruncated;
-    }
+    if (!cursor_.can_read(total_length)) return cut_short();
     ByteCursor block = cursor_.sub(total_length);
     block.skip(8);  // type + leading length
     const std::size_t body_size = total_length - 12;

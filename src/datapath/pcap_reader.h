@@ -8,7 +8,8 @@
 // plus skip/terminate decisions for damage encountered mid-stream. Nothing
 // in here is undefined behavior on any byte sequence (the hostile-capture
 // suite in tests/test_pcap.cpp sweeps every truncation prefix and seeded
-// corruption under ASan/UBSan).
+// corruption under ASan/UBSan, at chunk sizes down to one byte). The reader
+// is resumable: refill() feeds it a streamed capture chunk by chunk.
 #pragma once
 
 #include <cstddef>
@@ -41,12 +42,13 @@ struct RawRecord {
 
 // What next() found. kTruncated and kMalformedTerminal end the stream (the
 // reader cannot resync); recoverable per-record damage is skipped internally
-// and counted in CaptureStats, so callers only ever see these four.
+// and counted in CaptureStats, so callers only ever see these five.
 enum class RecordOutcome : std::uint8_t {
   kRecord,             // `out` holds a packet
   kEndOfCapture,       // clean end of input
   kTruncated,          // record header or body cut off by end of input
   kMalformedTerminal,  // structurally inconsistent lengths; cannot resync
+  kNeedMoreInput,      // non-final chunk ends inside a record; refill()
 };
 
 const char* to_string(RecordOutcome outcome);
@@ -73,14 +75,29 @@ class PcapReader {
   // snaplens top out at 256 KiB, so anything past 64 MiB is corruption.
   static constexpr std::uint32_t kMaxCaptureLength = 1u << 26;
 
-  // Sniffs the format from `data` (which must outlive the reader). Throws
-  // PcapError when the input cannot be a capture file at all.
+  // Sniffs the format from `data` (which must outlive the reader) and treats
+  // it as the whole, final input, so next() never returns kNeedMoreInput.
+  // Throws PcapError when the input cannot be a capture file at all
+  // (including empty input). A classic global header is the first 24 bytes,
+  // so `data` must hold min(24, capture size) bytes for streaming callers.
   explicit PcapReader(std::span<const std::byte> data);
 
   // Pulls the next packet. Returns kRecord and fills `out`, or a terminal
   // outcome (see RecordOutcome). Recoverable damage is skipped silently and
-  // counted; call stats() for the tally.
+  // counted; call stats() for the tally. On a non-final chunk a record or
+  // block cut by the chunk end is left unconsumed and kNeedMoreInput is
+  // returned; only the final chunk counts it as truncated.
   RecordOutcome next(RawRecord& out);
+
+  // Bytes of the current chunk consumed so far: every complete record or
+  // block before the cut that made next() return kNeedMoreInput.
+  std::size_t consumed() const noexcept { return cursor_.offset(); }
+
+  // Resumes on a new chunk that starts with the unconsumed bytes of the old
+  // one (data[consumed(), end)) followed by fresh input. Format, byte order,
+  // section and interface state and the stats carry over. `final` marks the
+  // chunk that ends the capture.
+  void refill(std::span<const std::byte> data, bool final);
 
   const CaptureStats& stats() const noexcept { return stats_; }
   bool is_pcapng() const noexcept { return format_ == Format::kPcapNg; }
@@ -100,6 +117,8 @@ class PcapReader {
   void parse_section_header(ByteCursor block_body, bool first_section);
   RecordOutcome next_classic(RawRecord& out);
   RecordOutcome next_pcapng(RawRecord& out);
+  RecordOutcome end_of_chunk() const noexcept;
+  RecordOutcome cut_short() noexcept;
   bool parse_interface_block(ByteCursor body);
   bool parse_enhanced_packet(ByteCursor body, std::size_t body_size,
                              RawRecord& out);
@@ -111,6 +130,7 @@ class PcapReader {
   bool big_endian_ = false;
   bool nanosecond_ = false;       // classic: magic selects ns sub-second units
   bool terminated_ = false;       // a terminal outcome was already returned
+  bool final_ = true;             // the current chunk ends the capture
   bool section_seen_ = false;     // pcapng: at least one SHB fully parsed
   std::uint32_t snaplen_ = 0;     // classic global header snaplen
   std::uint32_t link_type_ = kLinkTypeEthernet;  // classic global link type

@@ -10,6 +10,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -864,22 +866,89 @@ Bytes good_pcapng_capture(bool be) {
   return capture;
 }
 
-// Runs the whole ingest pipeline over arbitrary bytes; the only acceptable
-// escapes are PcapError (structural) and typed outcomes. Returns how many
-// packets decoded, so sweeps can assert monotone-ish behavior.
-std::size_t ingest_survives(std::span<const std::byte> data) {
-  if (data.empty()) return 0;  // PcapReader contract requires nonempty input
-  try {
-    const DecodedCapture decoded = datapath::decode_capture(data);
-    const CaptureStats& stats = decoded.stats.capture;
-    // Ledger sanity: everything next() saw is accounted somewhere.
-    EXPECT_EQ(stats.records,
-              decoded.stats.parsed + decoded.stats.parse_failures());
-    EXPECT_LE(stats.malformed_terminal, 1u);
-    return decoded.trace.size();
-  } catch (const PcapError&) {
-    return 0;  // structural rejection is a valid outcome for damaged input
+// Chunk sizes the refill loop is driven at, besides the whole span: every
+// record header, record body and pcapng block gets cut at many offsets.
+constexpr std::size_t kBatteryChunkSizes[] = {1, 2, 3, 5, 16, 61};
+
+// A chunked decode must match the whole-buffer decode packet for packet and
+// ledger field for ledger field.
+void expect_same_decode(const DecodedCapture& whole,
+                        const DecodedCapture& chunked, std::size_t chunk) {
+  const std::span<const flow::Packet> expected = whole.trace.packets();
+  const std::span<const flow::Packet> actual = chunked.trace.packets();
+  ASSERT_EQ(actual.size(), expected.size()) << "chunk " << chunk;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "chunk " << chunk << " packet " << i);
+    ASSERT_EQ(actual[i].key, expected[i].key);
+    ASSERT_EQ(actual[i].bytes, expected[i].bytes);
+    ASSERT_EQ(actual[i].timestamp_ns, expected[i].timestamp_ns);
   }
+  const datapath::DecodeStats& want = whole.stats;
+  const datapath::DecodeStats& got = chunked.stats;
+  EXPECT_EQ(got.capture_end, want.capture_end) << "chunk " << chunk;
+  EXPECT_EQ(got.capture.records, want.capture.records) << "chunk " << chunk;
+  EXPECT_EQ(got.capture.truncated, want.capture.truncated) << "chunk " << chunk;
+  EXPECT_EQ(got.capture.malformed_skipped, want.capture.malformed_skipped)
+      << "chunk " << chunk;
+  EXPECT_EQ(got.capture.malformed_terminal, want.capture.malformed_terminal)
+      << "chunk " << chunk;
+  EXPECT_EQ(got.capture.blocks_skipped, want.capture.blocks_skipped)
+      << "chunk " << chunk;
+  EXPECT_EQ(got.parsed, want.parsed) << "chunk " << chunk;
+  EXPECT_EQ(got.parse_outcomes, want.parse_outcomes) << "chunk " << chunk;
+}
+
+// Runs the whole ingest pipeline over arbitrary bytes; the only acceptable
+// escapes are PcapError (structural) and typed outcomes. Every battery chunk
+// size must reproduce the whole-buffer result, error message included.
+// Returns how many packets decoded, so sweeps can assert monotone-ish
+// behavior.
+std::size_t ingest_survives(std::span<const std::byte> data) {
+  DecodedCapture whole;
+  try {
+    whole = datapath::decode_capture(data);
+  } catch (const PcapError& error) {
+    // Structural rejection is a valid outcome for damaged input.
+    for (const std::size_t chunk : kBatteryChunkSizes) {
+      try {
+        datapath::decode_capture(data, chunk);
+        ADD_FAILURE() << "chunk " << chunk << " decoded what the whole buffer "
+                      << "rejected: " << error.what();
+      } catch (const PcapError& chunked_error) {
+        EXPECT_STREQ(chunked_error.what(), error.what()) << "chunk " << chunk;
+      }
+    }
+    return 0;
+  }
+  const CaptureStats& stats = whole.stats.capture;
+  // Ledger sanity: everything next() saw is accounted somewhere.
+  EXPECT_EQ(stats.records, whole.stats.parsed + whole.stats.parse_failures());
+  EXPECT_LE(stats.malformed_terminal, 1u);
+  for (const std::size_t chunk : kBatteryChunkSizes) {
+    expect_same_decode(whole, datapath::decode_capture(data, chunk), chunk);
+  }
+  return whole.trace.size();
+}
+
+TEST(HostileCapture, EmptyCaptureIsStructuralError) {
+  const Bytes empty;
+  EXPECT_THROW(PcapReader{as_span(empty)}, PcapError);
+  EXPECT_THROW(datapath::decode_capture(empty, 1), PcapError);
+  try {
+    datapath::decode_capture(empty);
+    ADD_FAILURE() << "empty span decoded";
+  } catch (const PcapError& error) {
+    EXPECT_STREQ(error.what(), "pcap: shorter than any magic");
+  }
+  const std::string path = testing::TempDir() + "fcm_test_pcap_empty.pcap";
+  std::ofstream(path, std::ios::binary | std::ios::trunc).close();
+  try {
+    datapath::load_capture(path);
+    ADD_FAILURE() << "zero-byte file decoded";
+  } catch (const PcapError& error) {
+    EXPECT_STREQ(error.what(), "pcap: shorter than any magic");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(HostileCapture, EveryPrefixTruncationSweep) {
@@ -1007,6 +1076,89 @@ TEST(CaptureIngest, CommittedFixtureDecodesWithCleanLedger) {
   // The generator plants a handful of deliberate non-IP frames.
   EXPECT_GT(decoded.stats.parse_failures(), 0u);
   EXPECT_LT(decoded.stats.parse_failures(), decoded.stats.parsed / 10);
+}
+
+// load_capture reads through a 1 MiB buffer. The captures below are large
+// enough that it refills mid-record, or must grow for one block.
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+// Writes `capture` to a temp file, loads it, and checks the result against
+// decode_capture on the same bytes.
+DecodedCapture load_matches_decode(const Bytes& capture,
+                                   const std::string& name) {
+  const std::string path = testing::TempDir() + name;
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(capture.data()),
+             static_cast<std::streamsize>(capture.size()));
+  DecodedCapture loaded = datapath::load_capture(path);
+  std::remove(path.c_str());
+  expect_same_decode(datapath::decode_capture(capture), loaded, kMiB);
+  return loaded;
+}
+
+// A TCP frame padded with `padding` payload bytes.
+Bytes padded_frame(std::uint32_t src_ip, std::size_t padding) {
+  Bytes frame = tcp4_frame(src_ip, 0x0a000002, 1000, 80);
+  frame.resize(frame.size() + padding, std::byte{0xab});
+  return frame;
+}
+
+TEST(CaptureIngest, LoadCaptureMatchesDecodeAcrossRefills) {
+  const bool be = false;
+  Bytes capture = classic_header(be, false);
+  common::Xoshiro256 rng(0x5eed);
+  std::uint32_t records = 0;
+  while (capture.size() < 3 * kMiB + kMiB / 2) {
+    Bytes frame = padded_frame(records % 4096, rng.next() % 1400);
+    // No record may end exactly on a 1 MiB file offset, so one straddles
+    // each of those edges.
+    if ((capture.size() + 16 + frame.size()) % kMiB == 0) put8(frame, 0);
+    classic_record(capture, be, records, records % 1'000'000, frame);
+    ++records;
+  }
+  const DecodedCapture loaded =
+      load_matches_decode(capture, "fcm_test_pcap_refill.pcap");
+  EXPECT_EQ(loaded.stats.capture_end, RecordOutcome::kEndOfCapture);
+  EXPECT_EQ(loaded.stats.capture.records, records);
+  EXPECT_EQ(loaded.stats.parsed, records);
+}
+
+TEST(CaptureIngest, LoadCaptureGrowsForBlockLargerThanBuffer) {
+  const bool be = true;
+  Bytes capture = shb(be);
+  append(capture, idb(be, datapath::kLinkTypeEthernet, 0, /*tsresol=*/9));
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    append(capture, epb(be, 0, i, padded_frame(i, 700)));
+  }
+  const Bytes jumbo = padded_frame(0x0a0000ff, kMiB + kMiB / 2);
+  append(capture, epb(be, 0, 100, jumbo));
+  for (std::uint32_t i = 101; i < 200; ++i) {
+    append(capture, epb(be, 0, i, padded_frame(i, 700)));
+  }
+  const DecodedCapture loaded =
+      load_matches_decode(capture, "fcm_test_pcap_jumbo.pcapng");
+  EXPECT_EQ(loaded.stats.capture_end, RecordOutcome::kEndOfCapture);
+  ASSERT_EQ(loaded.trace.size(), 200u);
+  EXPECT_EQ(loaded.trace.packets()[100].bytes, jumbo.size());
+}
+
+TEST(CaptureIngest, LoadCaptureLyingCaplenEndsTruncated) {
+  // The last record claims a 60 MiB body (under kMaxCaptureLength, so not
+  // malformed) in a 200-byte file: the decode ends at EOF as truncated.
+  const bool be = false;
+  Bytes capture = classic_header(be, false, /*snaplen=*/0);
+  classic_record(capture, be, 1, 0, tcp4_frame(1, 2, 3, 4));
+  put32(capture, 2, be);
+  put32(capture, 0, be);
+  put32(capture, 60u << 20, be);
+  put32(capture, 60u << 20, be);
+  while (capture.size() < 200) put8(capture, 0x5a);
+  ASSERT_EQ(capture.size(), 200u);
+  const DecodedCapture loaded =
+      load_matches_decode(capture, "fcm_test_pcap_lying.pcap");
+  EXPECT_EQ(loaded.stats.capture_end, RecordOutcome::kTruncated);
+  EXPECT_EQ(loaded.stats.capture.truncated, 1u);
+  EXPECT_EQ(loaded.trace.size(), 1u);
 }
 
 TEST(CaptureIngest, LoadCaptureThrowsOnMissingFile) {
