@@ -14,11 +14,6 @@ constexpr std::array<std::uint8_t, 4> kMagic = {'F', 'C', 'M', 'W'};
 constexpr std::size_t kFrameHeaderBytes = 24;
 constexpr std::uint64_t kFingerprintSalt = 0xfc3a'9617'57a9'e001ull;
 
-// Sanity ceiling on tree_count for wire decodes: the paper uses 2, the
-// ablation bench at most 4. Bounds the tree_count * per-tree-bytes product
-// before any allocation, so a hostile count cannot overflow the arithmetic.
-constexpr std::uint64_t kMaxWireTrees = 64;
-
 // Smallest fixed width that holds a b-bit stage's overflow marker 2^b - 1.
 std::uint64_t stage_elem_bytes(unsigned bits) {
   return bits <= 8 ? 1 : bits <= 16 ? 2 : 4;
@@ -202,7 +197,10 @@ core::FcmConfig WireCodec::decode_config(WireReader& in) {
                 "wire: FcmConfig stage bit width out of range");
     config.stage_bits.push_back(bits);
   }
-  FCM_REQUIRE(config.tree_count >= 1 && config.tree_count <= kMaxWireTrees,
+  // The ceiling validate() enforces too; checked first so a hostile count is
+  // reported as a wire error before any per-tree state is sized from it.
+  FCM_REQUIRE(config.tree_count >= 1 &&
+                  config.tree_count <= core::FcmConfig::kMaxTrees,
               "wire: FcmConfig tree count out of range");
   // Stage 1 alone needs >= leaf_count bytes of state, so any leaf_count
   // larger than the remaining payload is hostile; rejecting it here keeps

@@ -7,8 +7,12 @@
 //             dispatch-matrix tests, the denominator of the bench speedup
 //             columns, and the kernel on every CPU without AVX2.
 //   kAvx2     hand-written 8-lane AVX2 (fcm_kernel_avx2.cpp): vectorized
-//             BobHash + Lemire fast-range, and a gather/compare/store level-1
-//             saturating-increment fast path for FcmTree::apply_block.
+//             BobHash + Lemire fast-range for SeededHash::index_batch.
+//
+// The tier decides only how index_batch runs. FcmTree::apply_block's
+// level-1 increment stays scalar on every tier: it waits on a random
+// counter access, and an AVX2 gather/compare/store version lost end to end
+// (DESIGN.md §14.3).
 //
 // The tier is resolved once per process: FCM_FORCE_KERNEL=scalar|avx2 wins if
 // set (an avx2 request on a CPU without AVX2 falls back to scalar), otherwise
@@ -16,7 +20,7 @@
 // the bench force tiers in-process via force_kernel_tier().
 //
 // This header deliberately contains no intrinsics and never includes
-// <immintrin.h>: the AVX2 entry points below are declared on plain pointers
+// <immintrin.h>: the AVX2 entry point below is declared on plain pointers
 // so only fcm_kernel_avx2.cpp (the sole TU built with -mavx2) touches vector
 // types. tools/fcm_lint.py rule `simd-confinement` enforces that split.
 #pragma once
@@ -67,33 +71,15 @@ KernelTier active_kernel_tier() noexcept;
 void force_kernel_tier(std::optional<KernelTier> tier) noexcept;
 
 #if FCM_SIMD_X86
-// --- AVX2 kernel entry points (defined in src/fcm/fcm_kernel_avx2.cpp) ---
-// Callers must check active_kernel_tier() == kAvx2 first; the symbols exist
-// whenever FCM_SIMD_X86 but execute AVX2 instructions unconditionally.
+// --- AVX2 kernel entry point (defined in src/fcm/fcm_kernel_avx2.cpp) ---
+// Callers must check active_kernel_tier() == kAvx2 first; the symbol exists
+// whenever FCM_SIMD_X86 but executes AVX2 instructions unconditionally.
 
 // Fused 8-lane bob_hash_u32 + Lemire fast-range over `n` contiguous 4-byte
 // keys: idx[i] = (u64(bob(keys[i])) * width) >> 32. `keys` must point to
 // n * 4 readable bytes (FlowKey or uint32_t — same bytes either way).
 void avx2_index_batch_u32(const void* keys, std::size_t n, std::uint32_t seed,
                           std::uint32_t width, std::uint32_t* idx) noexcept;
-
-// Level-1 saturating-increment fast path: processes leading groups of 8
-// indices (gather counters, verify every lane < cap and no duplicate index
-// within the group, increment, store back) and returns how many indices it
-// consumed — always a multiple of 8, stopping at the first group with an
-// at-cap lane or an intra-group duplicate, or at the <8 tail. The caller
-// scalar-processes at most 8 entries (running the add_at carry walk for
-// overflowed lanes) and calls again, preserving exact per-key order so
-// promotion counts and counter state stay bit-identical to the scalar path.
-// When `new_values` is non-null the post-increment counter value of every
-// consumed index is stored at the matching offset (conservative-update
-// callers fold these into their running minima). Indices must be < 2^31
-// (vpgatherdd treats them as signed); FcmConfig keeps stage widths far below
-// that.
-std::size_t avx2_apply_saturating(std::uint32_t* level1,
-                                  const std::uint32_t* idx, std::size_t n,
-                                  std::uint32_t cap,
-                                  std::uint32_t* new_values) noexcept;
 #endif  // FCM_SIMD_X86
 
 }  // namespace fcm::common::simd

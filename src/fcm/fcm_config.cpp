@@ -28,6 +28,9 @@ std::size_t FcmConfig::memory_bytes() const noexcept {
 
 void FcmConfig::validate() const {
   FCM_REQUIRE(tree_count > 0, "FcmConfig: tree_count == 0");
+  FCM_REQUIRE(tree_count <= kMaxTrees,
+              "FcmConfig: tree_count " + std::to_string(tree_count) +
+                  " exceeds kMaxTrees = " + std::to_string(kMaxTrees));
   FCM_REQUIRE(k >= 2, "FcmConfig: k must be >= 2");
   FCM_REQUIRE(!stage_bits.empty(), "FcmConfig: no stages");
   for (std::size_t i = 0; i < stage_bits.size(); ++i) {

@@ -12,6 +12,11 @@
 namespace fcm::core {
 
 struct FcmConfig {
+  // Most trees a sketch may have: FcmSketch::add_batch stages one index row
+  // per tree in fixed stack buffers, and the wire decoder rejects larger
+  // counts before allocating.
+  static constexpr std::size_t kMaxTrees = 8;
+
   std::size_t tree_count = 2;           // d, number of trees (min-query over them)
   std::size_t k = 8;                    // fan-in of the k-ary tree
   std::vector<unsigned> stage_bits = {8, 16, 32};  // b_l, strictly increasing
@@ -36,7 +41,8 @@ struct FcmConfig {
   std::size_t memory_bytes() const noexcept;
 
   // Throws std::invalid_argument when the geometry is inconsistent
-  // (non-increasing bit widths, k < 2, leaf count not divisible, ...).
+  // (tree_count outside [1, kMaxTrees], non-increasing bit widths, k < 2,
+  // leaf count not divisible, ...).
   void validate() const;
 
   // Builds a config whose total logical memory is as close to (and not

@@ -1,13 +1,13 @@
-// Hand-written AVX2 ingest kernel (DESIGN.md §14). The ONLY translation unit
+// Hand-written AVX2 index kernel (DESIGN.md §14). The ONLY translation unit
 // in the tree built with -mavx2 and the only one (with simd_dispatch.h's
 // declarations) allowed to touch <immintrin.h> — fcm_lint.py rule
 // `simd-confinement` keeps it that way, so every other TU stays baseline-ISA
 // and a non-AVX2 host never decodes a VEX instruction (dispatch guarantees
 // these symbols are not called there).
 //
-// Every routine is bit-identical to its scalar counterpart in hash.h /
-// fcm_tree.cpp; tests/test_batch_equivalence.cpp pins the equivalence across
-// all kernel tiers.
+// The kernel is bit-identical to its scalar counterpart in hash.h;
+// tests/test_batch_equivalence.cpp pins the equivalence across all kernel
+// tiers.
 
 #include "common/simd_dispatch.h"
 
@@ -87,65 +87,6 @@ void avx2_index_batch_u32(const void* keys, std::size_t n, std::uint32_t seed,
     // Implicit u64 -> u32 narrowing; a fast-range result is < width < 2^32.
     idx[i] = (static_cast<std::uint64_t>(h) * width) >> 32;
   }
-}
-
-std::size_t avx2_apply_saturating(std::uint32_t* level1,
-                                  const std::uint32_t* idx, std::size_t n,
-                                  std::uint32_t cap,
-                                  std::uint32_t* new_values) noexcept {
-  // AVX2 has no unsigned dword compare: bias both sides by 2^31 and use the
-  // signed compare (x <u y  <=>  (x ^ 2^31) <s (y ^ 2^31)).
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i cap_biased =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(cap)), bias);
-  const __m256i one = _mm256_set1_epi32(1);
-  // Lane rotations for the intra-group duplicate check. Two indices equal at
-  // lane distance d collide under rotation d or 8-d, so distances 1..4 cover
-  // every pair.
-  const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  const __m256i rot2 = _mm256_setr_epi32(2, 3, 4, 5, 6, 7, 0, 1);
-  const __m256i rot3 = _mm256_setr_epi32(3, 4, 5, 6, 7, 0, 1, 2);
-  const __m256i rot4 = _mm256_setr_epi32(4, 5, 6, 7, 0, 1, 2, 3);
-
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i ix =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-
-    // A duplicated index inside the group would collapse two increments
-    // into one under gather/store; such groups go back to the caller's
-    // scalar loop, which applies them in key order.
-    __m256i dup = _mm256_cmpeq_epi32(ix, _mm256_permutevar8x32_epi32(ix, rot1));
-    dup = _mm256_or_si256(
-        dup, _mm256_cmpeq_epi32(ix, _mm256_permutevar8x32_epi32(ix, rot2)));
-    dup = _mm256_or_si256(
-        dup, _mm256_cmpeq_epi32(ix, _mm256_permutevar8x32_epi32(ix, rot3)));
-    dup = _mm256_or_si256(
-        dup, _mm256_cmpeq_epi32(ix, _mm256_permutevar8x32_epi32(ix, rot4)));
-
-    const __m256i v =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(level1), ix,
-                               sizeof(std::uint32_t));
-    const __m256i below_cap =
-        _mm256_cmpgt_epi32(cap_biased, _mm256_xor_si256(v, bias));
-
-    const int ok = _mm256_movemask_ps(_mm256_castsi256_ps(below_cap));
-    const int dups = _mm256_movemask_ps(_mm256_castsi256_ps(dup));
-    if (ok != 0xff || dups != 0) return i;  // dirty group: caller takes over
-
-    const __m256i nv = _mm256_add_epi32(v, one);
-    if (new_values != nullptr) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(new_values + i), nv);
-    }
-    // No scatter in AVX2: spill and store the 8 lanes individually. The
-    // group was verified duplicate-free, so store order within it is moot.
-    alignas(32) std::uint32_t ixs[8];
-    alignas(32) std::uint32_t nvs[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(ixs), ix);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(nvs), nv);
-    for (int j = 0; j < 8; ++j) level1[ixs[j]] = nvs[j];
-  }
-  return i;  // clean run ended at the <8 tail
 }
 
 }  // namespace fcm::common::simd

@@ -41,7 +41,7 @@ void FcmSketch::add_batch(std::span<const flow::FlowKey> keys) {
   // Per-tree key order is exactly the scalar loop's (trees touch disjoint
   // state, so interleaving trees between blocks is unobservable) — state
   // stays bit-exact (tests/test_batch_equivalence.cpp).
-  constexpr std::size_t kMaxTrees = 8;
+  constexpr std::size_t kMaxTrees = FcmConfig::kMaxTrees;
   FCM_ASSERT(trees_.size() <= kMaxTrees,
              "FcmSketch: tree count exceeds the batched kernel's stack buffers");
   const std::size_t tree_count = trees_.size();
@@ -91,8 +91,8 @@ void FcmSketch::add_batch(std::span<const flow::FlowKey> keys) {
 std::uint64_t FcmSketch::update_conservative(flow::FlowKey key) {
   // One leaf hash per tree: the read pass and the write pass below reuse the
   // same indices instead of rehashing the key three times.
-  std::size_t idx[common::kBatchBlock];
-  FCM_ASSERT(trees_.size() <= common::kBatchBlock,
+  std::size_t idx[FcmConfig::kMaxTrees];
+  FCM_ASSERT(trees_.size() <= FcmConfig::kMaxTrees,
              "FcmSketch: tree count exceeds the stack index buffer");
   std::uint64_t minimum = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t t = 0; t < trees_.size(); ++t) {

@@ -39,10 +39,11 @@ class FcmSketch {
 
   // Batched per-packet update (DESIGN.md §9): equivalent to update(key) for
   // each key in order, bit-exact — tree state, promotion counters, and the
-  // heavy-hitter set all match the scalar loop. Each tree consumes the whole
-  // block through FcmTree::add_batch (bulk hashing + level-1 prefetch +
-  // branch-light fast path); per-key min estimates accumulate across trees in
-  // a stack buffer so the heavy-hitter check runs once per key at the end.
+  // heavy-hitter set all match the scalar loop. Block by block, every tree
+  // hashes and prefetches through FcmTree::index_block, then every tree
+  // applies through FcmTree::apply_block (branch-light level-1 fast path);
+  // per-key min estimates accumulate across trees in a stack buffer so the
+  // heavy-hitter check runs once per key at the end.
   void add_batch(std::span<const flow::FlowKey> keys);
 
   // Count-query (§3.2): min over trees. Never underestimates.

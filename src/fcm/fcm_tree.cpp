@@ -76,15 +76,6 @@ void FcmTree::index_block(std::span<const flow::FlowKey> keys,
 
 void FcmTree::apply_block(std::span<const std::uint32_t> idx,
                           std::span<std::uint64_t> min_estimates) {
-#if FCM_SIMD_X86
-  // vpgatherdd reads indices as signed 32-bit; FcmConfig stage widths are
-  // far below 2^31, but gate explicitly so the contract is in the code.
-  if (common::simd::active_kernel_tier() == common::simd::KernelTier::kAvx2 &&
-      stages_[0].size() < (std::size_t{1} << 31)) {
-    apply_block_avx2(idx, min_estimates);
-    return;
-  }
-#endif
   std::uint32_t* const level1 = stages_[0].data();
   const std::uint32_t cap = counting_max_[0];
   const std::size_t n = idx.size();
@@ -121,70 +112,6 @@ void FcmTree::apply_block(std::span<const std::uint32_t> idx,
     slot = std::min(slot, estimate);
   }
 }
-
-#if FCM_SIMD_X86
-void FcmTree::apply_block_avx2(std::span<const std::uint32_t> idx,
-                               std::span<std::uint64_t> min_estimates) {
-  std::uint32_t* const level1 = stages_[0].data();
-  const std::uint32_t cap = counting_max_[0];
-  const std::size_t n = idx.size();
-  // The kernel consumes leading groups of 8 that are entirely on the fast
-  // path (every lane below the counting max, no duplicate index inside the
-  // group) and stops at the first group it cannot prove clean. We then apply
-  // AT MOST one group's worth (8 keys) with the scalar loop — running the
-  // add_at carry walk for overflow, honoring duplicate order — and hand the
-  // rest back to the kernel. Key order is preserved exactly, so counter
-  // state, promotions_ and per-key estimates match the scalar tier bit for
-  // bit (the dispatch-matrix suite pins this, overflow and dup cases
-  // included).
-  if (min_estimates.empty()) {
-    std::size_t i = 0;
-    while (i < n) {
-      i += common::simd::avx2_apply_saturating(level1, idx.data() + i, n - i,
-                                               cap, nullptr);
-      const std::size_t stop = std::min(i + 8, n);
-      for (; i < stop; ++i) {
-        std::uint32_t& node = level1[idx[i]];
-        if (node < cap) {
-          ++node;
-        } else {
-          add_at(idx[i], 1);
-        }
-      }
-    }
-    return;
-  }
-  // With an estimate consumer the kernel also reports each consumed index's
-  // post-increment value; a fast-path node never overflows on +1, so that
-  // value IS the post-update estimate (the query stops at a non-overflowed
-  // level-1 node).
-  std::uint32_t values[common::kBatchBlock];
-  FCM_ASSERT(n <= common::kBatchBlock,
-             "FcmTree::apply_block: block exceeds kBatchBlock");
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t start = i;
-    i += common::simd::avx2_apply_saturating(level1, idx.data() + i, n - i,
-                                             cap, values + start);
-    for (std::size_t j = start; j < i; ++j) {
-      std::uint64_t& slot = min_estimates[j];
-      slot = std::min<std::uint64_t>(slot, values[j]);
-    }
-    const std::size_t stop = std::min(i + 8, n);
-    for (; i < stop; ++i) {
-      std::uint32_t& node = level1[idx[i]];
-      std::uint64_t estimate;
-      if (node < cap) {
-        estimate = ++node;
-      } else {
-        estimate = add_at(idx[i], 1);
-      }
-      std::uint64_t& slot = min_estimates[i];
-      slot = std::min(slot, estimate);
-    }
-  }
-}
-#endif  // FCM_SIMD_X86
 
 void FcmTree::add_batch(std::span<const flow::FlowKey> keys,
                         std::span<std::uint64_t> min_estimates) {

@@ -148,13 +148,6 @@ class FcmTree {
  private:
   friend class ::fcm::agg::WireCodec;
 
-  // AVX2 body of apply_block (kernel tier kAvx2 only): groups of 8 run
-  // through common::simd::avx2_apply_saturating; any group with an at-cap
-  // lane or intra-group duplicate index is re-applied by the scalar loop in
-  // exact key order, so carries and promotions stay bit-identical.
-  void apply_block_avx2(std::span<const std::uint32_t> idx,
-                        std::span<std::uint64_t> min_estimates);
-
   FcmConfig config_;
   common::SeededHash hash_;
   std::vector<std::vector<std::uint32_t>> stages_;

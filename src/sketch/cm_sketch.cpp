@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/bitutil.h"
 #include "common/contracts.h"
 
 namespace fcm::sketch {
@@ -38,33 +37,6 @@ void CmSketch::add(flow::FlowKey key, std::uint64_t count) {
     }
     counter = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(next, std::numeric_limits<std::uint32_t>::max()));
-  }
-}
-
-void CmSketch::update_batch(std::span<const flow::FlowKey> keys) {
-  std::size_t idx[common::kBatchBlock];
-  for (std::size_t base = 0; base < keys.size(); base += common::kBatchBlock) {
-    const std::size_t n = std::min(common::kBatchBlock, keys.size() - base);
-    const auto block = keys.subspan(base, n);
-    // Row-major: rows hash independently, and saturating +1s on one row
-    // commute, so running each row over the whole block leaves the final
-    // counters and the saturation count bit-exact vs the scalar loop.
-    for (std::size_t d = 0; d < rows_.size(); ++d) {
-      std::uint32_t* const row = rows_[d].data();
-      hashes_[d].index_batch(block, width_, std::span<std::size_t>(idx, n));
-      for (std::size_t i = 0; i < n; ++i) {
-        FCM_PREFETCH_WRITE(row + idx[i]);
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t& counter = row[idx[i]];
-        // Same saturation point as add(): +1 clamps only at the 32-bit max.
-        if (counter == std::numeric_limits<std::uint32_t>::max()) {
-          ++saturations_;
-        } else {
-          ++counter;
-        }
-      }
-    }
   }
 }
 

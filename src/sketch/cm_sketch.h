@@ -27,12 +27,6 @@ class CmSketch : public FrequencyEstimator {
   void update(flow::FlowKey key) override { add(key, 1); }
   void add(flow::FlowKey key, std::uint64_t count);
 
-  // Batched per-packet update (DESIGN.md §9): per row, hashes the block
-  // through SeededHash::index_batch, prefetches the counter lines, then
-  // applies saturating increments in key order — bit-exact against the
-  // scalar loop (rows are independent; saturation telemetry included).
-  void update_batch(std::span<const flow::FlowKey> keys) override;
-
   std::uint64_t query(flow::FlowKey key) const override;
 
   // Element-wise counter sum: CM is linear, so the merged state is bit-exact
@@ -88,13 +82,6 @@ class CuSketch : public CmSketch {
                              std::uint64_t seed = 0xc0117);
 
   void update(flow::FlowKey key) override;
-
-  // Conservative update needs a read-all-rows-then-write pass per packet, so
-  // CM's row-major batched kernel does not apply; fall back to the per-key
-  // loop (inheriting CmSketch::update_batch would silently change semantics).
-  void update_batch(std::span<const flow::FlowKey> keys) override {
-    for (const auto& key : keys) update(key);
-  }
 
   std::string name() const override { return "CU"; }
 };

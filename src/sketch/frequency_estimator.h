@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "flow/flow_key.h"
@@ -18,14 +17,6 @@ class FrequencyEstimator {
 
   // Process one packet of flow `key`.
   virtual void update(flow::FlowKey key) = 0;
-
-  // Process a block of packets, one per key, in order. Semantically identical
-  // to calling update() per key; estimators with a batched kernel (bulk
-  // hashing + prefetch, DESIGN.md §9) override this with a bit-exact fast
-  // path, so harnesses can feed blocks without knowing the concrete type.
-  virtual void update_batch(std::span<const flow::FlowKey> keys) {
-    for (const auto& key : keys) update(key);
-  }
 
   // Estimated number of packets seen for `key`.
   virtual std::uint64_t query(flow::FlowKey key) const = 0;

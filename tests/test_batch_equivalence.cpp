@@ -1,7 +1,7 @@
 // Bit-exactness of the batched ingest kernel (DESIGN.md §9).
 //
 // Every batch entry point added for the hot path — SeededHash::index_batch,
-// FcmTree::add_batch, FcmSketch::add_batch, CmSketch::update_batch,
+// FcmTree::add_batch, FcmSketch::add_batch,
 // TopKFilter::offer_batch via FcmTopK::add_batch, FcmFramework::process_batch
 // and the span overloads, and ShardedFcmFramework::ingest(span) — must leave
 // EXACTLY the state the scalar per-packet path leaves: every tree node, the
@@ -35,7 +35,6 @@
 #include "flow/packet.h"
 #include "framework/fcm_framework.h"
 #include "runtime/sharded_framework.h"
-#include "sketch/cm_sketch.h"
 
 namespace {
 
@@ -47,7 +46,6 @@ using fcm::flow::FlowKey;
 using fcm::flow::Packet;
 using fcm::framework::FcmFramework;
 using fcm::runtime::ShardedFcmFramework;
-using fcm::sketch::CmSketch;
 
 // The batch sizes the ISSUE pins: below / at / well above the block stride,
 // with odd tails (1000 = 15 * 64 + 40).
@@ -234,22 +232,6 @@ TEST(BatchEquivalence, SketchBatchSplitArbitrarily) {
   batched.add_batch(rest);
 
   expect_sketch_identical(scalar, batched);
-}
-
-// --- CmSketch ----------------------------------------------------------------
-
-TEST(BatchEquivalence, CmSketchBatchMatchesScalarUpdates) {
-  for (const std::size_t n : kBatchSizes) {
-    const auto keys = skewed_keys(n, 31 + n);
-    CmSketch scalar(3, 1024);
-    CmSketch batched(3, 1024);
-    for (const FlowKey key : keys) scalar.update(key);
-    batched.update_batch(std::span<const FlowKey>(keys));
-    for (const FlowKey key : keys) {
-      ASSERT_EQ(scalar.query(key), batched.query(key));
-    }
-    EXPECT_EQ(scalar.saturation_count(), batched.saturation_count());
-  }
 }
 
 // --- FcmTopK -----------------------------------------------------------------
@@ -464,9 +446,10 @@ TEST(BatchEquivalence, ShardedBlockStagedSpansBitExactAcrossSizesAndShards) {
 // --- kernel dispatch matrix (DESIGN.md §14) ----------------------------------
 //
 // Every kernel tier — scalar and (on capable CPUs) the hand-written AVX2
-// kernel — forced in-process through force_kernel_tier(), must produce
+// index kernel — forced in-process through force_kernel_tier(), must produce
 // bit-identical hashes, indices, tree state, promotion counters, and per-key
-// estimates. The scalar per-key entry points (FcmTree::add, FcmSketch::update)
+// estimates. The tier only decides how SeededHash::index_batch runs; each
+// tree test drives the full index_batch -> apply_block path under it. The scalar per-key entry points (FcmTree::add, FcmSketch::update)
 // never dispatch, so they are the tier-independent ground truth throughout.
 
 using fcm::common::simd::KernelTier;
@@ -491,8 +474,8 @@ class ForcedTier {
   ForcedTier& operator=(const ForcedTier&) = delete;
 };
 
-// The ISSUE's dispatch-matrix sizes: below / straddling / well above both the
-// kBatchBlock stride and the AVX2 8-lane group width.
+// Dispatch-matrix sizes: below / straddling / well above both the
+// kBatchBlock stride and the AVX2 index kernel's 8-lane group width.
 constexpr std::size_t kMatrixSizes[] = {1, 7, 63, 64, 65, 1000};
 
 TEST(DispatchMatrix, IndexBatchBitExactAcrossTiers) {
@@ -519,8 +502,8 @@ TEST(DispatchMatrix, TreeBatchBitExactAcrossTiers) {
   for (const KernelTier tier : equivalence_tiers()) {
     ForcedTier forced(tier);
     for (const std::size_t n : kMatrixSizes) {
-      // Dup-heavy skew: plenty of repeated keys inside single 8-lane groups,
-      // so the AVX2 duplicate-detect bailout runs on real collisions.
+      // Dup-heavy skew: plenty of repeated keys inside one block, so later
+      // duplicates must observe the increments and carries of earlier ones.
       const auto keys = skewed_keys(n, 42 + n);
       FcmTree scalar(small_config(), fcm::common::SeededHash(0xabc));
       FcmTree batched(small_config(), fcm::common::SeededHash(0xabc));
@@ -555,11 +538,11 @@ TEST(DispatchMatrix, TreeBatchBitExactAcrossTiers) {
 }
 
 TEST(DispatchMatrix, TreeOverflowLaneFallbackAcrossTiers) {
-  // A 4-bit leaf stage (counting max 14) over 64 leaves: most groups of 8
-  // contain at-cap lanes after a few hundred adds, so the AVX2 kernel's
-  // partial-consume + scalar-resume protocol runs constantly, interleaved
-  // with add_at carry walks. Promotions must land in the SAME key positions
-  // as the scalar path — any lane-order slip shows up in the estimates.
+  // A 4-bit leaf stage (counting max 14) over 64 leaves: most nodes sit at
+  // the cap after a few hundred adds, so apply_block alternates its
+  // below-cap increment with add_at carry walks on nearly every key.
+  // Promotions must land in the SAME key positions as the per-key path — any
+  // reordering shows up in the estimates.
   FcmConfig config;
   config.tree_count = 2;
   config.k = 8;
@@ -600,9 +583,9 @@ TEST(DispatchMatrix, TreeOverflowLaneFallbackAcrossTiers) {
 }
 
 TEST(DispatchMatrix, TreeDuplicateHeavyKeyAcrossTiers) {
-  // One key repeated 1000 times: every 8-lane group is all-duplicates, so
-  // the AVX2 kernel consumes nothing and the scalar-resume path does all the
-  // work — the degenerate worst case for the bailout protocol.
+  // One key repeated 1000 times: every index in every block is the same
+  // counter, so each increment depends on the previous one and the node
+  // trips into overflow mid-block — the degenerate ordering case.
   for (const KernelTier tier : equivalence_tiers()) {
     ForcedTier forced(tier);
     FcmTree scalar(small_config(), fcm::common::SeededHash(0x77));
@@ -642,6 +625,27 @@ TEST(DispatchMatrix, SketchSplitBatchesAcrossTiers) {
     }
     batched.add_batch(rest);
 
+    expect_sketch_identical(scalar, batched);
+  }
+}
+
+TEST(DispatchMatrix, SketchBatchAtMaxTreesAcrossTiers) {
+  // FcmConfig::kMaxTrees trees fill every row of FcmSketch::add_batch's
+  // per-tree index and estimate buffers; with a heavy-hitter threshold set
+  // the estimate path runs too.
+  FcmConfig config = small_config();
+  config.tree_count = FcmConfig::kMaxTrees;
+  for (const KernelTier tier : equivalence_tiers()) {
+    ForcedTier forced(tier);
+    const auto keys = skewed_keys(1000, 8);
+    FcmSketch scalar(config);
+    FcmSketch batched(config);
+    scalar.set_heavy_hitter_threshold(20);
+    batched.set_heavy_hitter_threshold(20);
+    for (const FlowKey key : keys) scalar.update(key);
+    batched.add_batch(std::span<const FlowKey>(keys));
+
+    ASSERT_EQ(batched.tree_count(), FcmConfig::kMaxTrees);
     expect_sketch_identical(scalar, batched);
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/contracts.h"
+
 namespace fcm::core {
 namespace {
 
@@ -67,6 +69,16 @@ TEST(FcmConfig, ValidateRejectsBadGeometry) {
   config = FcmConfig{};
   config.leaf_count = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(FcmConfig, RejectsMoreTreesThanBatchKernelHolds) {
+  // FcmSketch::add_batch stages one index row per tree in kMaxTrees-row
+  // stack buffers, so validate() is where a larger count must stop.
+  FcmConfig config;
+  config.tree_count = FcmConfig::kMaxTrees + 1;
+  EXPECT_THROW(config.validate(), common::ContractViolation);
+  config.tree_count = FcmConfig::kMaxTrees;
+  EXPECT_NO_THROW(config.validate());
 }
 
 TEST(FcmConfig, ValidateAcceptsPaperDefault) {

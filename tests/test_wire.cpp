@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -377,6 +378,27 @@ TEST(WireHostile, OversizedDeclaredCountsThrowWithoutAllocating) {
   EXPECT_THROW((void)WireCodec::deserialize_topk_filter(
                    patch_u64(filter_wire, 24 + 8, 1ull << 60)),
                ContractViolation);
+}
+
+// A frame declaring more trees than FcmConfig::kMaxTrees is refused by the
+// config decoder itself, before any per-tree state is sized from the count.
+TEST(WireHostile, TreeCountAboveMaxTreesThrows) {
+  const core::FcmSketch sketch(small_fcm_config(kSeed));
+  std::vector<std::byte> wire = WireCodec::serialize(sketch);
+  // FcmConfig tree_count: the u32 at payload offset 0, buffer offset 24.
+  const auto too_many =
+      static_cast<std::uint32_t>(core::FcmConfig::kMaxTrees + 1);
+  for (std::size_t i = 0; i < 4; ++i) {
+    wire[24 + i] = static_cast<std::byte>((too_many >> (8 * i)) & 0xff);
+  }
+  try {
+    (void)WireCodec::deserialize_sketch(wire);
+    FAIL() << "a 9-tree frame decoded";
+  } catch (const ContractViolation& err) {
+    EXPECT_NE(std::string(err.what()).find("tree count out of range"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(WireHostile, EmptyAndGarbageBuffersThrow) {
