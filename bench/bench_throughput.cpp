@@ -87,11 +87,14 @@ const flow::Trace& shared_trace() {
 // Dispersed-flow trace for the scaling study (EXPERIMENTS.md, throughput
 // methodology). The micro-bench trace above (20k flows, Zipf 1.1) keeps its
 // hot counters L1-resident, which is the right regime for comparing sketch
-// *algorithms* but hides exactly the memory stalls the batched ingest kernel
-// (DESIGN.md §9) overlaps. The kernel's target regime is FCM's: a flow table
+// *algorithms*. The scaling study runs FCM's own regime instead: a flow table
 // comparable to the sketch's leaf width (§7: 10^5..10^6 flows over a few
-// hundred KB), where successive leaf accesses miss the near caches. Same
-// Zipf 1.1 skew, flow population raised to make leaf accesses dispersed.
+// hundred KB). Same Zipf 1.1 skew, flow population raised so leaf accesses
+// spread over the whole level-1 array. That array is 1.74 MiB for the two
+// 600 KB trees, so on a 2 MiB L2 most leaf accesses still hit L2; and 44% of
+// the per-tree updates land on an overflowed leaf, which the batched kernel
+// (DESIGN.md §9) settles in its level-2 pass. Both matter as much as the
+// prefetches.
 const flow::Trace& scaling_trace() {
   static const flow::Trace trace = [] {
     flow::SyntheticTraceConfig config;
@@ -212,7 +215,7 @@ BENCHMARK(BM_QueryElastic);
 // in TWO columns: `scalar` drives the per-packet entry points
 // (process(key) / ingest(key)); `batch` drives the span entry points that
 // engage the batched ingest kernel (DESIGN.md §9: bulk hashing, level-1
-// prefetch, branch-light fast path). Both columns produce bit-identical
+// prefetch, compacted level-1 and level-2 passes). Both columns produce bit-identical
 // sketch state (tests/test_batch_equivalence.cpp), so the ratio is a pure
 // kernel speedup. The scalar/batch pair is interleaved repeat-by-repeat and
 // best-of-9 per side (EXPERIMENTS.md, throughput methodology), which makes

@@ -38,9 +38,10 @@ void FcmSketch::add_batch(std::span<const flow::FlowKey> keys) {
   // wins over running each tree across the whole span: the key block is
   // read from L1 once instead of each tree re-streaming the span from the
   // outer caches, and the outstanding prefetches of all trees overlap.
-  // Per-tree key order is exactly the scalar loop's (trees touch disjoint
-  // state, so interleaving trees between blocks is unobservable) — state
-  // stays bit-exact (tests/test_batch_equivalence.cpp).
+  // Each tree sees the blocks in stream order (trees touch disjoint state, so
+  // interleaving trees between blocks is unobservable); inside a block,
+  // apply_block keeps key order only when estimates are consumed. State
+  // stays bit-exact either way (tests/test_batch_equivalence.cpp).
   constexpr std::size_t kMaxTrees = FcmConfig::kMaxTrees;
   FCM_ASSERT(trees_.size() <= kMaxTrees,
              "FcmSketch: tree count exceeds the batched kernel's stack buffers");

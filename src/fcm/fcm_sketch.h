@@ -41,7 +41,9 @@ class FcmSketch {
   // each key in order, bit-exact — tree state, promotion counters, and the
   // heavy-hitter set all match the scalar loop. Block by block, every tree
   // hashes and prefetches through FcmTree::index_block, then every tree
-  // applies through FcmTree::apply_block (branch-light level-1 fast path);
+  // applies through FcmTree::apply_block. Without a heavy-hitter threshold
+  // the trees settle each block out of key order (compacted level-1,
+  // level-2 and carry-walk passes); with one, they apply in key order and
   // per-key min estimates accumulate across trees in a stack buffer so the
   // heavy-hitter check runs once per key at the end.
   void add_batch(std::span<const flow::FlowKey> keys);

@@ -11,6 +11,7 @@ namespace fcm::core {
 FcmTree::FcmTree(const FcmConfig& config, common::SeededHash hash)
     : config_(config), hash_(hash) {
   config_.validate();
+  k_ = common::checked_narrow<std::uint32_t>(config_.k);
   const std::size_t levels = config_.stage_count();
   stages_.resize(levels);
   counting_max_.resize(levels);
@@ -79,27 +80,52 @@ void FcmTree::apply_block(std::span<const std::uint32_t> idx,
   std::uint32_t* const level1 = stages_[0].data();
   const std::uint32_t cap = counting_max_[0];
   const std::size_t n = idx.size();
-  // Apply in key order. Carries must not be reordered (a node's trip into
-  // overflow is observed by later duplicates in the block), so only the
-  // per-key *work* is specialized, never the sequence.
   if (min_estimates.empty()) {
-    // No estimate consumer (heavy-hitter tracking off): the fast path is a
-    // bare increment with no value materialization or min bookkeeping.
+    // No estimate consumer (heavy-hitter tracking off): only the final
+    // stages and promotions_ are observable, and both are functions of the
+    // per-leaf arrival totals alone (the linearity merge() relies on,
+    // DESIGN.md §7). So the block is settled out of key order, in three
+    // passes that each compact what they could not settle into `left`.
+    FCM_ASSERT(n <= common::kBatchBlock,
+               "FcmTree::apply_block: block exceeds kBatchBlock keys");
+    std::uint32_t left[common::kBatchBlock];
+    // Pass 1: branch-free level-1 increment of every leaf below its
+    // counting max; leaves at the max or overflowed stay behind.
+    std::size_t m = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t& node = level1[idx[i]];
-      if (node < cap) {
-        // Fast path: below the counting max, so a single increment neither
-        // saturates nor carries — the overwhelming common case (level 1
-        // holds most nodes and most of them never overflow).
-        ++node;
-      } else {
-        // Node at the counting max (this increment trips it) or already
-        // overflowed: take the scalar carry walk unchanged.
-        add_at(idx[i], 1);
-      }
+      const std::uint32_t x = idx[i];
+      const std::uint32_t v = level1[x];
+      const std::uint32_t below = v < cap ? 1u : 0u;
+      level1[x] = v + below;
+      left[m] = x;
+      m += below ^ 1u;
     }
+    // Pass 2: an overflowed leaf forwards its +1 to its level-2 parent,
+    // again branch-free while that parent is below its counting max.
+    if (stages_.size() > 1) {
+      std::uint32_t* const level2 = stages_[1].data();
+      const std::uint32_t mark = marker_[0];
+      const std::uint32_t cap2 = counting_max_[1];
+      std::size_t r = 0;
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::uint32_t x = left[j];
+        const std::uint32_t parent = x / k_;
+        const std::uint32_t v = level2[parent];
+        const std::uint32_t settled =
+            (level1[x] == mark && v < cap2) ? 1u : 0u;
+        level2[parent] = v + settled;
+        left[r] = x;
+        r += settled ^ 1u;
+      }
+      m = r;
+    }
+    // Pass 3: trips and deeper carries take the scalar carry walk.
+    for (std::size_t j = 0; j < m; ++j) add_at(left[j], 1);
     return;
   }
+  // An estimate consumer reads each key's post-update estimate, which
+  // depends on order: apply in key order, specializing only the per-key
+  // work (a node's trip into overflow is observed by later duplicates).
   for (std::size_t i = 0; i < n; ++i) {
     std::uint32_t& node = level1[idx[i]];
     std::uint64_t estimate;
@@ -110,41 +136,6 @@ void FcmTree::apply_block(std::span<const std::uint32_t> idx,
     }
     std::uint64_t& slot = min_estimates[i];
     slot = std::min(slot, estimate);
-  }
-}
-
-void FcmTree::add_batch(std::span<const flow::FlowKey> keys,
-                        std::span<std::uint64_t> min_estimates) {
-  const std::size_t total = keys.size();
-  if (total == 0) return;
-
-  // Software pipeline with double-buffered index blocks (DESIGN.md §9):
-  // block b+1 is hashed and its level-1 lines prefetched BEFORE block b is
-  // applied, so every prefetch has one full block of work (~kBatchBlock
-  // hashes + applies) to land — a just-prefetched line is never demanded on
-  // the very next instruction. Hashing block b+1 touches only the key span
-  // and the stack, so it cannot disturb block b's carries.
-  std::uint32_t idx_a[common::kBatchBlock];
-  std::uint32_t idx_b[common::kBatchBlock];
-  std::uint32_t* cur = idx_a;
-  std::uint32_t* next = idx_b;
-  const auto stage = [&](std::size_t base, std::uint32_t* out) {
-    const std::size_t n = std::min(common::kBatchBlock, total - base);
-    index_block(keys.subspan(base, n), std::span<std::uint32_t>(out, n));
-    return n;
-  };
-
-  std::size_t n = stage(0, cur);
-  for (std::size_t base = 0; base < total;) {
-    const std::size_t next_base = base + n;
-    std::size_t next_n = 0;
-    if (next_base < total) next_n = stage(next_base, next);
-    apply_block(std::span<const std::uint32_t>(cur, n),
-                min_estimates.empty() ? min_estimates
-                                      : min_estimates.subspan(base, n));
-    std::swap(cur, next);
-    base = next_base;
-    n = next_n;
   }
 }
 

@@ -40,36 +40,25 @@ class FcmTree {
   std::uint64_t add_at(std::size_t index, std::uint64_t count);
   std::uint64_t query_at(std::size_t index) const noexcept;
 
-  // Batched per-packet update (DESIGN.md §9): hashes `keys` block by block
-  // (common::kBatchBlock) through SeededHash::index_batch, issues software
-  // prefetches on the level-1 counter lines one block ahead, then applies
-  // the updates in key order. The common no-overflow case (node below the
-  // counting max) is a single branch-light level-1 increment; nodes at the
-  // counting max or already overflowed fall back to the scalar carry walk
-  // (add_at), so the resulting tree state, promotion counter, and per-key
-  // estimates are bit-exact against per-key add() in the same order —
-  // duplicates within a batch included (tests/test_batch_equivalence.cpp).
-  //
-  // For each key i, min_estimates[i] is lowered to min(min_estimates[i],
-  // post-update estimate): FcmSketch::add_batch runs all trees over one
-  // block and reads off the min-query without a second pass. An EMPTY
-  // min_estimates span means "no estimate consumer" (heavy-hitter tracking
-  // off) and skips the bookkeeping entirely; otherwise it must cover
-  // keys.size() entries.
-  void add_batch(std::span<const flow::FlowKey> keys,
-                 std::span<std::uint64_t> min_estimates);
-
-  // The two halves of the batched kernel, exposed so FcmSketch can pipeline
-  // ACROSS trees: hash+prefetch one block for every tree, then apply every
-  // tree's block — the key block is read from L1 once instead of each tree
-  // re-streaming the whole key span, and the outstanding prefetches of all
-  // trees overlap. keys/idx must be at most kBatchBlock entries.
+  // The two halves of the batched per-packet update (DESIGN.md §9), which
+  // FcmSketch::add_batch pipelines ACROSS trees: hash+prefetch one block for
+  // every tree, then apply every tree's block, so the key block is read from
+  // L1 once and the outstanding prefetches of all trees overlap. keys/idx
+  // must be at most common::kBatchBlock entries.
   //
   // index_block hashes `keys` into level-1 indices and issues a write
-  // prefetch for each touched counter line; apply_block applies +1 updates
-  // in key order (same fast/slow path split as add_batch) and, when
-  // `min_estimates` is non-empty, lowers min_estimates[i] toward the
-  // post-update estimate of keys[i].
+  // prefetch for each touched counter line. apply_block applies one +1 per
+  // index and leaves the tree state and promotion counter bit-exact against
+  // per-key add() (tests/test_batch_equivalence.cpp):
+  //   - with an EMPTY `min_estimates` (no estimate consumer), it settles the
+  //     block out of key order: a branch-free level-1 pass, a branch-free
+  //     level-2 pass for keys whose leaf has overflowed, then the scalar
+  //     carry walk (add_at) for the rest. Exact because the state depends
+  //     only on per-leaf arrival totals (DESIGN.md §7);
+  //   - otherwise it applies in key order and lowers min_estimates[i] toward
+  //     the post-update estimate of keys[i] (which must cover idx.size()
+  //     entries), so FcmSketch::add_batch reads off the min-query without a
+  //     second pass.
   void index_block(std::span<const flow::FlowKey> keys,
                    std::span<std::uint32_t> idx) const noexcept;
   void apply_block(std::span<const std::uint32_t> idx,
@@ -150,6 +139,8 @@ class FcmTree {
 
   FcmConfig config_;
   common::SeededHash hash_;
+  // config_.k, narrowed once for the level-2 parent index in apply_block.
+  std::uint32_t k_ = 0;
   std::vector<std::vector<std::uint32_t>> stages_;
   // Per-stage cached limits, so the hot path avoids recomputing shifts.
   std::vector<std::uint32_t> counting_max_;

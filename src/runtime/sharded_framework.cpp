@@ -594,6 +594,11 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
   ring.assume_consumer();  // this worker IS the ring's single consumer
   unsigned spins = 0;
   for (;;) {
+    // Read stop_ BEFORE the drain: stop() publishes its last blocks before
+    // setting it, so a drain that starts after seeing it set finds them all.
+    // Reading it after a failed drain would drop a block published between
+    // the two.
+    const bool stopping = stop_.load(std::memory_order_acquire);
     bool any = false;
     common::BlockQueue<flow::FlowKey>::View view;
     while (ring.try_front(view)) {
@@ -616,8 +621,7 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
     }
     publish_data_items();
     if (!any) {
-      // Check AFTER a failed drain so a ring filled before stop() empties out.
-      if (stop_.load(std::memory_order_acquire)) return;
+      if (stopping) return;
       backoff(spins);
     } else {
       spins = 0;

@@ -1,7 +1,7 @@
 // Bit-exactness of the batched ingest kernel (DESIGN.md §9).
 //
 // Every batch entry point added for the hot path — SeededHash::index_batch,
-// FcmTree::add_batch, FcmSketch::add_batch,
+// FcmTree::index_block/apply_block, FcmSketch::add_batch,
 // TopKFilter::offer_batch via FcmTopK::add_batch, FcmFramework::process_batch
 // and the span overloads, and ShardedFcmFramework::ingest(span) — must leave
 // EXACTLY the state the scalar per-packet path leaves: every tree node, the
@@ -85,6 +85,22 @@ std::vector<FlowKey> skewed_keys(std::size_t n, std::uint64_t seed,
   return keys;
 }
 
+// Drives FcmTree's batched kernel the way FcmSketch::add_batch does for
+// each tree: index_block then apply_block, one kBatchBlock block at a time.
+// An empty `min_estimates` takes apply_block's no-consumer path.
+void tree_add_batch(FcmTree& tree, std::span<const FlowKey> keys,
+                    std::span<std::uint64_t> min_estimates) {
+  constexpr std::size_t kBlock = fcm::common::kBatchBlock;
+  std::uint32_t idx[kBlock];
+  for (std::size_t base = 0; base < keys.size(); base += kBlock) {
+    const std::size_t n = std::min(kBlock, keys.size() - base);
+    tree.index_block(keys.subspan(base, n), std::span<std::uint32_t>(idx, n));
+    tree.apply_block(std::span<const std::uint32_t>(idx, n),
+                     min_estimates.empty() ? min_estimates
+                                           : min_estimates.subspan(base, n));
+  }
+}
+
 // Every stored node of every stage of every tree.
 void expect_trees_identical(const FcmSketch& a, const FcmSketch& b) {
   ASSERT_EQ(a.tree_count(), b.tree_count());
@@ -157,8 +173,8 @@ TEST(BatchEquivalence, TreeBatchMatchesScalarAdds) {
 
     std::vector<std::uint64_t> batch_estimates(
         n, std::numeric_limits<std::uint64_t>::max());
-    batched.add_batch(std::span<const FlowKey>(keys),
-                      std::span<std::uint64_t>(batch_estimates));
+    tree_add_batch(batched, std::span<const FlowKey>(keys),
+                   std::span<std::uint64_t>(batch_estimates));
 
     for (std::size_t l = 1; l <= small_config().stage_count(); ++l) {
       const auto sa = scalar.stage(l);
@@ -188,8 +204,8 @@ TEST(BatchEquivalence, TreeBatchDuplicateHeavyKey) {
   for (const FlowKey key : keys) scalar_estimates.push_back(scalar.add(key));
   std::vector<std::uint64_t> batch_estimates(
       keys.size(), std::numeric_limits<std::uint64_t>::max());
-  batched.add_batch(std::span<const FlowKey>(keys),
-                    std::span<std::uint64_t>(batch_estimates));
+  tree_add_batch(batched, std::span<const FlowKey>(keys),
+                 std::span<std::uint64_t>(batch_estimates));
 
   for (std::size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(batch_estimates[i], scalar_estimates[i]) << "i=" << i;
@@ -514,8 +530,8 @@ TEST(DispatchMatrix, TreeBatchBitExactAcrossTiers) {
 
       std::vector<std::uint64_t> batch_estimates(
           n, std::numeric_limits<std::uint64_t>::max());
-      batched.add_batch(std::span<const FlowKey>(keys),
-                        std::span<std::uint64_t>(batch_estimates));
+      tree_add_batch(batched, std::span<const FlowKey>(keys),
+                     std::span<std::uint64_t>(batch_estimates));
 
       for (std::size_t l = 1; l <= small_config().stage_count(); ++l) {
         const auto sa = scalar.stage(l);
@@ -560,8 +576,8 @@ TEST(DispatchMatrix, TreeOverflowLaneFallbackAcrossTiers) {
     for (const FlowKey key : keys) scalar_estimates.push_back(scalar.add(key));
     std::vector<std::uint64_t> batch_estimates(
         keys.size(), std::numeric_limits<std::uint64_t>::max());
-    batched.add_batch(std::span<const FlowKey>(keys),
-                      std::span<std::uint64_t>(batch_estimates));
+    tree_add_batch(batched, std::span<const FlowKey>(keys),
+                   std::span<std::uint64_t>(batch_estimates));
 
     // The point of the fixture: the overflow slow path actually ran.
     ASSERT_GT(scalar.overflow_promotion_count(), 0u);
@@ -596,8 +612,8 @@ TEST(DispatchMatrix, TreeDuplicateHeavyKeyAcrossTiers) {
     for (const FlowKey key : keys) scalar_estimates.push_back(scalar.add(key));
     std::vector<std::uint64_t> batch_estimates(
         keys.size(), std::numeric_limits<std::uint64_t>::max());
-    batched.add_batch(std::span<const FlowKey>(keys),
-                      std::span<std::uint64_t>(batch_estimates));
+    tree_add_batch(batched, std::span<const FlowKey>(keys),
+                   std::span<std::uint64_t>(batch_estimates));
 
     for (std::size_t i = 0; i < keys.size(); ++i) {
       ASSERT_EQ(batch_estimates[i], scalar_estimates[i])
@@ -605,6 +621,165 @@ TEST(DispatchMatrix, TreeDuplicateHeavyKeyAcrossTiers) {
     }
     EXPECT_EQ(scalar.overflow_promotion_count(),
               batched.overflow_promotion_count());
+  }
+}
+
+// Node index at stage `stage_1based` on the path of leaf `leaf`.
+std::size_t path_node(const FcmConfig& config, std::size_t leaf,
+                      std::size_t stage_1based) {
+  for (std::size_t l = 1; l < stage_1based; ++l) leaf /= config.k;
+  return leaf;
+}
+
+// Sum of the counting maxima of stages 1..`stages`: a bulk add of this much
+// to an empty path fills every one of those stages exactly to its cap.
+std::uint64_t path_capacity(const FcmConfig& config, std::size_t stages) {
+  std::uint64_t total = 0;
+  for (std::size_t l = 1; l <= stages; ++l) total += config.counting_max(l);
+  return total;
+}
+
+TEST(DispatchMatrix, NoConsumerApplyMatchesPerKeyState) {
+  // apply_block without an estimate consumer settles a block out of key
+  // order (level-1 pass, overflowed-leaf level-2 pass, carry walk). Its
+  // stage state and promotion counter must equal per-key add() in order.
+  // Each config gets one hand-built 64-key block in which a leaf trips from
+  // below its cap, a level-2 parent saturates and the root saturates, plus a
+  // long skewed stream through many blocks.
+  const auto make = [](std::size_t k, std::vector<unsigned> bits,
+                       std::size_t leaves) {
+    FcmConfig config;
+    config.tree_count = 1;
+    config.k = k;
+    config.stage_bits = std::move(bits);
+    config.leaf_count = leaves;
+    config.seed = 0x1234;
+    return config;
+  };
+  const FcmConfig configs[] = {
+      make(8, {4, 8, 32}, 64),  // three stages, one 32-bit root
+      make(3, {4, 8, 16}, 63),  // k not a power of two: parent = x / 3
+      make(8, {8, 16}, 64),     // two stages: the level-2 parent is the root
+      make(8, {32}, 64),        // one stage: no level-2 pass
+  };
+  constexpr std::size_t kHits = 6;
+
+  for (const KernelTier tier : equivalence_tiers()) {
+    ForcedTier forced(tier);
+    for (const FcmConfig& config : configs) {
+      const std::size_t levels = config.stage_count();
+      SCOPED_TRACE("tier " +
+                   std::string(fcm::common::simd::kernel_tier_name(tier)) +
+                   " k=" + std::to_string(config.k) +
+                   " stages=" + std::to_string(levels));
+      FcmTree scalar(config, fcm::common::SeededHash(0x55));
+      FcmTree batched(config, fcm::common::SeededHash(0x55));
+
+      // Three keys whose leaves sit under three different level-2 parents
+      // (different leaves, for the one-stage tree).
+      std::vector<FlowKey> special;
+      std::vector<std::size_t> parents;
+      for (std::uint32_t v = 1; special.size() < 3; ++v) {
+        const FlowKey key{v};
+        const std::size_t parent =
+            path_node(config, scalar.leaf_index(key), std::min<std::size_t>(2, levels));
+        if (std::find(parents.begin(), parents.end(), parent) != parents.end()) {
+          continue;
+        }
+        special.push_back(key);
+        parents.push_back(parent);
+      }
+      const FlowKey trip = special[0];     // leaf two below its cap
+      const FlowKey parent2 = special[1];  // overflowed leaf, parent near cap
+      const FlowKey root = special[2];     // whole path full, root near cap
+
+      // Prime both trees identically with bulk adds.
+      const std::uint64_t cap1 = config.counting_max(1);
+      const std::uint64_t primes[] = {
+          cap1 - 2,
+          levels > 1 ? path_capacity(config, 2) - 3 : 0,
+          path_capacity(config, levels) - 3,
+      };
+      for (std::size_t s = 0; s < 3; ++s) {
+        if (primes[s] == 0) continue;
+        scalar.add(special[s], primes[s]);
+        batched.add(special[s], primes[s]);
+      }
+      const std::size_t trip_leaf = scalar.leaf_index(trip);
+      const std::size_t parent_node =
+          path_node(config, scalar.leaf_index(parent2), 2);
+      const std::size_t root_node =
+          path_node(config, scalar.leaf_index(root), levels);
+      ASSERT_FALSE(scalar.node_overflowed(1, trip_leaf));
+      if (levels > 1) {
+        ASSERT_FALSE(scalar.node_overflowed(2, parent_node));
+      }
+      ASSERT_FALSE(scalar.node_overflowed(levels, root_node));
+
+      // One block: kHits of each special key among random filler keys.
+      std::mt19937_64 rng(99 + levels);
+      std::vector<FlowKey> block;
+      for (std::size_t h = 0; h < kHits; ++h) {
+        block.insert(block.end(), {trip, parent2, root});
+      }
+      while (block.size() < fcm::common::kBatchBlock) {
+        block.push_back(FlowKey{static_cast<std::uint32_t>(rng()) | 1u});
+      }
+      std::shuffle(block.begin(), block.end(), rng);
+
+      const std::uint64_t promotions_before = scalar.overflow_promotion_count();
+      for (const FlowKey key : block) scalar.add(key);
+      tree_add_batch(batched, std::span<const FlowKey>(block), {});
+
+      // The fixture did what it claims, inside that one block.
+      EXPECT_TRUE(scalar.node_overflowed(1, trip_leaf));
+      if (levels > 1) {
+        EXPECT_TRUE(scalar.node_overflowed(2, parent_node));
+      }
+      EXPECT_TRUE(scalar.node_overflowed(levels, root_node));
+      EXPECT_GT(scalar.overflow_promotion_count(), promotions_before);
+
+      // Then a long dup-heavy stream through many no-consumer blocks.
+      const auto stream = skewed_keys(4000, 7 + levels, 512);
+      for (const FlowKey key : stream) scalar.add(key);
+      tree_add_batch(batched, std::span<const FlowKey>(stream), {});
+
+      EXPECT_EQ(scalar.overflow_promotion_count(),
+                batched.overflow_promotion_count());
+      for (std::size_t l = 1; l <= levels; ++l) {
+        const auto sa = scalar.stage(l);
+        const auto sb = batched.stage(l);
+        for (std::size_t i = 0; i < sa.size(); ++i) {
+          ASSERT_EQ(sa[i], sb[i]) << "stage " << l << " node " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DispatchMatrix, NoConsumerSketchBatchMatchesPerKeyState) {
+  // FcmSketch::add_batch with no heavy-hitter threshold hands every tree an
+  // empty estimate span. A 4-bit leaf stage over 64 leaves keeps most keys
+  // on the overflow paths.
+  FcmConfig config;
+  config.tree_count = 2;
+  config.k = 8;
+  config.stage_bits = {4, 8, 32};
+  config.leaf_count = 64;
+  config.seed = 0x1234;
+  for (const KernelTier tier : equivalence_tiers()) {
+    ForcedTier forced(tier);
+    for (const std::size_t n : {1ul, 63ul, 64ul, 65ul, 1000ul}) {
+      const auto keys = skewed_keys(n, 300 + n);
+      FcmSketch scalar(config);
+      FcmSketch batched(config);
+      for (const FlowKey key : keys) scalar.update(key);
+      batched.add_batch(std::span<const FlowKey>(keys));
+      SCOPED_TRACE("tier " +
+                   std::string(fcm::common::simd::kernel_tier_name(tier)) +
+                   " n=" + std::to_string(n));
+      expect_sketch_identical(scalar, batched);
+    }
   }
 }
 
