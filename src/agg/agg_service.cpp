@@ -139,9 +139,6 @@ DeliveryStatus AggregationService::deliver(SnapshotEnvelope envelope) {
   } catch (const common::ContractViolation&) {
     return reject(DeliveryStatus::kRejectedMalformed);
   }
-  if (header.type != WireType::kFcmFramework) {
-    return reject(DeliveryStatus::kRejectedMalformed);
-  }
   if (header.fingerprint != fingerprint_) {
     return reject(DeliveryStatus::kRejectedFingerprint);
   }
@@ -153,11 +150,12 @@ DeliveryStatus AggregationService::deliver(SnapshotEnvelope envelope) {
   // concurrently across vantage threads is the point of the design. A
   // buffer truncated or bit-flipped past the header fails validation here;
   // the service signals it via the status and never throws on hostile
-  // input.
+  // input. The snapshot analyzes under this service's policy
+  // (reference.em), whichever vantage's frame starts the epoch.
   std::optional<framework::FcmFramework> snapshot;
   try {
     snapshot.emplace(
-        WireCodec::deserialize_framework(envelope.payload, options_.metrics));
+        WireCodec::deserialize_framework(envelope.payload, vantage_options_));
   } catch (const common::ContractViolation&) {
     return reject(DeliveryStatus::kRejectedMalformed);
   }

@@ -41,8 +41,8 @@ namespace fcm::agg {
 struct SnapshotEnvelope {
   std::uint32_t vantage_id = 0;
   std::uint64_t epoch = 0;
-  // A complete wire frame (WireType::kFcmFramework) as produced by
-  // WireCodec::serialize.
+  // A complete FcmFramework wire frame as produced by WireCodec::serialize
+  // (the one frame type; agg/wire.h).
   std::vector<std::byte> payload;
 };
 
@@ -96,8 +96,10 @@ class AggregationService final : public SnapshotSink {
     // `reference` with the heavy-hitter threshold scaled to ceil(T/N) —
     // and snapshots whose header fingerprint differs from
     // merge_fingerprint(vantage_options()) are rejected without
-    // deserialization. `reference.metrics` is also the registry the merged
-    // network view analyzes through.
+    // deserialization. `reference.em` is the analysis policy of every
+    // deserialized snapshot and so of every published view (frames never
+    // carry EM parameters), and `reference.metrics` is the registry the
+    // merged network view analyzes through.
     framework::FcmFramework::Options reference;
 
     // Vantage ids are 0..vantage_count-1; an epoch is complete once every
@@ -213,9 +215,11 @@ class AggregationService final : public SnapshotSink {
 class VantagePoint {
  public:
   // `options` should equal the service's vantage_options() (up to local
-  // policy: EM parameters and metrics sinks may differ; geometry, seeds,
-  // count mode, thresholds and Top-K shape may not, or every flush is
-  // rejected with kRejectedFingerprint). The transport must outlive this.
+  // policy: EM parameters and metrics sinks may differ and never leave the
+  // vantage — the service analyzes under its own reference.em; geometry,
+  // seeds, count mode, thresholds and Top-K shape may not, or every flush
+  // is rejected with kRejectedFingerprint). The transport must outlive
+  // this.
   VantagePoint(std::uint32_t id, framework::FcmFramework::Options options,
                VantageTransport& transport);
 

@@ -1,14 +1,15 @@
-// Versioned sketch wire format (DESIGN.md §11).
+// Versioned snapshot wire format (DESIGN.md §11).
 //
-// Every sketch type the tree can merge network-wide — FcmTree, FcmSketch,
-// CmSketch/CuSketch, TopKFilter/FcmTopK, the cardinality registers
-// (LinearCounting / HyperLogLog), and the whole FcmFramework facade — can be
-// serialized to a compact, self-describing byte buffer and reconstructed
-// bit-exactly on the other side: every query (flow size, cardinality, heavy
-// hitters, FSD/entropy after analyze()) returns the same answer on the
-// deserialized object as on the original, and merge() on deserialized
-// replicas is bit-exact with merge() on the in-memory ones
-// (tests/test_wire.cpp pins both properties).
+// One frame type crosses the wire: the FcmFramework snapshot a vantage
+// point ships to the AggregationService at an epoch boundary. It carries
+// the framework's data plane — the FCM sketch, plus the Top-K filter when
+// enabled — and the merge-relevant options, and is reconstructed
+// bit-exactly on the other side: every data-plane query (flow size,
+// cardinality, heavy hitters) returns the same answer on the deserialized
+// framework as on the original, and merge() on deserialized replicas is
+// bit-exact with merge() on the in-memory ones (tests/test_wire.cpp pins
+// both properties). Analysis policy (EmConfig) and telemetry wiring never
+// travel: the receiver supplies its own.
 //
 // Frame layout (all integers little-endian, fixed width, byte-at-a-time —
 // no struct dumps, no reinterpret_cast; tools/fcm_lint.py's wire-encoding
@@ -17,28 +18,28 @@
 //   offset size  field
 //   0      4     magic "FCMW"
 //   4      2     u16 wire version (kWireVersion)
-//   6      1     u8  payload type tag (WireType)
+//   6      1     u8  payload type tag, always 9 (FcmFramework)
 //   7      1     u8  reserved, must be zero
-//   8      8     u64 config fingerprint (see below)
+//   8      8     u64 merge fingerprint (see below)
 //   16     8     u64 payload length; must equal exactly the bytes that follow
-//   24     ...   type-specific payload
+//   24     ...   framework payload
 //
-// The config fingerprint hashes the *merge-relevant* configuration of the
-// encoded object (geometry + hash seeds + count mode + heavy-hitter
-// threshold — exactly the preconditions the merge() contracts check, not
-// local policy like EM iteration caps). Two buffers with equal fingerprints
+// The merge fingerprint hashes the *merge-relevant* configuration
+// (geometry + hash seeds + count mode + heavy-hitter threshold + Top-K
+// shape — exactly the preconditions FcmFramework::merge() checks, not
+// local policy like EM iteration caps). Two frames with equal fingerprints
 // are mergeable; the AggregationService rejects mismatches from the header
 // alone, without deserializing the payload.
 //
-// Hostile-input posture: deserializers validate BEFORE they allocate or
-// build state. Truncated buffers, wrong magic, unsupported versions,
-// non-zero reserved bytes, payload-length mismatches, oversized declared
-// counts, out-of-range node values, and fingerprint mismatches all raise
-// fcm::common::ContractViolation; declared element counts are checked
-// against the bytes actually present, so a flipped count byte cannot cause
-// allocation amplification (tests/test_wire.cpp, hostile suite). A final
-// check_invariants() sweep on the rebuilt object catches bit flips that
-// survive the field-level checks.
+// Hostile-input posture: the decoder validates BEFORE it allocates or
+// builds state. Truncated buffers, wrong magic, unsupported versions,
+// foreign type tags, non-zero reserved bytes, payload-length mismatches,
+// oversized declared counts, out-of-range node values, and fingerprint
+// mismatches all raise fcm::common::ContractViolation; declared element
+// counts are checked against the bytes actually present, so a flipped
+// count byte cannot cause allocation amplification (tests/test_wire.cpp,
+// hostile suite). A final check_invariants() sweep on the rebuilt framework
+// catches bit flips that survive the field-level checks.
 #pragma once
 
 #include <cstddef>
@@ -47,30 +48,14 @@
 #include <vector>
 
 #include "common/contracts.h"
-#include "fcm/fcm_topk.h"
 #include "framework/fcm_framework.h"
-#include "sketch/cardinality.h"
-#include "sketch/cm_sketch.h"
 
 namespace fcm::agg {
 
 // Bump when the byte layout changes incompatibly. Policy (DESIGN.md §11):
 // readers accept exactly their own version; the version byte exists so a
 // mixed-fleet rollout fails loudly at the header, not by misparsing state.
-inline constexpr std::uint16_t kWireVersion = 1;
-
-// Payload type tags. Values are wire ABI — append, never renumber.
-enum class WireType : std::uint8_t {
-  kFcmTree = 1,
-  kFcmSketch = 2,
-  kCmSketch = 3,
-  kCuSketch = 4,
-  kTopKFilter = 5,
-  kFcmTopK = 6,
-  kLinearCounting = 7,
-  kHyperLogLog = 8,
-  kFcmFramework = 9,
-};
+inline constexpr std::uint16_t kWireVersion = 2;
 
 // Append-only little-endian encoder. Integers are emitted byte by byte so
 // the layout is identical on every host.
@@ -148,47 +133,27 @@ class WireReader {
 // Parsed and validated frame header.
 struct WireHeader {
   std::uint16_t version = 0;
-  WireType type = WireType::kFcmTree;
   std::uint64_t fingerprint = 0;
   std::uint64_t payload_bytes = 0;
 };
 
-// The (de)serializer for every sketch type. A single class so the sketch
-// headers grant exactly one friend; all functions are stateless.
+// The (de)serializer for the FcmFramework snapshot. A single class so the
+// sketch headers grant exactly one friend; all functions are stateless.
 class WireCodec {
  public:
-  // --- serialize ----------------------------------------------------------
-  static std::vector<std::byte> serialize(const core::FcmTree& tree);
-  static std::vector<std::byte> serialize(const core::FcmSketch& sketch);
-  // Tags kCmSketch or kCuSketch by the object's dynamic type (name()).
-  static std::vector<std::byte> serialize(const sketch::CmSketch& cm);
-  static std::vector<std::byte> serialize(const sketch::TopKFilter& filter);
-  static std::vector<std::byte> serialize(const core::FcmTopK& topk);
-  static std::vector<std::byte> serialize(const sketch::LinearCounting& lc);
-  static std::vector<std::byte> serialize(const sketch::HyperLogLog& hll);
   static std::vector<std::byte> serialize(const framework::FcmFramework& fw);
 
-  // --- deserialize --------------------------------------------------------
-  // Each function requires the matching type tag and throws
-  // ContractViolation on any malformed input (see header comment).
-  static core::FcmTree deserialize_tree(std::span<const std::byte> buffer);
-  static core::FcmSketch deserialize_sketch(std::span<const std::byte> buffer);
-  static sketch::CmSketch deserialize_cm(std::span<const std::byte> buffer);
-  static sketch::CuSketch deserialize_cu(std::span<const std::byte> buffer);
-  static sketch::TopKFilter deserialize_topk_filter(
-      std::span<const std::byte> buffer);
-  static core::FcmTopK deserialize_fcm_topk(std::span<const std::byte> buffer);
-  static sketch::LinearCounting deserialize_linear_counting(
-      std::span<const std::byte> buffer);
-  static sketch::HyperLogLog deserialize_hll(std::span<const std::byte> buffer);
-  // `metrics` replaces the non-serializable telemetry sink (wire buffers
-  // never carry pointers); pass nullptr for an uninstrumented replica.
+  // Rebuilds the framework a frame carries; throws ContractViolation on any
+  // malformed input (see header comment). The frame fixes the data plane
+  // and its merge-relevant options; `local` supplies what never travels:
+  // the analysis policy (`em`) and the telemetry sink (`metrics`, nullptr
+  // for an uninstrumented replica). Every other field of `local` is
+  // ignored.
   static framework::FcmFramework deserialize_framework(
       std::span<const std::byte> buffer,
-      obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global());
+      const framework::FcmFramework::Options& local);
 
-  // --- header / fingerprint ----------------------------------------------
-  // Validates magic, version, reserved byte, type-tag range, and that
+  // Validates magic, version, type tag, reserved byte, and that
   // payload_bytes matches the buffer exactly; throws ContractViolation.
   static WireHeader peek(std::span<const std::byte> buffer);
 
@@ -200,33 +165,17 @@ class WireCodec {
       const framework::FcmFramework::Options& options);
 
  private:
-  // Shared body encoders/decoders (nested payloads reuse them: FcmTopK is a
-  // sketch body followed by a filter body, FcmFramework wraps either).
+  // Body encoders/decoders the framework payload nests: a sketch body,
+  // followed by a filter body when the Top-K plane is enabled.
   static void encode_config(WireWriter& out, const core::FcmConfig& config);
   static core::FcmConfig decode_config(WireReader& in);
   static void encode_tree_state(WireWriter& out, const core::FcmTree& tree);
   static void decode_tree_state(WireReader& in, core::FcmTree& tree);
   static void encode_sketch_body(WireWriter& out, const core::FcmSketch& s);
   static core::FcmSketch decode_sketch_body(WireReader& in);
-  static void encode_cm_body(WireWriter& out, const sketch::CmSketch& cm);
-  static void decode_cm_body(WireReader& in, sketch::CmSketch& cm);
   static void encode_filter_body(WireWriter& out,
                                  const sketch::TopKFilter& filter);
   static sketch::TopKFilter decode_filter_body(WireReader& in);
-
-  // Per-type merge-compatibility fingerprints (see WireHeader::fingerprint).
-  static std::uint64_t fingerprint_bytes(std::span<const std::byte> bytes);
-  static std::uint64_t fingerprint_config(const core::FcmConfig& config);
-  static std::uint64_t fingerprint_tree(const core::FcmTree& tree);
-  static std::uint64_t fingerprint_cm(const sketch::CmSketch& cm);
-  static std::uint64_t fingerprint_filter(const sketch::TopKFilter& filter);
-  static std::uint64_t fingerprint_fcm_topk(const core::FcmTopK& topk);
-
-  // Frame assembly/validation around a finished payload.
-  static std::vector<std::byte> frame(WireType type, std::uint64_t fingerprint,
-                                      WireWriter&& payload);
-  static WireReader open(std::span<const std::byte> buffer, WireType expected,
-                         std::uint64_t* fingerprint_out);
 };
 
 }  // namespace fcm::agg

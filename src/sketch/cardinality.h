@@ -11,10 +11,6 @@
 #include "common/hash.h"
 #include "flow/flow_key.h"
 
-namespace fcm::agg {
-class WireCodec;  // wire-format (de)serializer, the single state-access friend
-}
-
 namespace fcm::sketch {
 
 class LinearCounting {
@@ -30,8 +26,6 @@ class LinearCounting {
   void clear();
 
  private:
-  friend class ::fcm::agg::WireCodec;
-
   common::SeededHash hash_;
   std::vector<bool> bitmap_;
 };
@@ -54,8 +48,6 @@ class HyperLogLog {
   void clear();
 
  private:
-  friend class ::fcm::agg::WireCodec;
-
   // Seed of the second 32-bit hash that widens update()'s value to 64 bits:
   // hash_.seed() ^ kAuxSeedXor.
   static constexpr std::uint32_t kAuxSeedXor = 0x9e3779b9u;

@@ -48,31 +48,6 @@ std::uint64_t CmSketch::query(flow::FlowKey key) const {
   return result;
 }
 
-void CmSketch::merge(const CmSketch& other) {
-  FCM_REQUIRE(rows_.size() == other.rows_.size() && width_ == other.width_,
-              "CmSketch::merge: mismatched geometry (depth " +
-                  std::to_string(rows_.size()) + "x" + std::to_string(width_) +
-                  " vs " + std::to_string(other.rows_.size()) + "x" +
-                  std::to_string(other.width_) + ")");
-  for (std::size_t d = 0; d < hashes_.size(); ++d) {
-    FCM_REQUIRE(hashes_[d].seed() == other.hashes_[d].seed(),
-                "CmSketch::merge: row " + std::to_string(d) +
-                    " uses a different hash function");
-  }
-  saturations_ += other.saturations_;  // monotone telemetry, see header
-  for (std::size_t d = 0; d < rows_.size(); ++d) {
-    for (std::size_t c = 0; c < width_; ++c) {
-      // Saturating sum, exactly mirroring add()'s per-increment saturation:
-      // min(a, M) + min(b, M) clamped at M equals min(a + b, M).
-      const std::uint64_t sum =
-          static_cast<std::uint64_t>(rows_[d][c]) + other.rows_[d][c];
-      if (sum > std::numeric_limits<std::uint32_t>::max()) ++saturations_;
-      rows_[d][c] = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-          sum, std::numeric_limits<std::uint32_t>::max()));
-    }
-  }
-}
-
 std::size_t CmSketch::memory_bytes() const {
   return rows_.size() * width_ * sizeof(std::uint32_t);
 }

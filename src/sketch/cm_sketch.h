@@ -8,10 +8,6 @@
 #include "common/hash.h"
 #include "sketch/frequency_estimator.h"
 
-namespace fcm::agg {
-class WireCodec;  // wire-format (de)serializer, the single state-access friend
-}
-
 namespace fcm::sketch {
 
 class CmSketch : public FrequencyEstimator {
@@ -29,14 +25,6 @@ class CmSketch : public FrequencyEstimator {
 
   std::uint64_t query(flow::FlowKey key) const override;
 
-  // Element-wise counter sum: CM is linear, so the merged state is bit-exact
-  // the state one sketch would hold after absorbing both streams (counters
-  // saturate at 2^32 - 1 exactly as serial add() does). Requires identical
-  // geometry and per-row hash seeds (ContractViolation otherwise). For the
-  // conservative-update subclass the merged counters remain a valid
-  // overestimate of every flow, but are not bit-exact with a serial CU run
-  // (conservative update is not linear).
-  void merge(const CmSketch& other);
   std::size_t memory_bytes() const override;
   std::string name() const override { return "CM"; }
   void clear() override;
@@ -62,8 +50,6 @@ class CmSketch : public FrequencyEstimator {
   const std::vector<std::vector<std::uint32_t>>& rows() const noexcept { return rows_; }
 
  private:
-  friend class ::fcm::agg::WireCodec;
-
   std::size_t width_;
   std::vector<common::SeededHash> hashes_;
   std::vector<std::vector<std::uint32_t>> rows_;

@@ -15,6 +15,7 @@
 #include "agg/agg_service.h"
 #include "agg/query_plane.h"
 #include "agg/wire.h"
+#include "controlplane/em.h"
 #include "framework/fcm_framework.h"
 #include "obs/metrics_registry.h"
 #include "property_harness.h"
@@ -145,6 +146,84 @@ TEST(AggregationServiceTest, RejectsForeignStaleDuplicateAndMalformed) {
   // None of the rejections leaked into the published view.
   EXPECT_EQ(service.query_plane().current()->network.flow_size(flow::FlowKey{7}),
             2u);
+}
+
+// The first snapshot of an epoch becomes the pending merged framework, so
+// the published view must not inherit that vantage's analysis policy: it
+// analyzes under reference.em whichever vantage arrives first.
+TEST(AggregationServiceTest, ViewAnalyzesUnderReferencePolicyInAnyOrder) {
+  auto options = service_options(2);
+  options.reference.em.max_iterations = 3;
+  options.analyze_on_publish = true;
+
+  const auto keys = random_keys(kSeed, 20'000, kUniverse);
+  std::vector<std::shared_ptr<const NetworkView>> views;
+  for (const bool reversed : {false, true}) {
+    AggregationService service(options);
+    // Vantage 0 runs 1 EM iteration, vantage 1 runs 10.
+    std::vector<framework::FcmFramework> snapshots;
+    for (const std::size_t iterations : {1u, 10u}) {
+      auto local = service.vantage_options();
+      local.em.max_iterations = iterations;
+      snapshots.emplace_back(local);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      snapshots[i % 2].process(keys[i]);
+    }
+    for (std::uint32_t n = 0; n < 2; ++n) {
+      const std::uint32_t v = reversed ? 1 - n : n;
+      ASSERT_EQ(service.deliver(envelope_for(snapshots[v], v, 1)),
+                DeliveryStatus::kAccepted);
+    }
+    views.push_back(service.query_plane().current());
+    ASSERT_NE(views.back(), nullptr);
+    ASSERT_TRUE(views.back()->report.has_value());
+    const control::EmConfig& em = views.back()->network.options().em;
+    EXPECT_EQ(em.max_iterations, options.reference.em.max_iterations)
+        << "reversed=" << reversed;
+    EXPECT_EQ(em.value_enumeration_cap,
+              options.reference.em.value_enumeration_cap);
+    EXPECT_EQ(em.max_extra_flows, options.reference.em.max_extra_flows);
+    EXPECT_EQ(em.max_enumeration_degree,
+              options.reference.em.max_enumeration_degree);
+    EXPECT_EQ(em.thread_count, options.reference.em.thread_count);
+  }
+  const auto& a = *views[0]->report;
+  const auto& b = *views[1]->report;
+  EXPECT_EQ(a.fsd.counts(), b.fsd.counts());
+  EXPECT_EQ(a.entropy, b.entropy);
+  EXPECT_EQ(a.estimated_flows, b.estimated_flows);
+  EXPECT_EQ(a.cardinality, b.cardinality);
+}
+
+// A Top-K deployment's frame whose options declare a giant vote table is
+// malformed, not an allocation: deliver() reports it and stays usable.
+TEST(AggregationServiceTest, HostileTopKEntryCountIsRejectedMalformed) {
+  auto options = service_options(1);
+  options.reference.topk_entries = 64;
+  AggregationService service(options);
+  framework::FcmFramework fw(service.vantage_options());
+  fw.process(flow::FlowKey{4});
+
+  // u64 topk_entries follows the header, the u8 Top-K flag and the options'
+  // FcmConfig (25 bytes + one per stage).
+  const std::size_t offset =
+      24 + 1 + 25 + service.vantage_options().fcm.stage_count();
+  for (const unsigned shift : {26u, 40u, 60u}) {
+    SnapshotEnvelope hostile = envelope_for(fw, 0, 1);
+    for (std::size_t i = 0; i < 8; ++i) {
+      hostile.payload[offset + i] =
+          static_cast<std::byte>(((1ull << shift) >> (8 * i)) & 0xff);
+    }
+    EXPECT_EQ(service.deliver(std::move(hostile)),
+              DeliveryStatus::kRejectedMalformed)
+        << "2^" << shift << " entries";
+  }
+  EXPECT_EQ(service.deliver(envelope_for(fw, 0, 1)), DeliveryStatus::kAccepted);
+  ASSERT_NE(service.query_plane().current(), nullptr);
+  EXPECT_EQ(service.query_plane().current()->network.flow_size(
+                flow::FlowKey{4}),
+            1u);
 }
 
 TEST(AggregationServiceTest, OutOfOrderEpochsPublishInOrder) {

@@ -1,7 +1,7 @@
 // Merge semantics (DESIGN.md §7): counter-sum with overflow promotion.
 //
 // The headline guarantee of the sharded runtime rests on these properties:
-//   - FcmTree/FcmSketch/CmSketch merges are BIT-EXACT: the merged state
+//   - FcmTree/FcmSketch merges are BIT-EXACT: the merged state
 //     equals the state one structure would hold after absorbing all shards'
 //     streams (checked node-for-node and query-for-query, N in {1,2,4,8});
 //   - merge is an identity w.r.t. an empty sketch, commutative, and
@@ -21,7 +21,6 @@
 #include "fcm/fcm_sketch.h"
 #include "fcm/fcm_topk.h"
 #include "flow/synthetic.h"
-#include "sketch/cm_sketch.h"
 
 namespace fcm {
 namespace {
@@ -340,51 +339,6 @@ TEST(FcmSketchMerge, UnionIsDedupedAndRequalifiedAgainstMergedCounters) {
   // Recorded by both shards; the union holds it exactly once.
   EXPECT_EQ(merged.heavy_hitters().count(both), 1u);
   EXPECT_EQ(merged.query(both), 100u);
-}
-
-// --- CM / CU baselines ------------------------------------------------------
-
-TEST(CmSketchMerge, BitExactVersusSerial) {
-  const Trace trace = fixed_trace(13, 30'000, 2'000);
-  sketch::CmSketch serial(3, 2048, 0xc0117);
-  sketch::CmSketch shard_a(3, 2048, 0xc0117);
-  sketch::CmSketch shard_b(3, 2048, 0xc0117);
-
-  std::size_t i = 0;
-  for (const auto& packet : trace.packets()) {
-    serial.update(packet.key);
-    ((i++ % 2 == 0) ? shard_a : shard_b).update(packet.key);
-  }
-  shard_a.merge(shard_b);
-  shard_a.check_invariants();
-  for (const FlowKey key : distinct_keys(trace)) {
-    ASSERT_EQ(shard_a.query(key), serial.query(key));
-  }
-}
-
-TEST(CmSketchMerge, RejectsMismatchedGeometryOrSeeds) {
-  sketch::CmSketch sketch(3, 1024, 0xc0117);
-  sketch::CmSketch wrong_width(3, 512, 0xc0117);
-  sketch::CmSketch wrong_depth(2, 1024, 0xc0117);
-  sketch::CmSketch wrong_seed(3, 1024, 0xbad5eed);
-  EXPECT_THROW(sketch.merge(wrong_width), common::ContractViolation);
-  EXPECT_THROW(sketch.merge(wrong_depth), common::ContractViolation);
-  EXPECT_THROW(sketch.merge(wrong_seed), common::ContractViolation);
-}
-
-TEST(CuSketchMerge, MergedCountersNeverUnderestimate) {
-  const Trace trace = fixed_trace(29, 20'000, 1'500);
-  const flow::GroundTruth truth(trace);
-  sketch::CuSketch shard_a(3, 2048, 0xc0117);
-  sketch::CuSketch shard_b(3, 2048, 0xc0117);
-  std::size_t i = 0;
-  for (const auto& packet : trace.packets()) {
-    ((i++ % 2 == 0) ? shard_a : shard_b).update(packet.key);
-  }
-  shard_a.merge(shard_b);
-  for (const auto& [key, size] : truth.flow_sizes()) {
-    ASSERT_GE(shard_a.query(key), size);
-  }
 }
 
 // --- FCM+TopK ---------------------------------------------------------------

@@ -1,5 +1,6 @@
-// Wire-format suite (DESIGN.md §11): round-trips for every sketch type,
-// the hostile-input battery for the deserializers, and seeded property
+// Wire-format suite (DESIGN.md §11): the FcmFramework snapshot round-trip,
+// header and fingerprint semantics, the receiver-owned analysis policy, the
+// hostile-input battery on plain and Top-K frames, and seeded property
 // tests (tests/property_harness.h) pinning that serialize→deserialize→
 // merge() is bit-exact with the all-in-memory merge for N∈{1,2,4,8}
 // vantage points.
@@ -11,26 +12,20 @@
 #include <optional>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "agg/wire.h"
 #include "common/contracts.h"
-#include "fcm/fcm_sketch.h"
-#include "fcm/fcm_topk.h"
+#include "controlplane/em.h"
 #include "flow/flow_key.h"
 #include "framework/fcm_framework.h"
 #include "property_harness.h"
-#include "sketch/cardinality.h"
-#include "sketch/cm_sketch.h"
-#include "sketch/topk_filter.h"
 
 namespace fcm {
 namespace {
 
 using agg::WireCodec;
 using agg::WireHeader;
-using agg::WireType;
 using common::ContractViolation;
 using proptest::random_keys;
 using proptest::small_fcm_config;
@@ -38,6 +33,7 @@ using proptest::small_fcm_config;
 constexpr std::uint64_t kSeed = 0xfca9;
 constexpr std::size_t kTraceLength = 20'000;
 constexpr std::uint32_t kUniverse = 1'500;
+constexpr std::size_t kHeaderBytes = 24;
 
 framework::FcmFramework::Options plain_options(std::uint64_t seed = kSeed) {
   framework::FcmFramework::Options options;
@@ -53,139 +49,68 @@ framework::FcmFramework::Options topk_options(std::uint64_t seed = kSeed) {
   return options;
 }
 
+framework::FcmFramework loaded(framework::FcmFramework::Options options,
+                               std::size_t length, std::uint32_t universe) {
+  framework::FcmFramework fw(std::move(options));
+  for (const flow::FlowKey key : random_keys(kSeed, length, universe)) {
+    fw.process(key);
+  }
+  return fw;
+}
+
+// The small frameworks the hostile battery serializes and corrupts: a low
+// heavy-hitter threshold so the candidate list is non-empty.
+framework::FcmFramework hostile_framework(
+    framework::FcmFramework::Options options) {
+  options.heavy_hitter_threshold = 8;
+  return loaded(std::move(options), 2'000, 200);
+}
+
+std::vector<std::byte> hostile_frame(
+    const framework::FcmFramework::Options& options) {
+  return WireCodec::serialize(hostile_framework(options));
+}
+
+std::vector<std::byte> patch_u64(std::vector<std::byte> buf, std::size_t offset,
+                                 std::uint64_t value) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    buf[offset + i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
+  }
+  return buf;
+}
+
+// Framework payload offsets (DESIGN.md §11.1): u8 has_topk, then the
+// options' FcmConfig (u32 tree_count, u32 k, u64 leaf_count, u64 seed,
+// u8 stage_count, u8 per stage), then u64 topk_entries.
+constexpr std::size_t kTreeCountOffset = kHeaderBytes + 1;
+constexpr std::size_t kLeafCountOffset = kTreeCountOffset + 8;
+std::size_t topk_entries_offset(const framework::FcmFramework::Options& o) {
+  return kTreeCountOffset + 25 + o.fcm.stage_count();
+}
+
+// Bytes the Top-K filter body occupies at the end of the frame.
+std::size_t filter_body_bytes(const framework::FcmFramework::Options& o) {
+  return o.topk_entries == 0 ? 0 : 16 + 13 * o.topk_entries;
+}
+
+void expect_same_policy(const control::EmConfig& got,
+                        const control::EmConfig& want) {
+  EXPECT_EQ(got.max_iterations, want.max_iterations);
+  EXPECT_EQ(got.value_enumeration_cap, want.value_enumeration_cap);
+  EXPECT_EQ(got.max_extra_flows, want.max_extra_flows);
+  EXPECT_EQ(got.max_enumeration_degree, want.max_enumeration_degree);
+  EXPECT_EQ(got.thread_count, want.thread_count);
+}
+
 // --- round-trips ------------------------------------------------------------
-
-TEST(WireRoundTrip, FcmTreeIsBitExact) {
-  core::FcmTree tree(small_fcm_config(kSeed), common::make_hash(kSeed, 0));
-  for (const flow::FlowKey key : random_keys(kSeed, kTraceLength, kUniverse)) {
-    tree.add(key);
-  }
-  const std::vector<std::byte> wire = WireCodec::serialize(tree);
-  const core::FcmTree restored = WireCodec::deserialize_tree(wire);
-  restored.check_invariants();
-  for (std::uint32_t id = 0; id < kUniverse; ++id) {
-    const flow::FlowKey key{id};
-    ASSERT_EQ(tree.query(key), restored.query(key)) << "key " << id;
-  }
-  EXPECT_EQ(tree.overflow_promotion_count(),
-            restored.overflow_promotion_count());
-  // Canonical encoding: re-serializing the restored object reproduces the
-  // exact bytes.
-  EXPECT_EQ(wire, WireCodec::serialize(restored));
-}
-
-TEST(WireRoundTrip, FcmSketchIsBitExact) {
-  core::FcmSketch sketch(small_fcm_config(kSeed));
-  sketch.set_heavy_hitter_threshold(64);
-  for (const flow::FlowKey key : random_keys(kSeed, kTraceLength, kUniverse)) {
-    sketch.update(key);
-  }
-  const std::vector<std::byte> wire = WireCodec::serialize(sketch);
-  const core::FcmSketch restored = WireCodec::deserialize_sketch(wire);
-  restored.check_invariants();
-  for (std::uint32_t id = 0; id < kUniverse; ++id) {
-    const flow::FlowKey key{id};
-    ASSERT_EQ(sketch.query(key), restored.query(key)) << "key " << id;
-  }
-  EXPECT_EQ(sketch.estimate_cardinality(), restored.estimate_cardinality());
-  EXPECT_EQ(sketch.heavy_hitters(), restored.heavy_hitters());
-  EXPECT_EQ(wire, WireCodec::serialize(restored));
-}
-
-TEST(WireRoundTrip, CmAndCuSketchAreBitExact) {
-  sketch::CmSketch cm(3, 4096, kSeed);
-  sketch::CuSketch cu(3, 4096, kSeed);
-  for (const flow::FlowKey key : random_keys(kSeed, kTraceLength, kUniverse)) {
-    cm.update(key);
-    cu.update(key);
-  }
-  const auto cm_wire = WireCodec::serialize(cm);
-  const auto cu_wire = WireCodec::serialize(cu);
-  // The two subclasses get distinct type tags from the same overload.
-  EXPECT_EQ(WireCodec::peek(cm_wire).type, WireType::kCmSketch);
-  EXPECT_EQ(WireCodec::peek(cu_wire).type, WireType::kCuSketch);
-  const sketch::CmSketch restored_cm = WireCodec::deserialize_cm(cm_wire);
-  const sketch::CuSketch restored_cu = WireCodec::deserialize_cu(cu_wire);
-  restored_cm.check_invariants();
-  restored_cu.check_invariants();
-  for (std::uint32_t id = 0; id < kUniverse; ++id) {
-    const flow::FlowKey key{id};
-    ASSERT_EQ(cm.query(key), restored_cm.query(key)) << "key " << id;
-    ASSERT_EQ(cu.query(key), restored_cu.query(key)) << "key " << id;
-  }
-  EXPECT_EQ(cm_wire, WireCodec::serialize(restored_cm));
-  EXPECT_EQ(cu_wire, WireCodec::serialize(restored_cu));
-}
-
-TEST(WireRoundTrip, TopKFilterIsBitExact) {
-  sketch::TopKFilter filter(64, 8, kSeed);
-  for (const flow::FlowKey key : random_keys(kSeed, kTraceLength, kUniverse)) {
-    (void)filter.offer(key);
-  }
-  const auto wire = WireCodec::serialize(filter);
-  const sketch::TopKFilter restored = WireCodec::deserialize_topk_filter(wire);
-  restored.check_invariants();
-  for (std::uint32_t id = 0; id < kUniverse; ++id) {
-    const flow::FlowKey key{id};
-    const auto a = filter.query(key);
-    const auto b = restored.query(key);
-    ASSERT_EQ(a.has_value(), b.has_value()) << "key " << id;
-    if (a.has_value()) {
-      EXPECT_EQ(a->count, b->count);
-      EXPECT_EQ(a->has_light_part, b->has_light_part);
-    }
-  }
-  EXPECT_EQ(wire, WireCodec::serialize(restored));
-}
-
-TEST(WireRoundTrip, FcmTopKIsBitExact) {
-  core::FcmTopK topk(proptest::small_topk_config(kSeed));
-  topk.set_heavy_hitter_threshold(64);
-  for (const flow::FlowKey key : random_keys(kSeed, kTraceLength, kUniverse)) {
-    topk.update(key);
-  }
-  const auto wire = WireCodec::serialize(topk);
-  const core::FcmTopK restored = WireCodec::deserialize_fcm_topk(wire);
-  restored.check_invariants();
-  for (std::uint32_t id = 0; id < kUniverse; ++id) {
-    const flow::FlowKey key{id};
-    ASSERT_EQ(topk.query(key), restored.query(key)) << "key " << id;
-  }
-  EXPECT_EQ(topk.topk_flows(), restored.topk_flows());
-  EXPECT_EQ(topk.estimate_cardinality(), restored.estimate_cardinality());
-  EXPECT_EQ(wire, WireCodec::serialize(restored));
-}
-
-TEST(WireRoundTrip, CardinalityRegistersAreBitExact) {
-  sketch::LinearCounting lc(4096, kSeed);
-  sketch::HyperLogLog hll(1024, kSeed);
-  for (const flow::FlowKey key : random_keys(kSeed, kTraceLength, kUniverse)) {
-    lc.update(key);
-    hll.update(key);
-  }
-  const auto lc_wire = WireCodec::serialize(lc);
-  const auto hll_wire = WireCodec::serialize(hll);
-  const sketch::LinearCounting restored_lc =
-      WireCodec::deserialize_linear_counting(lc_wire);
-  const sketch::HyperLogLog restored_hll =
-      WireCodec::deserialize_hll(hll_wire);
-  EXPECT_EQ(lc.zero_bits(), restored_lc.zero_bits());
-  EXPECT_EQ(lc.estimate(), restored_lc.estimate());
-  EXPECT_EQ(hll.estimate(), restored_hll.estimate());
-  EXPECT_EQ(lc_wire, WireCodec::serialize(restored_lc));
-  EXPECT_EQ(hll_wire, WireCodec::serialize(restored_hll));
-}
 
 TEST(WireRoundTrip, FrameworkPlainAndTopKAreBitExact) {
   for (const auto& options : {plain_options(), topk_options()}) {
-    framework::FcmFramework fw(options);
-    for (const flow::FlowKey key :
-         random_keys(kSeed, kTraceLength, kUniverse)) {
-      fw.process(key);
-    }
+    const framework::FcmFramework fw =
+        loaded(options, kTraceLength, kUniverse);
     const auto wire = WireCodec::serialize(fw);
     const framework::FcmFramework restored =
-        WireCodec::deserialize_framework(wire, nullptr);
+        WireCodec::deserialize_framework(wire, options);
     restored.check_invariants();
     for (std::uint32_t id = 0; id < kUniverse; ++id) {
       const flow::FlowKey key{id};
@@ -199,19 +124,50 @@ TEST(WireRoundTrip, FrameworkPlainAndTopKAreBitExact) {
     EXPECT_EQ(a.entropy, b.entropy);
     EXPECT_EQ(a.estimated_flows, b.estimated_flows);
     EXPECT_EQ(a.cardinality, b.cardinality);
+    // Canonical encoding: re-serializing the restored framework reproduces
+    // the exact bytes.
     EXPECT_EQ(wire, WireCodec::serialize(restored));
   }
 }
 
 TEST(WireRoundTrip, EmptyObjectsRoundTrip) {
-  const core::FcmSketch sketch(small_fcm_config(kSeed));
-  const core::FcmSketch restored =
-      WireCodec::deserialize_sketch(WireCodec::serialize(sketch));
-  EXPECT_EQ(restored.query(flow::FlowKey{7}), 0u);
-  const sketch::TopKFilter filter(8);
-  (void)WireCodec::deserialize_topk_filter(WireCodec::serialize(filter));
-  const framework::FcmFramework fw(plain_options());
-  (void)WireCodec::deserialize_framework(WireCodec::serialize(fw), nullptr);
+  for (const auto& options : {plain_options(), topk_options()}) {
+    const framework::FcmFramework fw(options);
+    const framework::FcmFramework restored =
+        WireCodec::deserialize_framework(WireCodec::serialize(fw), options);
+    EXPECT_EQ(restored.flow_size(flow::FlowKey{7}), 0u);
+  }
+}
+
+// The frame carries the data plane and the merge-relevant options only:
+// the restored framework analyzes under the receiver's EmConfig and reports
+// into the receiver's registry, whatever the sender ran.
+TEST(WireRoundTrip, ReceiverOwnsAnalysisPolicy) {
+  auto sender = plain_options();
+  sender.em.max_iterations = 1;
+  sender.em.value_enumeration_cap = 50;
+  sender.em.thread_count = 4;
+  auto receiver = plain_options();
+  receiver.em.max_iterations = 3;
+  receiver.metrics = &obs::MetricsRegistry::global();
+
+  const framework::FcmFramework fw = loaded(sender, kTraceLength, kUniverse);
+  const auto wire = WireCodec::serialize(fw);
+  // EM policy does not reach the bytes at all.
+  EXPECT_EQ(wire, WireCodec::serialize(
+                      loaded(plain_options(), kTraceLength, kUniverse)));
+
+  const framework::FcmFramework restored =
+      WireCodec::deserialize_framework(wire, receiver);
+  expect_same_policy(restored.options().em, receiver.em);
+  EXPECT_EQ(restored.options().metrics, receiver.metrics);
+
+  // Same data plane analyzed under the receiver's policy.
+  const auto got = restored.analyze();
+  const auto want = loaded(receiver, kTraceLength, kUniverse).analyze();
+  EXPECT_EQ(got.fsd.counts(), want.fsd.counts());
+  EXPECT_EQ(got.entropy, want.entropy);
+  EXPECT_EQ(got.estimated_flows, want.estimated_flows);
 }
 
 // --- header / fingerprint semantics ----------------------------------------
@@ -221,9 +177,11 @@ TEST(WireHeaderTest, PeekReportsTypeVersionFingerprint) {
   const auto wire = WireCodec::serialize(fw);
   const WireHeader header = WireCodec::peek(wire);
   EXPECT_EQ(header.version, agg::kWireVersion);
-  EXPECT_EQ(header.type, WireType::kFcmFramework);
+  EXPECT_EQ(agg::kWireVersion, 2u);
+  // The type tag kept its version-1 value for the framework snapshot.
+  EXPECT_EQ(wire[6], std::byte{9});
   EXPECT_EQ(header.fingerprint, WireCodec::merge_fingerprint(fw.options()));
-  EXPECT_EQ(header.payload_bytes, wire.size() - 24);
+  EXPECT_EQ(header.payload_bytes, wire.size() - kHeaderBytes);
 }
 
 TEST(WireHeaderTest, FingerprintTracksMergeCompatibilityOnly) {
@@ -253,18 +211,17 @@ TEST(WireHeaderTest, FingerprintTracksMergeCompatibilityOnly) {
   EXPECT_NE(fp, WireCodec::merge_fingerprint(topk_options()));
 }
 
-TEST(WireHeaderTest, TypeTagsAreEnforcedAcrossDeserializers) {
-  const core::FcmSketch sketch(small_fcm_config(kSeed));
-  const auto wire = WireCodec::serialize(sketch);
-  EXPECT_THROW((void)WireCodec::deserialize_tree(wire), ContractViolation);
-  EXPECT_THROW((void)WireCodec::deserialize_cm(wire), ContractViolation);
-  EXPECT_THROW((void)WireCodec::deserialize_framework(wire, nullptr),
-               ContractViolation);
-  // CM wire is not CU wire: the conservative-update subclass has different
-  // merge semantics, so the tags must not alias.
-  const sketch::CmSketch cm(2, 64);
-  EXPECT_THROW((void)WireCodec::deserialize_cu(WireCodec::serialize(cm)),
-               ContractViolation);
+// Only the framework tag (9) opens; the tags version 1 gave other sketch
+// types are as foreign as any other byte.
+TEST(WireHeaderTest, ForeignTypeTagsAreRejected) {
+  const auto wire = WireCodec::serialize(framework::FcmFramework(plain_options()));
+  for (unsigned tag = 0; tag < 256; ++tag) {
+    if (tag == 9) continue;
+    auto corrupt = wire;
+    corrupt[6] = static_cast<std::byte>(tag);
+    EXPECT_THROW((void)WireCodec::peek(corrupt), ContractViolation)
+        << "tag " << tag;
+  }
 }
 
 // --- hostile inputs ---------------------------------------------------------
@@ -273,131 +230,131 @@ TEST(WireHeaderTest, TypeTagsAreEnforcedAcrossDeserializers) {
 // so truncation at ANY byte is detectable (and must never read past the
 // end — the ASan job enforces the "never UB" half).
 TEST(WireHostile, EveryTruncationThrows) {
-  core::FcmSketch sketch(small_fcm_config(kSeed));
-  sketch.set_heavy_hitter_threshold(8);
-  for (const flow::FlowKey key : random_keys(kSeed, 2'000, 200)) {
-    sketch.update(key);
-  }
-  const auto wire = WireCodec::serialize(sketch);
-  for (std::size_t len = 0; len < wire.size(); ++len) {
-    const std::vector<std::byte> prefix(wire.begin(),
-                                        wire.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW((void)WireCodec::deserialize_sketch(prefix),
-                 ContractViolation)
-        << "prefix length " << len;
+  for (const auto& options : {plain_options(), topk_options()}) {
+    const auto wire = hostile_frame(options);
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      const std::vector<std::byte> prefix(
+          wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_THROW((void)WireCodec::deserialize_framework(prefix, options),
+                   ContractViolation)
+          << "prefix length " << len << " topk=" << options.topk_entries;
+    }
   }
 }
 
 TEST(WireHostile, HeaderCorruptionsThrow) {
-  const core::FcmSketch sketch(small_fcm_config(kSeed));
-  const auto wire = WireCodec::serialize(sketch);
-  // Wrong magic, flipped version byte, non-zero reserved byte, unknown type
-  // tag, fingerprint flip, and payload-length flip: every header byte is
-  // load-bearing, so flipping ANY of the 24 must throw.
-  for (std::size_t i = 0; i < 24; ++i) {
-    auto corrupt = wire;
-    corrupt[i] ^= std::byte{0x40};
-    EXPECT_THROW((void)WireCodec::deserialize_sketch(corrupt),
-                 ContractViolation)
-        << "header byte " << i;
+  for (const auto& options : {plain_options(), topk_options()}) {
+    const auto wire = hostile_frame(options);
+    // Wrong magic, flipped version byte, foreign type tag, non-zero
+    // reserved byte, fingerprint flip, and payload-length flip: every header
+    // byte is load-bearing, so flipping ANY of the 24 must throw.
+    for (std::size_t i = 0; i < kHeaderBytes; ++i) {
+      auto corrupt = wire;
+      corrupt[i] ^= std::byte{0x40};
+      EXPECT_THROW((void)WireCodec::deserialize_framework(corrupt, options),
+                   ContractViolation)
+          << "header byte " << i << " topk=" << options.topk_entries;
+    }
   }
 }
 
-// A flipped bit anywhere in the payload must either throw or produce an
-// object that still passes its deep invariants — never UB, never a
-// structurally broken sketch (fuzz-lite, same posture as test_trace_io).
+// A flipped bit anywhere in the payload must either throw a
+// ContractViolation or produce a framework that still passes its deep
+// invariants — never UB, never bad_alloc, never a structurally broken
+// sketch (fuzz-lite, same posture as test_trace_io). Each payload byte gets
+// one flip, rotating through its eight bits so every bit position of every
+// multi-byte count field is hit somewhere.
 TEST(WireHostile, PayloadBitFlipsNeverBreakInvariants) {
-  core::FcmSketch sketch(small_fcm_config(kSeed));
-  sketch.set_heavy_hitter_threshold(8);
-  for (const flow::FlowKey key : random_keys(kSeed, 2'000, 200)) {
-    sketch.update(key);
-  }
-  const auto wire = WireCodec::serialize(sketch);
-  std::size_t rejected = 0;
-  for (std::size_t i = 24; i < wire.size(); ++i) {
-    auto corrupt = wire;
-    corrupt[i] ^= std::byte{0x01};
-    try {
-      const core::FcmSketch restored = WireCodec::deserialize_sketch(corrupt);
-      restored.check_invariants();
-    } catch (const ContractViolation&) {
-      ++rejected;
+  for (const auto& options : {plain_options(), topk_options()}) {
+    const auto wire = hostile_frame(options);
+    std::size_t rejected = 0;
+    for (std::size_t i = kHeaderBytes; i < wire.size(); ++i) {
+      auto corrupt = wire;
+      corrupt[i] ^= static_cast<std::byte>(1u << (i % 8));
+      try {
+        const framework::FcmFramework restored =
+            WireCodec::deserialize_framework(corrupt, options);
+        restored.check_invariants();
+      } catch (const ContractViolation&) {
+        ++rejected;
+      }
     }
+    // The options, config section, seeds, markers and count fields must all
+    // reject; only flips inside plain counter values can legitimately decode.
+    EXPECT_GT(rejected, 0u) << "topk=" << options.topk_entries;
   }
-  // The config section, seeds, markers and count fields must all reject;
-  // only flips inside plain counter values can legitimately decode.
-  EXPECT_GT(rejected, 0u);
 }
 
 // Oversized declared counts must be rejected BEFORE any allocation is
-// sized from them (the require_payload discipline): a 100-byte buffer
-// claiming 2^60 heavy hitters / bitmap bits / CM columns throws instead of
+// sized from them (the require_payload discipline): a frame of a few KB
+// claiming 2^60 heavy hitters / leaves / Top-K entries throws instead of
 // reserving petabytes. If any of these ever allocated first, the test
-// would OOM-kill the suite rather than pass.
+// would throw bad_alloc or OOM-kill the suite rather than pass.
 TEST(WireHostile, OversizedDeclaredCountsThrowWithoutAllocating) {
-  const auto patch_u64 = [](std::vector<std::byte> buf, std::size_t offset,
-                            std::uint64_t value) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      buf[offset + i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
-    }
-    return buf;
-  };
+  for (const auto& options : {plain_options(), topk_options()}) {
+    const framework::FcmFramework fw = hostile_framework(options);
+    const auto wire = WireCodec::serialize(fw);
+    // hh_count: the sketch body ends with u64 hh_count, the u32 candidate
+    // keys and a u64 cardinality-saturations field, ahead of any filter
+    // body.
+    const std::size_t hh_offset = wire.size() - filter_body_bytes(options) -
+                                  8 - 4 * fw.sketch().heavy_hitters().size() -
+                                  8;
+    ASSERT_GT(fw.sketch().heavy_hitters().size(), 0u);
+    EXPECT_THROW((void)WireCodec::deserialize_framework(
+                     patch_u64(wire, hh_offset, 1ull << 60), options),
+                 ContractViolation)
+        << "topk=" << options.topk_entries;
+    // FcmConfig leaf_count: a giant tree would dwarf the buffer.
+    EXPECT_THROW((void)WireCodec::deserialize_framework(
+                     patch_u64(wire, kLeafCountOffset, 1ull << 40), options),
+                 ContractViolation)
+        << "topk=" << options.topk_entries;
+  }
+}
 
-  // FcmSketch: hh_count is the 16..8 bytes from the end (followed only by
-  // the u64 cardinality-saturations field).
-  core::FcmSketch sketch(small_fcm_config(kSeed));
-  sketch.set_heavy_hitter_threshold(8);
-  const auto sketch_wire = WireCodec::serialize(sketch);
-  EXPECT_THROW((void)WireCodec::deserialize_sketch(patch_u64(
-                   sketch_wire, sketch_wire.size() - 16, 1ull << 60)),
-               ContractViolation);
-
-  // FcmConfig leaf_count: payload offset 8 (after tree_count + k), i.e.
-  // buffer offset 24 + 8. A giant tree would dwarf the buffer.
-  EXPECT_THROW(
-      (void)WireCodec::deserialize_sketch(patch_u64(sketch_wire, 32, 1ull << 40)),
-      ContractViolation);
-
-  // CmSketch: width is at payload offset 4 (after u32 depth).
-  const sketch::CmSketch cm(2, 64);
-  const auto cm_wire = WireCodec::serialize(cm);
-  EXPECT_THROW(
-      (void)WireCodec::deserialize_cm(patch_u64(cm_wire, 24 + 4, 1ull << 60)),
-      ContractViolation);
-
-  // LinearCounting: bit count at payload offset 4 (after u32 hash seed).
-  const sketch::LinearCounting lc(512);
-  const auto lc_wire = WireCodec::serialize(lc);
-  EXPECT_THROW((void)WireCodec::deserialize_linear_counting(
-                   patch_u64(lc_wire, 24 + 4, 1ull << 60)),
-               ContractViolation);
-
-  // TopKFilter: entry count at payload offset 8 (after seed + lambda).
-  const sketch::TopKFilter filter(8);
-  const auto filter_wire = WireCodec::serialize(filter);
-  EXPECT_THROW((void)WireCodec::deserialize_topk_filter(
-                   patch_u64(filter_wire, 24 + 8, 1ull << 60)),
-               ContractViolation);
+// The options' Top-K entry count sizes the framework's vote table; it is
+// bounded by the bytes present before the framework is constructed. 2^26
+// entries would be a ~1 GiB table, 2^40 and 2^60 a bad_alloc.
+TEST(WireHostile, OversizedTopKEntryCountsThrowWithoutAllocating) {
+  const auto options = topk_options();
+  const auto wire = hostile_frame(options);
+  for (const unsigned shift : {26u, 40u, 60u}) {
+    EXPECT_THROW((void)WireCodec::deserialize_framework(
+                     patch_u64(wire, topk_entries_offset(options),
+                               1ull << shift),
+                     options),
+                 ContractViolation)
+        << "options entry count 2^" << shift;
+    // The filter body's own entry count: the u64 before its entries.
+    EXPECT_THROW((void)WireCodec::deserialize_framework(
+                     patch_u64(wire, wire.size() - 13 * options.topk_entries - 8,
+                               1ull << shift),
+                     options),
+                 ContractViolation)
+        << "filter body entry count 2^" << shift;
+  }
 }
 
 // A frame declaring more trees than FcmConfig::kMaxTrees is refused by the
 // config decoder itself, before any per-tree state is sized from the count.
 TEST(WireHostile, TreeCountAboveMaxTreesThrows) {
-  const core::FcmSketch sketch(small_fcm_config(kSeed));
-  std::vector<std::byte> wire = WireCodec::serialize(sketch);
-  // FcmConfig tree_count: the u32 at payload offset 0, buffer offset 24.
-  const auto too_many =
-      static_cast<std::uint32_t>(core::FcmConfig::kMaxTrees + 1);
-  for (std::size_t i = 0; i < 4; ++i) {
-    wire[24 + i] = static_cast<std::byte>((too_many >> (8 * i)) & 0xff);
-  }
-  try {
-    (void)WireCodec::deserialize_sketch(wire);
-    FAIL() << "a 9-tree frame decoded";
-  } catch (const ContractViolation& err) {
-    EXPECT_NE(std::string(err.what()).find("tree count out of range"),
-              std::string::npos)
-        << err.what();
+  for (const auto& options : {plain_options(), topk_options()}) {
+    std::vector<std::byte> wire = hostile_frame(options);
+    const auto too_many =
+        static_cast<std::uint32_t>(core::FcmConfig::kMaxTrees + 1);
+    for (std::size_t i = 0; i < 4; ++i) {
+      wire[kTreeCountOffset + i] =
+          static_cast<std::byte>((too_many >> (8 * i)) & 0xff);
+    }
+    try {
+      (void)WireCodec::deserialize_framework(wire, options);
+      FAIL() << "a 9-tree frame decoded";
+    } catch (const ContractViolation& err) {
+      EXPECT_NE(std::string(err.what()).find("tree count out of range"),
+                std::string::npos)
+          << err.what();
+    }
   }
 }
 
@@ -405,7 +362,7 @@ TEST(WireHostile, EmptyAndGarbageBuffersThrow) {
   EXPECT_THROW((void)WireCodec::peek({}), ContractViolation);
   std::vector<std::byte> garbage(64, std::byte{0xa5});
   EXPECT_THROW((void)WireCodec::peek(garbage), ContractViolation);
-  EXPECT_THROW((void)WireCodec::deserialize_framework(garbage, nullptr),
+  EXPECT_THROW((void)WireCodec::deserialize_framework(garbage, plain_options()),
                ContractViolation);
 }
 
@@ -431,7 +388,7 @@ proptest::Property wire_merge_bit_exact(std::size_t vantage_count,
     for (std::size_t v = 0; v < vantage_count; ++v) {
       in_memory.merge(replicas[v]);
       const framework::FcmFramework restored = WireCodec::deserialize_framework(
-          WireCodec::serialize(replicas[v]), nullptr);
+          WireCodec::serialize(replicas[v]), options);
       via_wire.merge(restored);
     }
 
