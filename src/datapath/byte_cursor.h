@@ -1,7 +1,8 @@
 // Bounds-checked cursor over a read-only byte buffer — the ONLY sanctioned
 // way to index capture bytes in src/datapath (tools/fcm_lint.py rule
-// "datapath-bounds" bans raw pointer arithmetic and memcpy/reinterpret_cast
-// everywhere else in this directory; this header is the audited exception).
+// "datapath-bounds" bans raw pointer arithmetic, memcpy/reinterpret_cast and
+// fixed-extent span construction everywhere else in this directory; this
+// header is the audited exception).
 //
 // Same hostile-input posture as agg::WireReader (DESIGN.md §11): every read
 // is preceded by an explicit capacity check, multi-byte integers are
@@ -9,6 +10,11 @@
 // alignment assumptions), and overrunning reads throw ContractViolation.
 // Parsers that must not throw on malformed input (the per-packet paths) call
 // can_read() first and turn shortfalls into typed outcomes.
+//
+// A fixed-layout header is read through one checked take<N>()/peek<N>(),
+// which yields a FixedBytes<N> view: its fields sit at compile-time offsets
+// that static_assert against N, so the header costs one bounds check rather
+// than one per byte (DESIGN.md §12.1).
 #pragma once
 
 #include <cstddef>
@@ -18,6 +24,56 @@
 #include "common/contracts.h"
 
 namespace fcm::datapath {
+
+// N bytes that a ByteCursor has already checked. Only ByteCursor::take and
+// ByteCursor::peek construct one, so holding a view proves the check ran.
+template <std::size_t N>
+class FixedBytes {
+ public:
+  template <std::size_t At>
+  std::uint8_t u8() const noexcept {
+    static_assert(At + 1 <= N, "FixedBytes: u8 past the end of the view");
+    return static_cast<std::uint8_t>(bytes_[At]);
+  }
+
+  template <std::size_t At>
+  std::uint16_t u16le() const noexcept {
+    static_assert(At + 2 <= N, "FixedBytes: u16 past the end of the view");
+    return static_cast<std::uint16_t>(u8<At>() | (u8<At + 1>() << 8));
+  }
+  template <std::size_t At>
+  std::uint16_t u16be() const noexcept {
+    static_assert(At + 2 <= N, "FixedBytes: u16 past the end of the view");
+    return static_cast<std::uint16_t>((u8<At>() << 8) | u8<At + 1>());
+  }
+  template <std::size_t At>
+  std::uint16_t u16(bool big_endian) const noexcept {
+    return big_endian ? u16be<At>() : u16le<At>();
+  }
+
+  template <std::size_t At>
+  std::uint32_t u32le() const noexcept {
+    static_assert(At + 4 <= N, "FixedBytes: u32 past the end of the view");
+    return std::uint32_t{u16le<At>()} |
+           (std::uint32_t{u16le<At + 2>()} << 16);
+  }
+  template <std::size_t At>
+  std::uint32_t u32be() const noexcept {
+    static_assert(At + 4 <= N, "FixedBytes: u32 past the end of the view");
+    return (std::uint32_t{u16be<At>()} << 16) | u16be<At + 2>();
+  }
+  template <std::size_t At>
+  std::uint32_t u32(bool big_endian) const noexcept {
+    return big_endian ? u32be<At>() : u32le<At>();
+  }
+
+ private:
+  friend class ByteCursor;
+  explicit constexpr FixedBytes(std::span<const std::byte, N> bytes) noexcept
+      : bytes_(bytes) {}
+
+  std::span<const std::byte, N> bytes_;
+};
 
 class ByteCursor {
  public:
@@ -45,17 +101,27 @@ class ByteCursor {
     return sub_cursor;
   }
 
-  // Checked view of the next `bytes` without consuming them.
-  std::span<const std::byte> peek_bytes(std::size_t bytes) const {
-    FCM_REQUIRE(can_read(bytes), "ByteCursor: peek past end of buffer");
-    return data_.subspan(pos_, bytes);
-  }
-
   std::span<const std::byte> bytes(std::size_t count) {
     FCM_REQUIRE(can_read(count), "ByteCursor: read past end of buffer");
     std::span<const std::byte> view = data_.subspan(pos_, count);
     pos_ += count;
     return view;
+  }
+
+  // The next N bytes as one checked fixed-layout view, consumed.
+  template <std::size_t N>
+  FixedBytes<N> take() {
+    FCM_REQUIRE(can_read(N), "ByteCursor: take past end of buffer");
+    const FixedBytes<N> view(data_.subspan(pos_).first<N>());
+    pos_ += N;
+    return view;
+  }
+
+  // The next N bytes as one checked fixed-layout view, not consumed.
+  template <std::size_t N>
+  FixedBytes<N> peek() const {
+    FCM_REQUIRE(can_read(N), "ByteCursor: peek past end of buffer");
+    return FixedBytes<N>(data_.subspan(pos_).first<N>());
   }
 
   std::uint8_t u8() {
@@ -72,22 +138,6 @@ class ByteCursor {
     return static_cast<std::uint16_t>((hi << 8) | u8());
   }
   std::uint16_t u16(bool big_endian) { return big_endian ? u16be() : u16le(); }
-
-  std::uint32_t u32le() {
-    const std::uint32_t lo = u16le();
-    return lo | (static_cast<std::uint32_t>(u16le()) << 16);
-  }
-  std::uint32_t u32be() {
-    const std::uint32_t hi = u16be();
-    return (hi << 16) | u16be();
-  }
-  std::uint32_t u32(bool big_endian) { return big_endian ? u32be() : u32le(); }
-
-  std::uint64_t u64(bool big_endian) {
-    const std::uint64_t first = u32(big_endian);
-    const std::uint64_t second = u32(big_endian);
-    return big_endian ? (first << 32) | second : first | (second << 32);
-  }
 
  private:
   std::span<const std::byte> data_;

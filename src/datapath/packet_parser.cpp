@@ -21,37 +21,43 @@ bool is_vlan(std::uint16_t ether_type) {
          ether_type == kEtherTypeVlan9100;
 }
 
-// Deterministic 32-bit fold of a 128-bit IPv6 address (big-endian halves
-// mixed through mix64) so v6 flows live in the same FlowKey space as v4.
-std::uint32_t fold_ipv6_address(ByteCursor& cursor) {
-  std::uint64_t high = 0;
-  std::uint64_t low = 0;
-  for (int i = 0; i < 8; ++i) high = (high << 8) | cursor.u8();
-  for (int i = 0; i < 8; ++i) low = (low << 8) | cursor.u8();
+// Deterministic 32-bit fold of the 128-bit IPv6 address at byte `At` of the
+// header (big-endian halves mixed through mix64) so v6 flows live in the
+// same FlowKey space as v4.
+template <std::size_t At>
+std::uint32_t fold_ipv6_address(const FixedBytes<40>& header) {
+  const std::uint64_t high =
+      (std::uint64_t{header.u32be<At>()} << 32) | header.u32be<At + 4>();
+  const std::uint64_t low =
+      (std::uint64_t{header.u32be<At + 8>()} << 32) | header.u32be<At + 12>();
   const std::uint64_t mixed = common::mix64(high ^ common::mix64(low));
   return static_cast<std::uint32_t>(mixed ^ (mixed >> 32));
 }
 
+// The helpers below take the cursor by reference: a by-value ByteCursor is
+// rebuilt on the stack at every layer and reloaded wider than it was stored,
+// which stalls store forwarding (DESIGN.md §12.1).
+
 // Transport layer. `protocol` is the final IP next-header; non-TCP/UDP
 // protocols (ICMP and everything else) key on addresses alone: ports stay 0.
-ParseOutcome parse_transport(ByteCursor cursor, std::uint8_t protocol,
+ParseOutcome parse_transport(ByteCursor& cursor, std::uint8_t protocol,
                              flow::FiveTuple& tuple) {
   switch (protocol) {
     case kProtoTcp: {
       if (!cursor.can_read(20)) return ParseOutcome::kTruncatedTransport;
-      tuple.src_port = cursor.u16be();
-      tuple.dst_port = cursor.u16be();
-      cursor.skip(8);  // sequence + ack numbers
-      const unsigned data_offset_words = cursor.u8() >> 4;
+      const FixedBytes<20> header = cursor.take<20>();
+      tuple.src_port = header.u16be<0>();
+      tuple.dst_port = header.u16be<2>();
+      const unsigned data_offset_words = header.u8<12>() >> 4;
       if (data_offset_words < 5) return ParseOutcome::kBadTransportHeader;
       return ParseOutcome::kOk;
     }
     case kProtoUdp: {
       if (!cursor.can_read(8)) return ParseOutcome::kTruncatedTransport;
-      tuple.src_port = cursor.u16be();
-      tuple.dst_port = cursor.u16be();
-      const std::uint16_t udp_length = cursor.u16be();
-      if (udp_length < 8) return ParseOutcome::kBadTransportHeader;
+      const FixedBytes<8> header = cursor.take<8>();
+      tuple.src_port = header.u16be<0>();
+      tuple.dst_port = header.u16be<2>();
+      if (header.u16be<4>() < 8) return ParseOutcome::kBadTransportHeader;
       return ParseOutcome::kOk;
     }
     default:
@@ -59,44 +65,38 @@ ParseOutcome parse_transport(ByteCursor cursor, std::uint8_t protocol,
   }
 }
 
-ParseOutcome parse_ipv4(ByteCursor cursor, ParsedPacket& out) {
+ParseOutcome parse_ipv4(ByteCursor& cursor, ParsedPacket& out) {
   if (!cursor.can_read(20)) return ParseOutcome::kTruncatedIp;
-  const std::uint8_t version_ihl = cursor.u8();
+  const FixedBytes<20> header = cursor.take<20>();
+  const std::uint8_t version_ihl = header.u8<0>();
   if ((version_ihl >> 4) != 4) return ParseOutcome::kBadIpHeader;
   const std::size_t header_length = (version_ihl & 0x0f) * std::size_t{4};
   if (header_length < 20) return ParseOutcome::kBadIpHeader;  // zero/short IHL
-  cursor.skip(1);  // DSCP/ECN
-  const std::uint16_t total_length = cursor.u16be();
   // A datagram shorter than its own header means the "payload" would overlap
   // the header bytes — classic crafted-packet territory.
-  if (total_length < header_length) return ParseOutcome::kBadIpHeader;
-  cursor.skip(2);  // identification
-  const std::uint16_t flags_fragment = cursor.u16be();
-  cursor.skip(1);  // TTL
-  const std::uint8_t protocol = cursor.u8();
-  cursor.skip(2);  // header checksum
-  out.tuple.src_ip = cursor.u32be();
-  out.tuple.dst_ip = cursor.u32be();
+  if (header.u16be<2>() < header_length) return ParseOutcome::kBadIpHeader;
+  const std::uint8_t protocol = header.u8<9>();
+  out.tuple.src_ip = header.u32be<12>();
+  out.tuple.dst_ip = header.u32be<16>();
   out.tuple.protocol = protocol;
   out.ip_version = 4;
   const std::size_t options_length = header_length - 20;
   if (!cursor.can_read(options_length)) return ParseOutcome::kTruncatedIp;
   cursor.skip(options_length);
-  if ((flags_fragment & 0x1fff) != 0) {
+  if ((header.u16be<6>() & 0x1fff) != 0) {
     return ParseOutcome::kOk;  // non-first fragment: no L4 header on the wire
   }
   return parse_transport(cursor, protocol, out.tuple);
 }
 
-ParseOutcome parse_ipv6(ByteCursor cursor, ParsedPacket& out) {
+ParseOutcome parse_ipv6(ByteCursor& cursor, ParsedPacket& out) {
   if (!cursor.can_read(40)) return ParseOutcome::kTruncatedIp;
-  const std::uint32_t version_class_label = cursor.u32be();
-  if ((version_class_label >> 28) != 6) return ParseOutcome::kBadIpHeader;
-  cursor.skip(2);  // payload length (capture may be sliced; not trusted)
-  std::uint8_t next_header = cursor.u8();
-  cursor.skip(1);  // hop limit
-  out.tuple.src_ip = fold_ipv6_address(cursor);
-  out.tuple.dst_ip = fold_ipv6_address(cursor);
+  // Payload length (offset 4) is not trusted: the capture may be sliced.
+  const FixedBytes<40> header = cursor.take<40>();
+  if ((header.u8<0>() >> 4) != 6) return ParseOutcome::kBadIpHeader;
+  std::uint8_t next_header = header.u8<6>();
+  out.tuple.src_ip = fold_ipv6_address<8>(header);
+  out.tuple.dst_ip = fold_ipv6_address<24>(header);
   out.ip_version = 6;
   // Bounded extension-header walk; a longer chain than this is either an
   // attack or garbage.
@@ -106,24 +106,22 @@ ParseOutcome parse_ipv6(ByteCursor cursor, ParsedPacket& out) {
       case 43:    // routing
       case 60: {  // destination options
         if (!cursor.can_read(2)) return ParseOutcome::kTruncatedIp;
-        const std::uint8_t following = cursor.u8();
+        const FixedBytes<2> extension = cursor.take<2>();
         const std::size_t extension_length =
-            (static_cast<std::size_t>(cursor.u8()) + 1) * 8;
+            (static_cast<std::size_t>(extension.u8<1>()) + 1) * 8;
         if (!cursor.can_read(extension_length - 2)) {
           return ParseOutcome::kTruncatedIp;
         }
         cursor.skip(extension_length - 2);
-        next_header = following;
+        next_header = extension.u8<0>();
         continue;
       }
       case 44: {  // fragment (fixed 8 bytes)
         if (!cursor.can_read(8)) return ParseOutcome::kTruncatedIp;
-        const std::uint8_t following = cursor.u8();
-        cursor.skip(1);  // reserved
-        const std::uint16_t offset_flags = cursor.u16be();
-        cursor.skip(4);  // identification
+        const FixedBytes<8> fragment = cursor.take<8>();
+        const std::uint8_t following = fragment.u8<0>();
         out.tuple.protocol = following;
-        if ((offset_flags >> 3) != 0) {
+        if ((fragment.u16be<2>() >> 3) != 0) {
           return ParseOutcome::kOk;  // non-first fragment: no L4 header
         }
         next_header = following;
@@ -140,9 +138,9 @@ ParseOutcome parse_ipv6(ByteCursor cursor, ParsedPacket& out) {
   return ParseOutcome::kBadIpHeader;  // absurd extension chain
 }
 
-ParseOutcome parse_raw_ip(ByteCursor cursor, ParsedPacket& out) {
+ParseOutcome parse_raw_ip(ByteCursor& cursor, ParsedPacket& out) {
   if (!cursor.can_read(1)) return ParseOutcome::kTruncatedIp;
-  const std::uint8_t version = ByteCursor(cursor.peek_bytes(1)).u8() >> 4;
+  const std::uint8_t version = cursor.peek<1>().u8<0>() >> 4;
   if (version == 4) return parse_ipv4(cursor, out);
   if (version == 6) return parse_ipv6(cursor, out);
   return ParseOutcome::kBadIpHeader;
@@ -173,12 +171,11 @@ ParseOutcome parse_packet(const RawRecord& record, ParsedPacket& out) {
   switch (record.link_type) {
     case kLinkTypeEthernet: {
       if (!cursor.can_read(14)) return ParseOutcome::kTruncatedLink;
-      cursor.skip(12);  // dst + src MAC
-      std::uint16_t ether_type = cursor.u16be();
+      // dst + src MAC, then the EtherType.
+      std::uint16_t ether_type = cursor.take<14>().u16be<12>();
       for (int tags = 0; tags < 4 && is_vlan(ether_type); ++tags) {
         if (!cursor.can_read(4)) return ParseOutcome::kTruncatedLink;
-        cursor.skip(2);  // PCP/DEI/VID
-        ether_type = cursor.u16be();
+        ether_type = cursor.take<4>().u16be<2>();  // after PCP/DEI/VID
       }
       if (is_vlan(ether_type)) return ParseOutcome::kBadIpHeader;  // tag bomb
       if (ether_type == kEtherTypeIpv4) return parse_ipv4(cursor, out);
@@ -192,7 +189,7 @@ ParseOutcome parse_packet(const RawRecord& record, ParsedPacket& out) {
       // 4-byte AF_* family header in the CAPTURING host's byte order; accept
       // either (the values are small, so the swapped form is unambiguous).
       if (!cursor.can_read(4)) return ParseOutcome::kTruncatedLink;
-      std::uint32_t family = cursor.u32le();
+      std::uint32_t family = cursor.take<4>().u32le<0>();
       if (family > 0xffff) {
         family = (family >> 24) | ((family >> 8) & 0xff00);
       }

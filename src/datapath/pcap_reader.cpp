@@ -48,7 +48,7 @@ const char* to_string(RecordOutcome outcome) {
 
 PcapReader::PcapReader(std::span<const std::byte> data) : cursor_(data) {
   if (!cursor_.can_read(4)) throw PcapError("pcap: shorter than any magic");
-  const std::uint32_t magic = ByteCursor(cursor_.peek_bytes(4)).u32le();
+  const std::uint32_t magic = cursor_.peek<4>().u32le<0>();
   switch (magic) {
     case kMagicMicroLe: big_endian_ = false; nanosecond_ = false; break;
     case kMagicMicroBe: big_endian_ = true; nanosecond_ = false; break;
@@ -66,11 +66,12 @@ PcapReader::PcapReader(std::span<const std::byte> data) : cursor_(data) {
 
 void PcapReader::parse_classic_header() {
   if (!cursor_.can_read(24)) throw PcapError("pcap: truncated global header");
-  cursor_.skip(4);  // magic, already sniffed
-  const std::uint16_t version_major = cursor_.u16(big_endian_);
-  cursor_.skip(2 + 4 + 4);  // version_minor, thiszone, sigfigs
-  snaplen_ = cursor_.u32(big_endian_);
-  link_type_ = cursor_.u32(big_endian_);
+  // magic (already sniffed), version major/minor, thiszone, sigfigs,
+  // snaplen, link type.
+  const FixedBytes<24> header = cursor_.take<24>();
+  const std::uint16_t version_major = header.u16<4>(big_endian_);
+  snaplen_ = header.u32<16>(big_endian_);
+  link_type_ = header.u32<20>(big_endian_);
   if (version_major != 2) {
     throw PcapError("pcap: unsupported major version");
   }
@@ -113,21 +114,21 @@ RecordOutcome PcapReader::next_classic(RawRecord& out) {
   for (;;) {
     if (cursor_.remaining() == 0) return end_of_chunk();
     if (!cursor_.can_read(16)) return cut_short();
-    const ByteCursor record_start = cursor_;
-    const std::uint64_t seconds = cursor_.u32(big_endian_);
-    const std::uint64_t subsecond = cursor_.u32(big_endian_);
-    const std::uint32_t capture_length = cursor_.u32(big_endian_);
-    const std::uint32_t original_length = cursor_.u32(big_endian_);
+    const FixedBytes<16> header = cursor_.peek<16>();
+    const std::uint64_t seconds = header.u32<0>(big_endian_);
+    const std::uint64_t subsecond = header.u32<4>(big_endian_);
+    const std::uint32_t capture_length = header.u32<8>(big_endian_);
+    const std::uint32_t original_length = header.u32<12>(big_endian_);
     if (capture_length > kMaxCaptureLength) {
       // The length itself is garbage, so there is no trustworthy way to find
       // the next record boundary.
       ++stats_.malformed_terminal;
       return RecordOutcome::kMalformedTerminal;
     }
-    if (!cursor_.can_read(capture_length)) {
-      cursor_ = record_start;  // the body arrives with the next chunk
-      return cut_short();
-    }
+    // The header stays unconsumed until the body is present too: a cut body
+    // arrives, header and all, with the next chunk.
+    if (!cursor_.can_read(16 + std::size_t{capture_length})) return cut_short();
+    cursor_.skip(16);
     const std::uint64_t subsecond_limit =
         nanosecond_ ? kNanosPerSecond : 1'000'000;
     const bool oversized = snaplen_ > 0 && capture_length > snaplen_;
@@ -148,9 +149,10 @@ RecordOutcome PcapReader::next_classic(RawRecord& out) {
   }
 }
 
-void PcapReader::parse_section_header(ByteCursor body, bool first_section) {
-  // Caller validated the byte-order magic; body starts right after it.
-  const std::uint16_t version_major = body.u16(big_endian_);
+void PcapReader::parse_section_header(ByteCursor& body, bool first_section) {
+  // The caller validated the byte-order magic at offset 0 and the block
+  // length (at least 28, so the body holds magic, major and minor).
+  const std::uint16_t version_major = body.take<8>().u16<4>(big_endian_);
   if (version_major != 1) {
     if (first_section) throw PcapError("pcapng: unsupported major version");
     ++stats_.malformed_skipped;
@@ -159,12 +161,12 @@ void PcapReader::parse_section_header(ByteCursor body, bool first_section) {
   interfaces_.clear();
 }
 
-bool PcapReader::parse_interface_block(ByteCursor body) {
+bool PcapReader::parse_interface_block(ByteCursor& body) {
   if (!body.can_read(8)) return false;
+  const FixedBytes<8> fixed = body.take<8>();  // link type, reserved, snaplen
   Interface iface;
-  iface.link_type = body.u16(big_endian_);
-  body.skip(2);  // reserved
-  iface.snaplen = std::min(body.u32(big_endian_), kMaxCaptureLength);
+  iface.link_type = fixed.u16<0>(big_endian_);
+  iface.snaplen = std::min(fixed.u32<4>(big_endian_), kMaxCaptureLength);
   // Option walk, only for if_tsresol (code 9). Options are TLVs padded to 4;
   // any inconsistency just ends the walk (defaults stay in force).
   while (body.can_read(4)) {
@@ -174,7 +176,7 @@ bool PcapReader::parse_interface_block(ByteCursor body) {
     const std::size_t padded = (static_cast<std::size_t>(length) + 3) & ~std::size_t{3};
     if (!body.can_read(padded)) break;
     if (code == 9 && length == 1) {
-      const std::uint8_t resolution = ByteCursor(body.peek_bytes(1)).u8();
+      const std::uint8_t resolution = body.peek<1>().u8<0>();
       if ((resolution & 0x80) != 0) {
         const unsigned exponent = resolution & 0x7f;
         if (exponent <= 30) iface.ticks_per_second = std::uint64_t{1} << exponent;
@@ -191,14 +193,14 @@ bool PcapReader::parse_interface_block(ByteCursor body) {
   return true;
 }
 
-bool PcapReader::parse_enhanced_packet(ByteCursor body, std::size_t body_size,
-                                       RawRecord& out) {
-  if (body_size < 20) return false;
-  const std::uint32_t interface_id = body.u32(big_endian_);
-  const std::uint64_t ticks_high = body.u32(big_endian_);
-  const std::uint64_t ticks_low = body.u32(big_endian_);
-  const std::uint32_t capture_length = body.u32(big_endian_);
-  const std::uint32_t original_length = body.u32(big_endian_);
+bool PcapReader::parse_enhanced_packet(ByteCursor& body, RawRecord& out) {
+  if (!body.can_read(20)) return false;
+  const FixedBytes<20> fixed = body.take<20>();
+  const std::uint32_t interface_id = fixed.u32<0>(big_endian_);
+  const std::uint64_t ticks_high = fixed.u32<4>(big_endian_);
+  const std::uint64_t ticks_low = fixed.u32<8>(big_endian_);
+  const std::uint32_t capture_length = fixed.u32<12>(big_endian_);
+  const std::uint32_t original_length = fixed.u32<16>(big_endian_);
   if (interface_id >= interfaces_.size()) return false;
   if (capture_length > kMaxCaptureLength) return false;
   if (!body.can_read(capture_length)) return false;  // claims more than block holds
@@ -212,11 +214,10 @@ bool PcapReader::parse_enhanced_packet(ByteCursor body, std::size_t body_size,
   return true;
 }
 
-bool PcapReader::parse_simple_packet(ByteCursor body, std::size_t body_size,
-                                     RawRecord& out) {
-  if (body_size < 4) return false;
+bool PcapReader::parse_simple_packet(ByteCursor& body, RawRecord& out) {
+  if (!body.can_read(4)) return false;
   if (interfaces_.empty()) return false;  // SPB implies interface 0 exists
-  const std::uint32_t original_length = body.u32(big_endian_);
+  const std::uint32_t original_length = body.take<4>().u32<0>(big_endian_);
   const Interface& iface = interfaces_.front();
   std::uint32_t capture_length = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(original_length, body.remaining()));
@@ -232,14 +233,12 @@ RecordOutcome PcapReader::next_pcapng(RawRecord& out) {
   for (;;) {
     if (cursor_.remaining() == 0) return end_of_chunk();
     if (!cursor_.can_read(12)) return cut_short();
-    ByteCursor head(cursor_.peek_bytes(12));
-    const std::uint32_t type_le = head.u32le();
-    const std::uint32_t length_word_le = head.u32le();
-    const bool is_section_header = type_le == kBlockSectionHeader;
+    const FixedBytes<12> head = cursor_.peek<12>();  // type, length, 4 more
+    const bool is_section_header = head.u32le<0>() == kBlockSectionHeader;
     if (is_section_header) {
       // Byte order is (re)established by the byte-order magic at offset 8;
       // only then can the length word be interpreted.
-      const std::uint32_t order_magic_le = head.u32le();
+      const std::uint32_t order_magic_le = head.u32le<8>();
       if (order_magic_le == kByteOrderLe) {
         big_endian_ = false;
       } else if (order_magic_le == kByteOrderBe) {
@@ -249,11 +248,7 @@ RecordOutcome PcapReader::next_pcapng(RawRecord& out) {
         return RecordOutcome::kMalformedTerminal;
       }
     }
-    const std::uint32_t total_length =
-        big_endian_ ? (length_word_le >> 24) | ((length_word_le >> 8) & 0xff00) |
-                          ((length_word_le << 8) & 0xff0000) |
-                          (length_word_le << 24)
-                    : length_word_le;
+    const std::uint32_t total_length = head.u32<4>(big_endian_);
     const std::size_t minimum = is_section_header ? 28 : 12;
     if (total_length < minimum || total_length % 4 != 0 ||
         total_length > kMaxCaptureLength) {
@@ -263,36 +258,30 @@ RecordOutcome PcapReader::next_pcapng(RawRecord& out) {
     if (!cursor_.can_read(total_length)) return cut_short();
     ByteCursor block = cursor_.sub(total_length);
     block.skip(8);  // type + leading length
-    const std::size_t body_size = total_length - 12;
-    ByteCursor body = block.sub(body_size);
-    if (block.u32(big_endian_) != total_length) {
+    ByteCursor body = block.sub(total_length - 12);
+    if (block.take<4>().u32<0>(big_endian_) != total_length) {
       // Leading/trailing length mismatch: the stream's framing is gone.
       ++stats_.malformed_terminal;
       return RecordOutcome::kMalformedTerminal;
     }
-    const std::uint32_t type =
-        big_endian_ ? (type_le >> 24) | ((type_le >> 8) & 0xff00) |
-                          ((type_le << 8) & 0xff0000) | (type_le << 24)
-                    : type_le;
     if (is_section_header) {
-      body.skip(4);  // byte-order magic, validated above
       parse_section_header(body, !section_seen_);
       section_seen_ = true;
       continue;
     }
-    switch (type) {
+    switch (head.u32<0>(big_endian_)) {
       case kBlockInterface:
         if (!parse_interface_block(body)) ++stats_.malformed_skipped;
         continue;
       case kBlockEnhancedPacket:
-        if (parse_enhanced_packet(body, body_size, out)) {
+        if (parse_enhanced_packet(body, out)) {
           ++stats_.records;
           return RecordOutcome::kRecord;
         }
         ++stats_.malformed_skipped;
         continue;
       case kBlockSimplePacket:
-        if (parse_simple_packet(body, body_size, out)) {
+        if (parse_simple_packet(body, out)) {
           ++stats_.records;
           return RecordOutcome::kRecord;
         }

@@ -114,16 +114,14 @@ class PcapReader {
   };
 
   void parse_classic_header();
-  void parse_section_header(ByteCursor block_body, bool first_section);
+  void parse_section_header(ByteCursor& body, bool first_section);
   RecordOutcome next_classic(RawRecord& out);
   RecordOutcome next_pcapng(RawRecord& out);
   RecordOutcome end_of_chunk() const noexcept;
   RecordOutcome cut_short() noexcept;
-  bool parse_interface_block(ByteCursor body);
-  bool parse_enhanced_packet(ByteCursor body, std::size_t body_size,
-                             RawRecord& out);
-  bool parse_simple_packet(ByteCursor body, std::size_t body_size,
-                           RawRecord& out);
+  bool parse_interface_block(ByteCursor& body);
+  bool parse_enhanced_packet(ByteCursor& body, RawRecord& out);
+  bool parse_simple_packet(ByteCursor& body, RawRecord& out);
 
   ByteCursor cursor_;
   Format format_ = Format::kClassic;

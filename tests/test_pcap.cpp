@@ -1,7 +1,8 @@
 // Capture-ingest suite (DESIGN.md §12): happy paths for every supported
 // container variant (classic pcap micro/nano in both byte orders, pcapng in
-// both byte orders with IDB/EPB/SPB and if_tsresol), the L2-L4 parser's
-// decode matrix, and the hostile-input battery mirroring test_wire.cpp —
+// both byte orders with IDB/EPB/SPB and if_tsresol), ByteCursor's checked
+// fixed-width views, the L2-L4 parser's decode matrix and exact-outcome
+// prefix sweep, and the hostile-input battery mirroring test_wire.cpp —
 // every-prefix truncation sweeps, corrupted magics/lengths, crafted headers
 // with overlapping or zero lengths, and a seeded malformed-capture fuzzer.
 // Nothing in here may crash or trip ASan/UBSan: damage surfaces only as
@@ -14,9 +15,12 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/random.h"
+#include "datapath/byte_cursor.h"
 #include "datapath/capture_ingest.h"
 #include "datapath/packet_parser.h"
 #include "datapath/pcap_reader.h"
@@ -26,6 +30,7 @@
 namespace fcm {
 namespace {
 
+using datapath::ByteCursor;
 using datapath::CaptureStats;
 using datapath::DecodedCapture;
 using datapath::ParsedPacket;
@@ -498,6 +503,58 @@ TEST(PcapngReader, NewSectionResetsInterfaceScope) {
   EXPECT_EQ(reader.stats().malformed_skipped, 1u);
 }
 
+// --- ByteCursor fixed-width views --------------------------------------------
+
+Bytes counting_bytes(std::size_t count) {
+  Bytes out;
+  for (std::size_t i = 0; i < count; ++i) put8(out, static_cast<std::uint8_t>(i + 1));
+  return out;
+}
+
+TEST(ByteCursor, FixedViewsSucceedAtExactlyTheirWidth) {
+  const Bytes buffer = counting_bytes(20);
+  ByteCursor cursor(buffer);
+  const auto peeked = cursor.peek<20>();
+  EXPECT_EQ(cursor.offset(), 0u);
+  EXPECT_EQ(peeked.u8<19>(), 20);
+  const auto header = cursor.take<20>();
+  EXPECT_EQ(cursor.offset(), 20u);
+  EXPECT_EQ(cursor.remaining(), 0u);
+  EXPECT_EQ(header.u8<0>(), 1);
+  EXPECT_EQ(header.u16be<2>(), 0x0304);
+  EXPECT_EQ(header.u16le<2>(), 0x0403);
+  EXPECT_EQ(header.u16<2>(true), 0x0304);
+  EXPECT_EQ(header.u16<2>(false), 0x0403);
+  EXPECT_EQ(header.u32be<16>(), 0x11121314u);
+  EXPECT_EQ(header.u32le<16>(), 0x14131211u);
+  EXPECT_EQ(header.u32<16>(true), 0x11121314u);
+  EXPECT_EQ(header.u32<16>(false), 0x14131211u);
+}
+
+TEST(ByteCursor, FixedViewsOneByteShortThrowAndStayPut) {
+  const Bytes buffer = counting_bytes(23);
+  ByteCursor cursor(buffer);
+  cursor.skip(4);  // 19 bytes left
+  EXPECT_THROW(cursor.take<20>(), common::ContractViolation);
+  EXPECT_EQ(cursor.offset(), 4u);
+  EXPECT_THROW(cursor.peek<20>(), common::ContractViolation);
+  EXPECT_EQ(cursor.offset(), 4u);
+  EXPECT_EQ(cursor.take<19>().u8<0>(), 5);  // the cursor is still usable
+}
+
+TEST(ByteCursor, PeekNeverAdvances) {
+  const Bytes buffer = counting_bytes(8);
+  ByteCursor cursor(buffer);
+  cursor.skip(2);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(cursor.peek<4>().u32be<0>(), 0x03040506u);
+    EXPECT_EQ(cursor.peek<1>().u8<0>(), 3);
+    EXPECT_EQ(cursor.offset(), 2u);
+  }
+  EXPECT_EQ(cursor.take<4>().u32be<0>(), 0x03040506u);
+  EXPECT_EQ(cursor.offset(), 6u);
+}
+
 // --- parser decode matrix ---------------------------------------------------
 
 RawRecord record_of(const Bytes& frame,
@@ -676,25 +733,128 @@ TEST(PacketParser, BadTransportHeadersAreTyped) {
             ParseOutcome::kBadTransportHeader);
 }
 
-TEST(PacketParser, EveryPrefixOfAGoodFrameIsHandled) {
-  // The truncation sweep: every prefix yields a typed outcome, never UB. Runs
-  // for the representative L2/L3/L4 combinations under ASan/UBSan in CI.
-  const std::vector<Bytes> frames = {
-      tcp4_frame(1, 2, 3, 4),
-      ethernet_frame(0x0800, ipv4_packet(1, 2, 17, udp_header(5, 6)), 2),
-      ethernet_frame(0x86DD, ipv6_packet(6, tcp_header(7, 8))),
+// One frame of the exact-outcome truncation sweep. A prefix shorter than
+// `cuts[i].first` bytes (and at least every earlier cut) parses to
+// `cuts[i].second`; a prefix at or past the last cut parses kOk with `tuple`.
+struct PrefixCase {
+  const char* name;
+  Bytes frame;
+  std::uint32_t link_type;
+  std::vector<std::pair<std::size_t, ParseOutcome>> cuts;
+  flow::FiveTuple tuple;
+  std::uint8_t ip_version;
+};
+
+std::vector<PrefixCase> prefix_cases() {
+  using enum ParseOutcome;
+  // hop-by-hop (8 bytes, next: fragment) -> fragment (first, M set) -> TCP.
+  Bytes v6_extensions;
+  put8(v6_extensions, 44);
+  put8(v6_extensions, 0);
+  for (int i = 0; i < 6; ++i) put8(v6_extensions, 0);
+  put8(v6_extensions, 6);
+  put8(v6_extensions, 0);
+  put16(v6_extensions, 0x0001, true);  // offset 0, more fragments
+  put32(v6_extensions, 0xdeadbeef, true);
+  append(v6_extensions, tcp_header(7, 8));
+
+  Ipv4Options with_options;
+  with_options.ihl_words = 6;
+  Ipv4Options later_fragment;
+  later_fragment.fragment = 0x0010;
+
+  Bytes null_le;
+  put32(null_le, 2, false);  // AF_INET, little-endian host
+  append(null_le, ipv4_packet(77, 88, 6, tcp_header(1, 2)));
+  Bytes null_be;
+  put32(null_be, 2, true);  // AF_INET, big-endian host
+  append(null_be, ipv4_packet(77, 88, 17, udp_header(3, 4)));
+  Bytes loop_be;
+  put32(loop_be, 30, true);  // AF_INET6 (Darwin), big-endian host
+  append(loop_be, ipv6_packet(17, udp_header(5, 6), 0x11, 0x22));
+
+  // The IPv6 addresses are 2020..20xx; their 32-bit folds are pinned.
+  constexpr std::uint32_t kFoldAa = 0x48652f71;
+  constexpr std::uint32_t kFoldBb = 0xe7dcc399;
+  constexpr std::uint32_t kFold11 = 0x61236d35;
+  constexpr std::uint32_t kFold22 = 0x7880f076;
+  constexpr std::uint32_t kEthernet = datapath::kLinkTypeEthernet;
+
+  return {
+      {"tcp4", tcp4_frame(1, 2, 3, 4), kEthernet,
+       {{14, kTruncatedLink}, {34, kTruncatedIp}, {54, kTruncatedTransport}},
+       {1, 2, 3, 4, 6}, 4},
+      {"udp4", ethernet_frame(0x0800, ipv4_packet(1, 2, 17, udp_header(5, 6))),
+       kEthernet,
+       {{14, kTruncatedLink}, {34, kTruncatedIp}, {42, kTruncatedTransport}},
+       {1, 2, 5, 6, 17}, 4},
+      {"vlan1-tcp4",
+       ethernet_frame(0x0800, ipv4_packet(9, 10, 6, tcp_header(11, 12)), 1),
+       kEthernet,
+       {{18, kTruncatedLink}, {38, kTruncatedIp}, {58, kTruncatedTransport}},
+       {9, 10, 11, 12, 6}, 4},
+      {"vlan2-udp4",
+       ethernet_frame(0x0800, ipv4_packet(1, 2, 17, udp_header(5, 6)), 2),
+       kEthernet,
+       {{22, kTruncatedLink}, {42, kTruncatedIp}, {50, kTruncatedTransport}},
+       {1, 2, 5, 6, 17}, 4},
+      {"ipv4-options",
+       ethernet_frame(0x0800,
+                      ipv4_packet(3, 4, 6, tcp_header(5, 6), with_options)),
+       kEthernet,
+       {{14, kTruncatedLink}, {38, kTruncatedIp}, {58, kTruncatedTransport}},
+       {3, 4, 5, 6, 6}, 4},
+      {"ipv4-later-fragment",
+       ethernet_frame(0x0800, ipv4_packet(5, 6, 6, Bytes(16, std::byte{0}),
+                                          later_fragment)),
+       kEthernet, {{14, kTruncatedLink}, {34, kTruncatedIp}},
+       {5, 6, 0, 0, 6}, 4},
+      {"ipv6-hop-by-hop-fragment",
+       ethernet_frame(0x86DD, ipv6_packet(0, v6_extensions, 0xaa, 0xbb)),
+       kEthernet,
+       {{14, kTruncatedLink}, {70, kTruncatedIp}, {90, kTruncatedTransport}},
+       {kFoldAa, kFoldBb, 7, 8, 6}, 6},
+      {"raw-ipv4", ipv4_packet(1, 2, 6, tcp_header(3, 4)),
+       datapath::kLinkTypeRawIp,
+       {{20, kTruncatedIp}, {40, kTruncatedTransport}}, {1, 2, 3, 4, 6}, 4},
+      {"raw-ipv6", ipv6_packet(17, udp_header(5, 6), 0x11, 0x22),
+       datapath::kLinkTypeRawIp,
+       {{40, kTruncatedIp}, {48, kTruncatedTransport}},
+       {kFold11, kFold22, 5, 6, 17}, 6},
+      {"null-le-tcp4", null_le, datapath::kLinkTypeNull,
+       {{4, kTruncatedLink}, {24, kTruncatedIp}, {44, kTruncatedTransport}},
+       {77, 88, 1, 2, 6}, 4},
+      {"null-be-udp4", null_be, datapath::kLinkTypeNull,
+       {{4, kTruncatedLink}, {24, kTruncatedIp}, {32, kTruncatedTransport}},
+       {77, 88, 3, 4, 17}, 4},
+      {"loop-be-udp6", loop_be, datapath::kLinkTypeLoop,
+       {{4, kTruncatedLink}, {44, kTruncatedIp}, {52, kTruncatedTransport}},
+       {kFold11, kFold22, 5, 6, 17}, 6},
   };
-  for (const Bytes& frame : frames) {
-    for (std::size_t length = 0; length <= frame.size(); ++length) {
+}
+
+TEST(PacketParser, EveryPrefixOfAGoodFrameIsHandled) {
+  // The truncation sweep pins the exact outcome of every prefix, and the
+  // exact tuple of every prefix that parses. Runs under ASan/UBSan in CI.
+  for (const PrefixCase& c : prefix_cases()) {
+    for (std::size_t length = 0; length <= c.frame.size(); ++length) {
+      ParseOutcome expected = ParseOutcome::kOk;
+      for (const auto& [end, outcome] : c.cuts) {
+        if (length < end) {
+          expected = outcome;
+          break;
+        }
+      }
       RawRecord record;
-      record.bytes = std::span<const std::byte>(frame).subspan(0, length);
-      record.original_length = static_cast<std::uint32_t>(frame.size());
-      record.link_type = datapath::kLinkTypeEthernet;
+      record.bytes = std::span<const std::byte>(c.frame).subspan(0, length);
+      record.original_length = static_cast<std::uint32_t>(c.frame.size());
+      record.link_type = c.link_type;
       ParsedPacket parsed;
-      const ParseOutcome outcome = parse_packet(record, parsed);
-      ASSERT_LT(static_cast<std::size_t>(outcome), datapath::kParseOutcomeCount);
-      if (length == frame.size()) {
-        EXPECT_EQ(outcome, ParseOutcome::kOk);
+      ASSERT_EQ(parse_packet(record, parsed), expected)
+          << c.name << " cut to " << length << " of " << c.frame.size();
+      if (expected == ParseOutcome::kOk) {
+        EXPECT_EQ(parsed.tuple, c.tuple) << c.name << " cut to " << length;
+        EXPECT_EQ(parsed.ip_version, c.ip_version) << c.name;
       }
     }
   }

@@ -100,7 +100,13 @@ Rules:
                    access goes through the bounds-checked ``ByteCursor``
                    (``byte_cursor.h``, itself exempt as the sanctioned
                    primitive) so a truncated or lying caplen can never turn
-                   into an out-of-bounds read.
+                   into an out-of-bounds read. No fixed-extent span either
+                   (``.first<N>()``/``.last<N>()``/``.subspan<...>()``,
+                   ``std::span<T, N>``): a ``FixedBytes<N>`` header view is
+                   born only from ``ByteCursor::take``/``peek``'s one bounds
+                   check. The AST engine also sees fixed-extent spans that
+                   no spelling names (``auto``, class template argument
+                   deduction).
 
   staging-ownership
                    Inside ``src/runtime`` (the block-staged ingest layer),
@@ -238,6 +244,14 @@ DATAPATH_RE = re.compile(
     r"(?<![\w:])reinterpret_cast\s*<"
     r"|(?<![\w:])(?:std::)?mem(?:cpy|move|set)\s*\("
     r"|\.\s*data\s*\(\s*\)\s*(?:\+|\[)"
+)
+# Fixed-extent spans: `.first<N>(`, `.last<N>(`, `.subspan<O, N>(` (with or
+# without `template`) and `std::span<T, N>`. A FixedBytes<N> view is the only
+# fixed-width window onto capture bytes, and ByteCursor::take/peek the only
+# place one is cut, after a bounds check.
+DATAPATH_FIXED_SPAN_RE = re.compile(
+    r"\.\s*(?:template\s+)?(?:first|last|subspan)\s*<[^<>;()]*>\s*\("
+    r"|(?<![\w:])(?:std::)?span\s*<[^<>;]*,[^<>;]*>"
 )
 
 # Rules: guarded-field / hot-path-* — src/ only.
@@ -719,6 +733,38 @@ class AstOracle:
             return None
         return lines
 
+    # Canonical spelling of a std::span with a numeric extent; the dynamic
+    # extent is size_t(-1).
+    FIXED_SPAN_TYPE_RE = re.compile(r"\bspan<.*,\s*(\d+)[uUlL]*\s*>")
+    DYNAMIC_EXTENT = 2**64 - 1
+
+    def fixed_extent_span_lines(self, path: Path) -> set[int]:
+        """Lines that declare or construct a std::span of static extent,
+        including spellings regex cannot see (`auto`, class template argument
+        deduction). Mere uses of such a span are not reported: the line that
+        made it already is. Empty on failure: the regex facts stand."""
+        cursors = self._own_cursors(path)
+        if cursors is None:
+            return set()
+        kinds = {
+            self.cindex.CursorKind.VAR_DECL,
+            self.cindex.CursorKind.PARM_DECL,
+            self.cindex.CursorKind.FIELD_DECL,
+            self.cindex.CursorKind.CALL_EXPR,
+        }
+        lines: set[int] = set()
+        try:
+            for cursor in cursors:
+                if cursor.kind not in kinds:
+                    continue
+                spelling = cursor.type.get_canonical().spelling
+                m = self.FIXED_SPAN_TYPE_RE.search(spelling)
+                if m and int(m.group(1)) != self.DYNAMIC_EXTENT:
+                    lines.add(cursor.location.line)
+        except Exception:
+            return set()
+        return lines
+
     def implicit_seqcst_sites(self, path: Path) -> list[tuple[int, str]]:
         """(line, operator) pairs for atomic operator=/++/-- uses — the
         seq-cst-by-default spellings regex cannot see. [] on failure."""
@@ -787,6 +833,8 @@ def lint_file(
     check_atomics = in_dirs(ATOMIC_DIRS) and not in_dirs(ATOMIC_EXEMPT_DIRS)
     check_wire = in_dirs(WIRE_DIRS)
     check_datapath = in_dirs(DATAPATH_DIRS) and rel not in DATAPATH_EXEMPT_FILES
+    raw_access_lines: set[int] = set()
+    fixed_span_lines: set[int] = set()
     check_staging = in_dirs(STAGING_DIRS)
     check_simd = rel not in SIMD_EXEMPT_FILES
 
@@ -832,6 +880,7 @@ def lint_file(
                 "(or '// fcm-lint: allow(wire-encoding)')",
             )
         if check_datapath and DATAPATH_RE.search(line):
+            raw_access_lines.add(lineno)
             add(
                 lineno,
                 "datapath-bounds",
@@ -841,6 +890,8 @@ def lint_file(
                 "the bounds-checked ByteCursor (byte_cursor.h) "
                 "(or '// fcm-lint: allow(datapath-bounds)')",
             )
+        elif check_datapath and DATAPATH_FIXED_SPAN_RE.search(line):
+            fixed_span_lines.add(lineno)
         if (
             check_staging
             and "FCM_GUARDED_BY" not in line
@@ -873,6 +924,21 @@ def lint_file(
                 "destructor calls std::terminate — use std::jthread "
                 "(joins on destruction) "
                 "(or '// fcm-lint: allow(thread-join)')",
+            )
+
+    # --- datapath-bounds: fixed-extent spans ----------------------------------
+    if check_datapath:
+        if oracle is not None:
+            fixed_span_lines |= oracle.fixed_extent_span_lines(path)
+        for lineno in sorted(fixed_span_lines - raw_access_lines):
+            add(
+                lineno,
+                "datapath-bounds",
+                "fixed-extent span in the capture datapath; a fixed-width "
+                "view of capture bytes comes only from ByteCursor::take<N>()"
+                "/peek<N>() (one bounds check, then FixedBytes<N> fields at "
+                "compile-time offsets) "
+                "(or '// fcm-lint: allow(datapath-bounds)')",
             )
 
     # --- atomic-order / acquire-release-pair --------------------------------
