@@ -5,6 +5,10 @@
 // into the backing sketch on eviction, so no packet is ever dropped from the
 // measurement (conservation is a tested invariant, not a hope).
 //
+// One host runs it: the sharded runtime's driver, in byte-count mode only
+// (DESIGN.md §12.4) — byte counts carry past level 1 on nearly every packet,
+// so absorbing a hot flow's bytes pays; unit counts do not.
+//
 // Eviction is smallest-count-in-set: a newly arriving flow always installs
 // (recency), displacing the set's lightest entry (frequency). Hot flows
 // accumulate large exact counts and become practically unevictable; the
@@ -129,11 +133,10 @@ class HeavyFlowCache {
   std::uint64_t evicted_units_ = 0;
 };
 
-// The fcm_datapath_cache_* series, shared by every host of a HeavyFlowCache
-// (CachedFramework, the sharded runtime's driver). The hot path touches no
-// atomics: the cache's plain counters accumulate, and publish() pushes the
-// deltas since the last call plus the resident-flows gauge. A null registry
-// makes publish() a no-op.
+// The fcm_datapath_cache_* series of the sharded runtime's driver cache. The
+// hot path touches no atomics: the cache's plain counters accumulate, and
+// publish() pushes the deltas since the last call plus the resident-flows
+// gauge. A null registry makes publish() a no-op.
 class CacheMetrics {
  public:
   CacheMetrics(obs::MetricsRegistry* registry, const std::string& instance);

@@ -23,10 +23,10 @@ namespace {
 enum BlockKind : std::uint32_t {
   // `count` FlowKeys, each one packet — fed to process_batch in place.
   kUnitKeys = 0,
-  // count/2 (key, u32 weight) pairs interleaved in the payload, each applied
-  // with process_weighted: byte-mode packets (weight = bytes) and every
-  // heavy-flow-cache demotion. Weights are data-dependent, so the +1-only
-  // batch kernel does not apply.
+  // count/2 (key, u32 bytes) pairs interleaved in the payload, each applied
+  // with process_weighted: byte-mode packets and every heavy-flow-cache
+  // demotion. Weights are data-dependent, so the +1-only batch kernel does
+  // not apply.
   kPairs = 1,
   // In-band epoch marker (count == 0).
   kMarker = 2,
@@ -131,10 +131,13 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
               "ShardedFcmFramework: must retain at least one epoch");
   byte_mode_ = options_.framework.count_mode ==
                framework::FcmFramework::CountMode::kBytes;
-  data_kind_ = byte_mode_ || options_.cache_entries > 0 ? kPairs : kUnitKeys;
-  FCM_REQUIRE(data_kind_ == kUnitKeys || options_.flush_batch >= 2,
-              "ShardedFcmFramework: byte-count mode and the heavy-flow cache "
-              "stage (key, weight) pairs and need flush_batch >= 2");
+  FCM_REQUIRE(options_.cache_entries == 0 || byte_mode_,
+              "ShardedFcmFramework: the heavy-flow cache counts bytes and "
+              "needs CountMode::kBytes");
+  data_kind_ = byte_mode_ ? kPairs : kUnitKeys;
+  FCM_REQUIRE(!byte_mode_ || options_.flush_batch >= 2,
+              "ShardedFcmFramework: byte-count mode stages (key, bytes) pairs "
+              "and needs flush_batch >= 2");
   // A pair never splits across blocks, so a pair block is full one slot
   // short of an odd flush_batch.
   full_fill_ = common::checked_narrow<std::uint32_t>(
@@ -349,10 +352,6 @@ std::size_t ShardedFcmFramework::route_shard(flow::FlowKey key) const {
 }
 
 void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
-  if (cache_ != nullptr) {
-    for (const flow::FlowKey key : keys) offer_cached(key, 1);
-    return;
-  }
   const std::size_t shard_count = shards_.size();
   if (shard_count == 1) {
     // Single shard: no routing hash at all — memcpy runs straight into the
@@ -399,8 +398,6 @@ void ShardedFcmFramework::ingest_packets(
         stage_pair(route_shard(packet.key), packet.key, packet.bytes);
       }
     }
-  } else if (cache_ != nullptr) {
-    for (const flow::Packet& packet : packets) offer_cached(packet.key, 1);
   } else {
     for (const flow::Packet& packet : packets) {
       stage_unit(route_shard(packet.key), packet.key);
@@ -450,11 +447,7 @@ void ShardedFcmFramework::ingest(flow::FlowKey key) {
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
   FCM_REQUIRE(!byte_mode_,
               "ShardedFcmFramework: byte-count mode ingests packets, not keys");
-  if (cache_ != nullptr) {
-    offer_cached(key, 1);
-  } else {
-    stage_unit(route_shard(key), key);
-  }
+  stage_unit(route_shard(key), key);
 }
 
 void ShardedFcmFramework::ingest(const flow::Packet& packet) {
@@ -551,26 +544,20 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
             data_items += view.count;
             break;
           case kPairs: {
-            // Weight accounting folds into the same decode loop that feeds
+            // Byte accounting folds into the same decode loop that feeds
             // the replica — no second pass over the block.
-            std::uint64_t block_weight = 0;
+            std::uint64_t block_bytes = 0;
             framework::FcmFramework& replica = shard.replicas[shard.active];
             for (std::uint32_t i = 0; i + 1 < view.count; i += 2) {
-              const auto weight =
-                  std::bit_cast<std::uint32_t>(view.data[i + 1]);
-              replica.process_weighted(view.data[i], weight);
-              block_weight += weight;
+              const auto bytes = std::bit_cast<std::uint32_t>(view.data[i + 1]);
+              replica.process_weighted(view.data[i], bytes);
+              block_bytes += bytes;
             }
-            // A byte-mode pair is one item of `weight` bytes (see Options
-            // docs); a packet-mode pair carries `weight` packets.
-            const std::uint64_t items =
-                byte_mode_ ? view.count / 2 : block_weight;
-            shard.packets_in_generation[shard.active] += items;
-            data_items += items;
-            if (byte_mode_) {
-              shard.bytes_in_generation[shard.active] += block_weight;
-              data_bytes += block_weight;
-            }
+            // A pair is one item (see EpochReport::packets).
+            shard.packets_in_generation[shard.active] += view.count / 2;
+            data_items += view.count / 2;
+            shard.bytes_in_generation[shard.active] += block_bytes;
+            data_bytes += block_bytes;
             break;
           }
           default:

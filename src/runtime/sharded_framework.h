@@ -93,10 +93,10 @@ class ShardedFcmFramework {
     std::size_t queue_capacity = 1 << 14;
     // Block size: keys are staged per shard directly into the in-ring block
     // and published flush_batch at a time, so one release store covers a
-    // whole process_batch-sized run. Byte-count mode and the heavy-flow
-    // cache stage (key, weight) pairs, so they need flush_batch >= 2; a pair
-    // never splits, so their blocks are full at flush_batch rounded down to
-    // even. Partial blocks are published only at rotation and stop().
+    // whole process_batch-sized run. Byte-count mode stages (key, bytes)
+    // pairs, so it needs flush_batch >= 2; a pair never splits, so its
+    // blocks are full at flush_batch rounded down to even. Partial blocks
+    // are published only at rotation and stop().
     std::size_t flush_batch = 64;
     Fanout fanout = Fanout::kHashByKey;
     // Merged epoch snapshots retained for cross-epoch queries (>= 1).
@@ -104,17 +104,16 @@ class ShardedFcmFramework {
     // 0: reuse framework.heavy_hitter_threshold for heavy-change detection.
     std::uint64_t heavy_change_threshold = 0;
     // Exact-match heavy-flow cache in FRONT of the fan-out (DESIGN.md §12):
-    // 0 disables it. Hot flows are absorbed at the DRIVER — a cache hit
-    // never crosses a ring at all — and are demoted as one (key, weight)
-    // pair on eviction and at every rotation (several pairs past 2^32 - 1
-    // units), staged like any other pair, so each merged epoch holds
-    // exactly the traffic ingested into it (the plain-FCM merged COUNTER
-    // state is bit-exact equal to a cache-off run; the on-path HH ledger is
-    // trajectory-dependent but never misses a truly heavy flow — the
-    // differential battery checks both). With the cache enabled,
-    // EpochReport::packets still counts true
-    // packets in kPackets mode, but in kBytes mode demotions collapse many
-    // packets into one pair, so `packets` counts pairs there.
+    // 0 disables it. It counts bytes, so it needs CountMode::kBytes
+    // (ContractViolation otherwise): per-packet unit counts are already
+    // cheaper in the batched sketch kernel than one cache lookup. Hot flows
+    // are absorbed at the DRIVER — a cache hit never crosses a ring at all —
+    // and are demoted as one (key, bytes) pair on eviction and at every
+    // rotation (several pairs past 2^32 - 1 bytes), staged like any other
+    // pair, so each merged epoch holds exactly the bytes ingested into it
+    // (the plain-FCM merged COUNTER state is bit-exact equal to a cache-off
+    // run; the on-path HH ledger is trajectory-dependent but never misses a
+    // truly heavy flow — the differential battery checks both).
     std::size_t cache_entries = 0;
     std::size_t cache_ways = 4;       // set associativity (see HeavyFlowCache)
     // Run the (expensive) EM analysis on the merged sketch at each rotation.
@@ -139,12 +138,15 @@ class ShardedFcmFramework {
   // Figure-1 collect/rotate loop's per-window output).
   struct EpochReport {
     std::size_t index = 0;
+    // Items the shards applied: packets, or in kBytes mode (key, bytes)
+    // pairs. With the cache on, a demotion collapses many packets into one
+    // pair, so there `packets` undercounts and `bytes` is the exact total.
     std::uint64_t packets = 0;
     // Payload bytes this epoch, tallied per shard in the same worker loop
     // that applies the blocks (DESIGN.md §13.1).
-    // Meaningful in kBytes mode (every pair carries its weight in bytes,
-    // cache demotions included); 0 in kPackets mode, where sizes never
-    // cross the rings. Also exported per shard as
+    // Meaningful in kBytes mode (every pair carries its bytes, cache
+    // demotions included); 0 in kPackets mode, where sizes never cross the
+    // rings. Also exported per shard as
     // fcm_runtime_shard_bytes_total.
     std::uint64_t bytes = 0;
     double cardinality = 0.0;
@@ -253,7 +255,7 @@ class ShardedFcmFramework {
       FCM_REQUIRES(driver_role_);
   std::size_t route_shard(flow::FlowKey key) const
       FCM_REQUIRES(driver_role_);
-  // Span bodies shared by the ingest overloads (cache on or off).
+  // Span bodies shared by the ingest overloads.
   void ingest_keys(std::span<const flow::FlowKey> keys)
       FCM_REQUIRES(driver_role_);
   void ingest_packets(std::span<const flow::Packet> packets)
@@ -261,8 +263,9 @@ class ShardedFcmFramework {
   // Publishes every non-empty open block (partial blocks included) and hands
   // empty reserved blocks back; runs before the epoch markers and at stop().
   void flush_staging() FCM_REQUIRES(driver_role_);
-  // Cache front end: per-item offer (cache_ must be set), and the epoch
-  // drain into the rings with counter publication (no-op without a cache).
+  // Cache front end (byte mode): per-packet offer (cache_ must be set), and
+  // the epoch drain into the rings with counter publication (no-op without
+  // a cache).
   void offer_cached(flow::FlowKey key, std::uint64_t count)
       FCM_REQUIRES(driver_role_);
   void drain_cache() FCM_REQUIRES(driver_role_);
@@ -271,8 +274,8 @@ class ShardedFcmFramework {
 
   Options options_;
   bool byte_mode_ = false;
-  // The one data block kind this instance stages (kPairs in byte mode or
-  // with the cache on, kUnitKeys otherwise). Set once at construction.
+  // The one data block kind this instance stages (kPairs in byte mode,
+  // kUnitKeys otherwise). Set once at construction.
   std::uint32_t data_kind_ = 0;
   // Fill at which a staged block is full and published: flush_batch for
   // unit keys, flush_batch rounded down to even for pairs. Set once at

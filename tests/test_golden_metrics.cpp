@@ -14,14 +14,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "datapath/cached_framework.h"
 #include "datapath/capture_ingest.h"
 #include "flow/synthetic.h"
 #include "framework/fcm_framework.h"
 #include "obs/metrics_registry.h"
+#include "runtime/sharded_framework.h"
 
 namespace fcm {
 namespace {
@@ -136,25 +137,31 @@ TEST(GoldenMetrics, CardinalityRelativeError) {
 // --- fixture-capture goldens -------------------------------------------------
 //
 // The committed pcap fixture (tests/data/fixture.pcap, regenerated bit-exactly
-// by tools/make_pcap_fixture.py) runs through the REAL datapath — pcap reader,
-// hostile-input parser, heavy-flow cache, FcmFramework — and the end-to-end
-// accuracy lands in the same golden bands machinery as the synthetic trace.
-// This pins the whole capture-to-metrics pipeline, not just the sketch.
+// by tools/make_pcap_fixture.py) runs through the REAL decode path — pcap
+// reader, hostile-input parser — into a plain FcmFramework, and the
+// end-to-end accuracy lands in the same golden bands machinery as the
+// synthetic trace. A separate check drives the byte-mode cache stage of the
+// sharded runtime over the same capture. This pins the whole
+// capture-to-metrics pipeline, not just the sketch.
 
 constexpr double kFixtureWmre = 0.00218366857;
 constexpr double kFixtureCardinalityRelErr = 0.00166779907;
 
+datapath::DecodedCapture load_fixture() {
+  return datapath::load_capture(std::string(FCM_TEST_DATA_DIR) +
+                                "/fixture.pcap");
+}
+
 GoldenRun run_fixture_pipeline() {
-  const datapath::DecodedCapture decoded = datapath::load_capture(
-      std::string(FCM_TEST_DATA_DIR) + "/fixture.pcap");
+  const datapath::DecodedCapture decoded = load_fixture();
   const flow::GroundTruth truth(decoded.trace);
 
-  datapath::CachedFramework::Options options;
-  options.framework.fcm =
+  framework::FcmFramework::Options options;
+  options.fcm =
       core::FcmConfig::for_memory(150'000, 2, 8, {8, 16, 32}, kSketchSeed);
-  options.framework.em.max_iterations = 5;
+  options.em.max_iterations = 5;
   options.metrics = nullptr;  // keep the exporter-schema tests unpolluted
-  datapath::CachedFramework framework(options);
+  framework::FcmFramework framework(options);
   for (const flow::Packet& packet : decoded.trace.packets()) {
     framework.process(packet.key);
   }
@@ -162,13 +169,6 @@ GoldenRun run_fixture_pipeline() {
 
   GoldenRun run;
   run.wmre = report.fsd.wmre(truth.flow_size_distribution());
-  double are = 0.0;
-  for (const auto& [key, size] : truth.flow_sizes()) {
-    const double estimate = static_cast<double>(framework.flow_size(key));
-    are += std::abs(estimate - static_cast<double>(size)) /
-           static_cast<double>(size);
-  }
-  run.are = are / static_cast<double>(truth.flow_count());
   run.cardinality_rel_error =
       std::abs(report.cardinality - static_cast<double>(truth.flow_count())) /
       static_cast<double>(truth.flow_count());
@@ -181,8 +181,7 @@ const GoldenRun& fixture_run() {
 }
 
 TEST(GoldenFixture, CaptureDecodesDeterministically) {
-  const datapath::DecodedCapture decoded = datapath::load_capture(
-      std::string(FCM_TEST_DATA_DIR) + "/fixture.pcap");
+  const datapath::DecodedCapture decoded = load_fixture();
   // The generator commits to these totals; a fixture or reader change that
   // shifts them silently would invalidate the golden bands below.
   EXPECT_EQ(decoded.stats.capture.records, 1150u);
@@ -198,13 +197,42 @@ TEST(GoldenFixture, FlowSizeWmre) {
   expect_band(fixture_run().wmre, kFixtureWmre, 0.15, "fixture FSD WMRE");
 }
 
-TEST(GoldenFixture, FlowSizeAreIsExactlyZero) {
-  // Every fixture flow fits in the default cache (240 flows, 8192 entries)
-  // and nothing is ever demoted, so the combined view answers every query
-  // from the exact path: ARE is identically zero. Any nonzero value means
-  // the cache started spilling traffic it used to absorb.
-  EXPECT_EQ(fixture_run().are, 0.0)
-      << "fixture ARE nonzero: the cache no longer absorbs the whole fixture";
+TEST(GoldenFixture, ByteModeCacheAbsorbsTheWholeFixture) {
+  // Every fixture flow fits in the production cache (~240 flows, 8192 x 4
+  // entries), so a 1-shard byte-mode runtime evicts nothing: each nonzero
+  // key is one hit or miss, and the rotation drain hands back every byte.
+  // An eviction means the cache started spilling traffic it used to absorb.
+  const datapath::DecodedCapture decoded = load_fixture();
+  obs::MetricsRegistry registry;
+  runtime::ShardedFcmFramework::Options options;
+  options.framework.fcm =
+      core::FcmConfig::for_memory(150'000, 2, 8, {8, 16, 32}, kSketchSeed);
+  options.framework.count_mode = framework::FcmFramework::CountMode::kBytes;
+  options.shard_count = 1;
+  options.cache_entries = 8192;
+  options.cache_ways = 4;
+  options.metrics = &registry;
+  options.metrics_instance = "fixture";
+  runtime::ShardedFcmFramework sharded(options);
+  sharded.ingest(std::span<const flow::Packet>(decoded.trace.packets()));
+  const runtime::ShardedFcmFramework::EpochReport report = sharded.rotate();
+  sharded.stop();
+
+  std::uint64_t bytes = 0;
+  std::uint64_t nonzero_keys = 0;
+  for (const flow::Packet& packet : decoded.trace.packets()) {
+    bytes += packet.bytes;
+    nonzero_keys += packet.key.value != 0 ? 1 : 0;
+  }
+  const std::vector<obs::MetricLabel> labels = {{"instance", "fixture"}};
+  EXPECT_EQ(
+      registry.counter("fcm_datapath_cache_evictions_total", labels).value(),
+      0u);
+  EXPECT_EQ(registry.counter("fcm_datapath_cache_hits_total", labels).value() +
+                registry.counter("fcm_datapath_cache_misses_total", labels)
+                    .value(),
+            nonzero_keys);
+  EXPECT_EQ(report.bytes, bytes);
 }
 
 TEST(GoldenFixture, CardinalityRelativeError) {

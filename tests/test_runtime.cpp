@@ -574,32 +574,44 @@ TEST(ShardedRuntime, StopIsIdempotentAndDestructorIsSafeWithoutRotation) {
 
 // stop() closes the un-rotated tail as a final epoch instead of discarding
 // it: every packet lands in merged_epoch(0), with the heavy-flow cache's
-// residents and the staged partial blocks included. The tail falls in
-// generation 0 without an earlier rotation and in generation 1 after one.
+// residents and the staged partial blocks included. The cache-off leg counts
+// packets; the cache leg counts bytes, the only mode the cache runs in. The
+// tail falls in generation 0 without an earlier rotation and in generation 1
+// after one.
 TEST(ShardedRuntime, StopClosesUnrotatedTailAsFinalEpoch) {
   const std::vector<Packet> trace = fixed_trace(0x57a1, 12000, 600);
-  FcmFramework serial(small_framework_options());
-  for (const Packet& packet : trace) serial.process(packet.key);
+  std::uint64_t trace_bytes = 0;
+  for (const Packet& packet : trace) trace_bytes += packet.bytes;
 
   for (const std::size_t cache_entries : {0ul, 256ul}) {
+    FcmFramework::Options fw = small_framework_options();
+    if (cache_entries > 0) fw.count_mode = FcmFramework::CountMode::kBytes;
+    FcmFramework serial(fw);
+    for (const Packet& packet : trace) serial.process(packet);
     for (const std::size_t earlier_epochs : {0ul, 1ul}) {
       SCOPED_TRACE("cache_entries=" + std::to_string(cache_entries) +
                    " earlier_epochs=" + std::to_string(earlier_epochs));
       ShardedFcmFramework::Options options;
-      options.framework = small_framework_options();
+      options.framework = fw;
       options.shard_count = 3;
       options.cache_entries = cache_entries;
       ShardedFcmFramework sharded(options);
       for (std::size_t e = 0; e < earlier_epochs; ++e) {
-        sharded.ingest(FlowKey{7});
+        sharded.ingest(Packet{FlowKey{7}, 1, 0});
         sharded.rotate();
       }
-      for (const Packet& packet : trace) sharded.ingest(packet.key);
+      for (const Packet& packet : trace) sharded.ingest(packet);
       sharded.stop();
 
       // ASSERT, not EXPECT: wait_epoch on an epoch that never closes blocks.
       ASSERT_EQ(sharded.epochs_completed(), earlier_epochs + 1);
-      EXPECT_EQ(sharded.wait_epoch(earlier_epochs).packets, trace.size());
+      const ShardedFcmFramework::EpochReport tail =
+          sharded.wait_epoch(earlier_epochs);
+      if (cache_entries > 0) {
+        EXPECT_EQ(tail.bytes, trace_bytes);
+      } else {
+        EXPECT_EQ(tail.packets, trace.size());
+      }
       const FcmFramework merged = sharded.merged_epoch(0);
       for (const FlowKey key : distinct_keys(trace)) {
         ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
@@ -615,11 +627,12 @@ TEST(ShardedRuntime, StopClosesUnrotatedTailAsFinalEpoch) {
 // every rotation and at stop(). Every nonzero key offered is either a hit or
 // a miss (key 0 bypasses the cache), and demotions at each rotation hand the
 // resident flows to the closing epoch, so the merged epochs together count
-// every packet ingested.
+// every byte ingested.
 TEST(ShardedRuntime, CacheCountersCoverEveryOfferedKey) {
   fcm::obs::MetricsRegistry registry;
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
+  options.framework.count_mode = FcmFramework::CountMode::kBytes;
   options.shard_count = 2;
   options.cache_entries = 64;  // small: the Zipf tail keeps evicting
   options.metrics = &registry;
@@ -627,35 +640,36 @@ TEST(ShardedRuntime, CacheCountersCoverEveryOfferedKey) {
   ShardedFcmFramework sharded(options);
 
   const std::vector<Packet> trace = fixed_trace(0xcace, 24000, 1500);
-  std::vector<FlowKey> keys;
-  keys.reserve(trace.size());
-  for (const Packet& packet : trace) keys.push_back(packet.key);
-  const std::span<const FlowKey> all(keys);
-  const std::size_t quarter = keys.size() / 4;
+  const std::span<const Packet> all(trace);
+  const std::size_t quarter = trace.size() / 4;
 
-  std::uint64_t ingested = 0;
+  std::uint64_t ingested_bytes = 0;
   std::uint64_t nonzero_offered = 0;
-  const auto feed = [&](std::span<const FlowKey> window) {
+  const auto feed = [&](std::span<const Packet> window) {
     sharded.ingest(window.first(window.size() / 2));
-    for (const FlowKey key : window.subspan(window.size() / 2)) {
-      sharded.ingest(key);
+    for (const Packet& packet : window.subspan(window.size() / 2)) {
+      sharded.ingest(packet);
     }
-    sharded.ingest(FlowKey{0});  // bypasses the cache
-    ingested += window.size() + 1;
-    for (const FlowKey key : window) nonzero_offered += key.value != 0 ? 1 : 0;
+    const Packet bypass{FlowKey{0}, 100, 0};  // key 0 bypasses the cache
+    sharded.ingest(bypass);
+    ingested_bytes += bypass.bytes;
+    for (const Packet& packet : window) {
+      ingested_bytes += packet.bytes;
+      nonzero_offered += packet.key.value != 0 ? 1 : 0;
+    }
   };
 
-  std::uint64_t epoch_packets = 0;
+  std::uint64_t epoch_bytes = 0;
   for (std::size_t w = 0; w < 3; ++w) {
     feed(all.subspan(w * quarter, quarter));
-    epoch_packets += sharded.rotate().packets;
+    epoch_bytes += sharded.rotate().bytes;
   }
   feed(all.subspan(3 * quarter));  // un-rotated tail, closed by stop()
   sharded.stop();
 
   ASSERT_EQ(sharded.epochs_completed(), 4u);
-  epoch_packets += sharded.wait_epoch(3).packets;
-  EXPECT_EQ(epoch_packets, ingested);
+  epoch_bytes += sharded.wait_epoch(3).bytes;
+  EXPECT_EQ(epoch_bytes, ingested_bytes);
 
   const std::vector<fcm::obs::MetricLabel> labels = {{"instance", "cache"}};
   const std::uint64_t hits =
@@ -816,12 +830,8 @@ TEST(ShardedRuntime, RejectsInvalidOptions) {
                  o.flush_batch = 1;
                }),
                ContractViolation);
-  // So does the heavy-flow cache: every demotion is a (key, weight) pair.
-  EXPECT_THROW(make([](auto& o) {
-                 o.cache_entries = 64;
-                 o.flush_batch = 1;
-               }),
-               ContractViolation);
+  // The heavy-flow cache counts bytes: packet mode cannot run it.
+  EXPECT_THROW(make([](auto& o) { o.cache_entries = 64; }), ContractViolation);
 }
 
 TEST(ShardedRuntime, ByteModeRejectsZeroBytePackets) {

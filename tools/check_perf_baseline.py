@@ -19,8 +19,11 @@ Two baseline families, dispatched on the JSON ``schema`` field:
       3. serial batch_speedup must stay >= 1.0 (the batch path must never
          be slower than the scalar path it replaces);
       4. the heavy-flow-cache study's ``cache_speedup`` (cache-on vs
-         cache-off pps on the skewed Zipf-1.3 trace, DESIGN.md §12) must not
-         fall more than ``--tolerance`` below the baseline's;
+         cache-off pps counting bytes on the skewed Zipf-1.3 trace, DESIGN.md
+         §12.4) must not fall more than ``--tolerance`` below the baseline's.
+         Both runs must record ``cache.count_mode == "bytes"``: the cache runs
+         only on byte counts, so a unit-count study on either side fails
+         instead of being compared;
       5. cache_speedup must stay >= 1.2 (the acceptance floor: an exact-match
          cache that does not beat the sketch walk by 20% on elephant-dominated
          traffic is not pulling its weight). Machine-local ratio, so this
@@ -87,6 +90,7 @@ import sys
 THROUGHPUT_SCHEMA = "fcm.bench.throughput.v5"
 KNOWN_SCHEMAS = (THROUGHPUT_SCHEMA, "fcm.bench.agg.v1")
 CACHE_SPEEDUP_FLOOR = 1.2
+CACHE_COUNT_MODE = "bytes"  # the only mode the heavy-flow cache runs in
 # Kernel-tier floors (in-run same-machine ratios, DESIGN.md §14):
 AVX2_INDEX_VS_SCALAR_FLOOR = 2.5  # hash+fast-range kernel
 AVX2_INGEST_VS_SCALAR_FLOOR = 1.0  # end-to-end serial ingest sanity
@@ -198,6 +202,34 @@ def check_throughput(baseline: dict, current: dict, args) -> int:
         )
         failed = True
 
+    if check_cache(baseline, current, args, comparable):
+        failed = True
+    if check_sharded_scaling(baseline, current, args):
+        failed = True
+    if check_kernels(current):
+        failed = True
+    return 1 if failed else 0
+
+
+def check_cache(baseline: dict, current: dict, args, comparable: bool) -> bool:
+    """The heavy-flow-cache study: byte counts on both sides, no drift
+    past the tolerance, and the hard 1.2x floor. Returns True on failure."""
+    stale = [
+        f"{tag} {run['cache'].get('count_mode')!r}"
+        for tag, run in (("baseline", baseline), ("current", current))
+        if run["cache"].get("count_mode") != CACHE_COUNT_MODE
+    ]
+    if stale:
+        print(
+            "check_perf_baseline: FAIL — the cache study must count "
+            f"{CACHE_COUNT_MODE!r} (the heavy-flow cache runs only in byte "
+            f"mode, DESIGN.md §12.4), but got count_mode {', '.join(stale)}; "
+            "re-record the cache block with a current bench_throughput",
+            file=sys.stderr,
+        )
+        return True
+
+    failed = False
     base_cache = baseline["cache"]["cache_speedup"]
     cur_cache = current["cache"]["cache_speedup"]
     cache_floor = base_cache * (1.0 - args.tolerance)
@@ -230,12 +262,7 @@ def check_throughput(baseline: dict, current: dict, args) -> int:
             file=sys.stderr,
         )
         failed = True
-
-    if check_sharded_scaling(baseline, current, args):
-        failed = True
-    if check_kernels(current):
-        failed = True
-    return 1 if failed else 0
+    return failed
 
 
 def check_kernels(current: dict) -> int:
