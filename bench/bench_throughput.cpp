@@ -295,7 +295,6 @@ std::vector<ScalingPoint> run_scaling_study(const flow::Trace& trace) {
     runtime::ShardedFcmFramework::Options options;
     options.framework = fw;
     options.shard_count = shards;
-    options.fanout = runtime::ShardedFcmFramework::Fanout::kHashByKey;
     options.metrics = with_metrics ? &obs::MetricsRegistry::global() : nullptr;
     runtime::ShardedFcmFramework sharded(options);
     // Ingest + rotate: the honest end-to-end cost of one epoch, including
@@ -318,7 +317,6 @@ std::vector<ScalingPoint> run_scaling_study(const flow::Trace& trace) {
     runtime::ShardedFcmFramework::Options options;
     options.framework = fw;
     options.shard_count = point.shards;
-    options.fanout = runtime::ShardedFcmFramework::Fanout::kHashByKey;
     options.metrics = nullptr;
     runtime::ShardedFcmFramework sharded(options);
     sharded.ingest(key_span);
@@ -385,7 +383,6 @@ void run_block_sweep(const flow::Trace& trace) {
           runtime::ShardedFcmFramework::Options options;
           options.framework = fw;
           options.shard_count = shards;
-          options.fanout = runtime::ShardedFcmFramework::Fanout::kHashByKey;
           options.flush_batch = flush_batch;
           options.queue_capacity = capacity;
           options.metrics = nullptr;
@@ -663,7 +660,7 @@ void write_scaling_json(const std::string& path, const flow::Trace& trace,
   out << "  \"packet_count\": " << trace.size() << ",\n";
   out << "  \"seed\": " << g_trace_seed << ",\n";
   out << "  \"repeats\": " << kInterleavedRepeats << ",\n";
-  out << "  \"fanout\": \"hash_by_key\",\n";
+  out << "  \"fanout\": \"block_rotation\",\n";
   out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n";
   out << "  \"git_rev\": \"" << FCM_GIT_REV << "\",\n";
@@ -704,7 +701,7 @@ void write_scaling_json(const std::string& path, const flow::Trace& trace,
 }
 
 void print_scaling(const std::vector<ScalingPoint>& points) {
-  std::printf("\nsharded-runtime scaling (hash fanout, %u hardware threads, "
+  std::printf("\nsharded-runtime scaling (block rotation, %u hardware threads, "
               "best of %d interleaved)\n",
               std::thread::hardware_concurrency(), kInterleavedRepeats);
   std::printf("%-10s %14s %14s %8s %8s %14s %9s %9s\n", "config",

@@ -164,9 +164,11 @@ void FcmTree::merge(const FcmTree& other) {
   // level l receives the excess of its k children at level l-1.
   std::vector<std::uint64_t> promoted(stages_[0].size(), 0);
   std::vector<std::uint64_t> next_promoted;
-  // Fold the other tree's promotion history into ours (monotone telemetry;
-  // merge-induced fresh trips are counted in the loop below).
-  promotions_ += other.promotions_;
+  // A serial tree trips each node at most once, so its promotion tally is
+  // its count of overflowed nodes; the merged tally is that count in the
+  // merged state. (Summing the inputs' tallies would count a node tripped
+  // in both of them twice.)
+  std::uint64_t overflowed = 0;
   for (std::size_t l = 0; l < levels; ++l) {
     const std::uint64_t cap = counting_max_[l];
     const std::uint32_t mark = marker_[l];
@@ -190,16 +192,14 @@ void FcmTree::merge(const FcmTree& other) {
         if (l + 1 < levels) next_promoted[i / config_.k] += sum - cap;
         // Beyond the root the serial tree drops the excess too.
         stages_[l][i] = mark;
-        // Observability: a node neither input had tripped overflows only
-        // now, in the merge — count the fresh promotion (trips either input
-        // already performed arrive via the promotions_ sum below).
-        if (!shard_overflowed) ++promotions_;
+        ++overflowed;
       } else {
         stages_[l][i] = common::checked_narrow<std::uint32_t>(sum);
       }
     }
     promoted.swap(next_promoted);
   }
+  promotions_ = overflowed;
   FCM_CHECKED_ONLY(check_invariants());
 }
 

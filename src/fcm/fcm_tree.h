@@ -107,8 +107,10 @@ class FcmTree {
 
   // Observability: how many nodes this tree has tripped into the overflow
   // state (a counter saturating and carrying to its parent — Figure 3's
-  // promotion event) since construction / clear(). Monotone; merge() folds
-  // the other tree's history in plus any trips the merge itself causes.
+  // promotion event) since construction / clear(). A node trips at most
+  // once, so this equals the number of overflowed nodes; merge() sets it to
+  // that number in the merged state, the tally a serial run over both
+  // inputs' traffic would hold.
   // Scraped into the obs::MetricsRegistry by the layers above (the tree
   // itself stays free of atomics so the single-shard hot path is untouched).
   std::uint64_t overflow_promotion_count() const noexcept {

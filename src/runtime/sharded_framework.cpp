@@ -12,7 +12,6 @@
 
 #include "common/block_queue.h"
 #include "common/contracts.h"
-#include "common/hash.h"
 
 namespace fcm::runtime {
 
@@ -35,10 +34,6 @@ enum BlockKind : std::uint32_t {
 // Heaviest weight one pair carries; heavier cache demotions split.
 constexpr std::uint32_t kMaxPairWeight =
     std::numeric_limits<std::uint32_t>::max();
-
-// Flow -> shard hash seed (any fixed constant; independent of the sketch
-// hash family, which is seeded per tree from FcmConfig).
-constexpr std::uint32_t kShardHashSeed = 0x51a8d5;
 
 // Progressive backoff for spin loops (driver backpressure, idle workers,
 // blocked marker pushes). Yield first; park briefly once clearly idle so a
@@ -111,7 +106,6 @@ struct ShardedFcmFramework::Shard {
 
 ShardedFcmFramework::ShardedFcmFramework(Options options)
     : options_(std::move(options)),
-      shard_hash_(kShardHashSeed),
       cache_metrics_(options_.cache_entries > 0 ? options_.metrics : nullptr,
                      options_.metrics_instance) {
   // The constructing thread owns the driver role until the instance is handed
@@ -174,7 +168,6 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
     shards_.push_back(std::make_unique<Shard>(s, replica_options, block_count,
                                               options_.flush_batch));
   }
-  open_.resize(options_.shard_count);
   if (options_.cache_entries > 0) {
     datapath::HeavyFlowCache::Options cache_options;
     cache_options.entries = options_.cache_entries;
@@ -284,10 +277,9 @@ ShardedFcmFramework::~ShardedFcmFramework() { stop(); }
 
 // --- block staging (driver thread) -----------------------------------------
 
-void ShardedFcmFramework::open_block(std::size_t shard) {
-  auto& ring = *shards_[shard]->ring;
+void ShardedFcmFramework::open_block() {
+  auto& ring = *shards_[rr_shard_]->ring;
   ring.assume_producer();  // the driver thread IS every ring's producer
-  OpenBlock& open = open_[shard];
   flow::FlowKey* slots = ring.try_open();
   if (slots == nullptr) [[unlikely]] {
     unsigned spins = 0;
@@ -296,92 +288,67 @@ void ShardedFcmFramework::open_block(std::size_t shard) {
       slots = ring.try_open();
     } while (slots == nullptr);
     if (instruments_ != nullptr) {
-      instruments_->backpressure_spins->inc_at(shard, spins);
+      instruments_->backpressure_spins->inc_at(rr_shard_, spins);
     }
   }
-  open.slots = slots;
-  open.fill = 0;
+  open_.slots = slots;
+  open_.fill = 0;
 }
 
-void ShardedFcmFramework::publish_block(std::size_t shard) {
-  OpenBlock& open = open_[shard];
-  auto& ring = *shards_[shard]->ring;
+void ShardedFcmFramework::publish_block() {
+  auto& ring = *shards_[rr_shard_]->ring;
   ring.assume_producer();
-  ring.publish(open.fill, data_kind_);
+  ring.publish(open_.fill, data_kind_);
   if (instruments_ != nullptr) {
     Instruments& ins = *instruments_;
-    ins.blocks_published->inc_at(shard);
-    if (open.fill < full_fill_) ins.partial_flushes->inc_at(shard);
+    ins.blocks_published->inc_at(rr_shard_);
+    if (open_.fill < full_fill_) ins.partial_flushes->inc_at(rr_shard_);
   }
-  open.slots = nullptr;
-  open.fill = 0;
+  open_.slots = nullptr;
+  open_.fill = 0;
+  // Strict rotation: the next block goes to the next shard, whatever it
+  // holds. FCM state depends only on per-leaf arrival totals, so the merged
+  // counters do not depend on the split (DESIGN.md §7).
+  rr_shard_ = rr_shard_ + 1 == shards_.size() ? 0 : rr_shard_ + 1;
 }
 
-void ShardedFcmFramework::stage_unit(std::size_t shard, flow::FlowKey key) {
-  OpenBlock& open = open_[shard];
-  if (open.slots == nullptr) [[unlikely]] open_block(shard);
-  open.slots[open.fill++] = key;
-  if (open.fill == full_fill_) publish_block(shard);
+void ShardedFcmFramework::stage_unit(flow::FlowKey key) {
+  if (open_.slots == nullptr) [[unlikely]] open_block();
+  open_.slots[open_.fill++] = key;
+  if (open_.fill == full_fill_) publish_block();
 }
 
-void ShardedFcmFramework::stage_pair(std::size_t shard, flow::FlowKey key,
-                                     std::uint32_t weight) {
-  OpenBlock& open = open_[shard];
-  if (open.slots == nullptr) [[unlikely]] open_block(shard);
-  open.slots[open.fill] = key;
-  open.slots[open.fill + 1] = std::bit_cast<flow::FlowKey>(weight);
-  open.fill += 2;
-  if (open.fill == full_fill_) publish_block(shard);
+void ShardedFcmFramework::stage_pair(flow::FlowKey key, std::uint32_t weight) {
+  if (open_.slots == nullptr) [[unlikely]] open_block();
+  open_.slots[open_.fill] = key;
+  open_.slots[open_.fill + 1] = std::bit_cast<flow::FlowKey>(weight);
+  open_.fill += 2;
+  if (open_.fill == full_fill_) publish_block();
 }
 
 void ShardedFcmFramework::stage_demotion(flow::FlowKey key,
                                          std::uint64_t weight) {
   // FCM counters are order-independent sums, so a weight too heavy for one
   // pair lands exactly as several pairs.
-  const std::size_t shard = route_shard(key);
   for (; weight > kMaxPairWeight; weight -= kMaxPairWeight) {
-    stage_pair(shard, key, kMaxPairWeight);
+    stage_pair(key, kMaxPairWeight);
   }
-  stage_pair(shard, key, common::checked_narrow<std::uint32_t>(weight));
-}
-
-std::size_t ShardedFcmFramework::route_shard(flow::FlowKey key) const {
-  const std::size_t shard_count = shards_.size();
-  if (shard_count == 1) return 0;
-  return shard_hash_.index(key, shard_count);
+  stage_pair(key, common::checked_narrow<std::uint32_t>(weight));
 }
 
 void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
-  const std::size_t shard_count = shards_.size();
-  if (shard_count == 1) {
-    // Single shard: no routing hash at all — memcpy runs straight into the
-    // in-ring block. This is the path the 1-shard-vs-serial floor measures.
-    std::span<const flow::FlowKey> rest = keys;
-    OpenBlock& open = open_[0];
-    while (!rest.empty()) {
-      if (open.slots == nullptr) open_block(0);
-      const std::size_t room = full_fill_ - open.fill;
-      const std::size_t n = std::min(room, rest.size());
-      std::memcpy(open.slots + open.fill, rest.data(),
-                  n * sizeof(flow::FlowKey));
-      open.fill += common::checked_narrow<std::uint32_t>(n);
-      rest = rest.subspan(n);
-      if (open.fill == full_fill_) publish_block(0);
-    }
-  } else {
-    // Bulk shard hashing: one vectorizable index_batch per kBatchBlock chunk
-    // (bit-identical to the per-item route_shard above), then scatter into
-    // the per-shard open blocks.
-    std::uint32_t shard_index[common::kBatchBlock];
-    std::span<const flow::FlowKey> rest = keys;
-    while (!rest.empty()) {
-      const std::size_t n = std::min(rest.size(), common::kBatchBlock);
-      const std::span<const flow::FlowKey> chunk = rest.first(n);
-      shard_hash_.index_batch(chunk, shard_count,
-                              std::span<std::uint32_t>(shard_index, n));
-      for (std::size_t i = 0; i < n; ++i) stage_unit(shard_index[i], chunk[i]);
-      rest = rest.subspan(n);
-    }
+  // No routing hash: memcpy runs straight into the in-ring block, whichever
+  // shard it belongs to.
+  std::span<const flow::FlowKey> rest = keys;
+  while (!rest.empty()) {
+    if (open_.slots == nullptr) open_block();
+    const std::size_t n = std::min<std::size_t>(full_fill_ - open_.fill,
+                                                 rest.size());
+    std::memcpy(open_.slots + open_.fill, rest.data(),
+                n * sizeof(flow::FlowKey));
+    open_.fill += common::checked_narrow<std::uint32_t>(n);
+    rest = rest.subspan(n);
+    if (open_.fill == full_fill_) publish_block();
   }
 }
 
@@ -395,30 +362,18 @@ void ShardedFcmFramework::ingest_packets(
       if (cache_ != nullptr) {
         offer_cached(packet.key, packet.bytes);
       } else {
-        stage_pair(route_shard(packet.key), packet.key, packet.bytes);
+        stage_pair(packet.key, packet.bytes);
       }
     }
   } else {
-    for (const flow::Packet& packet : packets) {
-      stage_unit(route_shard(packet.key), packet.key);
-    }
+    for (const flow::Packet& packet : packets) stage_unit(packet.key);
   }
 }
 
 void ShardedFcmFramework::flush_staging() {
-  for (std::size_t s = 0; s < open_.size(); ++s) {
-    OpenBlock& open = open_[s];
-    if (open.slots == nullptr) continue;
-    if (open.fill > 0) {
-      publish_block(s);
-    } else {
-      // Reserved but never filled: hand the slot back without publishing.
-      auto& ring = *shards_[s]->ring;
-      ring.assume_producer();
-      ring.abandon();
-      open.slots = nullptr;
-    }
-  }
+  // A block is reserved only when an item is about to be staged into it, so
+  // an open block is never empty.
+  if (open_.slots != nullptr) publish_block();
 }
 
 // --- data plane (driver thread) --------------------------------------------
@@ -434,8 +389,8 @@ void ShardedFcmFramework::offer_cached(flow::FlowKey key, std::uint64_t count) {
 void ShardedFcmFramework::drain_cache() {
   if (cache_ == nullptr) return;
   cache_metrics_.publish(*cache_);
-  // One sweep demotes every resident flow into its shard and empties the
-  // table; the cache counters stay cumulative for the next publish.
+  // One sweep demotes every resident flow into the open block and empties
+  // the table; the cache counters stay cumulative for the next publish.
   cache_->drain([this](flow::FlowKey key, std::uint64_t count) {
     driver_role_.assert_held();  // runs inline on the driver thread
     stage_demotion(key, count);
@@ -447,7 +402,7 @@ void ShardedFcmFramework::ingest(flow::FlowKey key) {
   FCM_ASSERT(!stopped_, "ShardedFcmFramework: ingest after stop()");
   FCM_REQUIRE(!byte_mode_,
               "ShardedFcmFramework: byte-count mode ingests packets, not keys");
-  stage_unit(route_shard(key), key);
+  stage_unit(key);
 }
 
 void ShardedFcmFramework::ingest(const flow::Packet& packet) {
@@ -487,10 +442,10 @@ std::size_t ShardedFcmFramework::rotate_async() {
   }
   if (instruments_ != nullptr) instruments_->rotations->inc();
   // Cache contents belong to the epoch being closed: demote every resident
-  // flow into its shard BEFORE the markers, so the merged epoch conserves
+  // flow into the rings BEFORE the markers, so the merged epoch conserves
   // totals exactly (each flow's units reach the sketch ahead of the flip).
   drain_cache();
-  // Publish the partial blocks so they land ahead of the markers below.
+  // Publish the partial block so it lands ahead of the markers below.
   flush_staging();
   for (auto& shard : shards_) {
     auto& ring = *shard->ring;

@@ -2,8 +2,8 @@
 //
 // The paper's data plane sustains line rate because every FCM update is an
 // independent O(1) register op; this runtime recovers that parallelism in
-// software. One driver thread hash-partitions traffic into per-shard blocks
-// and hands WHOLE blocks to N shard workers over lock-free block rings
+// software. One driver thread stages traffic into blocks and hands WHOLE
+// blocks to N shard workers, in strict rotation, over lock-free block rings
 // (common/block_queue.h); each worker owns a private FcmFramework replica
 // (plain FCM or FCM+TopK) and feeds popped blocks straight into the batched
 // ingest kernel (FcmFramework::process_batch), so the hot path is entirely
@@ -11,17 +11,17 @@
 // of per packet. FCM counters are linear, so at each epoch boundary the N
 // shard replicas are merged into ONE logical sketch — bit-exact equal, for
 // the plain-FCM plane, to the sketch a serial run would hold (FcmTree::merge)
-// — and handed to the existing control plane (EM/FSD, entropy, heavy change)
-// unchanged.
+// whatever split of the traffic the shards saw — and handed to the existing
+// control plane (EM/FSD, entropy, heavy change) unchanged.
 //
-// Block staging (DESIGN.md §13): the driver keeps one OPEN block per shard,
-// reserved in place inside that shard's ring (zero staging copy). Span
-// ingest bulk-hashes shard indices a kBatchBlock chunk at a time
-// (SeededHash::index_batch — the same vectorizable kernel the sketch hashes
-// use) and scatters keys into the open blocks; a block that reaches
-// flush_batch keys is published with one release store. Partial blocks are
-// published at rotation and stop(), ahead of the epoch markers, so every
-// packet lands in the epoch it was ingested into.
+// Block staging (DESIGN.md §13): the driver keeps ONE open block, reserved
+// in place inside the ring of the shard whose turn it is (zero staging
+// copy). Span ingest memcpys runs of keys into it; a block that reaches
+// flush_batch keys is published with one release store, and the next block
+// goes to the next shard ((s + 1) % N). No key is hashed to pick a shard,
+// so shard loads differ by at most one block. The open block is published
+// at rotation and stop(), ahead of the epoch markers, so every packet lands
+// in the epoch it was ingested into.
 //
 // Epoch double-buffering: each worker holds TWO replica generations, active
 // and draining. rotate_async() pushes an in-band epoch marker block into
@@ -33,19 +33,19 @@
 // epoch, optional EM analysis), clears the drained replicas for reuse, and
 // publishes the merged framework into a bounded history.
 //
-// Heavy hitters under sharding: fanout hashes the flow key, so each flow's
-// packets all reach one shard. Shard replicas record candidates at the
-// conservative ceil(T / N) (by pigeonhole, a flow with true count >= T has
-// >= ceil(T/N) packets in some shard however the stream is partitioned, and
-// FCM never underestimates). After the merge the coordinator re-qualifies
-// the union against the merged counters at T, dropping every candidate whose
-// merged estimate is below T.
+// Heavy hitters under sharding: a flow's packets spread over any shards.
+// Shard replicas record candidates at the conservative ceil(T / N) (by
+// pigeonhole, a flow with true count >= T has >= ceil(T/N) packets in some
+// shard however the stream is split, and FCM never underestimates). After
+// the merge the coordinator re-qualifies the union against the merged
+// counters at T, dropping every candidate whose merged estimate is below T.
 //
 // Thread discipline (machine-checked, DESIGN.md §10): ingest(),
 // rotate_async(), rotate() and stop() must all be called from ONE driver
 // thread — expressed as the driver_role_ capability: the public driver entry
 // points assert it, the private helpers (block staging included) REQUIRE it,
-// and driver-only state (the open blocks included) is GUARDED_BY it.
+// and driver-only state (the open block and its rotation cursor included)
+// is GUARDED_BY it.
 // wait_epoch()/merged_epoch()/last_report() are safe from any thread (they
 // only read mutex_-guarded published state).
 // The destructor stops and joins all threads; workers are std::jthread, so
@@ -64,7 +64,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/thread_annotations.h"
 #include "datapath/heavy_flow_cache.h"
 #include "framework/fcm_framework.h"
@@ -74,11 +73,11 @@ namespace fcm::runtime {
 
 class ShardedFcmFramework {
  public:
-  // How packets are routed to shards.
+  // Vestigial: the driver routes whole blocks to shards in rotation and
+  // reads neither this type nor Options::fanout.
   enum class Fanout {
-    // Same flow -> same shard (hash of the key). Flows are never split, so
-    // per-shard heavy-hitter detection sees whole flows; load balance
-    // follows the flow-size distribution.
+    // Kept only because perfbench/ spells it; it goes with the next
+    // benchmark change (ROADMAP item 8).
     kHashByKey,
   };
 
@@ -91,14 +90,14 @@ class ShardedFcmFramework {
     // >= flush_batch. The ring actually holds queue_capacity / flush_batch
     // whole blocks. Ingest applies backpressure (spins) when a ring is full.
     std::size_t queue_capacity = 1 << 14;
-    // Block size: keys are staged per shard directly into the in-ring block
-    // and published flush_batch at a time, so one release store covers a
-    // whole process_batch-sized run. Byte-count mode stages (key, bytes)
-    // pairs, so it needs flush_batch >= 2; a pair never splits, so its
-    // blocks are full at flush_batch rounded down to even. Partial blocks
-    // are published only at rotation and stop().
+    // Block size: keys are staged directly into the in-ring block and
+    // published flush_batch at a time, so one release store covers a whole
+    // process_batch-sized run; consecutive blocks go to consecutive shards.
+    // Byte-count mode stages (key, bytes) pairs, so it needs flush_batch >=
+    // 2; a pair never splits, so its blocks are full at flush_batch rounded
+    // down to even. A partial block is published only at rotation and stop().
     std::size_t flush_batch = 64;
-    Fanout fanout = Fanout::kHashByKey;
+    Fanout fanout = Fanout::kHashByKey;  // unread, see Fanout
     // Merged epoch snapshots retained for cross-epoch queries (>= 1).
     std::size_t retained_epochs = 4;
     // 0: reuse framework.heavy_hitter_threshold for heavy-change detection.
@@ -157,7 +156,8 @@ class ShardedFcmFramework {
     double merge_seconds = 0.0;            // wall time of the N-way merge
     std::uint64_t overflow_promotions = 0; // FCM overflow trips this epoch
     // max-shard / mean-shard packet ratio (1.0 = perfectly balanced; only
-    // meaningful when packets > 0 and shard_count > 1).
+    // meaningful when packets > 0 and shard_count > 1). Block rotation
+    // bounds it by 1 + shard_count * flush_batch / packets.
     double fanout_imbalance = 1.0;
   };
 
@@ -172,11 +172,10 @@ class ShardedFcmFramework {
   // sizes and rejects them (ContractViolation).
   void ingest(flow::FlowKey key);
   void ingest(const flow::Packet& packet);
-  // Span overloads (DESIGN.md §9/§13): shard indices are bulk-hashed a
-  // kBatchBlock chunk at a time and keys scattered into per-shard in-ring
-  // blocks, so one release store on the ring covers a whole block and
-  // workers feed popped blocks into FcmFramework::process_batch — the
-  // batched ingest kernel end to end, with no per-item ring traffic.
+  // Span overloads (DESIGN.md §9/§13): keys are copied in runs into the
+  // open in-ring block, so one release store on the ring covers a whole
+  // block and workers feed popped blocks into FcmFramework::process_batch —
+  // the batched ingest kernel end to end, with no per-item ring traffic.
   void ingest(std::span<const flow::Packet> packets);
   void ingest(std::span<const flow::FlowKey> keys);
 
@@ -236,7 +235,7 @@ class ShardedFcmFramework {
 
  private:
   struct Shard;
-  // A block reserved in one shard's ring, being filled in place.
+  // A block reserved in the ring of shard rr_shard_, being filled in place.
   struct OpenBlock {
     flow::FlowKey* slots = nullptr;  // null => no block reserved
     std::uint32_t fill = 0;
@@ -244,24 +243,23 @@ class ShardedFcmFramework {
 
   void init_instruments();
   // Block staging (DESIGN.md §13): the driver is every ring's producer.
-  void open_block(std::size_t shard) FCM_REQUIRES(driver_role_);
-  void publish_block(std::size_t shard) FCM_REQUIRES(driver_role_);
-  void stage_unit(std::size_t shard, flow::FlowKey key)
+  // publish_block() hands the open block to shard rr_shard_ and moves the
+  // cursor on to the next shard.
+  void open_block() FCM_REQUIRES(driver_role_);
+  void publish_block() FCM_REQUIRES(driver_role_);
+  void stage_unit(flow::FlowKey key) FCM_REQUIRES(driver_role_);
+  void stage_pair(flow::FlowKey key, std::uint32_t weight)
       FCM_REQUIRES(driver_role_);
-  void stage_pair(std::size_t shard, flow::FlowKey key, std::uint32_t weight)
-      FCM_REQUIRES(driver_role_);
-  // A cache demotion of any weight, as one or more pairs in its shard.
+  // A cache demotion of any weight, as one or more pairs.
   void stage_demotion(flow::FlowKey key, std::uint64_t weight)
-      FCM_REQUIRES(driver_role_);
-  std::size_t route_shard(flow::FlowKey key) const
       FCM_REQUIRES(driver_role_);
   // Span bodies shared by the ingest overloads.
   void ingest_keys(std::span<const flow::FlowKey> keys)
       FCM_REQUIRES(driver_role_);
   void ingest_packets(std::span<const flow::Packet> packets)
       FCM_REQUIRES(driver_role_);
-  // Publishes every non-empty open block (partial blocks included) and hands
-  // empty reserved blocks back; runs before the epoch markers and at stop().
+  // Publishes the open block, full or partial; runs before the epoch markers
+  // and at stop().
   void flush_staging() FCM_REQUIRES(driver_role_);
   // Cache front end (byte mode): per-packet offer (cache_ must be set), and
   // the epoch drain into the rings with counter publication (no-op without
@@ -281,10 +279,6 @@ class ShardedFcmFramework {
   // unit keys, flush_batch rounded down to even for pairs. Set once at
   // construction.
   std::uint32_t full_fill_ = 0;
-  // Flow -> shard mapping: one SeededHash so the per-item path
-  // (index) and the span path (index_batch) are bit-identical by
-  // construction (common/hash.h pins that equivalence).
-  common::SeededHash shard_hash_;
   std::uint64_t per_shard_hh_threshold_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -293,8 +287,10 @@ class ShardedFcmFramework {
   // and everything below it is driver-private state.
   common::ThreadRole driver_role_;
   bool stopped_ FCM_GUARDED_BY(driver_role_) = false;
-  // Staging: one open block per shard.
-  std::vector<OpenBlock> open_ FCM_GUARDED_BY(driver_role_);
+  // Staging: the one open block, and the shard whose ring holds it (the
+  // block rotation cursor).
+  OpenBlock open_ FCM_GUARDED_BY(driver_role_);
+  std::size_t rr_shard_ FCM_GUARDED_BY(driver_role_) = 0;
   // Driver-side heavy-flow cache (null when cache_entries == 0) and its
   // registry series (registered only with the cache on).
   std::unique_ptr<datapath::HeavyFlowCache> cache_ FCM_GUARDED_BY(driver_role_);

@@ -118,9 +118,9 @@ void expect_trees_identical(const FcmSketch& a, const FcmSketch& b) {
 
 // Trees plus the promotion telemetry and the raw heavy-hitter set — the
 // strongest equality the sketch exposes. Right for scalar-vs-batch on ONE
-// structure; the sharded runtime's merged epochs are only tree-state exact
-// (merge re-derives promotions and re-qualifies heavy hitters), so those
-// comparisons use expect_trees_identical directly.
+// structure; the sharded runtime's merged epochs re-qualify heavy hitters
+// (their trees and promotion tallies are exact), so those comparisons use
+// expect_trees_identical directly.
 void expect_sketch_identical(const FcmSketch& a, const FcmSketch& b) {
   expect_trees_identical(a, b);
   for (std::size_t t = 0; t < a.tree_count(); ++t) {

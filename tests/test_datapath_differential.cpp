@@ -192,7 +192,9 @@ TEST_P(ShardedDifferential, PerItemIngestMatchesSpanIngest) {
 
 // FCM+TopK's filter state is order-dependent, so no bit-exact claim; a small
 // 64-entry filter churns through evict-and-flush on every shard and must
-// still never underestimate. TopK counts packets only, so the byte-mode
+// still never underestimate. At 4 shards block rotation splits every flow
+// with more than one block of packets, so the hot flows reach the filter
+// merge from several shards. TopK counts packets only, so the byte-mode
 // cache can never front it: asking for both is a contract violation.
 TEST_P(ShardedDifferential, TopKNeverUnderestimatesAndTakesNoCache) {
   const std::size_t shards = GetParam();

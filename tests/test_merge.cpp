@@ -6,6 +6,8 @@
 //     streams (checked node-for-node and query-for-query, N in {1,2,4,8});
 //   - merge is an identity w.r.t. an empty sketch, commutative, and
 //     associative on random traces;
+//   - the merged overflow-promotion tally equals the serial tally, even when
+//     several shards tripped the same node;
 //   - mismatched configurations are rejected via FCM_REQUIRE;
 //   - heavy-hitter sets are unioned, deduped, and re-qualified against the
 //     merged counters, including flows that cross the threshold only after
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -141,6 +144,47 @@ TEST(FcmTreeMerge, BitExactVersusSerialThroughAllLevels) {
   EXPECT_EQ(shard_a.query(FlowKey{42'000'000}), serial.query(FlowKey{42'000'000}));
   EXPECT_EQ(shard_a.total_count(), serial.total_count());
   EXPECT_EQ(shard_a.empty_leaf_count(), serial.empty_leaf_count());
+}
+
+// A serial tree trips each node at most once, so its promotion tally is its
+// count of overflowed nodes. When every shard trips the same leaves (and the
+// jumbo flow's mid-stage node), summing the shard tallies would count those
+// trips N times; the merged tally must equal the serial one, including nodes
+// that only the merge trips (flows below a leaf's cap in every shard).
+TEST(FcmTreeMerge, PromotionTallyEqualsSerialWhenShardsTripTheSameNodes) {
+  const FcmConfig config = tiny_config();
+  const auto hash = common::make_hash(config.seed, 0);
+  for (const std::size_t n : {2u, 4u, 8u}) {
+    SCOPED_TRACE("N = " + std::to_string(n));
+    FcmTree serial(config, hash);
+    std::vector<FcmTree> shards(n, FcmTree(config, hash));
+    const auto add_split = [&](FlowKey key, std::uint64_t count) {
+      serial.add(key, count);
+      for (std::size_t s = 0; s < n; ++s) {
+        const std::uint64_t part = count / n + (s < count % n ? 1 : 0);
+        if (part > 0) shards[s].add(key, part);
+      }
+    };
+    // Flows 1..200 have 120..320 packets: every shard trips their leaves
+    // (cap 14) at any N <= 8. Flows 201..300 have 20 packets: below the cap
+    // in every shard at N >= 2, overflowing only in the merge.
+    for (std::uint32_t f = 1; f <= 200; ++f) add_split(FlowKey{f}, 120 + f);
+    for (std::uint32_t f = 201; f <= 300; ++f) add_split(FlowKey{f}, 20);
+    add_split(FlowKey{42'000'000}, 70'000);
+
+    std::uint64_t shard_tally_sum = 0;
+    for (const FcmTree& shard : shards) {
+      shard_tally_sum += shard.overflow_promotion_count();
+    }
+    // The case under test: shards tripped the same nodes.
+    ASSERT_GT(shard_tally_sum, serial.overflow_promotion_count());
+
+    FcmTree merged = shards[0];
+    for (std::size_t s = 1; s < n; ++s) merged.merge(shards[s]);
+    expect_same_tree_state(merged, serial);
+    EXPECT_EQ(merged.overflow_promotion_count(),
+              serial.overflow_promotion_count());
+  }
 }
 
 TEST(FcmTreeMerge, RejectsMismatchedGeometryAndHash) {

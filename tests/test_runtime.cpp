@@ -1,7 +1,9 @@
 // Tests for the sharded ingestion runtime (src/runtime/) and its block ring.
 //
 // The headline property: merged N-shard count queries are bit-exact equal to
-// a serial FcmSketch fed the same fixed-seed trace, for N in {1, 2, 4, 8}.
+// a serial FcmSketch fed the same fixed-seed trace, for N in {1, 2, 4, 8},
+// although the driver's block rotation splits flows across shards; the
+// rotation also balances shard loads to within one block.
 // Also covered: the lock-free BlockQueue in isolation and across threads,
 // epoch double-buffering (two back-to-back windows each serial-equivalent),
 // non-stalling rotate_async, heavy-hitter re-qualification across shards at
@@ -19,12 +21,14 @@
 #include <numeric>
 #include <random>
 #include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/block_queue.h"
 #include "common/contracts.h"
+#include "common/random.h"
 #include "flow/flow_key.h"
 #include "flow/packet.h"
 #include "flow/synthetic.h"
@@ -98,6 +102,41 @@ std::vector<FlowKey> distinct_keys(const std::vector<Packet>& trace) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   return keys;
+}
+
+// Stage arrays and promotion tallies of every tree: the whole counter state.
+void expect_same_counter_state(const FcmFramework& got,
+                               const FcmFramework& want) {
+  ASSERT_EQ(got.sketch().tree_count(), want.sketch().tree_count());
+  for (std::size_t t = 0; t < want.sketch().tree_count(); ++t) {
+    for (std::size_t l = 1; l <= want.sketch().config().stage_count(); ++l) {
+      const auto got_stage = got.sketch().tree(t).stage(l);
+      const auto want_stage = want.sketch().tree(t).stage(l);
+      ASSERT_EQ(got_stage.size(), want_stage.size());
+      for (std::size_t i = 0; i < want_stage.size(); ++i) {
+        ASSERT_EQ(got_stage[i], want_stage[i])
+            << "tree " << t << " stage " << l << " node " << i;
+      }
+    }
+    EXPECT_EQ(got.sketch().tree(t).overflow_promotion_count(),
+              want.sketch().tree(t).overflow_promotion_count())
+        << "tree " << t << " promotion tally diverged";
+  }
+}
+
+// Per-shard packet counters of an instance with its own registry.
+std::vector<std::uint64_t> shard_packet_counts(
+    fcm::obs::MetricsRegistry& registry, const std::string& instance,
+    std::size_t shards) {
+  std::vector<std::uint64_t> counts;
+  for (std::size_t s = 0; s < shards; ++s) {
+    counts.push_back(registry
+                         .counter("fcm_runtime_shard_packets_total",
+                                  {{"instance", instance},
+                                   {"shard", std::to_string(s)}})
+                         .value());
+  }
+  return counts;
 }
 
 // --- BlockQueue: block hand-off semantics ------------------------------------
@@ -212,8 +251,8 @@ TEST(BlockQueue, ThreadedBlockHandoffDeliversEveryBlockInOrder) {
 
 // The acceptance criterion: for N in {1,2,4,8}, ingesting a fixed-seed trace
 // through N shards and merging yields count queries bit-exact equal to one
-// serial framework. (Flows split across shards, the adversarial case for
-// merge correctness, are covered by test_merge.)
+// serial framework. Block rotation splits every flow larger than one block
+// across shards, the adversarial case for merge correctness.
 TEST(ShardedRuntime, MergedCountsBitExactVersusSerialForAllShardCounts) {
   const std::vector<Packet> trace = fixed_trace(0xfcf1ed);
   const std::vector<FlowKey> keys = distinct_keys(trace);
@@ -248,23 +287,96 @@ TEST(ShardedRuntime, MergedCountsBitExactVersusSerialForAllShardCounts) {
   }
 }
 
-TEST(ShardedRuntime, HashFanoutIsAlsoSerialEquivalent) {
-  const std::vector<Packet> trace = fixed_trace(0xabcdef, 20000, 1000);
-  const std::vector<FlowKey> keys = distinct_keys(trace);
+// The driver hands whole blocks to shards in strict rotation, so every flow
+// with more than one block of packets is split across shards. Merged counter
+// state — stage arrays and promotion tallies — still equals one serial
+// framework's, for any shard count (3 included: not a power of two), any
+// span size around the 64-key block (1, 63, 64, 65, 1000), unit and byte
+// mode.
+TEST(ShardedRuntime, BlockRotationIsSerialEquivalentAcrossShardsAndSpans) {
+  const std::vector<Packet> trace = fixed_trace(0xabcdef, 6000, 400);
+  for (const bool bytes : {false, true}) {
+    FcmFramework::Options fw = small_framework_options();
+    if (bytes) fw.count_mode = FcmFramework::CountMode::kBytes;
+    FcmFramework serial(fw);
+    std::uint64_t total_bytes = 0;
+    for (const Packet& packet : trace) {
+      if (bytes) {
+        serial.process(packet);
+      } else {
+        serial.process(packet.key);
+      }
+      total_bytes += packet.bytes;
+    }
+    std::vector<FlowKey> keys;
+    keys.reserve(trace.size());
+    for (const Packet& packet : trace) keys.push_back(packet.key);
 
-  FcmFramework serial(small_framework_options());
-  for (const Packet& packet : trace) serial.process(packet.key);
+    for (const std::size_t shard_count : {1u, 2u, 3u, 4u, 8u}) {
+      for (const std::size_t span : {1u, 63u, 64u, 65u, 1000u}) {
+        SCOPED_TRACE(std::string(bytes ? "bytes" : "unit") +
+                     " shards=" + std::to_string(shard_count) +
+                     " span=" + std::to_string(span));
+        ShardedFcmFramework::Options options;
+        options.framework = fw;
+        options.shard_count = shard_count;
+        options.metrics = nullptr;
+        ShardedFcmFramework sharded(options);
+        for (std::size_t at = 0; at < trace.size(); at += span) {
+          const std::size_t n = std::min(span, trace.size() - at);
+          if (bytes) {
+            sharded.ingest(std::span<const Packet>(trace).subspan(at, n));
+          } else {
+            sharded.ingest(std::span<const FlowKey>(keys).subspan(at, n));
+          }
+        }
+        const ShardedFcmFramework::EpochReport report = sharded.rotate();
+        EXPECT_EQ(report.packets, trace.size());
+        if (bytes) {
+          EXPECT_EQ(report.bytes, total_bytes);
+        }
+        expect_same_counter_state(sharded.merged_epoch(), serial);
+        EXPECT_EQ(report.overflow_promotions, serial.overflow_promotion_count());
+      }
+    }
+  }
+}
 
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kHashByKey;
-  ShardedFcmFramework sharded(options);
-  for (const Packet& packet : trace) sharded.ingest(packet.key);
-  sharded.rotate();
-  const FcmFramework merged = sharded.merged_epoch();
-  for (const FlowKey key : keys) {
-    ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
+// Rotation balances load by construction: within an epoch, shard packet
+// counts differ by at most one block, whatever the flow-size skew, so the
+// max/mean imbalance is at most 1 + N * flush_batch / packets.
+TEST(ShardedRuntime, BlockRotationBalancesZipfTrafficToWithinOneBlock) {
+  fcm::common::Xoshiro256 rng(0x21bf);
+  fcm::common::ZipfSampler zipf(1 << 14, 1.1);
+  std::vector<FlowKey> keys(100'003);
+  for (FlowKey& key : keys) {
+    key = FlowKey{static_cast<std::uint32_t>(zipf.sample(rng))};
+  }
+  for (const std::size_t shard_count : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shard_count));
+    fcm::obs::MetricsRegistry registry;
+    ShardedFcmFramework::Options options;
+    options.framework = small_framework_options();
+    options.shard_count = shard_count;
+    options.metrics = &registry;
+    options.metrics_instance = "zipf";
+    ShardedFcmFramework sharded(options);
+    for (std::size_t at = 0; at < keys.size(); at += 1000) {
+      sharded.ingest(std::span<const FlowKey>(keys).subspan(
+          at, std::min<std::size_t>(1000, keys.size() - at)));
+    }
+    const ShardedFcmFramework::EpochReport report = sharded.rotate();
+    ASSERT_EQ(report.packets, keys.size());
+    const double block = static_cast<double>(options.flush_batch);
+    EXPECT_LE(report.fanout_imbalance,
+              1.0 + static_cast<double>(shard_count) * block /
+                        static_cast<double>(keys.size()));
+    const std::vector<std::uint64_t> counts =
+        shard_packet_counts(registry, "zipf", shard_count);
+    const auto [low, high] = std::minmax_element(counts.begin(), counts.end());
+    EXPECT_LE(*high - *low, options.flush_batch);
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
+              keys.size());
   }
 }
 
@@ -363,6 +475,51 @@ TEST(ShardedRuntime, HeavyHittersRequalifiedAtGlobalThreshold) {
   const FcmFramework merged = sharded.merged_epoch();
   for (const FlowKey key : hh) {
     EXPECT_GE(merged.flow_size(key), kThreshold);
+  }
+}
+
+// A flow with exactly T packets, spread by block rotation so that no shard
+// sees T of them, is still reported: some shard sees >= ceil(T/N) of its
+// packets (pigeonhole, whatever the split) and records it as a candidate, and
+// the merged estimate re-qualifies it at T.
+TEST(ShardedRuntime, SplitFlowWithExactlyThresholdPacketsIsReported) {
+  constexpr std::uint64_t kThreshold = 300;
+  const FlowKey split_flow{0x0b000001};
+  for (const std::size_t shard_count : {2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shard_count));
+    fcm::obs::MetricsRegistry registry;
+    ShardedFcmFramework::Options options;
+    options.framework = small_framework_options();
+    options.framework.heavy_hitter_threshold = kThreshold;
+    options.shard_count = shard_count;
+    options.metrics = &registry;
+    options.metrics_instance = "split";
+    ShardedFcmFramework sharded(options);
+
+    // The split flow interleaved with 20 light flows of 5 packets each.
+    std::vector<FlowKey> keys;
+    for (std::uint64_t i = 0; i < kThreshold; ++i) {
+      keys.push_back(split_flow);
+      if (i % 3 == 0 && i / 3 < 100) {
+        keys.push_back(FlowKey{0x0c000000u + static_cast<std::uint32_t>(i % 20)});
+      }
+    }
+    sharded.ingest(std::span<const FlowKey>(keys));
+    const auto report = sharded.rotate();
+
+    // No shard saw T packets of any kind, so none saw T of the split flow.
+    for (const std::uint64_t count :
+         shard_packet_counts(registry, "split", shard_count)) {
+      EXPECT_LT(count, kThreshold);
+    }
+    const auto& hh = report.heavy_hitters;
+    EXPECT_TRUE(std::find(hh.begin(), hh.end(), split_flow) != hh.end())
+        << "flow with T packets split over " << shard_count
+        << " shards was not reported";
+    const FcmFramework merged = sharded.merged_epoch();
+    for (const FlowKey key : hh) {
+      EXPECT_GE(merged.flow_size(key), kThreshold) << "flow " << key.value;
+    }
   }
 }
 
@@ -708,18 +865,7 @@ TEST(ShardedRuntime, CacheDemotionHeavierThanU32SumsBackExactly) {
   EXPECT_EQ(report.bytes, 11'000'000'000u);
 
   const FcmFramework merged = sharded.merged_epoch();
-  ASSERT_EQ(merged.sketch().tree_count(), serial.sketch().tree_count());
-  for (std::size_t t = 0; t < serial.sketch().tree_count(); ++t) {
-    for (std::size_t l = 1; l <= serial.sketch().config().stage_count(); ++l) {
-      const auto got = merged.sketch().tree(t).stage(l);
-      const auto want = serial.sketch().tree(t).stage(l);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i], want[i])
-            << "tree " << t << " stage " << l << " node " << i;
-      }
-    }
-  }
+  expect_same_counter_state(merged, serial);
   EXPECT_EQ(merged.flow_size(key), serial.flow_size(key));
 }
 
