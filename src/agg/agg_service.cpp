@@ -31,6 +31,10 @@ const char* to_string(DeliveryStatus status) noexcept {
 
 namespace {
 
+// Vantages number their epochs from 1 (VantagePoint::flush callers, and a
+// sharded runtime's epoch index + 1).
+constexpr std::uint64_t kFirstEpoch = 1;
+
 constexpr DeliveryStatus kAllStatuses[] = {
     DeliveryStatus::kAccepted,          DeliveryStatus::kRejectedFingerprint,
     DeliveryStatus::kRejectedStale,     DeliveryStatus::kRejectedDuplicate,
@@ -63,16 +67,10 @@ AggregationService::AggregationService(Options options)
   // Single-knob metrics rule: Options::metrics overrides the reference
   // framework's sink, so metrics = nullptr silences the whole service.
   options_.reference.metrics = options_.metrics;
-  // Vantage replicas record heavy-hitter candidates at ceil(T / N): the
-  // per-vantage candidate union cannot miss a flow whose network-wide count
-  // reaches T (FCM never underestimates, and some vantage holds >= ceil(T/N)
-  // of it); publish_oldest() re-qualifies the union at the global T.
-  vantage_options_ = options_.reference;
-  const std::uint64_t global_t = options_.reference.heavy_hitter_threshold;
-  if (global_t > 0) {
-    vantage_options_.heavy_hitter_threshold =
-        (global_t + options_.vantage_count - 1) / options_.vantage_count;
-  }
+  // Vantage replicas record heavy-hitter candidates at ceil(T / N);
+  // publish_oldest() re-qualifies the merged union at the global T.
+  vantage_options_ = framework::FcmFramework::part_options(
+      options_.reference, options_.vantage_count);
   fingerprint_ = WireCodec::merge_fingerprint(vantage_options_);
 
   obs::MetricsRegistry* registry = options_.metrics;
@@ -211,7 +209,7 @@ DeliveryStatus AggregationService::absorb(std::uint32_t vantage_id,
 void AggregationService::publish_ready() {
   while (!pending_.empty()) {
     const std::uint64_t next =
-        published_.has_value() ? *published_ + 1 : options_.first_epoch;
+        published_.has_value() ? *published_ + 1 : kFirstEpoch;
     // Complete AND next in sequence: a complete epoch still waits while an
     // earlier epoch (possibly not yet started) could arrive. The watchdog
     // skips the gap when the buffer overflows.

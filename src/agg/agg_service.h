@@ -93,24 +93,20 @@ class AggregationService final : public SnapshotSink {
  public:
   struct Options {
     // The network-wide configuration. Vantages run vantage_options() —
-    // `reference` with the heavy-hitter threshold scaled to ceil(T/N) —
-    // and snapshots whose header fingerprint differs from
-    // merge_fingerprint(vantage_options()) are rejected without
-    // deserialization. `reference.em` is the analysis policy of every
-    // deserialized snapshot and so of every published view (frames never
-    // carry EM parameters), and `reference.metrics` is the registry the
-    // merged network view analyzes through.
+    // `reference` split over vantage_count parts — and snapshots whose
+    // header fingerprint differs from merge_fingerprint(vantage_options())
+    // are rejected without deserialization. `reference.em` is the analysis
+    // policy of every deserialized snapshot and so of every published view
+    // (frames never carry EM parameters), and `reference.metrics` is the
+    // registry the merged network view analyzes through.
     framework::FcmFramework::Options reference;
 
     // Vantage ids are 0..vantage_count-1; an epoch is complete once every
-    // id has delivered it.
-    std::size_t vantage_count = 1;
-
-    // The first epoch number vantages will deliver. A complete later epoch
-    // buffers until every epoch before it (starting here) has published, so
+    // id has delivered it. Epochs are numbered from 1: a complete later
+    // epoch buffers until every epoch before it has published, so
     // out-of-order arrivals cannot leapfrog a slower epoch; the watchdog
     // and finalize_epoch() can still skip a gap.
-    std::uint64_t first_epoch = 1;
+    std::size_t vantage_count = 1;
 
     // QueryPlane retention (how far back at()/heavy-change can reach).
     std::size_t retained_epochs = 4;
@@ -120,6 +116,8 @@ class AggregationService final : public SnapshotSink {
     // keeps advancing. 0 disables forced publishes.
     std::size_t max_pending_epochs = 4;
 
+    // The service is the one epoch engine for cross-epoch analytics (a
+    // sharded runtime stops at its merged epoch; deliver that here).
     // 0 disables heavy-change detection between consecutive published
     // views.
     std::uint64_t heavy_change_threshold = 0;
@@ -160,12 +158,11 @@ class AggregationService final : public SnapshotSink {
   // frames serialized under vantage_options()-compatible Options).
   std::uint64_t expected_fingerprint() const noexcept { return fingerprint_; }
 
-  // The Options every vantage point must run: identical to `reference`
-  // except the heavy-hitter threshold is ceil(T / vantage_count). A flow
-  // with network-wide count >= T has >= ceil(T/N) packets at some vantage
-  // and FCM never underestimates, so the per-vantage candidate union cannot
-  // miss it; the service re-qualifies the union at the global T when it
-  // publishes (same scheme as the sharded runtime, DESIGN.md §7).
+  // The Options every vantage point must run:
+  // FcmFramework::part_options(reference, vantage_count), i.e. heavy-hitter
+  // candidates at ceil(T / vantage_count); the service re-qualifies the
+  // merged union at the global T when it publishes (same scheme as the
+  // sharded runtime, DESIGN.md §7).
   const framework::FcmFramework::Options& vantage_options() const noexcept {
     return vantage_options_;
   }

@@ -27,7 +27,6 @@
 //   producer:  T* slots = q.try_open();        // nullptr => ring full
 //              ... fill slots[0..n) ...
 //              q.publish(n, kind);             // ONE release store
-//              (or q.abandon() to hand the reserved slot back unused)
 //   consumer:  BlockQueue<T>::View v;
 //              if (q.try_front(v)) { ... read v.data[0..v.count) ... ;
 //                                    q.release(); }
@@ -151,15 +150,6 @@ class BlockQueue {
     if (inflight > high_water_.load(std::memory_order_relaxed)) {
       high_water_.store(inflight, std::memory_order_relaxed);
     }
-  }
-
-  // Hands an open-but-unused block back (the cursor never advanced, so the
-  // next try_open returns the same slot). Lets a flush close out a shard
-  // whose reserved block never received data without publishing an empty
-  // block.
-  void abandon() noexcept FCM_REQUIRES(producer_role_) {
-    FCM_ASSERT(open_, "BlockQueue: abandon without an open block");
-    open_ = false;
   }
 
   // --- consumer side -------------------------------------------------------

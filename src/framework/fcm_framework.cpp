@@ -139,6 +139,16 @@ FcmFramework::Report FcmFramework::analyze() const {
   return report;
 }
 
+FcmFramework::Options FcmFramework::part_options(const Options& options,
+                                                std::size_t parts) {
+  FCM_REQUIRE(parts >= 1, "FcmFramework::part_options: needs a part");
+  const std::uint64_t threshold = options.heavy_hitter_threshold;
+  Options part = options;
+  part.heavy_hitter_threshold =
+      threshold / parts + (threshold % parts != 0 ? 1 : 0);
+  return part;
+}
+
 std::vector<flow::FlowKey> FcmFramework::heavy_changes(
     const FcmFramework& window_a, const FcmFramework& window_b,
     std::uint64_t threshold) {

@@ -50,6 +50,16 @@ class FcmFramework {
 
   explicit FcmFramework(Options options);
 
+  // The Options each of `parts` partial frameworks runs when one logical
+  // stream is split over them (runtime shards, network vantages): `options`
+  // with the heavy-hitter threshold T lowered to ceil(T / parts). By
+  // pigeonhole, a flow with total count >= T has >= ceil(T / parts) of it in
+  // some part however the stream is split, and FCM never underestimates, so
+  // the union of the parts' candidates cannot miss it; after merging the
+  // parts, requalify_heavy_hitters(T) drops every candidate below T.
+  // T == 0 (tracking off) stays 0.
+  static Options part_options(const Options& options, std::size_t parts);
+
   // --- data plane -------------------------------------------------------
   void process(flow::FlowKey key);
   // In kBytes mode the packet's byte size is added; otherwise counts one.

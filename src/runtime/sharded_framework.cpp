@@ -137,26 +137,17 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
   full_fill_ = common::checked_narrow<std::uint32_t>(
       data_kind_ == kPairs ? options_.flush_batch & ~std::size_t{1}
                            : options_.flush_batch);
-  if (options_.heavy_change_threshold == 0) {
-    options_.heavy_change_threshold = options_.framework.heavy_hitter_threshold;
-  }
   // Options::metrics is authoritative for the whole runtime: propagate it
-  // into the replica/merged framework options so analyze_on_rotate's EM run
-  // writes to the configured registry — and to NOTHING when metrics ==
-  // nullptr (the advertised fully-uninstrumented mode).
+  // into the replica/merged framework options so an analyze() run on a
+  // merged epoch writes to the configured registry — and to NOTHING when
+  // metrics == nullptr (the advertised fully-uninstrumented mode).
   options_.framework.metrics = options_.metrics;
 
-  // Shard replicas record heavy-hitter candidates at ceil(T / N): a flow
-  // with true global count >= T has >= ceil(T/N) packets in some shard, and
-  // FCM never underestimates, so the candidate union cannot miss it. The
-  // coordinator re-qualifies at T after the merge.
-  framework::FcmFramework::Options replica_options = options_.framework;
-  const std::uint64_t global_t = options_.framework.heavy_hitter_threshold;
-  if (global_t > 0) {
-    per_shard_hh_threshold_ =
-        (global_t + options_.shard_count - 1) / options_.shard_count;
-    replica_options.heavy_hitter_threshold = per_shard_hh_threshold_;
-  }
+  // Shard replicas record heavy-hitter candidates at ceil(T / N); the
+  // coordinator re-qualifies the merged union at T.
+  const framework::FcmFramework::Options replica_options =
+      framework::FcmFramework::part_options(options_.framework,
+                                            options_.shard_count);
 
   // queue_capacity is specified in items for continuity with the item-ring
   // era; the block ring holds capacity/flush_batch whole blocks (>= 1 by the
@@ -475,10 +466,11 @@ ShardedFcmFramework::EpochReport ShardedFcmFramework::wait_epoch(
     std::size_t index) {
   common::MutexLock lock(mutex_);
   while (epochs_merged_ <= index) cv_.wait(lock);
-  FCM_REQUIRE(index >= history_base_,
-              "ShardedFcmFramework: epoch " + std::to_string(index) +
-                  " no longer retained");
-  return reports_[index - history_base_];
+  const std::size_t oldest = history_.front().report.index;
+  FCM_REQUIRE(index >= oldest, "ShardedFcmFramework: epoch " +
+                                   std::to_string(index) +
+                                   " no longer retained");
+  return history_[index - oldest].report;
 }
 
 // --- worker -----------------------------------------------------------------
@@ -601,7 +593,11 @@ void ShardedFcmFramework::coordinator_loop() {
     // (including the per-shard threshold), so FcmFramework::merge applies;
     // re-qualify the heavy-hitter union at the global threshold afterwards.
     const auto merge_start = std::chrono::steady_clock::now();
-    framework::FcmFramework merged = shards_[0]->replicas[gen];
+    // Merged in place in its history entry: FcmFramework has no move
+    // constructor, so assembling the entry afterwards would copy the whole
+    // sketch once more.
+    Epoch entry{shards_[0]->replicas[gen], {}};
+    framework::FcmFramework& merged = entry.merged;
     for (std::size_t s = 1; s < shards_.size(); ++s) {
       merged.merge(shards_[s]->replicas[gen]);
     }
@@ -613,7 +609,7 @@ void ShardedFcmFramework::coordinator_loop() {
             .count();
     FCM_CHECKED_ONLY(merged.check_invariants());
 
-    EpochReport report;
+    EpochReport& report = entry.report;
     report.index = epoch;
     report.merge_seconds = merge_seconds;
     std::uint64_t max_shard_packets = 0;
@@ -644,31 +640,11 @@ void ShardedFcmFramework::coordinator_loop() {
       instruments_->epoch_packets->set(static_cast<double>(report.packets));
       instruments_->fanout_imbalance->set(report.fanout_imbalance);
     }
-    if (options_.heavy_change_threshold > 0) {
-      // Take the pointer under the lock, compute outside it: history_ only
-      // mutates on this thread, so the back() element stays valid (and
-      // unread by anyone else) after the lock drops.
-      const framework::FcmFramework* previous = nullptr;
-      {
-        common::MutexLock lock(mutex_);
-        if (!history_.empty()) previous = &history_.back();
-      }
-      if (previous != nullptr) {
-        report.heavy_changes = framework::FcmFramework::heavy_changes(
-            *previous, merged, options_.heavy_change_threshold);
-      }
-    }
-    if (options_.analyze_on_rotate) report.analysis = merged.analyze();
 
     {
       common::MutexLock lock(mutex_);
-      history_.push_back(std::move(merged));
-      reports_.push_back(std::move(report));
-      while (history_.size() > options_.retained_epochs) {
-        history_.pop_front();
-        reports_.pop_front();
-        ++history_base_;
-      }
+      history_.push_back(std::move(entry));
+      while (history_.size() > options_.retained_epochs) history_.pop_front();
       ++epochs_merged_;
     }
     if (instruments_ != nullptr) instruments_->epochs_merged->inc();
@@ -724,14 +700,14 @@ framework::FcmFramework ShardedFcmFramework::merged_epoch(
               "ShardedFcmFramework: no merged epoch " + std::to_string(back) +
                   " epochs back (retained: " + std::to_string(history_.size()) +
                   ")");
-  return history_[history_.size() - 1 - back];
+  return history_[history_.size() - 1 - back].merged;
 }
 
 std::uint64_t ShardedFcmFramework::flow_size(flow::FlowKey key) const {
   common::MutexLock lock(mutex_);
   FCM_REQUIRE(!history_.empty(),
               "ShardedFcmFramework: flow_size before the first rotation");
-  return history_.back().flow_size(key);
+  return history_.back().merged.flow_size(key);
 }
 
 std::size_t ShardedFcmFramework::epochs_completed() const {
@@ -756,11 +732,9 @@ void ShardedFcmFramework::check_invariants() const {
   common::MutexLock lock(mutex_);
   FCM_ASSERT(epochs_merged_ <= rotations_requested_,
              "ShardedFcmFramework: merged more epochs than were requested");
-  FCM_ASSERT(history_.size() == reports_.size(),
-             "ShardedFcmFramework: history/report deques diverged");
   FCM_ASSERT(history_.size() <= options_.retained_epochs,
              "ShardedFcmFramework: retained more epochs than configured");
-  for (const auto& merged : history_) merged.check_invariants();
+  for (const auto& epoch : history_) epoch.merged.check_invariants();
   if (cache_ != nullptr) cache_->check_invariants();
   if (stopped_) {
     for (const auto& shard : shards_) {

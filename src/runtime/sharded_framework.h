@@ -11,8 +11,8 @@
 // of per packet. FCM counters are linear, so at each epoch boundary the N
 // shard replicas are merged into ONE logical sketch — bit-exact equal, for
 // the plain-FCM plane, to the sketch a serial run would hold (FcmTree::merge)
-// whatever split of the traffic the shards saw — and handed to the existing
-// control plane (EM/FSD, entropy, heavy change) unchanged.
+// whatever split of the traffic the shards saw — which the existing control
+// plane (EM/FSD, entropy, heavy change) consumes unchanged.
 //
 // Block staging (DESIGN.md §13): the driver keeps ONE open block, reserved
 // in place inside the ring of the shard whose turn it is (zero staging
@@ -29,16 +29,19 @@
 // generation and keeps consuming — ingest never stalls on a rotation. A
 // background epoch coordinator waits until every worker has flipped, merges
 // the drained generation (off the ingest path), derives the epoch report
-// (cardinality, re-qualified heavy hitters, heavy changes vs. the previous
-// epoch, optional EM analysis), clears the drained replicas for reuse, and
-// publishes the merged framework into a bounded history.
+// (cardinality, re-qualified heavy hitters, ingest telemetry), clears the
+// drained replicas for reuse, and publishes the merged framework with its
+// report into a bounded history.
 //
-// Heavy hitters under sharding: a flow's packets spread over any shards.
-// Shard replicas record candidates at the conservative ceil(T / N) (by
-// pigeonhole, a flow with true count >= T has >= ceil(T/N) packets in some
-// shard however the stream is split, and FCM never underestimates). After
-// the merge the coordinator re-qualifies the union against the merged
-// counters at T, dropping every candidate whose merged estimate is below T.
+// The runtime stops at the merged epoch. Cross-epoch analytics (heavy
+// change, EM) belong to the collector: diff two merged epochs with
+// FcmFramework::heavy_changes(merged_epoch(1), merged_epoch(0), T), run
+// merged_epoch().analyze(), or deliver WireCodec::serialize(merged_epoch())
+// to an agg::AggregationService, the one epoch engine (DESIGN.md §11).
+//
+// Heavy hitters under sharding: a flow's packets spread over any shards, so
+// shard replicas run FcmFramework::part_options (candidates at ceil(T / N))
+// and the coordinator re-qualifies the merged union at T.
 //
 // Thread discipline (machine-checked, DESIGN.md §10): ingest(),
 // rotate_async(), rotate() and stop() must all be called from ONE driver
@@ -46,8 +49,8 @@
 // points assert it, the private helpers (block staging included) REQUIRE it,
 // and driver-only state (the open block and its rotation cursor included)
 // is GUARDED_BY it.
-// wait_epoch()/merged_epoch()/last_report() are safe from any thread (they
-// only read mutex_-guarded published state).
+// wait_epoch()/merged_epoch()/flow_size()/epochs_completed() are safe from
+// any thread (they only read mutex_-guarded published state).
 // The destructor stops and joins all threads; workers are std::jthread, so
 // teardown is exception-safe (tools/fcm_lint.py bans plain std::thread in
 // src/ for exactly this reason).
@@ -58,7 +61,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -82,8 +84,8 @@ class ShardedFcmFramework {
   };
 
   struct Options {
-    // Per-logical-sketch configuration; each shard replica is built from it
-    // (with the heavy-hitter threshold lowered to ceil(T / shard_count)).
+    // Per-logical-sketch configuration; each shard replica runs
+    // FcmFramework::part_options(framework, shard_count).
     framework::FcmFramework::Options framework;
     std::size_t shard_count = 4;
     // Ring capacity per shard, in ITEMS; must be a power of two >= 2 and
@@ -100,8 +102,6 @@ class ShardedFcmFramework {
     Fanout fanout = Fanout::kHashByKey;  // unread, see Fanout
     // Merged epoch snapshots retained for cross-epoch queries (>= 1).
     std::size_t retained_epochs = 4;
-    // 0: reuse framework.heavy_hitter_threshold for heavy-change detection.
-    std::uint64_t heavy_change_threshold = 0;
     // Exact-match heavy-flow cache in FRONT of the fan-out (DESIGN.md §12):
     // 0 disables it. It counts bytes, so it needs CountMode::kBytes
     // (ContractViolation otherwise): per-packet unit counts are already
@@ -115,14 +115,13 @@ class ShardedFcmFramework {
     // truly heavy flow — the differential battery checks both).
     std::size_t cache_entries = 0;
     std::size_t cache_ways = 4;       // set associativity (see HeavyFlowCache)
-    // Run the (expensive) EM analysis on the merged sketch at each rotation.
-    bool analyze_on_rotate = false;
     // Telemetry sink (DESIGN.md §8). Defaults to the process-global
     // registry; set to nullptr to run fully uninstrumented (the throughput
     // bench's overhead study uses that as its baseline). Authoritative for
     // the whole runtime: it is propagated into framework.metrics at
-    // construction, so the control plane (analyze_on_rotate / EM) follows
-    // the same knob. The registry must outlive this framework. Per-packet
+    // construction, so every merged_epoch() copy — and an analyze() run on
+    // it — follows the same knob. The registry must outlive this framework
+    // and every merged_epoch() copy that analyzes through it. Per-packet
     // cost is a handful of batched relaxed fetch_adds per BLOCK — measured
     // < 1% on the 8-shard ingest path.
     obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
@@ -150,8 +149,6 @@ class ShardedFcmFramework {
     std::uint64_t bytes = 0;
     double cardinality = 0.0;
     std::vector<flow::FlowKey> heavy_hitters;   // re-qualified at global T
-    std::vector<flow::FlowKey> heavy_changes;   // vs. previous merged epoch
-    std::optional<framework::FcmFramework::Report> analysis;
     // Telemetry derived while merging (also exported to the registry):
     double merge_seconds = 0.0;            // wall time of the N-way merge
     std::uint64_t overflow_promotions = 0; // FCM overflow trips this epoch
@@ -279,7 +276,6 @@ class ShardedFcmFramework {
   // unit keys, flush_batch rounded down to even for pairs. Set once at
   // construction.
   std::uint32_t full_fill_ = 0;
-  std::uint64_t per_shard_hh_threshold_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // The "one driver thread" contract as a capability: the thread that calls
@@ -312,10 +308,13 @@ class ShardedFcmFramework {
   // not in Shard, so the guarded-by relation names a capability the analysis
   // can track).
   std::vector<std::size_t> shard_flips_ FCM_GUARDED_BY(mutex_);
-  std::deque<framework::FcmFramework> history_
-      FCM_GUARDED_BY(mutex_);  // merged epochs, oldest first
-  std::deque<EpochReport> reports_ FCM_GUARDED_BY(mutex_);  // with history_
-  std::size_t history_base_ FCM_GUARDED_BY(mutex_) = 0;  // index of front
+  // Retained merged epochs, oldest first; front().report.index is the
+  // oldest epoch wait_epoch() can still return.
+  struct Epoch {
+    framework::FcmFramework merged;
+    EpochReport report;
+  };
+  std::deque<Epoch> history_ FCM_GUARDED_BY(mutex_);
 
   // Declared after shards_ so the queue-depth callback gauges unregister
   // (handle destructors) before the queues they sample are destroyed.

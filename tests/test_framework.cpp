@@ -130,6 +130,22 @@ TEST(FcmFramework, CopyActsAsSnapshot) {
   EXPECT_EQ(framework.flow_size(flow::FlowKey{9}), 1000u);
 }
 
+TEST(FcmFramework, PartOptionsSplitTheThresholdRoundingUp) {
+  FcmFramework::Options options = small_options();
+  const auto part_threshold = [&](std::uint64_t threshold, std::size_t parts) {
+    options.heavy_hitter_threshold = threshold;
+    return FcmFramework::part_options(options, parts).heavy_hitter_threshold;
+  };
+  EXPECT_EQ(part_threshold(300, 1), 300u);
+  EXPECT_EQ(part_threshold(300, 3), 100u);
+  EXPECT_EQ(part_threshold(301, 3), 101u);
+  EXPECT_EQ(part_threshold(0, 4), 0u) << "tracking off stays off";
+  EXPECT_EQ(part_threshold(~std::uint64_t{0}, 2), std::uint64_t{1} << 63)
+      << "no overflow rounding up near the top of the range";
+  EXPECT_EQ(FcmFramework::part_options(options, 3).fcm, options.fcm);
+  EXPECT_THROW(FcmFramework::part_options(options, 0), std::invalid_argument);
+}
+
 // --- integration sanity: the paper's headline orderings --------------------
 
 TEST(Integration, FcmBeatsCmOnEqualMemory) {

@@ -384,8 +384,8 @@ TEST(Registry, ConfiguredRegistryThreadedThroughAnalyze) {
 
 TEST(Registry, NullMetricsIsFullyUninstrumented) {
   // Regression: metrics == nullptr must not fall back to the global
-  // registry anywhere in the pipeline — including analyze_on_rotate's EM
-  // run in the sharded runtime (the overhead baseline depends on it).
+  // registry anywhere in the pipeline — including an EM run on the sharded
+  // runtime's merged epoch (the overhead baseline depends on it).
   const std::size_t global_before = MetricsRegistry::global().series_count();
 
   framework::FcmFramework::Options fw_options;
@@ -399,14 +399,16 @@ TEST(Registry, NullMetricsIsFullyUninstrumented) {
 
   runtime::ShardedFcmFramework::Options options;
   options.framework = fw_options;
+  // Options::metrics alone must silence the merged epochs: the framework
+  // options still name the global registry.
+  options.framework.metrics = &MetricsRegistry::global();
   options.shard_count = 2;
   options.metrics = nullptr;
-  options.analyze_on_rotate = true;
   runtime::ShardedFcmFramework sharded(options);
   EXPECT_FALSE(sharded.metrics_enabled());
   for (std::uint32_t i = 0; i < 2'000; ++i) sharded.ingest(flow::FlowKey{i % 50});
-  const auto report = sharded.rotate();
-  EXPECT_TRUE(report.analysis.has_value());
+  sharded.rotate();
+  EXPECT_GT(sharded.merged_epoch().analyze().estimated_flows, 0.0);
   EXPECT_EQ(MetricsRegistry::global().series_count(), global_before);
 }
 

@@ -7,9 +7,11 @@
 // Also covered: the lock-free BlockQueue in isolation and across threads,
 // epoch double-buffering (two back-to-back windows each serial-equivalent),
 // non-stalling rotate_async, heavy-hitter re-qualification across shards at
-// runtime level, heavy changes on realistic windows, byte mode, TopK mode,
-// backpressure under a tiny ring, teardown discipline (stop() closes the
-// un-rotated tail as a final epoch), and option validation via contracts.
+// runtime level, merged epochs delivered to an AggregationService for heavy
+// changes and EM (surging/vanishing flows, realistic windows), byte mode,
+// TopK mode, backpressure under a tiny ring, teardown discipline (stop()
+// closes the un-rotated tail as a final epoch), and option validation via
+// contracts.
 //
 // CI runs this binary under TSan (FCM_SANITIZE=thread): every cross-thread
 // handoff in the runtime is exercised here.
@@ -26,6 +28,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "agg/agg_service.h"
+#include "agg/wire.h"
 #include "common/block_queue.h"
 #include "common/contracts.h"
 #include "common/random.h"
@@ -163,23 +167,6 @@ TEST(BlockQueue, OpenPublishConsumeRoundTrip) {
   EXPECT_EQ(view.count, 10u);
   queue.release();
   EXPECT_FALSE(queue.try_front(view)) << "released block still visible";
-}
-
-TEST(BlockQueue, AbandonHandsReservedSlotBack) {
-  BlockQueue<std::uint32_t> queue(2, 8);
-  queue.assume_producer();
-  queue.assume_consumer();
-  std::uint32_t* first = queue.try_open();
-  ASSERT_NE(first, nullptr);
-  queue.abandon();
-  // Nothing was published...
-  BlockQueue<std::uint32_t>::View view;
-  EXPECT_FALSE(queue.try_front(view));
-  // ...and the cursor did not advance: the same slot is handed out again.
-  EXPECT_EQ(queue.try_open(), first);
-  queue.publish(1, 0);
-  ASSERT_TRUE(queue.try_front(view));
-  EXPECT_EQ(view.count, 1u);
 }
 
 TEST(BlockQueue, FullRingReturnsNullAndWrapsWithoutCorruption) {
@@ -563,80 +550,119 @@ TEST(ShardedRuntime, BackToBackEpochsEachMatchTheirSerialWindow) {
   sharded.check_invariants();
 }
 
-TEST(ShardedRuntime, HeavyChangesReportedAcrossEpochs) {
-  constexpr std::uint64_t kThreshold = 300;
-  FcmFramework::Options fw = small_framework_options();
-  fw.heavy_hitter_threshold = kThreshold;
-
-  ShardedFcmFramework::Options options;
-  options.framework = fw;
-  options.shard_count = 2;
-  ShardedFcmFramework sharded(options);
-
-  const FlowKey surging{0xc0ffee01};
-  const FlowKey steady{0xc0ffee02};
-  const FlowKey vanishing{0xc0ffee03};
-  // Epoch 0: steady and vanishing are heavy, surging absent.
-  for (int i = 0; i < 500; ++i) sharded.ingest(steady);
-  for (int i = 0; i < 500; ++i) sharded.ingest(vanishing);
-  const auto report0 = sharded.rotate();
-  EXPECT_TRUE(report0.heavy_changes.empty()) << "no previous epoch to diff";
-  // Epoch 1: surging appears at 600, vanishing drops to 0, steady stays at
-  // ~500 (delta below T).
-  for (int i = 0; i < 600; ++i) sharded.ingest(surging);
-  for (int i = 0; i < 500; ++i) sharded.ingest(steady);
-  const auto report1 = sharded.rotate();
-
-  const auto& hc = report1.heavy_changes;
-  EXPECT_TRUE(std::find(hc.begin(), hc.end(), surging) != hc.end())
-      << "flow surging by 600 (> T=300) across epochs not flagged";
-  EXPECT_TRUE(std::find(hc.begin(), hc.end(), vanishing) != hc.end())
-      << "flow dropping by 500 (> T=300) across epochs not flagged";
-  EXPECT_TRUE(std::find(hc.begin(), hc.end(), steady) == hc.end())
-      << "steady flow (delta ~0) wrongly flagged as heavy change";
+// Cross-epoch analytics run on the collector side: each merged epoch ships
+// as a wire frame into a 1-vantage AggregationService whose reference is the
+// runtime's logical framework, and the service diffs consecutive epochs.
+fcm::agg::AggregationService::Options collector_options(
+    const FcmFramework::Options& framework, bool analyze_on_publish) {
+  fcm::agg::AggregationService::Options options;
+  options.reference = framework;
+  options.heavy_change_threshold = framework.heavy_hitter_threshold;
+  options.analyze_on_publish = analyze_on_publish;
+  return options;
 }
 
-// The single-shard runtime as the serial Figure-1 loop on realistic traffic:
-// two synthetic windows with shifted flow sizes, heavy changes scored against
-// the exact ground truth, and the per-epoch EM analysis attached to the
-// report.
-TEST(ShardedRuntime, RealisticWindowsHeavyChangeEndToEnd) {
-  fcm::flow::SyntheticTraceConfig config;
-  config.packet_count = 80'000;
-  config.flow_count = 8'000;
-  const fcm::flow::WindowPair pair = fcm::flow::make_window_pair(config, 0.5);
+// Delivers the runtime's latest merged epoch (runtime epoch `index`; service
+// epochs start at 1) and returns the view it publishes.
+std::shared_ptr<const fcm::agg::NetworkView> deliver_latest(
+    const ShardedFcmFramework& sharded, std::size_t index,
+    fcm::agg::AggregationService& service) {
+  fcm::agg::SnapshotEnvelope envelope;
+  envelope.epoch = index + 1;
+  envelope.payload = fcm::agg::WireCodec::serialize(sharded.merged_epoch());
+  EXPECT_EQ(service.deliver(std::move(envelope)),
+            fcm::agg::DeliveryStatus::kAccepted);
+  return service.query_plane().current();
+}
 
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.framework.fcm = FcmConfig::for_memory(120'000, 2, 8, {8, 16, 32});
-  options.framework.heavy_hitter_threshold = config.packet_count / 2000;
-  options.shard_count = 1;
-  options.analyze_on_rotate = true;
-  ShardedFcmFramework sharded(options);
+std::vector<FlowKey> sorted(std::vector<FlowKey> keys) {
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
 
-  sharded.ingest(pair.window_a.packets());
-  sharded.rotate();
-  sharded.ingest(pair.window_b.packets());
-  const auto report = sharded.rotate();
+TEST(ShardedRuntime, EpochsDeliveredToServiceReportHeavyChanges) {
+  {
+    // Surging / vanishing / steady flows across two epochs at 2 shards.
+    constexpr std::uint64_t kThreshold = 300;
+    ShardedFcmFramework::Options options;
+    options.framework = small_framework_options();
+    options.framework.heavy_hitter_threshold = kThreshold;
+    options.shard_count = 2;
+    ShardedFcmFramework sharded(options);
+    fcm::agg::AggregationService service(
+        collector_options(options.framework, false));
 
-  ASSERT_TRUE(report.analysis.has_value());
-  EXPECT_GT(report.analysis->estimated_flows, 0.0);
-  const auto actual = fcm::flow::true_heavy_changes(
-      fcm::flow::GroundTruth(pair.window_a), fcm::flow::GroundTruth(pair.window_b),
-      options.framework.heavy_hitter_threshold);
-  ASSERT_FALSE(actual.empty()) << "fixture produced no true heavy changes";
-  const auto scores =
-      fcm::metrics::classification_scores(report.heavy_changes, actual);
-  EXPECT_GT(scores.f1, 0.8);
+    const FlowKey surging{0xc0ffee01};
+    const FlowKey steady{0xc0ffee02};
+    const FlowKey vanishing{0xc0ffee03};
+    // Epoch 0: steady and vanishing are heavy, surging absent.
+    for (int i = 0; i < 500; ++i) sharded.ingest(steady);
+    for (int i = 0; i < 500; ++i) sharded.ingest(vanishing);
+    const auto report0 = sharded.rotate();
+    const auto view0 = deliver_latest(sharded, report0.index, service);
+    ASSERT_NE(view0, nullptr);
+    EXPECT_TRUE(view0->heavy_changes.empty()) << "no previous epoch to diff";
+    // Epoch 1: surging appears at 600, vanishing drops to 0, steady stays
+    // at ~500 (delta below T).
+    for (int i = 0; i < 600; ++i) sharded.ingest(surging);
+    for (int i = 0; i < 500; ++i) sharded.ingest(steady);
+    const auto report1 = sharded.rotate();
+    const auto view1 = deliver_latest(sharded, report1.index, service);
+    ASSERT_NE(view1, nullptr);
+    EXPECT_EQ(sorted(view1->heavy_hitters), sorted(report1.heavy_hitters));
+
+    const auto& hc = view1->heavy_changes;
+    EXPECT_TRUE(std::find(hc.begin(), hc.end(), surging) != hc.end())
+        << "flow surging by 600 (> T=300) across epochs not flagged";
+    EXPECT_TRUE(std::find(hc.begin(), hc.end(), vanishing) != hc.end())
+        << "flow dropping by 500 (> T=300) across epochs not flagged";
+    EXPECT_TRUE(std::find(hc.begin(), hc.end(), steady) == hc.end())
+        << "steady flow (delta ~0) wrongly flagged as heavy change";
+  }
+  {
+    // The serial Figure-1 loop on realistic traffic: two synthetic windows
+    // with shifted flow sizes through a 1-shard runtime, heavy changes
+    // scored against the exact ground truth, EM run at publish.
+    fcm::flow::SyntheticTraceConfig config;
+    config.packet_count = 80'000;
+    config.flow_count = 8'000;
+    const fcm::flow::WindowPair pair = fcm::flow::make_window_pair(config, 0.5);
+
+    ShardedFcmFramework::Options options;
+    options.framework = small_framework_options();
+    options.framework.fcm = FcmConfig::for_memory(120'000, 2, 8, {8, 16, 32});
+    options.framework.heavy_hitter_threshold = config.packet_count / 2000;
+    options.shard_count = 1;
+    ShardedFcmFramework sharded(options);
+    fcm::agg::AggregationService service(
+        collector_options(options.framework, true));
+
+    sharded.ingest(pair.window_a.packets());
+    deliver_latest(sharded, sharded.rotate().index, service);
+    sharded.ingest(pair.window_b.packets());
+    const auto view = deliver_latest(sharded, sharded.rotate().index, service);
+    ASSERT_NE(view, nullptr);
+
+    ASSERT_TRUE(view->report.has_value());
+    EXPECT_GT(view->report->estimated_flows, 0.0);
+    const auto actual = fcm::flow::true_heavy_changes(
+        fcm::flow::GroundTruth(pair.window_a),
+        fcm::flow::GroundTruth(pair.window_b),
+        options.framework.heavy_hitter_threshold);
+    ASSERT_FALSE(actual.empty()) << "fixture produced no true heavy changes";
+    const auto scores =
+        fcm::metrics::classification_scores(view->heavy_changes, actual);
+    EXPECT_GT(scores.f1, 0.8);
+  }
 }
 
 TEST(ShardedRuntime, RotateAsyncDoesNotStallIngest) {
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.shard_count = 2;
-  // analyze_on_rotate makes the background merge slow enough that ingest
-  // provably overlaps it on any scheduler.
-  options.analyze_on_rotate = true;
+  // A large sketch makes the background merge slow enough that ingest
+  // overlaps it on any scheduler.
+  options.framework.fcm = FcmConfig::for_memory(8 << 20, 2, 8, {8, 16, 32});
   ShardedFcmFramework sharded(options);
 
   const std::vector<Packet> window_a = fixed_trace(7, 10000, 500);
@@ -648,8 +674,7 @@ TEST(ShardedRuntime, RotateAsyncDoesNotStallIngest) {
 
   const auto report_a = sharded.wait_epoch(epoch);
   EXPECT_EQ(report_a.packets, window_a.size());
-  ASSERT_TRUE(report_a.analysis.has_value());
-  EXPECT_GT(report_a.analysis->cardinality, 0.0);
+  EXPECT_GT(report_a.cardinality, 0.0);
 
   const auto report_b = sharded.rotate();
   EXPECT_EQ(report_b.packets, window_b.size())
