@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
   agg::AggregationService::Options service_options;
   service_options.reference = reference_options(cli.seed);
   service_options.vantage_count = kVantages;
-  service_options.retained_epochs = 4;
   service_options.metrics = nullptr;
   agg::AggregationService service(std::move(service_options));
   const framework::FcmFramework::Options vantage_options =

@@ -28,7 +28,6 @@ int main() {
   options.metrics = nullptr;  // keep the demo output to this program's prints
 
   agg::AggregationService service(options);
-  agg::InProcessTransport transport(service);
 
   // Vantages run vantage_options(): the reference configuration with the
   // heavy-hitter threshold scaled to ceil(T/N), so a flow crossing T only
@@ -37,7 +36,7 @@ int main() {
   std::vector<agg::VantagePoint> vantages;
   vantages.reserve(kVantages);
   for (std::uint32_t v = 0; v < kVantages; ++v) {
-    vantages.emplace_back(v, service.vantage_options(), transport);
+    vantages.emplace_back(v, service.vantage_options(), service);
   }
   std::printf("config fingerprint %016llx, per-vantage threshold %llu "
               "(network-wide T=%llu over %zu vantages)\n\n",

@@ -60,8 +60,7 @@ struct AggregationService::Instruments {
 };
 
 AggregationService::AggregationService(Options options)
-    : options_(std::move(options)),
-      plane_(options_.retained_epochs) {
+    : options_(std::move(options)) {
   FCM_REQUIRE(options_.vantage_count >= 1,
               "AggregationService needs at least one vantage point");
   // Single-knob metrics rule: Options::metrics overrides the reference
@@ -219,9 +218,6 @@ void AggregationService::publish_ready() {
     const bool overflow = options_.max_pending_epochs > 0 &&
                           pending_.size() > options_.max_pending_epochs;
     if (!ready && !overflow) break;
-    if (!ready && instruments_ != nullptr) {
-      instruments_->forced_publishes->inc();
-    }
     publish_oldest();
   }
 }
@@ -231,6 +227,12 @@ void AggregationService::publish_oldest() {
                                       : nullptr);
   auto oldest = pending_.begin();
   const std::uint64_t epoch = oldest->first;
+  // Every path that publishes an incomplete epoch (watchdog, finalize)
+  // comes through here.
+  if (oldest->second.vantages.size() != options_.vantage_count &&
+      instruments_ != nullptr) {
+    instruments_->forced_publishes->inc();
+  }
   // The merged state carries the per-vantage ceil(T/N) candidate set;
   // promote it to the network-wide threshold before freezing the view.
   const std::uint64_t global_t = options_.reference.heavy_hitter_threshold;
@@ -266,10 +268,6 @@ bool AggregationService::finalize_epoch(std::uint64_t epoch) {
   // Publishes stay in epoch order: older pending epochs (also stragglers,
   // or this call would not be needed) go out first, partial.
   while (!pending_.empty() && pending_.begin()->first <= epoch) {
-    if (pending_.begin()->second.vantages.size() != options_.vantage_count &&
-        instruments_ != nullptr) {
-      instruments_->forced_publishes->inc();
-    }
     publish_oldest();
   }
   // Forcing the watermark forward may have made later buffered epochs
@@ -280,13 +278,7 @@ bool AggregationService::finalize_epoch(std::uint64_t epoch) {
 
 void AggregationService::finalize_all() {
   common::MutexLock lock(mutex_);
-  while (!pending_.empty()) {
-    if (pending_.begin()->second.vantages.size() != options_.vantage_count &&
-        instruments_ != nullptr) {
-      instruments_->forced_publishes->inc();
-    }
-    publish_oldest();
-  }
+  while (!pending_.empty()) publish_oldest();
 }
 
 std::vector<std::uint64_t> AggregationService::pending_epochs() const {
@@ -299,15 +291,15 @@ std::vector<std::uint64_t> AggregationService::pending_epochs() const {
 
 VantagePoint::VantagePoint(std::uint32_t id,
                            framework::FcmFramework::Options options,
-                           VantageTransport& transport)
-    : id_(id), framework_(std::move(options)), transport_(&transport) {}
+                           AggregationService& service)
+    : id_(id), framework_(std::move(options)), service_(service) {}
 
 DeliveryStatus VantagePoint::flush(std::uint64_t epoch) {
   SnapshotEnvelope envelope;
   envelope.vantage_id = id_;
   envelope.epoch = epoch;
   envelope.payload = WireCodec::serialize(framework_);
-  const DeliveryStatus status = transport_->send(std::move(envelope));
+  const DeliveryStatus status = service_.deliver(std::move(envelope));
   if (status == DeliveryStatus::kAccepted) framework_.reset();
   return status;
 }

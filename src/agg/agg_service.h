@@ -5,11 +5,10 @@
 // header alone, merges per-epoch with the bit-exact merge() from DESIGN.md
 // §7, and publishes immutable NetworkViews through the QueryPlane.
 //
-// Transport is an abstraction: vantage points talk to a VantageTransport,
-// the service implements SnapshotSink. InProcessTransport wires the two
-// directly (tests, benches, single-process deployments); a socket transport
-// can slot in later by carrying SnapshotEnvelope frames — the envelope is
-// already nothing but plain integers and wire-format bytes.
+// Delivery is a direct call: a vantage hands its SnapshotEnvelope to
+// AggregationService::deliver(). The envelope is nothing but plain integers
+// and wire-format bytes, so a transport that moves those bytes between
+// processes can call deliver() on the receiving side.
 //
 // Fault posture (exercised by tests/test_agg_soak.cpp under TSan):
 //  - out-of-order epochs buffer until their turn; publishes stay in epoch
@@ -59,37 +58,10 @@ enum class DeliveryStatus {
 
 const char* to_string(DeliveryStatus status) noexcept;
 
-// Receiving side of the transport: the aggregator (or a test double).
-class SnapshotSink {
- public:
-  virtual ~SnapshotSink() = default;
-  virtual DeliveryStatus deliver(SnapshotEnvelope envelope) = 0;
-};
-
-// Sending side: what a vantage point holds. Implementations move the
-// envelope to the sink however they like (direct call, socket, queue).
-class VantageTransport {
- public:
-  virtual ~VantageTransport() = default;
-  virtual DeliveryStatus send(SnapshotEnvelope envelope) = 0;
-};
-
-// Zero-hop transport: send == deliver. The sink must outlive the transport.
-class InProcessTransport final : public VantageTransport {
- public:
-  explicit InProcessTransport(SnapshotSink& sink) : sink_(&sink) {}
-  DeliveryStatus send(SnapshotEnvelope envelope) override {
-    return sink_->deliver(std::move(envelope));
-  }
-
- private:
-  SnapshotSink* sink_;
-};
-
 // The aggregator. deliver() is safe to call from any number of vantage
 // threads concurrently; queries go through query_plane() and never contend
 // with ingest beyond the plane's pointer-swap lock.
-class AggregationService final : public SnapshotSink {
+class AggregationService {
  public:
   struct Options {
     // The network-wide configuration. Vantages run vantage_options() —
@@ -107,9 +79,6 @@ class AggregationService final : public SnapshotSink {
     // out-of-order arrivals cannot leapfrog a slower epoch; the watchdog
     // and finalize_epoch() can still skip a gap.
     std::size_t vantage_count = 1;
-
-    // QueryPlane retention (how far back at()/heavy-change can reach).
-    std::size_t retained_epochs = 4;
 
     // Watchdog: when more than this many epochs sit pending (a vantage is
     // slow or gone), the oldest force-publishes partial so the query plane
@@ -137,14 +106,14 @@ class AggregationService final : public SnapshotSink {
   };
 
   explicit AggregationService(Options options);
-  ~AggregationService() override;
+  ~AggregationService();
 
   AggregationService(const AggregationService&) = delete;
   AggregationService& operator=(const AggregationService&) = delete;
 
   // Validates, deserializes, and merges one snapshot; publishes every epoch
   // that completes as a result. Thread-safe.
-  DeliveryStatus deliver(SnapshotEnvelope envelope) override;
+  DeliveryStatus deliver(SnapshotEnvelope envelope);
 
   // Force-publishes `epoch` from whatever snapshots have arrived (the
   // dropped-vantage escape hatch). Returns false if the epoch is not
@@ -191,7 +160,8 @@ class AggregationService final : public SnapshotSink {
   // Publishes the oldest pending epochs: every complete one, plus partial
   // ones while the watchdog limit is exceeded.
   void publish_ready() FCM_REQUIRES(mutex_);
-  // Builds the immutable view for the oldest pending epoch and installs it.
+  // Builds the immutable view for the oldest pending epoch and installs it;
+  // an incomplete epoch counts as a forced publish.
   void publish_oldest() FCM_REQUIRES(mutex_);
 
   Options options_;
@@ -206,8 +176,8 @@ class AggregationService final : public SnapshotSink {
   std::optional<std::uint64_t> published_ FCM_GUARDED_BY(mutex_);
 };
 
-// A simulated vantage point: a local framework plus the transport to the
-// aggregator. Feed it traffic via framework(), then flush(epoch) to
+// A simulated vantage point: a local framework plus the aggregator it
+// delivers to. Feed it traffic via framework(), then flush(epoch) to
 // serialize the local state, ship it, and reset for the next epoch.
 class VantagePoint {
  public:
@@ -215,10 +185,9 @@ class VantagePoint {
   // policy: EM parameters and metrics sinks may differ and never leave the
   // vantage — the service analyzes under its own reference.em; geometry,
   // seeds, count mode, thresholds and Top-K shape may not, or every flush
-  // is rejected with kRejectedFingerprint). The transport must outlive
-  // this.
+  // is rejected with kRejectedFingerprint). The service must outlive this.
   VantagePoint(std::uint32_t id, framework::FcmFramework::Options options,
-               VantageTransport& transport);
+               AggregationService& service);
 
   framework::FcmFramework& framework() noexcept { return framework_; }
   const framework::FcmFramework& framework() const noexcept {
@@ -226,14 +195,14 @@ class VantagePoint {
   }
   std::uint32_t id() const noexcept { return id_; }
 
-  // Serializes the local sketch, sends it as `epoch`, and — when the
+  // Serializes the local sketch, delivers it as `epoch`, and — when the
   // delivery is accepted — resets the local state for the next epoch.
   DeliveryStatus flush(std::uint64_t epoch);
 
  private:
   std::uint32_t id_;
   framework::FcmFramework framework_;
-  VantageTransport* transport_;
+  AggregationService& service_;
 };
 
 }  // namespace fcm::agg

@@ -1,46 +1,25 @@
 #include "agg/query_plane.h"
 
-#include <utility>
-
 #include "common/contracts.h"
 
 namespace fcm::agg {
 
-QueryPlane::QueryPlane(std::size_t retained_epochs)
-    : retained_(retained_epochs) {
-  FCM_REQUIRE(retained_epochs >= 1,
-              "QueryPlane must retain at least the current epoch");
-}
-
 void QueryPlane::publish(std::shared_ptr<const NetworkView> view) {
   FCM_REQUIRE(view != nullptr, "QueryPlane: cannot publish a null view");
-  common::MutexLock lock(mutex_);
-  FCM_REQUIRE(history_.empty() || view->epoch > history_.back()->epoch,
-              "QueryPlane: views must publish with strictly increasing "
-              "epochs");
-  history_.push_back(std::move(view));
-  if (history_.size() > retained_) history_.pop_front();
+  {
+    common::MutexLock lock(mutex_);
+    FCM_REQUIRE(current_ == nullptr || view->epoch > current_->epoch,
+                "QueryPlane: views must publish with strictly increasing "
+                "epochs");
+    current_.swap(view);
+  }
+  // `view` now holds the previous generation: unless a reader pins it, it
+  // is freed here, outside the lock.
 }
 
 std::shared_ptr<const NetworkView> QueryPlane::current() const {
   common::MutexLock lock(mutex_);
-  return history_.empty() ? nullptr : history_.back();
-}
-
-std::shared_ptr<const NetworkView> QueryPlane::at(std::uint64_t epoch) const {
-  common::MutexLock lock(mutex_);
-  for (const auto& view : history_) {
-    if (view->epoch == epoch) return view;
-  }
-  return nullptr;
-}
-
-std::vector<std::uint64_t> QueryPlane::published_epochs() const {
-  common::MutexLock lock(mutex_);
-  std::vector<std::uint64_t> epochs;
-  epochs.reserve(history_.size());
-  for (const auto& view : history_) epochs.push_back(view->epoch);
-  return epochs;
+  return current_;
 }
 
 }  // namespace fcm::agg

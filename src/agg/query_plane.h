@@ -3,16 +3,15 @@
 // The AggregationService publishes one immutable NetworkView per completed
 // epoch; readers grab a shared_ptr to the current view under a brief lock
 // and then query it lock-free for as long as they hold the pointer — the
-// double-buffered-generation pattern from ShardedFcmFramework, generalized
-// to a retained history so heavy-change queries can reach back several
-// epochs. Ingest and merges never mutate a published view: publish()
-// installs a *new* shared_ptr; concurrent readers keep whatever generation
-// they already pinned (TSan-verified by tests/test_agg.cpp and the CI soak
-// job).
+// double-buffered-generation pattern from ShardedFcmFramework. Ingest and
+// merges never mutate a published view: publish() installs a *new*
+// shared_ptr; concurrent readers keep whatever generation they already
+// pinned (TSan-verified by tests/test_agg.cpp and the CI soak job). The
+// plane holds only the current view; an older one lives exactly as long as
+// some reader pins it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -55,41 +54,24 @@ struct NetworkView {
       : network(std::move(merged)) {}
 };
 
-// Holder of the published generations. publish() and the readers
-// synchronize on one mutex held only for a pointer/deque swap; all actual
-// query work happens outside the lock on immutable views.
+// Holder of the current generation. publish() and the readers synchronize
+// on one mutex held only for a pointer swap; all actual query work happens
+// outside the lock on immutable views.
 class QueryPlane {
  public:
-  // Keeps the newest `retained_epochs` views reachable via at(); current()
-  // always returns the newest. retained_epochs >= 1.
-  explicit QueryPlane(std::size_t retained_epochs);
-
   // Installs `view` as the current generation. Views must arrive with
   // strictly increasing epochs (the service's in-order publish guarantees
   // it; ContractViolation otherwise).
   void publish(std::shared_ptr<const NetworkView> view);
 
   // The newest published generation; nullptr before the first publish.
-  // Readers may hold the returned pointer arbitrarily long — retention only
-  // bounds what at() can find, not the lifetime of pinned views.
+  // Readers may hold the returned pointer arbitrarily long: a later
+  // publish() never frees or mutates a pinned view.
   std::shared_ptr<const NetworkView> current() const;
 
-  // A retained historical generation, or nullptr if `epoch` was never
-  // published or has aged out of the retention window.
-  std::shared_ptr<const NetworkView> at(std::uint64_t epoch) const;
-
-  // Epochs still in the retention window, oldest first.
-  std::vector<std::uint64_t> published_epochs() const;
-
-  std::size_t retained_epochs() const noexcept { return retained_; }
-
  private:
-  const std::size_t retained_;
-
   mutable common::Mutex mutex_;
-  // history_.back() is the current generation.
-  std::deque<std::shared_ptr<const NetworkView>> history_
-      FCM_GUARDED_BY(mutex_);
+  std::shared_ptr<const NetworkView> current_ FCM_GUARDED_BY(mutex_);
 };
 
 }  // namespace fcm::agg

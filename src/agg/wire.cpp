@@ -45,6 +45,16 @@ void require_valid_config(const core::FcmConfig& config) {
   }
 }
 
+// Contract guard for array decodes: `count` elements of `element_bytes`
+// each must still be present. Called BEFORE any reserve/resize so a hostile
+// declared count cannot amplify into a giant allocation.
+void require_payload(const common::ByteCursor& in, std::uint64_t count,
+                     std::uint64_t element_bytes) {
+  FCM_REQUIRE(element_bytes == 0 || count <= in.remaining() / element_bytes,
+              "wire: declared element count exceeds the bytes present "
+              "(truncated or hostile buffer)");
+}
+
 std::uint64_t fingerprint_bytes(std::span<const std::byte> bytes) {
   std::uint64_t h = kFingerprintSalt;
   for (const std::byte b : bytes) {
@@ -79,12 +89,12 @@ std::uint64_t WireCodec::merge_fingerprint(
 WireHeader WireCodec::peek(std::span<const std::byte> buffer) {
   FCM_REQUIRE(buffer.size() >= kFrameHeaderBytes,
               "wire: buffer shorter than the frame header");
-  WireReader in(buffer);
+  common::ByteCursor in(buffer);
   for (const std::uint8_t expected : kMagic) {
     FCM_REQUIRE(in.u8() == expected, "wire: bad magic (not an FCMW buffer)");
   }
   WireHeader header;
-  header.version = in.u16();
+  header.version = in.u16le();
   FCM_REQUIRE(header.version == kWireVersion,
               "wire: unsupported wire version " +
                   std::to_string(header.version) + " (this build reads " +
@@ -93,8 +103,8 @@ WireHeader WireCodec::peek(std::span<const std::byte> buffer) {
   FCM_REQUIRE(tag == kFrameworkTag,
               "wire: unknown payload type tag " + std::to_string(tag));
   FCM_REQUIRE(in.u8() == 0, "wire: reserved header byte is non-zero");
-  header.fingerprint = in.u64();
-  header.payload_bytes = in.u64();
+  header.fingerprint = in.u64le();
+  header.payload_bytes = in.u64le();
   FCM_REQUIRE(header.payload_bytes == buffer.size() - kFrameHeaderBytes,
               "wire: declared payload length does not match the buffer "
               "(truncated or padded)");
@@ -114,12 +124,12 @@ void WireCodec::encode_config(WireWriter& out, const core::FcmConfig& config) {
   }
 }
 
-core::FcmConfig WireCodec::decode_config(WireReader& in) {
+core::FcmConfig WireCodec::decode_config(common::ByteCursor& in) {
   core::FcmConfig config;
-  config.tree_count = in.u32();
-  config.k = in.u32();
-  config.leaf_count = in.u64();
-  config.seed = in.u64();
+  config.tree_count = in.u32le();
+  config.k = in.u32le();
+  config.leaf_count = in.u64le();
+  config.seed = in.u64le();
   const std::uint8_t stage_count = in.u8();
   FCM_REQUIRE(stage_count >= 1 && stage_count <= 32,
               "wire: FcmConfig stage count out of range");
@@ -165,20 +175,20 @@ void WireCodec::encode_tree_state(WireWriter& out, const core::FcmTree& tree) {
   }
 }
 
-void WireCodec::decode_tree_state(WireReader& in, core::FcmTree& tree) {
+void WireCodec::decode_tree_state(common::ByteCursor& in, core::FcmTree& tree) {
   const core::FcmConfig& config = tree.config();
-  tree.promotions_ = in.u64();
+  tree.promotions_ = in.u64le();
   for (std::size_t l = 1; l <= config.stage_count(); ++l) {
     const unsigned bits = config.stage_bits[l - 1];
     const std::uint64_t elem = stage_elem_bytes(bits);
     const std::size_t width = config.width(l);
-    in.require_payload(width, elem);
+    require_payload(in, width, elem);
     // The overflow marker 2^b - 1 is the largest storable value.
     const std::uint64_t marker = config.counting_max(l) + 1;
     std::vector<std::uint32_t>& stage = tree.stages_[l - 1];
     for (std::size_t i = 0; i < width; ++i) {
       const std::uint32_t value =
-          elem == 1 ? in.u8() : elem == 2 ? in.u16() : in.u32();
+          elem == 1 ? in.u8() : elem == 2 ? in.u16le() : in.u32le();
       FCM_REQUIRE(value <= marker,
                   "wire: tree node value exceeds its stage bit width "
                   "(corrupt or hostile buffer)");
@@ -209,16 +219,15 @@ void WireCodec::encode_sketch_body(WireWriter& out, const core::FcmSketch& s) {
   out.u64(s.cardinality_saturations_);
 }
 
-core::FcmSketch WireCodec::decode_sketch_body(WireReader& in) {
+core::FcmSketch WireCodec::decode_sketch_body(common::ByteCursor& in) {
   const core::FcmConfig config = decode_config(in);
   // Everything the trees will occupy must already be present; checked
   // before FcmSketch's constructor allocates the tree arrays.
-  in.require_payload(
-      config.tree_count,
-      4 + tree_state_bytes(config));  // per tree: hash seed + state
+  require_payload(in, config.tree_count,
+                  4 + tree_state_bytes(config));  // per tree: seed + state
   core::FcmSketch sketch(config);
   for (core::FcmTree& tree : sketch.trees_) {
-    const std::uint32_t seed = in.u32();
+    const std::uint32_t seed = in.u32le();
     FCM_REQUIRE(seed == tree.hash().seed(),
                 "wire: tree hash seed does not match the config-derived "
                 "family (corrupt or hostile buffer)");
@@ -227,21 +236,21 @@ core::FcmSketch WireCodec::decode_sketch_body(WireReader& in) {
   const std::uint8_t has_threshold = in.u8();
   FCM_REQUIRE(has_threshold <= 1, "wire: boolean field out of range");
   if (has_threshold == 1) {
-    const std::uint64_t threshold = in.u64();
+    const std::uint64_t threshold = in.u64le();
     FCM_REQUIRE(threshold > 0, "wire: zero heavy-hitter threshold recorded");
     sketch.hh_threshold_ = threshold;
   }
-  const std::uint64_t hh_count = in.u64();
-  in.require_payload(hh_count, 4);
+  const std::uint64_t hh_count = in.u64le();
+  require_payload(in, hh_count, 4);
   FCM_REQUIRE(hh_count == 0 || has_threshold == 1,
               "wire: heavy hitters recorded without a threshold");
   sketch.heavy_hitters_.reserve(hh_count);
   for (std::uint64_t i = 0; i < hh_count; ++i) {
-    sketch.heavy_hitters_.insert(flow::FlowKey{in.u32()});
+    sketch.heavy_hitters_.insert(flow::FlowKey{in.u32le()});
   }
   FCM_REQUIRE(sketch.heavy_hitters_.size() == hh_count,
               "wire: duplicate heavy-hitter keys in buffer");
-  sketch.cardinality_saturations_ = in.u64();
+  sketch.cardinality_saturations_ = in.u64le();
   sketch.check_invariants();
   return sketch;
 }
@@ -261,19 +270,19 @@ void WireCodec::encode_filter_body(WireWriter& out,
   }
 }
 
-sketch::TopKFilter WireCodec::decode_filter_body(WireReader& in) {
-  const std::uint32_t seed = in.u32();
-  const std::uint32_t lambda = in.u32();
+sketch::TopKFilter WireCodec::decode_filter_body(common::ByteCursor& in) {
+  const std::uint32_t seed = in.u32le();
+  const std::uint32_t lambda = in.u32le();
   FCM_REQUIRE(lambda >= 1, "wire: Top-K eviction lambda must be positive");
-  const std::uint64_t entry_count = in.u64();
+  const std::uint64_t entry_count = in.u64le();
   FCM_REQUIRE(entry_count >= 1, "wire: Top-K entry count must be positive");
-  in.require_payload(entry_count, kFilterEntryBytes);
+  require_payload(in, entry_count, kFilterEntryBytes);
   sketch::TopKFilter filter(static_cast<std::size_t>(entry_count), lambda);
   filter.hash_ = common::SeededHash(seed);
   for (sketch::TopKFilter::Entry& entry : filter.table_) {
-    entry.key = flow::FlowKey{in.u32()};
-    entry.count = in.u32();
-    entry.negative = in.u32();
+    entry.key = flow::FlowKey{in.u32le()};
+    entry.count = in.u32le();
+    entry.negative = in.u32le();
     const std::uint8_t flags = in.u8();
     FCM_REQUIRE(flags <= 1, "wire: Top-K entry flags out of range");
     entry.has_light_part = flags == 1;
@@ -317,14 +326,14 @@ framework::FcmFramework WireCodec::deserialize_framework(
     std::span<const std::byte> buffer,
     const framework::FcmFramework::Options& local) {
   const WireHeader header = peek(buffer);
-  WireReader in(buffer.subspan(kFrameHeaderBytes));
+  common::ByteCursor in(buffer.subspan(kFrameHeaderBytes));
   const std::uint8_t has_topk = in.u8();
   FCM_REQUIRE(has_topk <= 1, "wire: boolean field out of range");
 
   framework::FcmFramework::Options options;
   options.fcm = decode_config(in);
-  const std::uint64_t topk_entries = in.u64();
-  options.heavy_hitter_threshold = in.u64();
+  const std::uint64_t topk_entries = in.u64le();
+  options.heavy_hitter_threshold = in.u64le();
   const std::uint8_t count_mode = in.u8();
   FCM_REQUIRE(count_mode <= 1, "wire: count mode out of range");
   options.count_mode =
@@ -333,7 +342,7 @@ framework::FcmFramework WireCodec::deserialize_framework(
               "wire: Top-K presence flag contradicts the entry count");
   // The constructor below sizes the vote table from this count, so it is
   // bounded by the filter body it promises before anything is allocated.
-  in.require_payload(topk_entries, kFilterEntryBytes);
+  require_payload(in, topk_entries, kFilterEntryBytes);
   options.topk_entries = static_cast<std::size_t>(topk_entries);
   // Analysis policy and telemetry are the receiver's, never the sender's.
   options.em = local.em;

@@ -31,8 +31,9 @@
 // are mergeable; the AggregationService rejects mismatches from the header
 // alone, without deserializing the payload.
 //
-// Hostile-input posture: the decoder validates BEFORE it allocates or
-// builds state. Truncated buffers, wrong magic, unsupported versions,
+// Hostile-input posture: the decoder reads through the bounds-checked
+// common::ByteCursor (the capture datapath's reader too) and validates
+// BEFORE it allocates or builds state. Truncated buffers, wrong magic, unsupported versions,
 // foreign type tags, non-zero reserved bytes, payload-length mismatches,
 // oversized declared counts, out-of-range node values, and fingerprint
 // mismatches all raise fcm::common::ContractViolation; declared element
@@ -47,6 +48,7 @@
 #include <span>
 #include <vector>
 
+#include "common/byte_cursor.h"
 #include "common/contracts.h"
 #include "framework/fcm_framework.h"
 
@@ -81,53 +83,6 @@ class WireWriter {
 
  private:
   std::vector<std::byte> buf_;
-};
-
-// Bounds-checked little-endian decoder over a borrowed buffer. Every read
-// validates the remaining length first; a short buffer raises
-// ContractViolation instead of reading past the end.
-class WireReader {
- public:
-  explicit WireReader(std::span<const std::byte> data) noexcept : data_(data) {}
-
-  std::size_t remaining() const noexcept { return data_.size() - pos_; }
-
-  // Contract guard for array decodes: `count` elements of `element_bytes`
-  // each must still be present. Called BEFORE any reserve/resize so a
-  // hostile declared count cannot amplify into a giant allocation.
-  void require_payload(std::uint64_t count, std::uint64_t element_bytes) const {
-    FCM_REQUIRE(element_bytes == 0 ||
-                    count <= remaining() / element_bytes,
-                "wire: declared element count exceeds the bytes present "
-                "(truncated or hostile buffer)");
-  }
-
-  std::uint8_t u8() {
-    FCM_REQUIRE(remaining() >= 1, "wire: truncated buffer (u8)");
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint16_t u16() {
-    FCM_REQUIRE(remaining() >= 2, "wire: truncated buffer (u16)");
-    const auto lo = static_cast<std::uint16_t>(u8());
-    const auto hi = static_cast<std::uint16_t>(u8());
-    return static_cast<std::uint16_t>(lo | (hi << 8));
-  }
-  std::uint32_t u32() {
-    FCM_REQUIRE(remaining() >= 4, "wire: truncated buffer (u32)");
-    const auto lo = static_cast<std::uint32_t>(u16());
-    const auto hi = static_cast<std::uint32_t>(u16());
-    return lo | (hi << 16);
-  }
-  std::uint64_t u64() {
-    FCM_REQUIRE(remaining() >= 8, "wire: truncated buffer (u64)");
-    const auto lo = static_cast<std::uint64_t>(u32());
-    const auto hi = static_cast<std::uint64_t>(u32());
-    return lo | (hi << 32);
-  }
-
- private:
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
 };
 
 // Parsed and validated frame header.
@@ -168,14 +123,14 @@ class WireCodec {
   // Body encoders/decoders the framework payload nests: a sketch body,
   // followed by a filter body when the Top-K plane is enabled.
   static void encode_config(WireWriter& out, const core::FcmConfig& config);
-  static core::FcmConfig decode_config(WireReader& in);
+  static core::FcmConfig decode_config(common::ByteCursor& in);
   static void encode_tree_state(WireWriter& out, const core::FcmTree& tree);
-  static void decode_tree_state(WireReader& in, core::FcmTree& tree);
+  static void decode_tree_state(common::ByteCursor& in, core::FcmTree& tree);
   static void encode_sketch_body(WireWriter& out, const core::FcmSketch& s);
-  static core::FcmSketch decode_sketch_body(WireReader& in);
+  static core::FcmSketch decode_sketch_body(common::ByteCursor& in);
   static void encode_filter_body(WireWriter& out,
                                  const sketch::TopKFilter& filter);
-  static sketch::TopKFilter decode_filter_body(WireReader& in);
+  static sketch::TopKFilter decode_filter_body(common::ByteCursor& in);
 };
 
 }  // namespace fcm::agg

@@ -1,7 +1,7 @@
 #include "datapath/packet_parser.h"
 
+#include "common/byte_cursor.h"
 #include "common/hash.h"
-#include "datapath/byte_cursor.h"
 
 namespace fcm::datapath {
 

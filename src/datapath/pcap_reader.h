@@ -19,9 +19,12 @@
 #include <string>
 #include <vector>
 
-#include "datapath/byte_cursor.h"
+#include "common/byte_cursor.h"
 
 namespace fcm::datapath {
+
+using common::ByteCursor;
+using common::FixedBytes;
 
 // Structural (whole-file) corruption: unknown magic, truncated file header,
 // unsupported version, absurd snaplen. Thrown before any packet is produced;

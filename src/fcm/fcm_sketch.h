@@ -31,7 +31,8 @@ class FcmSketch {
   // the count-query of FCM"): only trees currently at the minimum estimate
   // are incremented, so no other flow's query changes. Strictly tightens
   // estimates; not implementable on PISA (needs a read-all-then-write pass),
-  // provided for software deployments and the ablation bench.
+  // provided for software deployments (tests/test_fcm_cu.cpp; no bench runs
+  // it).
   std::uint64_t update_conservative(flow::FlowKey key);
 
   // Bulk insert of `count` packets of the same flow.

@@ -146,9 +146,12 @@ class FcmFramework {
   // table when the Top-K filter is enabled).
   void check_invariants() const;
 
-  // Frameworks are copyable: keep a snapshot per epoch for heavy change.
+  // Frameworks are copyable (keep a snapshot per epoch for heavy change)
+  // and movable: a move hands over the sketch's buffers without copying.
   FcmFramework(const FcmFramework&) = default;
   FcmFramework& operator=(const FcmFramework&) = default;
+  FcmFramework(FcmFramework&&) = default;
+  FcmFramework& operator=(FcmFramework&&) = default;
 
  private:
   friend class ::fcm::agg::WireCodec;

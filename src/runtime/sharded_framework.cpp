@@ -593,9 +593,7 @@ void ShardedFcmFramework::coordinator_loop() {
     // (including the per-shard threshold), so FcmFramework::merge applies;
     // re-qualify the heavy-hitter union at the global threshold afterwards.
     const auto merge_start = std::chrono::steady_clock::now();
-    // Merged in place in its history entry: FcmFramework has no move
-    // constructor, so assembling the entry afterwards would copy the whole
-    // sketch once more.
+    // Copied, never moved: the shard replica is reset and reused below.
     Epoch entry{shards_[0]->replicas[gen], {}};
     framework::FcmFramework& merged = entry.merged;
     for (std::size_t s = 1; s < shards_.size(); ++s) {

@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "datapath/byte_cursor.h"
+#include "common/byte_cursor.h"
 
 namespace corpus {
 
@@ -63,11 +63,11 @@ std::byte first_byte_deduced(const std::array<std::byte, 4>& raw) {
 // --- clean: the sanctioned idiom ----------------------------------------
 
 std::uint32_t read_magic_checked(const std::vector<std::byte>& buffer) {
-  fcm::datapath::ByteCursor cursor(buffer);
+  fcm::common::ByteCursor cursor(buffer);
   return cursor.take<4>().u32le<0>();  // throws ContractViolation past the end
 }
 
-std::uint16_t read_total_length(fcm::datapath::ByteCursor& cursor) {
+std::uint16_t read_total_length(fcm::common::ByteCursor& cursor) {
   return cursor.take<20>().u16be<2>();  // one bounds check for the header
 }
 

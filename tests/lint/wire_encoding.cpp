@@ -1,7 +1,7 @@
 // fcm-lint-path: src/agg/bad_codec.cpp
 //
 // Corpus: wire-encoding — struct dumps in the wire codec. The frames must
-// be explicit little-endian byte-at-a-time (WireWriter/WireReader); a
+// be explicit little-endian byte-at-a-time (WireWriter/ByteCursor); a
 // memcpy of counter memory or a reinterpret_cast of the buffer bakes host
 // endianness and struct padding into the format. The sanctioned spellings
 // (per-byte shifts) stay clean.

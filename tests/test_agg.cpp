@@ -1,8 +1,9 @@
 // AggregationService + QueryPlane suite (DESIGN.md §11): multi-vantage
 // merge equivalence against a serial framework, typed rejection of
 // duplicate/stale/out-of-order/foreign/corrupt snapshots, in-order
-// publishing, forced finalization, query-plane retention and snapshot
-// isolation under concurrent readers, and the service's metrics series.
+// publishing, forced finalization (and its counter), snapshot isolation of
+// pinned views and under concurrent readers, and the service's metrics
+// series.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +26,6 @@ namespace {
 
 using agg::AggregationService;
 using agg::DeliveryStatus;
-using agg::InProcessTransport;
 using agg::NetworkView;
 using agg::SnapshotEnvelope;
 using agg::VantagePoint;
@@ -48,7 +48,6 @@ AggregationService::Options service_options(std::size_t vantages) {
   AggregationService::Options options;
   options.reference = reference_options();
   options.vantage_count = vantages;
-  options.retained_epochs = 4;
   options.metrics = nullptr;
   return options;
 }
@@ -65,12 +64,11 @@ SnapshotEnvelope envelope_for(const framework::FcmFramework& fw,
 TEST(AggregationServiceTest, MergedViewMatchesSerialFramework) {
   constexpr std::size_t kVantages = 4;
   AggregationService service(service_options(kVantages));
-  InProcessTransport transport(service);
 
   std::vector<std::unique_ptr<VantagePoint>> vantages;
   for (std::uint32_t v = 0; v < kVantages; ++v) {
     vantages.push_back(std::make_unique<VantagePoint>(
-        v, service.vantage_options(), transport));
+        v, service.vantage_options(), service));
   }
   framework::FcmFramework serial(reference_options());
 
@@ -239,16 +237,27 @@ TEST(AggregationServiceTest, OutOfOrderEpochsPublishInOrder) {
       << "epoch 2 buffers until the missing epoch 1 publishes";
 
   EXPECT_EQ(service.deliver(envelope_for(fw, 0, 1)), DeliveryStatus::kAccepted);
+  EXPECT_EQ(service.query_plane().current(), nullptr);
+  EXPECT_EQ(service.pending_epochs(), (std::vector<std::uint64_t>{1, 2}));
+  // Completing epoch 1 releases both, in order: the query plane rejects a
+  // publish whose epoch does not increase, so epoch 2 went out last.
   EXPECT_EQ(service.deliver(envelope_for(fw, 1, 1)), DeliveryStatus::kAccepted);
-  // Completing epoch 1 releases both, in order.
-  EXPECT_EQ(service.query_plane().published_epochs(),
-            (std::vector<std::uint64_t>{1, 2}));
+  const auto view = service.query_plane().current();
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->epoch, 2u);
+  EXPECT_EQ(view->vantages, (std::vector<std::uint32_t>{0, 1}));
   EXPECT_TRUE(service.pending_epochs().empty());
 }
 
+std::uint64_t forced_publishes(obs::MetricsRegistry& registry) {
+  return registry.counter("fcm_agg_forced_publishes_total", {}).value();
+}
+
 TEST(AggregationServiceTest, WatchdogForcesPartialPublishes) {
+  obs::MetricsRegistry registry;
   auto options = service_options(2);
   options.max_pending_epochs = 2;
+  options.metrics = &registry;
   AggregationService service(std::move(options));
   framework::FcmFramework fw(service.vantage_options());
   fw.process(flow::FlowKey{11});
@@ -263,6 +272,7 @@ TEST(AggregationServiceTest, WatchdogForcesPartialPublishes) {
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->epoch, 1u);
   EXPECT_EQ(view->vantages, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(forced_publishes(registry), 1u);
 
   // The straggler's late snapshot for the published epoch is now stale.
   EXPECT_EQ(service.deliver(envelope_for(fw, 1, 1)),
@@ -270,7 +280,10 @@ TEST(AggregationServiceTest, WatchdogForcesPartialPublishes) {
 }
 
 TEST(AggregationServiceTest, FinalizeEpochDrainsDroppedVantage) {
-  AggregationService service(service_options(3));
+  obs::MetricsRegistry registry;
+  auto options = service_options(3);
+  options.metrics = &registry;
+  AggregationService service(std::move(options));
   framework::FcmFramework fw(service.vantage_options());
   fw.process(flow::FlowKey{5});
 
@@ -283,14 +296,14 @@ TEST(AggregationServiceTest, FinalizeEpochDrainsDroppedVantage) {
   EXPECT_EQ(view->epoch, 1u);
   EXPECT_EQ(view->vantages, (std::vector<std::uint32_t>{0, 2}));
   EXPECT_EQ(view->network.flow_size(flow::FlowKey{5}), 2u);
+  EXPECT_EQ(forced_publishes(registry), 1u);
 }
 
 TEST(AggregationServiceTest, HeavyChangeBetweenPublishedEpochs) {
   auto options = service_options(1);
   options.heavy_change_threshold = 500;
   AggregationService service(std::move(options));
-  InProcessTransport transport(service);
-  VantagePoint vantage(0, service.vantage_options(), transport);
+  VantagePoint vantage(0, service.vantage_options(), service);
 
   // Epoch 1: flow 1 heavy. Epoch 2: flow 2 takes over — a heavy change.
   for (int i = 0; i < 800; ++i) vantage.framework().process(flow::FlowKey{1});
@@ -307,10 +320,9 @@ TEST(AggregationServiceTest, HeavyChangeBetweenPublishedEpochs) {
             (std::vector<flow::FlowKey>{flow::FlowKey{1}, flow::FlowKey{2}}));
 }
 
-TEST(QueryPlaneTest, RetentionAndSnapshotIsolation) {
+TEST(QueryPlaneTest, PinnedViewSurvivesLaterPublishes) {
   AggregationService service(service_options(1));
-  InProcessTransport transport(service);
-  VantagePoint vantage(0, service.vantage_options(), transport);
+  VantagePoint vantage(0, service.vantage_options(), service);
 
   std::shared_ptr<const NetworkView> pinned;
   for (std::uint64_t epoch = 1; epoch <= 6; ++epoch) {
@@ -318,16 +330,17 @@ TEST(QueryPlaneTest, RetentionAndSnapshotIsolation) {
     ASSERT_EQ(vantage.flush(epoch), DeliveryStatus::kAccepted);
     if (epoch == 1) pinned = service.query_plane().current();
   }
-  // Retention keeps the newest 4; epoch 1 aged out of at()...
-  EXPECT_EQ(service.query_plane().published_epochs(),
-            (std::vector<std::uint64_t>{3, 4, 5, 6}));
-  EXPECT_EQ(service.query_plane().at(1), nullptr);
-  ASSERT_NE(service.query_plane().at(4), nullptr);
-  EXPECT_EQ(service.query_plane().at(4)->epoch, 4u);
-  // ...but the reader that pinned it still holds an intact, immutable view.
+  // The plane moved on to epoch 6...
+  const auto current = service.query_plane().current();
+  ASSERT_NE(current, nullptr);
+  EXPECT_EQ(current->epoch, 6u);
+  EXPECT_EQ(current->network.flow_size(flow::FlowKey{1}), 0u);
+  // ...but the reader that pinned epoch 1 still holds an intact, immutable
+  // view.
   ASSERT_NE(pinned, nullptr);
   EXPECT_EQ(pinned->epoch, 1u);
   EXPECT_EQ(pinned->network.flow_size(flow::FlowKey{1}), 1u);
+  EXPECT_EQ(pinned->network.flow_size(flow::FlowKey{6}), 0u);
 }
 
 TEST(AggregationServiceTest, ConcurrentReadersDuringIngest) {

@@ -70,7 +70,6 @@ TEST(AggSoak, SurvivesSlowDroppedAndOutOfOrderVantages) {
   AggregationService::Options options;
   options.reference = reference_options();
   options.vantage_count = kVantages;
-  options.retained_epochs = 4;
   options.max_pending_epochs = 3;  // watchdog trips while vantage 3 is gone
   options.heavy_change_threshold = kHeavyChangeThreshold;
   options.metrics = &registry;

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
 #include "flow/synthetic.h"
 #include "metrics/evaluator.h"
 #include "sketch/cm_sketch.h"
@@ -55,6 +59,39 @@ TEST_P(FrameworkModeTest, EndToEndQueries) {
   const auto report = framework.analyze();
   EXPECT_LT(report.fsd.wmre(truth.flow_size_distribution()), 0.35);
   EXPECT_NEAR(report.entropy, truth.entropy(), truth.entropy() * 0.05);
+}
+
+// A move hands the sketch's buffers over instead of copying them, and the
+// moved-to framework answers every query as the source did.
+TEST_P(FrameworkModeTest, MoveTakesTheBuffersAndKeepsEveryAnswer) {
+  const flow::Trace trace = small_trace();
+  FcmFramework source(small_options(GetParam()));
+  source.process(trace.packets());
+  const FcmFramework expected = source;
+  const std::uint32_t* buffer = source.sketch().tree(0).stage(1).data();
+
+  FcmFramework moved(std::move(source));
+  EXPECT_EQ(moved.sketch().tree(0).stage(1).data(), buffer);
+  FcmFramework assigned(small_options(GetParam()));
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.sketch().tree(0).stage(1).data(), buffer);
+
+  for (const flow::Packet& packet : trace.packets()) {
+    ASSERT_EQ(assigned.flow_size(packet.key), expected.flow_size(packet.key));
+  }
+  EXPECT_EQ(assigned.cardinality(), expected.cardinality());
+  auto got_hh = assigned.heavy_hitters();
+  auto expected_hh = expected.heavy_hitters();
+  std::sort(got_hh.begin(), got_hh.end());
+  std::sort(expected_hh.begin(), expected_hh.end());
+  EXPECT_EQ(got_hh, expected_hh);
+  EXPECT_EQ(assigned.overflow_promotion_count(),
+            expected.overflow_promotion_count());
+  EXPECT_EQ(assigned.memory_bytes(), expected.memory_bytes());
+  const auto got_report = assigned.analyze();
+  const auto expected_report = expected.analyze();
+  EXPECT_EQ(got_report.fsd.counts(), expected_report.fsd.counts());
+  EXPECT_EQ(got_report.entropy, expected_report.entropy);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, FrameworkModeTest,

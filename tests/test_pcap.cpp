@@ -18,9 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/byte_cursor.h"
 #include "common/contracts.h"
 #include "common/random.h"
-#include "datapath/byte_cursor.h"
 #include "datapath/capture_ingest.h"
 #include "datapath/packet_parser.h"
 #include "datapath/pcap_reader.h"
@@ -30,7 +30,7 @@
 namespace fcm {
 namespace {
 
-using datapath::ByteCursor;
+using common::ByteCursor;
 using datapath::CaptureStats;
 using datapath::DecodedCapture;
 using datapath::ParsedPacket;
@@ -553,6 +553,37 @@ TEST(ByteCursor, PeekNeverAdvances) {
   }
   EXPECT_EQ(cursor.take<4>().u32be<0>(), 0x03040506u);
   EXPECT_EQ(cursor.offset(), 6u);
+}
+
+TEST(ByteCursor, LittleEndianReadsAssembleKnownBytes) {
+  const Bytes buffer = counting_bytes(16);  // 01 02 ... 10
+  ByteCursor cursor(buffer);
+  EXPECT_EQ(cursor.u16le(), 0x0201u);
+  EXPECT_EQ(cursor.u32le(), 0x06050403u);
+  EXPECT_EQ(cursor.offset(), 6u);
+  EXPECT_EQ(cursor.u64le(), 0x0e0d0c0b0a090807ull);
+  EXPECT_EQ(cursor.offset(), 14u);
+  EXPECT_EQ(cursor.peek<2>().u16le<0>(), 0x100fu);
+  Bytes high;  // every byte has its top bit set
+  for (const std::uint8_t b : {0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88}) {
+    put8(high, b);
+  }
+  EXPECT_EQ(ByteCursor(high).u64le(), 0x8899aabbccddeeffull);
+  EXPECT_EQ(ByteCursor(high).u32le(), 0xccddeeffu);
+}
+
+TEST(ByteCursor, LittleEndianReadsOneByteShortThrowAndStayPut) {
+  const Bytes buffer = counting_bytes(10);
+  ByteCursor cursor(buffer);
+  cursor.skip(3);  // 7 bytes left
+  EXPECT_THROW(cursor.u64le(), common::ContractViolation);
+  EXPECT_EQ(cursor.offset(), 3u);
+  cursor.skip(4);  // 3 bytes left
+  EXPECT_THROW(cursor.u32le(), common::ContractViolation);
+  EXPECT_EQ(cursor.offset(), 7u);
+  EXPECT_EQ(cursor.u16le(), 0x0908u);  // the cursor is still usable
+  EXPECT_THROW(cursor.u16le(), common::ContractViolation);
+  EXPECT_EQ(cursor.offset(), 9u);
 }
 
 // --- parser decode matrix ---------------------------------------------------

@@ -98,8 +98,8 @@ Rules:
                    ``memcpy``/``memmove``/``memset``, and no raw pointer
                    arithmetic or indexing off ``.data()``. All capture-byte
                    access goes through the bounds-checked ``ByteCursor``
-                   (``byte_cursor.h``, itself exempt as the sanctioned
-                   primitive) so a truncated or lying caplen can never turn
+                   (``src/common/byte_cursor.h``, outside the rule's
+                   directory) so a truncated or lying caplen can never turn
                    into an out-of-bounds read. No fixed-extent span either
                    (``.first<N>()``/``.last<N>()``/``.subspan<...>()``,
                    ``std::span<T, N>``): a ``FixedBytes<N>`` header view is
@@ -225,10 +225,11 @@ ATOMIC_OP_RE = re.compile(
 MEMORY_ORDER_ARG_RE = re.compile(r"memory_order_(\w+)")
 
 # Rule: wire-encoding — src/agg only. The wire format is explicit
-# little-endian, one byte at a time through WireWriter/WireReader
-# (DESIGN.md §11); memcpy'ing or reinterpret_cast'ing counter memory onto
-# the wire silently bakes host endianness, struct padding, and type-punning
-# UB into frames that must round-trip bit-exactly across machines.
+# little-endian, one byte at a time: written through WireWriter and read
+# through common::ByteCursor (DESIGN.md §11); memcpy'ing or
+# reinterpret_cast'ing counter memory onto the wire silently bakes host
+# endianness, struct padding, and type-punning UB into frames that must
+# round-trip bit-exactly across machines.
 WIRE_DIRS = ("src/agg",)
 WIRE_RE = re.compile(
     r"(?<![\w:])(?:std::)?memcpy\s*\(|(?<![\w:])reinterpret_cast\s*<"
@@ -236,10 +237,9 @@ WIRE_RE = re.compile(
 
 # Rule: datapath-bounds — src/datapath only. Capture parsing is the one
 # place where attacker-controlled lengths meet raw buffers; every access
-# must go through ByteCursor's checked reads. byte_cursor.h IS the
-# sanctioned primitive, so it is exempt.
+# must go through ByteCursor's checked reads (src/common/byte_cursor.h, the
+# one place a fixed-width view is cut).
 DATAPATH_DIRS = ("src/datapath",)
-DATAPATH_EXEMPT_FILES = {"src/datapath/byte_cursor.h"}
 DATAPATH_RE = re.compile(
     r"(?<![\w:])reinterpret_cast\s*<"
     r"|(?<![\w:])(?:std::)?mem(?:cpy|move|set)\s*\("
@@ -832,7 +832,7 @@ def lint_file(
     check_threads = in_dirs(THREAD_DIRS)
     check_atomics = in_dirs(ATOMIC_DIRS) and not in_dirs(ATOMIC_EXEMPT_DIRS)
     check_wire = in_dirs(WIRE_DIRS)
-    check_datapath = in_dirs(DATAPATH_DIRS) and rel not in DATAPATH_EXEMPT_FILES
+    check_datapath = in_dirs(DATAPATH_DIRS)
     raw_access_lines: set[int] = set()
     fixed_span_lines: set[int] = set()
     check_staging = in_dirs(STAGING_DIRS)
@@ -875,7 +875,8 @@ def lint_file(
                 lineno,
                 "wire-encoding",
                 "memcpy/reinterpret_cast in the wire codec; frames must be "
-                "encoded byte-at-a-time through WireWriter/WireReader "
+                "encoded byte-at-a-time through WireWriter and decoded "
+                "through ByteCursor "
                 "(explicit little-endian, no struct dumps) "
                 "(or '// fcm-lint: allow(wire-encoding)')",
             )
@@ -887,7 +888,7 @@ def lint_file(
                 "raw byte access in the capture datapath "
                 "(reinterpret_cast / mem* / pointer arithmetic off .data()); "
                 "hostile captures control every length field — go through "
-                "the bounds-checked ByteCursor (byte_cursor.h) "
+                "the bounds-checked ByteCursor (common/byte_cursor.h) "
                 "(or '// fcm-lint: allow(datapath-bounds)')",
             )
         elif check_datapath and DATAPATH_FIXED_SPAN_RE.search(line):
