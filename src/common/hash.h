@@ -114,23 +114,12 @@ class SeededHash {
 
   // Bulk interface of index(): hashes `keys` and writes the reduced indices
   // into `out` (out.size() >= keys.size()). Bit-identical to calling index()
-  // per key; exists so the batched ingest kernel can hash a whole block in
-  // one tight inline loop — independent hashes pipeline across iterations
-  // instead of each serializing against its table load, and with FCM_NATIVE
-  // the compiler is free to vectorize the block.
-  template <typename T>
-  void index_batch(std::span<const T> keys, std::size_t width,
-                   std::span<std::size_t> out) const noexcept {
-    const std::size_t n = keys.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = fast_range32(bob_hash_value(keys[i], seed_), width);
-    }
-  }
-
-  // 32-bit-output variant of index_batch, used by the hot kernels. A
-  // fast-range index is always < width < 2^32, so narrowing loses nothing,
-  // and 32-bit indices are what the AVX2 kernel stores. Bit-identical values
-  // to the span<size_t> overload (tests/test_batch_equivalence.cpp).
+  // per key (tests/test_batch_equivalence.cpp); exists so the batched ingest
+  // kernels can hash a whole block in one tight loop, where independent
+  // hashes pipeline across iterations instead of each serializing against
+  // its table load. A fast-range index is always < width < 2^32, so the
+  // 32-bit output loses nothing, and 32-bit indices are what the AVX2 kernel
+  // stores.
   //
   // Routed through the kernel tier dispatch (simd_dispatch.h) for 4-byte
   // keys. Every kernel tier is bit-identical — the tier only changes how the

@@ -18,6 +18,16 @@ namespace {
 // proposed by a combination (plain zero would lock it out forever).
 constexpr double kLambdaSmoothing = 1e-9;
 
+// Ω truncation (paper §4.3: "truncate the set of possible combinations based
+// on the counter value and degree"). Combinations are enumerated only when
+// the value left after subtracting each path's mandatory minimum is at most
+// kValueEnumerationCap; degree-1 counters consider up to 1 + kMaxExtraFlows
+// colliding flows; degrees above kMaxEnumerationDegree always take the
+// minimal-flow split.
+constexpr std::uint64_t kValueEnumerationCap = 300;
+constexpr std::size_t kMaxExtraFlows = 2;
+constexpr std::uint32_t kMaxEnumerationDegree = 3;
+
 // Enumerates partitions of `n` into exactly `p` non-increasing parts, each
 // in [min_part, max_part], invoking `f(parts)` per partition.
 template <typename F>
@@ -118,11 +128,11 @@ void EmFsdEstimator::accumulate_group(const Group& group,
 
   // Decide whether this group is enumerable under the truncation heuristic.
   const bool enumerable =
-      degree <= config_.max_enumeration_degree &&
+      degree <= kMaxEnumerationDegree &&
       (degree == 1
-           ? v <= config_.value_enumeration_cap
+           ? v <= kValueEnumerationCap
            : v >= static_cast<std::uint64_t>(degree) * ell &&
-                 v - degree * ell <= config_.value_enumeration_cap);
+                 v - degree * ell <= kValueEnumerationCap);
   if (!enumerable) {
     split_fallback(group, out);
     return;
@@ -154,8 +164,8 @@ void EmFsdEstimator::accumulate_group(const Group& group,
 
   std::vector<std::uint64_t> scratch;
   if (degree == 1) {
-    // Up to 1 + max_extra_flows colliding flows, any sizes >= 1.
-    for (std::size_t p = 1; p <= 1 + config_.max_extra_flows; ++p) {
+    // Up to 1 + kMaxExtraFlows colliding flows, any sizes >= 1.
+    for (std::size_t p = 1; p <= 1 + kMaxExtraFlows; ++p) {
       if (v < p) break;
       enumerate_partitions(v, p, v, 1, scratch, weigh);
     }
@@ -172,7 +182,7 @@ void EmFsdEstimator::accumulate_group(const Group& group,
 
     // One additional small flow (< ell, so it cannot be its own overflowed
     // path) colliding into one of the merged paths.
-    if (config_.max_extra_flows >= 1 && ell >= 2) {
+    if (ell >= 2) {
       const std::uint64_t extra_max = std::min<std::uint64_t>(residual, ell - 1);
       for (std::uint64_t extra = 1; extra <= extra_max; ++extra) {
         const auto weigh_with_extra = [&](const std::vector<std::uint64_t>& t_parts) {

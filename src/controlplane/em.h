@@ -5,7 +5,9 @@
 // computed per distinct group and weighted by multiplicity. The combination
 // set Ω is truncated with the paper's heuristic: only combinations with few
 // flows are enumerated (collisions of many flows are rare), and counters
-// whose residual value exceeds a cap fall back to a minimal-flow split.
+// whose residual value exceeds a cap fall back to a minimal-flow split. The
+// truncation limits are fixed constants in em.cpp, so Ω depends only on a
+// group's (degree, value) and its tree's leaf overflow threshold.
 // Multi-tree sketches average the per-tree expected counts (Eqn. 5).
 #pragma once
 
@@ -27,17 +29,6 @@ struct EmConfig {
   // fully uninstrumented. FcmFramework::analyze() overwrites this with its
   // own Options::metrics so one knob controls the whole pipeline.
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
-
-  // Combinations are enumerated only when the value left after subtracting
-  // each path's mandatory minimum is <= this cap (paper §4.3: "truncate the
-  // set of possible combinations based on the counter value and degree").
-  std::uint64_t value_enumeration_cap = 300;
-
-  // Degree-1 counters consider up to 1 + max_extra_flows colliding flows.
-  std::size_t max_extra_flows = 2;
-
-  // Degrees above this always use the minimal-flow split heuristic.
-  std::uint32_t max_enumeration_degree = 3;
 
   // Worker threads for the per-iteration scan (Fig. 9a's FCM(m) mode).
   std::size_t thread_count = 1;
@@ -62,9 +53,6 @@ class EmFsdEstimator {
   void iterate();
 
   const FlowSizeDistribution& current() const noexcept { return current_; }
-
-  // Estimated total number of flows n (paper's second EM output).
-  double estimated_flow_count() const noexcept { return current_.total_flows(); }
 
   // Deep invariants of the EM state:
   //   - every group references a valid array, with degree >= 1, value >= 1,

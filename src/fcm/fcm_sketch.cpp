@@ -89,33 +89,6 @@ void FcmSketch::add_batch(std::span<const flow::FlowKey> keys) {
   }
 }
 
-std::uint64_t FcmSketch::update_conservative(flow::FlowKey key) {
-  // One leaf hash per tree: the read pass and the write pass below reuse the
-  // same indices instead of rehashing the key three times.
-  std::size_t idx[FcmConfig::kMaxTrees];
-  FCM_ASSERT(trees_.size() <= FcmConfig::kMaxTrees,
-             "FcmSketch: tree count exceeds the stack index buffer");
-  std::uint64_t minimum = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    idx[t] = trees_[t].leaf_index(key);
-    minimum = std::min(minimum, trees_[t].query_at(idx[t]));
-  }
-  std::uint64_t estimate = minimum + 1;
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    if (trees_[t].query_at(idx[t]) == minimum) {
-      estimate = std::min(estimate, trees_[t].add_at(idx[t], 1));
-    }
-  }
-  // Conservative updates are monotone and tight: the post-update minimum
-  // moves by at most one and never decreases (footnote 3 semantics).
-  FCM_ENSURE(estimate >= minimum && estimate <= minimum + 1,
-             "FcmSketch: conservative update broke monotonicity");
-  if (hh_threshold_ && estimate >= *hh_threshold_) {
-    heavy_hitters_.insert(key);
-  }
-  return estimate;
-}
-
 std::uint64_t FcmSketch::query(flow::FlowKey key) const noexcept {
   std::uint64_t estimate = std::numeric_limits<std::uint64_t>::max();
   for (const auto& tree : trees_) {

@@ -27,14 +27,6 @@ class FcmSketch {
   // are recorded, mirroring the data plane's on-path detection.
   std::uint64_t update(flow::FlowKey key) { return add(key, 1); }
 
-  // Conservative-update variant (the paper's footnote 3: "CU can improve
-  // the count-query of FCM"): only trees currently at the minimum estimate
-  // are incremented, so no other flow's query changes. Strictly tightens
-  // estimates; not implementable on PISA (needs a read-all-then-write pass),
-  // provided for software deployments (tests/test_fcm_cu.cpp; no bench runs
-  // it).
-  std::uint64_t update_conservative(flow::FlowKey key);
-
   // Bulk insert of `count` packets of the same flow.
   std::uint64_t add(flow::FlowKey key, std::uint64_t count);
 

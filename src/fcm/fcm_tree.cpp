@@ -161,8 +161,9 @@ void FcmTree::merge(const FcmTree& other) {
               "FcmTree::merge: trees use different leaf hash functions");
   const std::size_t levels = stages_.size();
   // Counts promoted from merged children into the current level. Index j at
-  // level l receives the excess of its k children at level l-1.
-  std::vector<std::uint64_t> promoted(stages_[0].size(), 0);
+  // level l > 0 receives the excess of its k children at level l-1; leaves
+  // have no children, so each buffer is sized by the level it feeds.
+  std::vector<std::uint64_t> promoted;
   std::vector<std::uint64_t> next_promoted;
   // A serial tree trips each node at most once, so its promotion tally is
   // its count of overflowed nodes; the merged tally is that count in the
@@ -172,6 +173,7 @@ void FcmTree::merge(const FcmTree& other) {
   for (std::size_t l = 0; l < levels; ++l) {
     const std::uint64_t cap = counting_max_[l];
     const std::uint32_t mark = marker_[l];
+    const bool has_children = l > 0;
     next_promoted.assign(l + 1 < levels ? stages_[l + 1].size() : 0, 0);
     for (std::size_t i = 0; i < stages_[l].size(); ++i) {
       const std::uint32_t va = stages_[l][i];
@@ -180,7 +182,7 @@ void FcmTree::merge(const FcmTree& other) {
       // Local arrivals visible at this level: what each shard counted here
       // (capped; their excess is in their next level) plus what the merged
       // children promoted.
-      const std::uint64_t sum = promoted[i] +
+      const std::uint64_t sum = (has_children ? promoted[i] : 0) +
                                 std::min<std::uint64_t>(va, cap) +
                                 std::min<std::uint64_t>(vb, cap);
       // A shard overflow implies its capped value == cap, hence sum >= cap;

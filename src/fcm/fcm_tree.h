@@ -33,13 +33,6 @@ class FcmTree {
     return add_at(leaf_index(key), count);
   }
 
-  // Leaf-index forms of add/query, for callers that already hold the leaf
-  // index (the batched kernel, and FcmSketch::update_conservative's
-  // read-then-write pass, which must not hash twice). `index` must come from
-  // leaf_index()/index_batch() on this tree's hash.
-  std::uint64_t add_at(std::size_t index, std::uint64_t count);
-  std::uint64_t query_at(std::size_t index) const noexcept;
-
   // The two halves of the batched per-packet update (DESIGN.md §9), which
   // FcmSketch::add_batch pipelines ACROSS trees: hash+prefetch one block for
   // every tree, then apply every tree's block, so the key block is read from
@@ -138,6 +131,12 @@ class FcmTree {
 
  private:
   friend class ::fcm::agg::WireCodec;
+
+  // Leaf-index forms of add/query: the bodies of add()/query() and the
+  // carry walk that apply_block falls back to. `index` must come from
+  // leaf_index() or index_block() on this tree's hash.
+  std::uint64_t add_at(std::size_t index, std::uint64_t count);
+  std::uint64_t query_at(std::size_t index) const noexcept;
 
   FcmConfig config_;
   common::SeededHash hash_;

@@ -51,11 +51,11 @@ void TopKFilter::offer_batch(std::span<const flow::FlowKey> keys,
                              std::span<Offer> offers) {
   Entry* const table = table_.data();
   const std::size_t width = table_.size();
-  std::size_t idx[common::kBatchBlock];
+  std::uint32_t idx[common::kBatchBlock];
   for (std::size_t base = 0; base < keys.size(); base += common::kBatchBlock) {
     const std::size_t n = std::min(common::kBatchBlock, keys.size() - base);
     const auto block = keys.subspan(base, n);
-    hash_.index_batch(block, width, std::span<std::size_t>(idx, n));
+    hash_.index_batch(block, width, std::span<std::uint32_t>(idx, n));
     for (std::size_t i = 0; i < n; ++i) {
       FCM_PREFETCH_WRITE(table + idx[i]);
     }

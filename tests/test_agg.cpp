@@ -179,11 +179,6 @@ TEST(AggregationServiceTest, ViewAnalyzesUnderReferencePolicyInAnyOrder) {
     const control::EmConfig& em = views.back()->network.options().em;
     EXPECT_EQ(em.max_iterations, options.reference.em.max_iterations)
         << "reversed=" << reversed;
-    EXPECT_EQ(em.value_enumeration_cap,
-              options.reference.em.value_enumeration_cap);
-    EXPECT_EQ(em.max_extra_flows, options.reference.em.max_extra_flows);
-    EXPECT_EQ(em.max_enumeration_degree,
-              options.reference.em.max_enumeration_degree);
     EXPECT_EQ(em.thread_count, options.reference.em.thread_count);
   }
   const auto& a = *views[0]->report;

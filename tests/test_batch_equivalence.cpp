@@ -1,18 +1,21 @@
 // Bit-exactness of the batched ingest kernel (DESIGN.md §9).
 //
-// Every batch entry point added for the hot path — SeededHash::index_batch,
-// FcmTree::index_block/apply_block, FcmSketch::add_batch,
-// TopKFilter::offer_batch via FcmTopK::add_batch, FcmFramework::process_batch
-// and the span overloads, and ShardedFcmFramework::ingest(span) — must leave
-// EXACTLY the state the scalar per-packet path leaves: every tree node, the
-// promotion counters, TopK vote-table entries, heavy-hitter sets, and the
-// per-key estimates. Tolerances are zero throughout; any divergence means the
-// fast path changed semantics, not just speed.
+// Every batch entry point added for the hot path — SeededHash::index_batch
+// (one overload, 32-bit indices), FcmTree::index_block/apply_block,
+// FcmSketch::add_batch, TopKFilter::offer_batch via FcmTopK::add_batch,
+// FcmFramework::process_batch and the span overloads, and
+// ShardedFcmFramework::ingest(span) — must leave EXACTLY the state the
+// scalar per-packet path leaves: every tree node, the promotion counters,
+// TopK vote-table entries, heavy-hitter sets, and the per-key estimates.
+// Tolerances are zero throughout; any divergence means the fast path changed
+// semantics, not just speed.
 //
 // Coverage: batch sizes {1, 7, 64, 1000} (below/at/above the kBatchBlock
 // stride, odd tails included), duplicate keys within one batch (carry and
 // eviction ordering), and batches interleaved with rotate_async() epoch
-// markers on the sharded runtime.
+// markers on the sharded runtime. Everything that hashes through
+// index_batch (the trees and the TopK filter) also runs under every kernel
+// tier the CPU supports.
 
 #include <gtest/gtest.h>
 
@@ -131,15 +134,37 @@ void expect_sketch_identical(const FcmSketch& a, const FcmSketch& b) {
   EXPECT_EQ(a.heavy_hitters(), b.heavy_hitters());
 }
 
+using fcm::common::simd::KernelTier;
+
+// Tiers available on this machine. AVX2 joins the matrix only when the CPU
+// supports it; CI's perf-smoke asserts capable runners actually take it.
+std::vector<KernelTier> equivalence_tiers() {
+  std::vector<KernelTier> tiers{KernelTier::kScalar};
+  if (fcm::common::simd::cpu_supports_avx2()) tiers.push_back(KernelTier::kAvx2);
+  return tiers;
+}
+
+// RAII tier override; restores the probed default on scope exit so test
+// order never leaks a forced tier.
+class ForcedTier {
+ public:
+  explicit ForcedTier(KernelTier tier) {
+    fcm::common::simd::force_kernel_tier(tier);
+  }
+  ~ForcedTier() { fcm::common::simd::force_kernel_tier(std::nullopt); }
+  ForcedTier(const ForcedTier&) = delete;
+  ForcedTier& operator=(const ForcedTier&) = delete;
+};
+
 // --- hash layer --------------------------------------------------------------
 
 TEST(BatchEquivalence, IndexBatchMatchesScalarIndex) {
   const fcm::common::SeededHash hash(0xfeedf00d);
   const auto keys = skewed_keys(1000, 1);
-  std::vector<std::size_t> batch(keys.size());
+  std::vector<std::uint32_t> batch(keys.size());
   for (const std::size_t width : {1ul, 7ul, 2048ul, 600000ul}) {
     hash.index_batch(std::span<const FlowKey>(keys), width,
-                     std::span<std::size_t>(batch));
+                     std::span<std::uint32_t>(batch));
     for (std::size_t i = 0; i < keys.size(); ++i) {
       ASSERT_EQ(batch[i], hash.index(keys[i], width)) << "width " << width;
     }
@@ -253,35 +278,41 @@ TEST(BatchEquivalence, SketchBatchSplitArbitrarily) {
 // --- FcmTopK -----------------------------------------------------------------
 
 TEST(BatchEquivalence, TopKBatchMatchesScalarUpdates) {
-  for (const std::size_t n : kBatchSizes) {
-    const auto keys = skewed_keys(n, 555 + n);
-    FcmTopK::Config config;
-    config.fcm = small_config();
-    config.topk_entries = 64;  // tiny table: plenty of evictions
-    FcmTopK scalar(config);
-    FcmTopK batched(config);
-    scalar.set_heavy_hitter_threshold(20);
-    batched.set_heavy_hitter_threshold(20);
+  // offer_batch hashes through the dispatched index_batch, so every tier
+  // runs; update() never dispatches and is the ground truth.
+  for (const KernelTier tier : equivalence_tiers()) {
+    ForcedTier forced(tier);
+    SCOPED_TRACE(fcm::common::simd::kernel_tier_name(tier));
+    for (const std::size_t n : kBatchSizes) {
+      const auto keys = skewed_keys(n, 555 + n);
+      FcmTopK::Config config;
+      config.fcm = small_config();
+      config.topk_entries = 64;  // tiny table: plenty of evictions
+      FcmTopK scalar(config);
+      FcmTopK batched(config);
+      scalar.set_heavy_hitter_threshold(20);
+      batched.set_heavy_hitter_threshold(20);
 
-    for (const FlowKey key : keys) scalar.update(key);
-    batched.add_batch(std::span<const FlowKey>(keys));
+      for (const FlowKey key : keys) scalar.update(key);
+      batched.add_batch(std::span<const FlowKey>(keys));
 
-    // Sketch parts bit-exact (including eviction flush ordering) ...
-    expect_sketch_identical(scalar.sketch(), batched.sketch());
-    // ... and the filter tables hold the same entries.
-    auto ea = scalar.filter().entries();
-    auto eb = batched.filter().entries();
-    const auto by_key = [](const auto& x, const auto& y) { return x.key < y.key; };
-    std::sort(ea.begin(), ea.end(), by_key);
-    std::sort(eb.begin(), eb.end(), by_key);
-    ASSERT_EQ(ea.size(), eb.size()) << "n=" << n;
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-      EXPECT_EQ(ea[i].key, eb[i].key);
-      EXPECT_EQ(ea[i].count, eb[i].count);
-      EXPECT_EQ(ea[i].has_light_part, eb[i].has_light_part);
-    }
-    for (const FlowKey key : keys) {
-      ASSERT_EQ(scalar.query(key), batched.query(key));
+      // Sketch parts bit-exact (including eviction flush ordering) ...
+      expect_sketch_identical(scalar.sketch(), batched.sketch());
+      // ... and the filter tables hold the same entries.
+      auto ea = scalar.filter().entries();
+      auto eb = batched.filter().entries();
+      const auto by_key = [](const auto& x, const auto& y) { return x.key < y.key; };
+      std::sort(ea.begin(), ea.end(), by_key);
+      std::sort(eb.begin(), eb.end(), by_key);
+      ASSERT_EQ(ea.size(), eb.size()) << "n=" << n;
+      for (std::size_t i = 0; i < ea.size(); ++i) {
+        EXPECT_EQ(ea[i].key, eb[i].key);
+        EXPECT_EQ(ea[i].count, eb[i].count);
+        EXPECT_EQ(ea[i].has_light_part, eb[i].has_light_part);
+      }
+      for (const FlowKey key : keys) {
+        ASSERT_EQ(scalar.query(key), batched.query(key));
+      }
     }
   }
 }
@@ -465,30 +496,11 @@ TEST(BatchEquivalence, ShardedBlockStagedSpansBitExactAcrossSizesAndShards) {
 // index kernel — forced in-process through force_kernel_tier(), must produce
 // bit-identical hashes, indices, tree state, promotion counters, and per-key
 // estimates. The tier only decides how SeededHash::index_batch runs; each
-// tree test drives the full index_batch -> apply_block path under it. The scalar per-key entry points (FcmTree::add, FcmSketch::update)
-// never dispatch, so they are the tier-independent ground truth throughout.
-
-using fcm::common::simd::KernelTier;
-
-// Tiers available on this machine. AVX2 joins the matrix only when the CPU
-// supports it; CI's perf-smoke asserts capable runners actually take it.
-std::vector<KernelTier> equivalence_tiers() {
-  std::vector<KernelTier> tiers{KernelTier::kScalar};
-  if (fcm::common::simd::cpu_supports_avx2()) tiers.push_back(KernelTier::kAvx2);
-  return tiers;
-}
-
-// RAII tier override; restores the probed default on scope exit so test
-// order never leaks a forced tier.
-class ForcedTier {
- public:
-  explicit ForcedTier(KernelTier tier) {
-    fcm::common::simd::force_kernel_tier(tier);
-  }
-  ~ForcedTier() { fcm::common::simd::force_kernel_tier(std::nullopt); }
-  ForcedTier(const ForcedTier&) = delete;
-  ForcedTier& operator=(const ForcedTier&) = delete;
-};
+// tree test drives the full index_batch -> apply_block path under it, and
+// BatchEquivalence.TopKBatchMatchesScalarUpdates drives offer_batch under
+// it. The scalar per-key entry points (FcmTree::add, FcmSketch::update,
+// FcmTopK::update) never dispatch, so they are the tier-independent ground
+// truth throughout.
 
 // Dispatch-matrix sizes: below / straddling / well above both the
 // kBatchBlock stride and the AVX2 index kernel's 8-lane group width.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "flow/synthetic.h"
@@ -49,7 +50,6 @@ TEST(EmFsdEstimator, SplitsObviousCollisions) {
   for (int i = 0; i < 10; ++i) array.counters.push_back(VirtualCounter{12, 1});
   EmConfig config;
   config.max_iterations = 10;
-  config.max_extra_flows = 2;
   const FlowSizeDistribution fsd = EmFsdEstimator({array}, config).run();
   // Exact recovery is not expected; the estimate must keep total mass.
   EXPECT_NEAR(fsd.total_packets(), 90.0 * 11 + 10.0 * 12, 1.0);
@@ -79,15 +79,18 @@ TEST(EmFsdEstimator, MassConservedEachIteration) {
 
 TEST(EmFsdEstimator, PaperOmegaConstraintForMergedCounters) {
   // The §4.3 example: a degree-2 virtual counter of value 9 on a tree with
-  // theta_1 = 2 can only be explained by flows of size >= 3 (each merged
-  // path overflowed); the two-flow combos are {3,6} and {4,5}.
+  // theta_1 = 2 can only be explained by two flows of size >= 3 (each merged
+  // path overflowed); the two-flow combos are {3,6} and {4,5}. Ω adds one
+  // small flow (< ell = 3) colliding into a merged path: {1,3,5}, {1,4,4}
+  // and {2,3,4}.
   const VirtualCounterArray array = single_vc(9, 2, 1024, 2);
   EmConfig config;
   config.max_iterations = 3;
-  config.max_extra_flows = 0;  // exactly-two-flow combos only
   const FlowSizeDistribution fsd = EmFsdEstimator({array}, config).run();
-  EXPECT_NEAR(fsd.counts()[1], 0.0, 1e-9);
-  EXPECT_NEAR(fsd.counts()[2], 0.0, 1e-9);
+  EXPECT_GT(fsd.counts()[1], 0.0);  // {1,3,5} and {1,4,4}
+  EXPECT_GT(fsd.counts()[2], 0.0);  // {2,3,4}
+  EXPECT_LT(fsd.counts()[1] + fsd.counts()[2], 1.0);  // at most one extra flow
+  EXPECT_NEAR(fsd.total_packets(), 9.0, 1e-9);
   EXPECT_NEAR(fsd.counts()[7], 0.0, 1e-9);  // {2,7} is invalid: 2 <= theta
   EXPECT_NEAR(fsd.counts()[8], 0.0, 1e-9);  // {1,8} is invalid
   EXPECT_NEAR(fsd.counts()[9], 0.0, 1e-9);  // one flow cannot merge 2 paths
@@ -97,25 +100,39 @@ TEST(EmFsdEstimator, PaperOmegaConstraintForMergedCounters) {
 }
 
 TEST(EmFsdEstimator, LargeCountersUseFallbackSplit) {
-  // Values above the enumeration cap must still be accounted for.
-  const VirtualCounterArray array = single_vc(100000, 1, 1024, 254);
+  // Values above the enumeration cap (300, inclusive) must still be
+  // accounted for, as one flow.
   EmConfig config;
   config.max_iterations = 2;
-  config.value_enumeration_cap = 300;
-  const FlowSizeDistribution fsd = EmFsdEstimator({array}, config).run();
-  EXPECT_NEAR(fsd.counts()[100000], 1.0, 1e-9);
+  for (const std::uint64_t value : {301u, 100000u}) {
+    const auto fsd = EmFsdEstimator({single_vc(value, 1, 1024, 254)}, config).run();
+    EXPECT_EQ(fsd.counts()[value], 1.0) << value;
+    EXPECT_EQ(fsd.counts()[value - 1], 0.0) << value;
+  }
+  // At the cap the counter is enumerated: {299, 1} gets a (tiny) posterior.
+  const auto at_cap = EmFsdEstimator({single_vc(300, 1, 1024, 254)}, config).run();
+  EXPECT_GT(at_cap.counts()[299], 0.0);
 }
 
 TEST(EmFsdEstimator, HighDegreeFallback) {
-  // Degree above max_enumeration_degree: minimal-flow split.
-  const VirtualCounterArray array = single_vc(2000, 6, 4096, 254);
+  // Degree above the enumeration limit (3, inclusive): minimal-flow split.
   EmConfig config;
   config.max_iterations = 1;
-  config.max_enumeration_degree = 3;
-  const FlowSizeDistribution fsd = EmFsdEstimator({array}, config).run();
+  const auto six = EmFsdEstimator({single_vc(2000, 6, 4096, 254)}, config).run();
   // 5 flows of 255 and one of 2000 - 5*255 = 725.
-  EXPECT_NEAR(fsd.counts()[255], 5.0, 1e-9);
-  EXPECT_NEAR(fsd.counts()[725], 1.0, 1e-9);
+  EXPECT_NEAR(six.counts()[255], 5.0, 1e-9);
+  EXPECT_NEAR(six.counts()[725], 1.0, 1e-9);
+  // Residual 10 over the paths' mandatory 255 each: degree 4 splits into
+  // {255, 255, 255, 265} and nothing else, degree 3 is enumerated and gives
+  // {255, 256, 264} a posterior.
+  const auto four =
+      EmFsdEstimator({single_vc(4 * 255 + 10, 4, 4096, 254)}, config).run();
+  EXPECT_EQ(four.counts()[255], 3.0);
+  EXPECT_EQ(four.counts()[265], 1.0);
+  EXPECT_EQ(four.counts()[256], 0.0);
+  const auto three =
+      EmFsdEstimator({single_vc(3 * 255 + 10, 3, 4096, 254)}, config).run();
+  EXPECT_GT(three.counts()[256], 0.0);
 }
 
 TEST(EmFsdEstimator, MultiTreeAveragesTrees) {
@@ -170,6 +187,67 @@ TEST(EmFsdEstimator, DeterministicAcrossRuns) {
   for (std::size_t j = 0; j < first.counts().size(); ++j) {
     ASSERT_EQ(first.counts()[j], second.counts()[j]) << "size " << j;
   }
+}
+
+// FNV-1a over the IEEE-754 bit patterns of an FSD's counts (and its length):
+// any change to the enumerated combination sets, their weights or the
+// summation order shows up as a different hash.
+std::uint64_t fsd_checksum(const FlowSizeDistribution& fsd) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(fsd.counts().size());
+  for (const double count : fsd.counts()) mix(std::bit_cast<std::uint64_t>(count));
+  return hash;
+}
+
+TEST(EmFsdEstimator, GoldenChecksumPinsTruncationAndThreads) {
+  // A seeded sketch whose virtual counters straddle every truncation
+  // boundary of the Ω enumeration: degree-1 values on both sides of the
+  // value cap, enumerable degree-2 and degree-3 counters, and counters above
+  // the enumeration degree. The pinned hashes fix the FSD bit for bit.
+  flow::SyntheticTraceConfig trace_config;
+  trace_config.packet_count = 60000;
+  trace_config.flow_count = 6000;
+  trace_config.seed = 7;
+  const flow::Trace trace = flow::SyntheticTraceGenerator(trace_config).generate();
+  core::FcmSketch sketch(core::FcmConfig::for_memory(8'000, 2, 8, {4, 8, 32}));
+  for (const flow::Packet& p : trace.packets()) sketch.update(p.key);
+  const std::vector<VirtualCounterArray> arrays = convert_sketch(sketch);
+
+  std::size_t small_single = 0, large_single = 0, merged_enumerable = 0,
+              merged_high_degree = 0;
+  for (const VirtualCounterArray& array : arrays) {
+    const std::uint64_t ell = array.leaf_counting_max + 1;
+    for (const VirtualCounter& vc : array.counters) {
+      if (vc.value == 0) continue;
+      if (vc.degree == 1) {
+        ++(vc.value <= 300 ? small_single : large_single);
+      } else if (vc.degree <= 3) {
+        const std::uint64_t minimum = vc.degree * ell;
+        merged_enumerable += vc.value >= minimum && vc.value - minimum <= 300;
+      } else {
+        ++merged_high_degree;
+      }
+    }
+  }
+  EXPECT_GT(small_single, 0u);
+  EXPECT_GT(large_single, 0u);
+  EXPECT_GT(merged_enumerable, 0u);
+  EXPECT_GT(merged_high_degree, 0u);
+
+  EmConfig config;
+  config.max_iterations = 3;
+  config.thread_count = 1;
+  const std::uint64_t single = fsd_checksum(EmFsdEstimator(arrays, config).run());
+  config.thread_count = 4;
+  const std::uint64_t multi = fsd_checksum(EmFsdEstimator(arrays, config).run());
+  EXPECT_EQ(single, 0x30f0be2b6ec3299dull);
+  EXPECT_EQ(multi, 0xcd0ab0ef397e96e4ull);
 }
 
 TEST(EmFsdEstimator, IterationCallbackInvoked) {

@@ -86,6 +86,20 @@ TEST(FcmP4Program, ClearResetsRegisters) {
   EXPECT_EQ(program.query(flow::FlowKey{5}), 0u);
 }
 
+// --- TCAM cardinality on the P4 program -------------------------------------
+
+TEST(FcmP4Cardinality, TcamMatchesExactWithinBudget) {
+  FcmP4Program program(pipeline_config(8, 11));
+  for (std::uint32_t i = 1; i <= 500; ++i) {
+    program.update(flow::FlowKey{i * 2654435761u});
+  }
+  const double tcam = program.estimate_cardinality_tcam();
+  EXPECT_NEAR(tcam, 500.0, 500.0 * 0.08 + 5.0);
+  // Table is orders smaller than a per-w0 table.
+  EXPECT_LT(program.cardinality_table().entry_count(),
+            program.config().leaf_count);
+}
+
 // --- hardware TopK -----------------------------------------------------------
 
 TEST(HardwareTopKFilter, AbsoluteVoteEviction) {

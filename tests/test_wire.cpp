@@ -96,9 +96,6 @@ std::size_t filter_body_bytes(const framework::FcmFramework::Options& o) {
 void expect_same_policy(const control::EmConfig& got,
                         const control::EmConfig& want) {
   EXPECT_EQ(got.max_iterations, want.max_iterations);
-  EXPECT_EQ(got.value_enumeration_cap, want.value_enumeration_cap);
-  EXPECT_EQ(got.max_extra_flows, want.max_extra_flows);
-  EXPECT_EQ(got.max_enumeration_degree, want.max_enumeration_degree);
   EXPECT_EQ(got.thread_count, want.thread_count);
 }
 
@@ -145,7 +142,6 @@ TEST(WireRoundTrip, EmptyObjectsRoundTrip) {
 TEST(WireRoundTrip, ReceiverOwnsAnalysisPolicy) {
   auto sender = plain_options();
   sender.em.max_iterations = 1;
-  sender.em.value_enumeration_cap = 50;
   sender.em.thread_count = 4;
   auto receiver = plain_options();
   receiver.em.max_iterations = 3;
