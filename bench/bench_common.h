@@ -4,19 +4,23 @@
 // DESIGN.md §3). Traces and sketch memory are both scaled by FCM_SCALE
 // (default 0.15) so the sketches operate at the paper's load factor; run
 // with FCM_SCALE=full for the paper's exact 20M-packet / 1.5MB setup.
+// FCM_TRACE=<capture.pcap> swaps the synthetic CAIDA-like trace for a real
+// pcap or pcapng capture (e.g. a CAIDA Equinix trace), decoded by the
+// hardened datapath (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "datapath/capture_ingest.h"
 #include "fcm/fcm_estimator.h"
 #include "flow/synthetic.h"
-#include "flow/trace_io.h"
 #include "metrics/evaluator.h"
 #include "metrics/table.h"
 #include "obs/metrics_registry.h"
@@ -89,13 +93,31 @@ struct Workload {
         hh_threshold(metrics::heavy_hitter_threshold(truth)) {}
 };
 
-// A real capture (converted with flow::save_trace) can replace the
-// synthetic CAIDA-like trace via the FCM_TRACE environment variable.
+// The synthetic CAIDA-like trace, or the capture FCM_TRACE names. A capture
+// is decoded like pcap_demo's: flow key FiveTuple::source_key(), bytes the
+// original wire length; its decode ledger is printed, and a capture that
+// cannot be decoded ends the bench with exit status 1.
 inline Workload caida_workload(double scale, std::uint64_t seed = 1) {
-  if (auto trace = flow::load_trace_from_env()) {
-    return Workload(std::move(*trace));
+  // getenv is read-only here and nothing in the tree calls setenv, so the
+  // data race concurrency-mt-unsafe guards against cannot occur.
+  const char* path = std::getenv("FCM_TRACE");  // NOLINT(concurrency-mt-unsafe)
+  if (path == nullptr || *path == '\0') {
+    return Workload(flow::SyntheticTraceGenerator::caida_like(scale, seed));
   }
-  return Workload(flow::SyntheticTraceGenerator::caida_like(scale, seed));
+  datapath::DecodedCapture capture;
+  try {
+    capture = datapath::load_capture(path);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bench: cannot decode FCM_TRACE %s: %s\n", path,
+                 error.what());
+    std::exit(1);
+  }
+  std::printf("capture %s: records %llu, parsed %llu, parse failures %llu\n",
+              path,
+              static_cast<unsigned long long>(capture.stats.capture.records),
+              static_cast<unsigned long long>(capture.stats.parsed),
+              static_cast<unsigned long long>(capture.stats.parse_failures()));
+  return Workload(std::move(capture.trace));
 }
 
 inline Workload zipf_workload(double alpha, double scale, std::uint64_t seed = 1) {

@@ -327,12 +327,4 @@ FlowSizeDistribution EmFsdEstimator::run(const IterationCallback& callback) {
   return current_;
 }
 
-FlowSizeDistribution estimate_fsd(const core::FcmSketch& sketch, EmConfig config) {
-  return EmFsdEstimator(convert_sketch(sketch), config).run();
-}
-
-FlowSizeDistribution estimate_fsd(const VirtualCounterArray& array, EmConfig config) {
-  return EmFsdEstimator({array}, config).run();
-}
-
 }  // namespace fcm::control

@@ -30,7 +30,10 @@ struct EmConfig {
   // own Options::metrics so one knob controls the whole pipeline.
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
 
-  // Worker threads for the per-iteration scan (Fig. 9a's FCM(m) mode).
+  // Worker threads for the per-iteration scan (Fig. 9a's FCM(m) mode). The
+  // FSD's low bits depend on it: each thread sums its strided share of the
+  // groups into its own partial, and the partials are added in thread order,
+  // so 1 and 4 threads give different golden checksums.
   std::size_t thread_count = 1;
 };
 
@@ -86,9 +89,5 @@ class EmFsdEstimator {
   std::uint64_t max_value_ = 0;
   FlowSizeDistribution current_;
 };
-
-// Convenience drivers.
-FlowSizeDistribution estimate_fsd(const core::FcmSketch& sketch, EmConfig config = {});
-FlowSizeDistribution estimate_fsd(const VirtualCounterArray& array, EmConfig config = {});
 
 }  // namespace fcm::control

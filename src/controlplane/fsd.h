@@ -18,10 +18,6 @@ class FlowSizeDistribution {
   const std::vector<double>& counts() const noexcept { return counts_; }
   std::vector<double>& counts() noexcept { return counts_; }
 
-  std::size_t max_size() const noexcept {
-    return counts_.empty() ? 0 : counts_.size() - 1;
-  }
-
   // Total estimated number of flows (n in the paper).
   double total_flows() const noexcept;
 

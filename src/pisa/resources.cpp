@@ -12,9 +12,6 @@ std::size_t blocks_for_array(std::size_t bytes, const PipelineBudget& budget) {
 
 }  // namespace
 
-double ResourceUsage::stage_fraction(const PipelineBudget& b) const {
-  return static_cast<double>(stages) / static_cast<double>(b.stages);
-}
 double ResourceUsage::salu_percent(const PipelineBudget& b) const {
   return 100.0 * static_cast<double>(salus) / static_cast<double>(b.salus_total());
 }

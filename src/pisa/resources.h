@@ -44,7 +44,6 @@ struct ResourceUsage {
   std::size_t vliw_actions = 0;
   std::size_t tcam_entries = 0;
 
-  double stage_fraction(const PipelineBudget& b) const;
   double salu_percent(const PipelineBudget& b) const;
   double sram_percent(const PipelineBudget& b) const;
   double hash_percent(const PipelineBudget& b) const;

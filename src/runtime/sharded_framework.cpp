@@ -465,7 +465,13 @@ ShardedFcmFramework::EpochReport ShardedFcmFramework::rotate() {
 ShardedFcmFramework::EpochReport ShardedFcmFramework::wait_epoch(
     std::size_t index) {
   common::MutexLock lock(mutex_);
-  while (epochs_merged_ <= index) cv_.wait(lock);
+  while (epochs_merged_ <= index) {
+    // A stopped coordinator merges nothing more: this epoch never closes.
+    FCM_REQUIRE(!coordinator_stop_,
+                "ShardedFcmFramework: epoch " + std::to_string(index) +
+                    " never closed before stop()");
+    cv_.wait(lock);
+  }
   const std::size_t oldest = history_.front().report.index;
   FCM_REQUIRE(index >= oldest, "ShardedFcmFramework: epoch " +
                                    std::to_string(index) +

@@ -198,6 +198,9 @@ class ShardedFcmFramework {
 
   // --- results (any thread) ----------------------------------------------
   // Blocks until epoch `index` (a rotate_async() return value) is merged.
+  // Waiting ahead of rotate_async() is fine while the runtime runs. Throws
+  // ContractViolation once stop() has finished with the epoch unmerged,
+  // waking any caller blocked in here at that point.
   EpochReport wait_epoch(std::size_t index);
 
   // Copy of the merged framework for a completed epoch, `back` epochs before

@@ -9,31 +9,6 @@
 
 namespace fcm::sketch {
 
-LinearCounting::LinearCounting(std::size_t bits, std::uint64_t seed)
-    : hash_(common::make_hash(seed, 0)), bitmap_(bits, false) {
-  if (bits == 0) throw std::invalid_argument("LinearCounting: bits must be positive");
-}
-
-void LinearCounting::update(flow::FlowKey key) {
-  bitmap_[hash_.index(key, bitmap_.size())] = true;
-}
-
-std::size_t LinearCounting::zero_bits() const {
-  return static_cast<std::size_t>(
-      std::count(bitmap_.begin(), bitmap_.end(), false));
-}
-
-double LinearCounting::estimate() const {
-  const double m = static_cast<double>(bitmap_.size());
-  double zeros = static_cast<double>(zero_bits());
-  if (zeros < 0.5) zeros = 0.5;  // saturated bitmap guard
-  return -m * std::log(zeros / m);
-}
-
-void LinearCounting::clear() {
-  std::fill(bitmap_.begin(), bitmap_.end(), false);
-}
-
 HyperLogLog::HyperLogLog(std::size_t register_count, std::uint64_t seed)
     : hash_(common::make_hash(seed, 0)) {
   if (register_count < 16 || !common::is_power_of_two(register_count)) {

@@ -1,8 +1,6 @@
-// Cardinality estimators: Linear Counting [Whang et al. 1990] and
-// HyperLogLog [Flajolet et al. 2007]. HLL is the paper's cardinality
-// baseline (8-bit register array, §7.1); Linear Counting is what FCM uses on
-// its own leaf stage (§3.3) and is provided standalone for tests and
-// comparison.
+// HyperLogLog [Flajolet et al. 2007], the paper's cardinality baseline
+// (8-bit register array, §7.1). FCM's own estimate is linear counting on its
+// leaf stage (§3.3, FcmSketch::estimate_cardinality).
 #pragma once
 
 #include <cstdint>
@@ -12,23 +10,6 @@
 #include "flow/flow_key.h"
 
 namespace fcm::sketch {
-
-class LinearCounting {
- public:
-  explicit LinearCounting(std::size_t bits, std::uint64_t seed = 0x11c0);
-
-  void update(flow::FlowKey key);
-  double estimate() const;
-
-  std::size_t memory_bytes() const { return bitmap_.size() / 8; }
-  std::size_t bit_count() const { return bitmap_.size(); }
-  std::size_t zero_bits() const;
-  void clear();
-
- private:
-  common::SeededHash hash_;
-  std::vector<bool> bitmap_;
-};
 
 class HyperLogLog {
  public:

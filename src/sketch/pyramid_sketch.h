@@ -40,8 +40,6 @@ class PyramidCmSketch : public FrequencyEstimator {
   std::string name() const override { return "PCM"; }
   void clear() override;
 
-  std::size_t layer_count() const noexcept { return layers_.size(); }
-
  private:
   static constexpr std::uint8_t kLeafMax = 15;        // 4-bit pure counter
   static constexpr std::uint8_t kCountMask = 0x3;     // 2 counting bits

@@ -158,16 +158,9 @@ TEST(HashPipe, MemoryAccounting) {
   EXPECT_EQ(HashPipe::for_memory(48'000).memory_bytes(), 48'000u);
 }
 
-// --- Linear counting / HyperLogLog ------------------------------------------
+// --- HyperLogLog -------------------------------------------------------------
 
 class CardinalityTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(CardinalityTest, LinearCountingWithinFivePercent) {
-  const std::size_t n = GetParam();
-  LinearCounting lc(8 * n + 64);
-  for (std::uint32_t i = 0; i < n; ++i) lc.update(flow::FlowKey{i * 2654435761u + 1});
-  EXPECT_NEAR(lc.estimate(), static_cast<double>(n), std::max(8.0, n * 0.05));
-}
 
 TEST_P(CardinalityTest, HyperLogLogWithinTenPercent) {
   const std::size_t n = GetParam();
@@ -178,12 +171,6 @@ TEST_P(CardinalityTest, HyperLogLogWithinTenPercent) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CardinalityTest,
                          ::testing::Values(10, 100, 1000, 10000, 100000));
-
-TEST(LinearCounting, DuplicatesDoNotInflate) {
-  LinearCounting lc(1024);
-  for (int i = 0; i < 1000; ++i) lc.update(flow::FlowKey{42});
-  EXPECT_NEAR(lc.estimate(), 1.0, 0.51);
-}
 
 TEST(HyperLogLog, RejectsBadRegisterCount) {
   EXPECT_THROW(HyperLogLog(15), std::invalid_argument);

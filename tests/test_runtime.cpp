@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <random>
@@ -785,7 +786,6 @@ TEST(ShardedRuntime, StopClosesUnrotatedTailAsFinalEpoch) {
       for (const Packet& packet : trace) sharded.ingest(packet);
       sharded.stop();
 
-      // ASSERT, not EXPECT: wait_epoch on an epoch that never closes blocks.
       ASSERT_EQ(sharded.epochs_completed(), earlier_epochs + 1);
       const ShardedFcmFramework::EpochReport tail =
           sharded.wait_epoch(earlier_epochs);
@@ -801,6 +801,41 @@ TEST(ShardedRuntime, StopClosesUnrotatedTailAsFinalEpoch) {
       sharded.check_invariants();
     }
   }
+}
+
+// wait_epoch() may run ahead of the driver, but once stop() has finished an
+// epoch that never closed can never be merged: waiting on it throws instead
+// of blocking forever, both for a caller already blocked when stop() ends
+// and for one that arrives afterwards.
+TEST(ShardedRuntime, WaitEpochOnAnEpochThatNeverClosedThrowsAfterStop) {
+  ShardedFcmFramework::Options options;
+  options.framework = small_framework_options();
+  options.shard_count = 2;
+  ShardedFcmFramework sharded(options);
+
+  std::size_t ahead_index = 99;
+  std::thread ahead([&] { ahead_index = sharded.wait_epoch(0).index; });
+  bool blocked_threw = false;
+  std::thread blocked([&] {
+    try {
+      sharded.wait_epoch(1);
+    } catch (const ContractViolation&) {
+      blocked_threw = true;
+    }
+  });
+  // Give both waiters time to block; either order is correct.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  sharded.ingest(Packet{FlowKey{7}, 1, 0});
+  EXPECT_EQ(sharded.rotate_async(), 0u);
+  ahead.join();
+  EXPECT_EQ(ahead_index, 0u);
+
+  sharded.stop();  // no traffic since the rotation: epoch 1 never closes
+  blocked.join();
+  EXPECT_TRUE(blocked_threw);
+  EXPECT_EQ(sharded.epochs_completed(), 1u);
+  EXPECT_THROW(sharded.wait_epoch(1), ContractViolation);
+  EXPECT_EQ(sharded.wait_epoch(0).index, 0u);
 }
 
 // --- heavy-flow cache counters ---------------------------------------------

@@ -257,7 +257,7 @@ TEST(WireHostile, HeaderCorruptionsThrow) {
 // A flipped bit anywhere in the payload must either throw a
 // ContractViolation or produce a framework that still passes its deep
 // invariants — never UB, never bad_alloc, never a structurally broken
-// sketch (fuzz-lite, same posture as test_trace_io). Each payload byte gets
+// sketch (fuzz-lite, same posture as test_pcap). Each payload byte gets
 // one flip, rotating through its eight bits so every bit position of every
 // multi-byte count field is hit somewhere.
 TEST(WireHostile, PayloadBitFlipsNeverBreakInvariants) {
