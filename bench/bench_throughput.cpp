@@ -24,8 +24,6 @@
 //        --kernels-only        run just the kernel-tier study and write a
 //                              small fcm.bench.kernels.v1 JSON (CI perf-smoke
 //                              runs this once per FCM_FORCE_KERNEL tier)
-//        --sweep               run the flush_batch x queue_capacity operating-
-//                              point sweep instead (table for EXPERIMENTS.md)
 //        --json=PATH           where to write the JSON (default
 //                              BENCH_throughput.json in the CWD)
 //        --seed=N              trace seed (default 1; common/random.h PRNG)
@@ -347,56 +345,6 @@ std::vector<ScalingPoint> run_scaling_study(const flow::Trace& trace) {
     points.push_back(point);
   }
   return points;
-}
-
-// --- block/ring operating-point sweep (--sweep) -------------------------------
-
-// Grid over the two hand-off knobs: flush_batch (block size == the
-// process_batch run length workers pop) and queue_capacity (ring depth in
-// items; blocks = capacity / flush_batch). Printed as a table for
-// EXPERIMENTS.md — the defaults committed in Options are chosen from this
-// sweep, not hard-coded on faith. Best-of-3 per cell (a full grid at
-// best-of-9 would run for minutes without changing the ranking).
-void run_block_sweep(const flow::Trace& trace) {
-  framework::FcmFramework::Options fw;
-  fw.fcm = core::FcmConfig::for_memory(kMemory, 2, 8, {8, 16, 32});
-  std::vector<flow::FlowKey> keys;
-  keys.reserve(trace.size());
-  for (const flow::Packet& packet : trace.packets()) keys.push_back(packet.key);
-  const std::span<const flow::FlowKey> key_span(keys);
-
-  constexpr std::size_t kFlushBatches[] = {16, 32, 64, 128, 256};
-  constexpr std::size_t kCapacities[] = {1 << 12, 1 << 14, 1 << 16};
-  for (const std::size_t shards : {1u, 4u}) {
-    std::printf("\nblock sweep, %u shard%s (batch ingest pps, best of 3)\n",
-                static_cast<unsigned>(shards), shards == 1 ? "" : "s");
-    std::printf("%-14s", "flush_batch");
-    for (const std::size_t capacity : kCapacities) {
-      std::printf(" %11s=%-5zu", "capacity", capacity);
-    }
-    std::printf("\n");
-    for (const std::size_t flush_batch : kFlushBatches) {
-      std::printf("%-14zu", flush_batch);
-      for (const std::size_t capacity : kCapacities) {
-        double best = 0.0;
-        for (int r = 0; r < 3; ++r) {
-          runtime::ShardedFcmFramework::Options options;
-          options.framework = fw;
-          options.shard_count = shards;
-          options.flush_batch = flush_batch;
-          options.queue_capacity = capacity;
-          options.metrics = nullptr;
-          runtime::ShardedFcmFramework sharded(options);
-          best = std::max(best, time_packets_per_sec(trace, [&] {
-                            sharded.ingest(key_span);
-                            sharded.rotate();
-                          }));
-        }
-        std::printf(" %17.0f", best);
-      }
-      std::printf("\n");
-    }
-  }
 }
 
 // --- heavy-flow-cache study --------------------------------------------------
@@ -746,7 +694,6 @@ int main(int argc, char** argv) {
 
   bool scaling_only = false;
   bool kernels_only = false;
-  bool sweep = false;
   std::string json_path = "BENCH_throughput.json";
   std::vector<char*> forwarded;
   for (std::size_t i = 0; i < cli.forwarded.size(); ++i) {
@@ -757,8 +704,6 @@ int main(int argc, char** argv) {
       scaling_only = true;
     } else if (arg == "--kernels-only") {
       kernels_only = true;
-    } else if (arg == "--sweep") {
-      sweep = true;
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
     } else {
@@ -767,13 +712,6 @@ int main(int argc, char** argv) {
   }
 
   const fcm::flow::Trace& trace = scaling_trace();
-  if (sweep) {
-    // Operating-point sweep only: the table EXPERIMENTS.md records the
-    // flush_batch / queue_capacity choice from.
-    run_block_sweep(trace);
-    cli.finish();
-    return 0;
-  }
   if (kernels_only) {
     // CI perf-smoke entry: one fast kernel-tier datapoint (all tiers when
     // unforced, just the forced one under FCM_FORCE_KERNEL), small JSON.

@@ -74,46 +74,39 @@ AggregationService::AggregationService(Options options)
 
   obs::MetricsRegistry* registry = options_.metrics;
   if (registry == nullptr) return;
-  auto base_labels = [&]() -> std::vector<obs::MetricLabel> {
-    if (options_.metrics_instance.empty()) return {};
-    return {{"instance", options_.metrics_instance}};
-  };
   auto instruments = std::make_unique<Instruments>();
   for (const DeliveryStatus status : kAllStatuses) {
-    std::vector<obs::MetricLabel> labels = base_labels();
-    labels.push_back({"status", to_string(status)});
     instruments->by_status[static_cast<std::size_t>(status)] =
-        &registry->counter("fcm_agg_snapshots_total", std::move(labels),
+        &registry->counter("fcm_agg_snapshots_total",
+                           {{"status", to_string(status)}},
                            "Snapshot deliveries by outcome");
   }
   instruments->vantage_bytes.reserve(options_.vantage_count);
   for (std::size_t v = 0; v < options_.vantage_count; ++v) {
-    std::vector<obs::MetricLabel> labels = base_labels();
-    labels.push_back({"vantage", std::to_string(v)});
     instruments->vantage_bytes.push_back(
-        &registry->counter("fcm_agg_vantage_bytes_total", std::move(labels),
+        &registry->counter("fcm_agg_vantage_bytes_total",
+                           {{"vantage", std::to_string(v)}},
                            "Wire bytes accepted per vantage point"));
   }
   instruments->merge_seconds = &registry->histogram(
-      "fcm_agg_merge_seconds", obs::Histogram::latency_bounds(), base_labels(),
+      "fcm_agg_merge_seconds", obs::Histogram::latency_bounds(), {},
       "Per-snapshot deserialize-free merge time into the pending epoch");
   instruments->publish_seconds = &registry->histogram(
-      "fcm_agg_publish_seconds", obs::Histogram::latency_bounds(),
-      base_labels(),
+      "fcm_agg_publish_seconds", obs::Histogram::latency_bounds(), {},
       "View derivation (HH, cardinality, heavy change, optional EM) + "
       "install time per published epoch");
   instruments->published_epoch = &registry->gauge(
-      "fcm_agg_published_epoch", base_labels(),
+      "fcm_agg_published_epoch", {},
       "Highest epoch published to the query plane (the staleness watermark)");
   instruments->pending_epochs = &registry->gauge(
-      "fcm_agg_pending_epochs", base_labels(),
+      "fcm_agg_pending_epochs", {},
       "Epochs buffered waiting for straggler vantage points");
   instruments->staleness_epochs = &registry->gauge(
-      "fcm_agg_staleness_epochs", base_labels(),
+      "fcm_agg_staleness_epochs", {},
       "Newest pending epoch minus the published watermark (how far the "
       "query plane lags ingest)");
   instruments->forced_publishes = &registry->counter(
-      "fcm_agg_forced_publishes_total", base_labels(),
+      "fcm_agg_forced_publishes_total", {},
       "Epochs published partial (watchdog overflow or finalize calls)");
   instruments_ = std::move(instruments);
 }

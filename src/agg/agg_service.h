@@ -99,10 +99,8 @@ class AggregationService {
     // Telemetry (DESIGN.md §8): snapshot/reject counters, per-vantage
     // bytes, merge/publish latency, staleness. nullptr runs uninstrumented;
     // the single-knob rule applies — this overrides reference.metrics.
+    // Series carry no instance label: give each service its own registry.
     obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
-    // Label distinguishing this service's series when several share one
-    // registry.
-    std::string metrics_instance;
   };
 
   explicit AggregationService(Options options);

@@ -98,22 +98,19 @@ void HeavyFlowCache::check_invariants() const {
              "HeavyFlowCache: more evictions than offers");
 }
 
-CacheMetrics::CacheMetrics(obs::MetricsRegistry* registry,
-                           const std::string& instance) {
+CacheMetrics::CacheMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
-  std::vector<obs::MetricLabel> labels;
-  if (!instance.empty()) labels.push_back({"instance", instance});
   hits_ = &registry->counter(
-      "fcm_datapath_cache_hits_total", labels,
+      "fcm_datapath_cache_hits_total", {},
       "Packets absorbed exactly by a resident heavy-flow cache entry");
   misses_ = &registry->counter(
-      "fcm_datapath_cache_misses_total", labels,
+      "fcm_datapath_cache_misses_total", {},
       "Packets that installed or displaced a heavy-flow cache entry");
   evictions_ = &registry->counter(
-      "fcm_datapath_cache_evictions_total", labels,
+      "fcm_datapath_cache_evictions_total", {},
       "Flows displaced from the heavy-flow cache and demoted to the sketch");
   resident_flows_ = &registry->gauge(
-      "fcm_datapath_cache_resident_flows", labels,
+      "fcm_datapath_cache_resident_flows", {},
       "Flows held exactly in the heavy-flow cache at the last publish");
 }
 

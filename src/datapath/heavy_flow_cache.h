@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -139,7 +138,7 @@ class HeavyFlowCache {
 // gauge. A null registry makes publish() a no-op.
 class CacheMetrics {
  public:
-  CacheMetrics(obs::MetricsRegistry* registry, const std::string& instance);
+  explicit CacheMetrics(obs::MetricsRegistry* registry);
 
   void publish(const HeavyFlowCache& cache);
 

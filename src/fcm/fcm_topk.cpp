@@ -37,40 +37,6 @@ void FcmTopK::update(flow::FlowKey key) {
   }
 }
 
-void FcmTopK::add_batch(std::span<const flow::FlowKey> keys) {
-  sketch::TopKFilter::Offer offers[common::kBatchBlock];
-  flow::FlowKey pending[common::kBatchBlock];
-  for (std::size_t base = 0; base < keys.size(); base += common::kBatchBlock) {
-    const std::size_t n = std::min(common::kBatchBlock, keys.size() - base);
-    const auto block = keys.subspan(base, n);
-    filter_.offer_batch(block, std::span<sketch::TopKFilter::Offer>(offers, n));
-    // Kept packets never reach the sketch, so dropping them leaves the
-    // relative order of sketch writes untouched. Pass-through keys compact
-    // into `pending` and drain as one sketch batch; an eviction flush must
-    // land between the pass-through updates around it, so it drains the run
-    // first.
-    std::size_t n_pending = 0;
-    const auto drain = [&] {
-      sketch_.add_batch(std::span<const flow::FlowKey>(pending, n_pending));
-      n_pending = 0;
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      switch (offers[i].outcome) {
-        case sketch::TopKFilter::Offer::Outcome::kKept:
-          break;
-        case sketch::TopKFilter::Offer::Outcome::kPassThrough:
-          pending[n_pending++] = block[i];
-          break;
-        case sketch::TopKFilter::Offer::Outcome::kEvicted:
-          drain();
-          sketch_.add(offers[i].evicted_key, offers[i].evicted_count);
-          break;
-      }
-    }
-    drain();
-  }
-}
-
 void FcmTopK::add_weighted(flow::FlowKey key, std::uint64_t count) {
   sketch_.add(key, count);
   // If the flow holds a filter entry, its sketch-side residue must be made

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 
 #include "fcm/fcm_sketch.h"
@@ -29,16 +28,10 @@ class FcmTopK {
                             std::size_t k = 16, std::size_t topk_entries = 4096,
                             std::uint64_t seed = 0x5555aaaa);
 
+  // One packet: the filter's offer decides whether it is kept, passes
+  // through to the sketch, or evicts an incumbent into it. Applied key by
+  // key, also under FcmFramework::process_batch (DESIGN.md §9).
   void update(flow::FlowKey key);
-
-  // Batched per-packet update (DESIGN.md §9): equivalent to update(key) for
-  // each key in order, bit-exact in filter state, sketch state, and the
-  // sketch's heavy-hitter set. The filter consumes each block through
-  // offer_batch; the sketch-side operations the offers imply (pass-through
-  // updates and eviction flushes) are then applied in the scalar order —
-  // pending pass-through keys are drained through FcmSketch::add_batch
-  // before every eviction flush, so no sketch write is reordered.
-  void add_batch(std::span<const flow::FlowKey> keys);
 
   // Weighted bulk insert: `count` packets of `key` land in the FCM sketch in
   // one add, exactly as an eviction flush would deposit them — the datapath

@@ -71,7 +71,9 @@ void FcmFramework::process(std::span<const flow::Packet> packets) {
 
 void FcmFramework::process_batch(std::span<const flow::FlowKey> keys) {
   if (with_topk_) {
-    with_topk_->add_batch(keys);
+    // The filter's vote state machine is sequential; the batched kernel
+    // serves the plain-FCM plane.
+    for (const flow::FlowKey key : keys) with_topk_->update(key);
   } else {
     plain_->add_batch(keys);
   }

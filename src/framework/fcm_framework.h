@@ -67,9 +67,10 @@ class FcmFramework {
   void process(std::span<const flow::Packet> packets);
 
   // Batched per-packet ingest (DESIGN.md §9): equivalent to process(key) for
-  // each key in order, bit-exact — routed to FcmSketch::add_batch or
-  // FcmTopK::add_batch (bulk hashing, level-1 prefetch, compacted level-1
-  // and level-2 passes ahead of the carry walk). The span overload of
+  // each key in order, bit-exact. The plain-FCM plane runs
+  // FcmSketch::add_batch (bulk hashing, level-1 prefetch, compacted level-1
+  // and level-2 passes ahead of the carry walk); the Top-K plane applies
+  // FcmTopK::update key by key. The span overload of
   // process() feeds packet keys through this in kPackets mode; kBytes stays
   // per-packet (the increment is data-dependent).
   void process_batch(std::span<const flow::FlowKey> keys);

@@ -61,12 +61,7 @@ void MetricsLogger::run(const std::stop_token& token) {
 
 void MetricsLogger::write_snapshot() {
   // Called with mutex_ held.
-  const MetricsSnapshot snap = registry_.snapshot();
-  if (options_.format == Format::kJsonLines) {
-    out_ << compact_json(snap.to_json()) << "\n";
-  } else {
-    out_ << snap.to_prometheus() << "\n";
-  }
+  out_ << compact_json(registry_.snapshot().to_json()) << "\n";
   out_.flush();
   ++snapshots_written_;
 }

@@ -1,8 +1,8 @@
 // Periodic metrics export for long-running ingest (DESIGN.md §8).
 //
 // A background jthread scrapes a MetricsRegistry every `interval` and
-// appends the snapshot to a file (JSON-lines: one compacted "fcm.metrics.v1"
-// object per line) or the Prometheus text format. stop() / destruction is
+// appends the snapshot to a file as JSON lines (one compacted
+// "fcm.metrics.v1" object per line). stop() / destruction is
 // prompt: the sleep is a stop_token-aware condition wait, not a plain
 // sleep_for.
 #pragma once
@@ -21,12 +21,9 @@ namespace fcm::obs {
 
 class MetricsLogger {
  public:
-  enum class Format { kJsonLines, kPrometheus };
-
   struct Options {
     std::string path;  // appended to; must be non-empty
     std::chrono::milliseconds interval{1000};
-    Format format = Format::kJsonLines;
     // Also write one final snapshot on stop(), so short runs still record.
     bool flush_on_stop = true;
   };

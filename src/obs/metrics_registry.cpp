@@ -25,8 +25,8 @@ const char* kind_name(MetricKind kind) {
 }
 
 // Shortest round-trippable double formatting (so bucket edges render as
-// "0.1", not "0.10000000000000001"). Finite values only; non-finite handling
-// is exporter-specific — see fmt_double_json / fmt_double_prom.
+// "0.1", not "0.10000000000000001"). Finite values only; see
+// fmt_double_json and fmt_bucket_edge for the non-finite spellings.
 std::string fmt_double(double v) {
   char buffer[64];
   for (const int precision : {15, 16, 17}) {
@@ -44,9 +44,9 @@ std::string fmt_double_json(double v) {
   return fmt_double(v);
 }
 
-// The Prometheus text exposition format supports NaN/+Inf/-Inf spellings;
-// pass them through so bad gauges stay distinguishable from real zeros.
-std::string fmt_double_prom(double v) {
+// A histogram bucket edge is a quoted `le` string, so a non-finite edge can
+// keep its Prometheus spelling ("+Inf", as the implicit last bucket has).
+std::string fmt_bucket_edge(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   return fmt_double(v);
@@ -96,50 +96,6 @@ std::string render_labels_json(const std::vector<MetricLabel>& labels) {
   return out;
 }
 
-// Label-VALUE escaping per the Prometheus text exposition format 0.0.4:
-// backslash, double-quote and newline must be escaped or the line is
-// unparseable (e.g. a metrics_instance containing '"').
-std::string prom_escape_label(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-// Prometheus label block, optionally with an extra `le` pair (histograms).
-std::string render_labels_prom(const std::vector<MetricLabel>& labels,
-                               const std::string& extra_key = "",
-                               const std::string& extra_value = "") {
-  if (labels.empty() && extra_key.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const MetricLabel& label : labels) {
-    if (!first) out += ",";
-    first = false;
-    out += label.key + "=\"" + prom_escape_label(label.value) + "\"";
-  }
-  if (!extra_key.empty()) {
-    if (!first) out += ",";
-    out += extra_key + "=\"" + prom_escape_label(extra_value) + "\"";
-  }
-  out += "}";
-  return out;
-}
-
 std::string series_key(const std::string& name,
                        const std::vector<MetricLabel>& labels) {
   std::string key = name;
@@ -183,7 +139,7 @@ std::vector<double> Histogram::exponential_bounds(double start, double factor,
   return bounds;
 }
 
-// --- MetricsSnapshot exporters ----------------------------------------------
+// --- MetricsSnapshot exporter ----------------------------------------------
 
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream out;
@@ -201,15 +157,10 @@ std::string MetricsSnapshot::to_json() const {
       for (std::size_t b = 0; b < h.bucket_counts.size(); ++b) {
         cumulative += h.bucket_counts[b];
         if (b > 0) out << ", ";
-        out << "{\"le\": ";
-        if (b < h.bounds.size()) {
-          // `le` is a quoted string, so the Prometheus spellings (including
-          // "+Inf" for an infinite edge) are safe here too.
-          out << "\"" << fmt_double_prom(h.bounds[b]) << "\"";
-        } else {
-          out << "\"+Inf\"";
-        }
-        out << ", \"count\": " << cumulative << "}";
+        const std::string le =
+            b < h.bounds.size() ? fmt_bucket_edge(h.bounds[b]) : "+Inf";
+        out << "{\"le\": \"" << le << "\", \"count\": " << cumulative
+            << "}";
       }
       out << "]";
     } else {
@@ -220,37 +171,6 @@ std::string MetricsSnapshot::to_json() const {
     out << "\n";
   }
   out << "  ]\n}\n";
-  return out.str();
-}
-
-std::string MetricsSnapshot::to_prometheus() const {
-  std::ostringstream out;
-  std::string last_name;
-  for (const Sample& s : samples) {
-    if (s.name != last_name) {
-      if (!s.help.empty()) out << "# HELP " << s.name << " " << s.help << "\n";
-      out << "# TYPE " << s.name << " " << kind_name(s.kind) << "\n";
-      last_name = s.name;
-    }
-    if (s.kind == MetricKind::kHistogram && s.histogram.has_value()) {
-      const HistogramData& h = *s.histogram;
-      std::uint64_t cumulative = 0;
-      for (std::size_t b = 0; b < h.bucket_counts.size(); ++b) {
-        cumulative += h.bucket_counts[b];
-        const std::string le =
-            b < h.bounds.size() ? fmt_double_prom(h.bounds[b]) : "+Inf";
-        out << s.name << "_bucket" << render_labels_prom(s.labels, "le", le)
-            << " " << cumulative << "\n";
-      }
-      out << s.name << "_sum" << render_labels_prom(s.labels) << " "
-          << fmt_double_prom(h.sum) << "\n";
-      out << s.name << "_count" << render_labels_prom(s.labels) << " "
-          << h.count << "\n";
-    } else {
-      out << s.name << render_labels_prom(s.labels) << " "
-          << fmt_double_prom(s.value) << "\n";
-    }
-  }
   return out.str();
 }
 
@@ -397,20 +317,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.samples.push_back(std::move(sample));
   }
   return snap;
-}
-
-void MetricsRegistry::reset_values() {
-  common::MutexLock lock(mutex_);
-  for (const auto& entry : entries_) {
-    if (entry->counter) entry->counter->reset();
-    if (entry->gauge) entry->gauge->reset();
-    if (entry->histogram) entry->histogram->reset();
-  }
-}
-
-std::size_t MetricsRegistry::series_count() const {
-  common::MutexLock lock(mutex_);
-  return entries_.size();
 }
 
 // --- ScopedTimer -------------------------------------------------------------

@@ -15,9 +15,9 @@
 // tools/fcm_lint.py bans raw std::atomic outside src/common/ and src/obs/ so
 // ad-hoc counters cannot creep back into the sketch layers.
 //
-// Exporters: snapshot() returns a plain-data Snapshot with to_json()
-// ("fcm.metrics.v1" schema, consumed by the benches' --metrics-json flag and
-// the golden-schema test) and to_prometheus() (text exposition format 0.0.4).
+// Exporter: snapshot() returns a plain-data Snapshot whose to_json() renders
+// the "fcm.metrics.v1" schema (consumed by the benches' --metrics-json flag,
+// MetricsLogger and the golden-schema test).
 #pragma once
 
 #include <array>
@@ -167,11 +167,6 @@ class Histogram {
   double sum() const noexcept {
     return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
   }
-  void reset() noexcept {
-    for (auto& cell : counts_) cell.value.store(0, std::memory_order_relaxed);
-    sum_bits_.store(std::bit_cast<std::uint64_t>(0.0),
-                    std::memory_order_relaxed);
-  }
 
   // Exponential bucket edges: start, start*factor, ... (`count` edges).
   static std::vector<double> exponential_bounds(double start, double factor,
@@ -198,7 +193,7 @@ struct MetricLabel {
   std::string value;
 };
 
-// Plain-data scrape result; see to_json()/to_prometheus().
+// Plain-data scrape result; see to_json().
 struct MetricsSnapshot {
   struct HistogramData {
     std::vector<double> bounds;
@@ -217,11 +212,9 @@ struct MetricsSnapshot {
 
   std::vector<Sample> samples;
 
-  // {"schema": "fcm.metrics.v1", "metrics": [...]}.
+  // {"schema": "fcm.metrics.v1", "metrics": [...]}; histogram buckets are
+  // cumulative, with the last `le` spelled "+Inf".
   std::string to_json() const;
-  // Prometheus text exposition format (cumulative _bucket/_sum/_count for
-  // histograms).
-  std::string to_prometheus() const;
 };
 
 class MetricsRegistry {
@@ -285,13 +278,6 @@ class MetricsRegistry {
   // Aggregates every registered series. Safe to call from any thread while
   // writers are hot (the acceptance gate for the sharded runtime).
   MetricsSnapshot snapshot() const;
-
-  // Zeroes every counter/gauge/histogram (callback gauges are pull-only and
-  // unaffected). For tests and bench warm-up isolation; concurrent writers
-  // simply land in the fresh epoch.
-  void reset_values();
-
-  std::size_t series_count() const;
 
  private:
   struct Entry {

@@ -12,6 +12,7 @@
 
 #include "common/block_queue.h"
 #include "common/contracts.h"
+#include "common/hash.h"
 
 namespace fcm::runtime {
 
@@ -30,6 +31,15 @@ enum BlockKind : std::uint32_t {
   // In-band epoch marker (count == 0).
   kMarker = 2,
 };
+
+// Hand-off geometry (DESIGN.md §13.3). A block holds one batch-kernel run
+// (32 pairs in byte mode), and each shard ring holds kRingBlocks of them.
+// The operating-point sweep in EXPERIMENTS.md measured throughput levelling
+// off at this block size and flat across ring depths.
+constexpr std::size_t kBlockItems = common::kBatchBlock;
+constexpr std::size_t kRingBlocks = 256;
+// A pair never splits across blocks, so pair blocks fill exactly too.
+static_assert(kBlockItems % 2 == 0);
 
 // Heaviest weight one pair carries; heavier cache demotions split.
 constexpr std::uint32_t kMaxPairWeight =
@@ -74,16 +84,15 @@ struct ShardedFcmFramework::Instruments {
 
 struct ShardedFcmFramework::Shard {
   Shard(std::size_t shard_index,
-        const framework::FcmFramework::Options& replica_options,
-        std::size_t block_count, std::size_t block_size)
+        const framework::FcmFramework::Options& replica_options)
       : index(shard_index) {
     replicas.reserve(2);
     replicas.emplace_back(replica_options);
     replicas.emplace_back(replica_options);
     // Allocated after the replicas: the other order shifts the heap layout
     // and measured 4 MiB more peak RSS on perfbench capture_bytes.
-    ring = std::make_unique<common::BlockQueue<flow::FlowKey>>(block_count,
-                                                               block_size);
+    ring = std::make_unique<common::BlockQueue<flow::FlowKey>>(kRingBlocks,
+                                                               kBlockItems);
   }
 
   const std::size_t index;  // shard number (stripe + label value)
@@ -106,8 +115,7 @@ struct ShardedFcmFramework::Shard {
 
 ShardedFcmFramework::ShardedFcmFramework(Options options)
     : options_(std::move(options)),
-      cache_metrics_(options_.cache_entries > 0 ? options_.metrics : nullptr,
-                     options_.metrics_instance) {
+      cache_metrics_(options_.cache_entries > 0 ? options_.metrics : nullptr) {
   // The constructing thread owns the driver role until the instance is handed
   // to the (single) ingest thread; needed so cache_ setup below type-checks.
   driver_role_.assert_held();
@@ -115,12 +123,6 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
               "ShardedFcmFramework: shard_count must be >= 1");
   FCM_REQUIRE(options_.shard_count <= 256,
               "ShardedFcmFramework: shard_count implausibly large (> 256)");
-  FCM_REQUIRE(options_.queue_capacity >= 2 &&
-                  (options_.queue_capacity & (options_.queue_capacity - 1)) == 0,
-              "ShardedFcmFramework: queue_capacity must be a power of two >= 2");
-  FCM_REQUIRE(options_.flush_batch >= 1 &&
-                  options_.flush_batch <= options_.queue_capacity,
-              "ShardedFcmFramework: flush_batch must be in [1, queue_capacity]");
   FCM_REQUIRE(options_.retained_epochs >= 1,
               "ShardedFcmFramework: must retain at least one epoch");
   byte_mode_ = options_.framework.count_mode ==
@@ -129,14 +131,6 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
               "ShardedFcmFramework: the heavy-flow cache counts bytes and "
               "needs CountMode::kBytes");
   data_kind_ = byte_mode_ ? kPairs : kUnitKeys;
-  FCM_REQUIRE(!byte_mode_ || options_.flush_batch >= 2,
-              "ShardedFcmFramework: byte-count mode stages (key, bytes) pairs "
-              "and needs flush_batch >= 2");
-  // A pair never splits across blocks, so a pair block is full one slot
-  // short of an odd flush_batch.
-  full_fill_ = common::checked_narrow<std::uint32_t>(
-      data_kind_ == kPairs ? options_.flush_batch & ~std::size_t{1}
-                           : options_.flush_batch);
   // Options::metrics is authoritative for the whole runtime: propagate it
   // into the replica/merged framework options so an analyze() run on a
   // merged epoch writes to the configured registry — and to NOTHING when
@@ -149,15 +143,9 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
       framework::FcmFramework::part_options(options_.framework,
                                             options_.shard_count);
 
-  // queue_capacity is specified in items for continuity with the item-ring
-  // era; the block ring holds capacity/flush_batch whole blocks (>= 1 by the
-  // flush_batch <= queue_capacity contract above).
-  const std::size_t block_count = options_.queue_capacity / options_.flush_batch;
-
   shards_.reserve(options_.shard_count);
   for (std::size_t s = 0; s < options_.shard_count; ++s) {
-    shards_.push_back(std::make_unique<Shard>(s, replica_options, block_count,
-                                              options_.flush_batch));
+    shards_.push_back(std::make_unique<Shard>(s, replica_options));
   }
   if (options_.cache_entries > 0) {
     datapath::HeavyFlowCache::Options cache_options;
@@ -184,50 +172,44 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
 void ShardedFcmFramework::init_instruments() {
   obs::MetricsRegistry* registry = options_.metrics;
   if (registry == nullptr) return;
-  auto base_labels = [&]() -> std::vector<obs::MetricLabel> {
-    if (options_.metrics_instance.empty()) return {};
-    return {{"instance", options_.metrics_instance}};
-  };
-  auto shard_labels = [&](std::size_t s) {
-    std::vector<obs::MetricLabel> labels = base_labels();
-    labels.push_back({"shard", std::to_string(s)});
-    return labels;
+  auto shard_labels = [](std::size_t s) {
+    return std::vector<obs::MetricLabel>{{"shard", std::to_string(s)}};
   };
 
   auto instruments = std::make_unique<Instruments>();
   instruments->backpressure_spins = &registry->counter(
-      "fcm_runtime_backpressure_spins_total", base_labels(),
+      "fcm_runtime_backpressure_spins_total", {},
       "Producer spin iterations while a shard ring was full");
   instruments->blocks_published = &registry->counter(
-      "fcm_runtime_blocks_published_total", base_labels(),
+      "fcm_runtime_blocks_published_total", {},
       "Staged blocks published to shard rings (all kinds)");
   instruments->partial_flushes = &registry->counter(
-      "fcm_runtime_partial_flushes_total", base_labels(),
+      "fcm_runtime_partial_flushes_total", {},
       "Blocks published before they were full (rotation, stop)");
   instruments->rotations = &registry->counter(
-      "fcm_runtime_rotations_total", base_labels(),
+      "fcm_runtime_rotations_total", {},
       "Epoch rotations requested (rotate_async calls)");
   instruments->epochs_merged = &registry->counter(
-      "fcm_runtime_epochs_merged_total", base_labels(),
+      "fcm_runtime_epochs_merged_total", {},
       "Epochs fully merged and published by the coordinator");
   instruments->overflow_promotions = &registry->counter(
-      "fcm_sketch_overflow_promotions_total", base_labels(),
+      "fcm_sketch_overflow_promotions_total", {},
       "FCM tree nodes tripped into overflow (promotion to parent stage)");
   instruments->cardinality_saturations = &registry->counter(
-      "fcm_sketch_cardinality_saturations_total", base_labels(),
+      "fcm_sketch_cardinality_saturations_total", {},
       "Linear-counting cardinality estimates that hit the full-table guard");
   instruments->merge_seconds = &registry->histogram(
       "fcm_runtime_merge_seconds", obs::Histogram::latency_bounds(),
-      base_labels(), "Coordinator N-way merge + requalify wall time");
+      {}, "Coordinator N-way merge + requalify wall time");
   instruments->rotation_wait_seconds = &registry->histogram(
       "fcm_runtime_rotation_wait_seconds", obs::Histogram::latency_bounds(),
-      base_labels(),
+      {},
       "Driver stall in rotate_async waiting for the previous epoch's merge");
   instruments->epoch_packets = &registry->gauge(
-      "fcm_runtime_epoch_packets", base_labels(),
+      "fcm_runtime_epoch_packets", {},
       "Packets absorbed by the most recently merged epoch");
   instruments->fanout_imbalance = &registry->gauge(
-      "fcm_runtime_fanout_imbalance", base_labels(),
+      "fcm_runtime_fanout_imbalance", {},
       "Max-shard over mean-shard packets in the last epoch (1.0 = balanced)");
   instruments->shard_packets.reserve(shards_.size());
   instruments->shard_bytes.reserve(shards_.size());
@@ -241,16 +223,16 @@ void ShardedFcmFramework::init_instruments() {
         "the block-apply sweep, batched per block)"));
   }
   // Pull-style occupancy gauges. Two live instances sharing one registry
-  // without distinct metrics_instance labels would collide here; the later
-  // instance simply runs without queue-depth gauges.
+  // would collide here; the later instance simply runs without queue-depth
+  // gauges (give each instance its own registry).
   try {
     for (const auto& shard : shards_) {
       Shard* raw = shard.get();
       instruments->queue_depth_gauges.push_back(registry->gauge_callback(
           "fcm_runtime_queue_depth", shard_labels(raw->index),
-          [raw, this] {
+          [raw] {
             return static_cast<double>(raw->ring->size_approx_blocks() *
-                                       options_.flush_batch);
+                                       kBlockItems);
           },
           "Ring occupancy in staged items (sampled at scrape)"));
       instruments->queue_depth_gauges.push_back(registry->gauge_callback(
@@ -293,7 +275,7 @@ void ShardedFcmFramework::publish_block() {
   if (instruments_ != nullptr) {
     Instruments& ins = *instruments_;
     ins.blocks_published->inc_at(rr_shard_);
-    if (open_.fill < full_fill_) ins.partial_flushes->inc_at(rr_shard_);
+    if (open_.fill < kBlockItems) ins.partial_flushes->inc_at(rr_shard_);
   }
   open_.slots = nullptr;
   open_.fill = 0;
@@ -306,7 +288,7 @@ void ShardedFcmFramework::publish_block() {
 void ShardedFcmFramework::stage_unit(flow::FlowKey key) {
   if (open_.slots == nullptr) [[unlikely]] open_block();
   open_.slots[open_.fill++] = key;
-  if (open_.fill == full_fill_) publish_block();
+  if (open_.fill == kBlockItems) publish_block();
 }
 
 void ShardedFcmFramework::stage_pair(flow::FlowKey key, std::uint32_t weight) {
@@ -314,7 +296,7 @@ void ShardedFcmFramework::stage_pair(flow::FlowKey key, std::uint32_t weight) {
   open_.slots[open_.fill] = key;
   open_.slots[open_.fill + 1] = std::bit_cast<flow::FlowKey>(weight);
   open_.fill += 2;
-  if (open_.fill == full_fill_) publish_block();
+  if (open_.fill == kBlockItems) publish_block();
 }
 
 void ShardedFcmFramework::stage_demotion(flow::FlowKey key,
@@ -333,13 +315,13 @@ void ShardedFcmFramework::ingest_keys(std::span<const flow::FlowKey> keys) {
   std::span<const flow::FlowKey> rest = keys;
   while (!rest.empty()) {
     if (open_.slots == nullptr) open_block();
-    const std::size_t n = std::min<std::size_t>(full_fill_ - open_.fill,
+    const std::size_t n = std::min<std::size_t>(kBlockItems - open_.fill,
                                                  rest.size());
     std::memcpy(open_.slots + open_.fill, rest.data(),
                 n * sizeof(flow::FlowKey));
     open_.fill += common::checked_narrow<std::uint32_t>(n);
     rest = rest.subspan(n);
-    if (open_.fill == full_fill_) publish_block();
+    if (open_.fill == kBlockItems) publish_block();
   }
 }
 

@@ -7,8 +7,9 @@
 // (common/block_queue.h); each worker owns a private FcmFramework replica
 // (plain FCM or FCM+TopK) and feeds popped blocks straight into the batched
 // ingest kernel (FcmFramework::process_batch), so the hot path is entirely
-// unsynchronized and pays one release store per ~flush_batch packets instead
-// of per packet. FCM counters are linear, so at each epoch boundary the N
+// unsynchronized and pays one release store per block of
+// common::kBatchBlock packets instead of per packet. FCM counters are
+// linear, so at each epoch boundary the N
 // shard replicas are merged into ONE logical sketch — bit-exact equal, for
 // the plain-FCM plane, to the sketch a serial run would hold (FcmTree::merge)
 // whatever split of the traffic the shards saw — which the existing control
@@ -17,11 +18,13 @@
 // Block staging (DESIGN.md §13): the driver keeps ONE open block, reserved
 // in place inside the ring of the shard whose turn it is (zero staging
 // copy). Span ingest memcpys runs of keys into it; a block that reaches
-// flush_batch keys is published with one release store, and the next block
-// goes to the next shard ((s + 1) % N). No key is hashed to pick a shard,
-// so shard loads differ by at most one block. The open block is published
-// at rotation and stop(), ahead of the epoch markers, so every packet lands
-// in the epoch it was ingested into.
+// common::kBatchBlock keys (32 (key, bytes) pairs in byte mode) is published
+// with one release store, and the next block goes to the next shard
+// ((s + 1) % N). Each shard ring holds 256 blocks; the geometry is fixed
+// (DESIGN.md §13.3). No key is hashed to pick a shard, so shard loads
+// differ by at most one block. The open block is published at rotation and
+// stop(), ahead of the epoch markers, so every packet lands in the epoch it
+// was ingested into.
 //
 // Epoch double-buffering: each worker holds TWO replica generations, active
 // and draining. rotate_async() pushes an in-band epoch marker block into
@@ -62,7 +65,6 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -87,18 +89,9 @@ class ShardedFcmFramework {
     // Per-logical-sketch configuration; each shard replica runs
     // FcmFramework::part_options(framework, shard_count).
     framework::FcmFramework::Options framework;
+    // Shard workers, each with its own ring. Ingest applies backpressure
+    // (spins) when the next shard's ring is full.
     std::size_t shard_count = 4;
-    // Ring capacity per shard, in ITEMS; must be a power of two >= 2 and
-    // >= flush_batch. The ring actually holds queue_capacity / flush_batch
-    // whole blocks. Ingest applies backpressure (spins) when a ring is full.
-    std::size_t queue_capacity = 1 << 14;
-    // Block size: keys are staged directly into the in-ring block and
-    // published flush_batch at a time, so one release store covers a whole
-    // process_batch-sized run; consecutive blocks go to consecutive shards.
-    // Byte-count mode stages (key, bytes) pairs, so it needs flush_batch >=
-    // 2; a pair never splits, so its blocks are full at flush_batch rounded
-    // down to even. A partial block is published only at rotation and stop().
-    std::size_t flush_batch = 64;
     Fanout fanout = Fanout::kHashByKey;  // unread, see Fanout
     // Merged epoch snapshots retained for cross-epoch queries (>= 1).
     std::size_t retained_epochs = 4;
@@ -123,13 +116,10 @@ class ShardedFcmFramework {
     // it — follows the same knob. The registry must outlive this framework
     // and every merged_epoch() copy that analyzes through it. Per-packet
     // cost is a handful of batched relaxed fetch_adds per BLOCK — measured
-    // < 1% on the 8-shard ingest path.
+    // < 1% on the 8-shard ingest path. Series carry no instance label: two
+    // live instances that share a registry add into the same series, and
+    // the second runs without queue-depth gauges, so give each its own.
     obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
-    // Label value distinguishing this instance's series when several
-    // sharded frameworks share one registry ("" = unlabeled; two live
-    // unlabeled instances would collide on the queue-depth callback gauges,
-    // which are then skipped for the second instance).
-    std::string metrics_instance;
   };
 
   // What one epoch boundary produces, computed on the MERGED sketch (the
@@ -154,7 +144,7 @@ class ShardedFcmFramework {
     std::uint64_t overflow_promotions = 0; // FCM overflow trips this epoch
     // max-shard / mean-shard packet ratio (1.0 = perfectly balanced; only
     // meaningful when packets > 0 and shard_count > 1). Block rotation
-    // bounds it by 1 + shard_count * flush_batch / packets.
+    // bounds it by 1 + shard_count * common::kBatchBlock / packets.
     double fanout_imbalance = 1.0;
   };
 
@@ -231,7 +221,6 @@ class ShardedFcmFramework {
   // fcm_sketch_), resolved once at construction so the hot path never takes
   // the registry lock. Null when Options::metrics == nullptr.
   struct Instruments;
-  bool metrics_enabled() const noexcept { return instruments_ != nullptr; }
 
  private:
   struct Shard;
@@ -275,10 +264,6 @@ class ShardedFcmFramework {
   // The one data block kind this instance stages (kPairs in byte mode,
   // kUnitKeys otherwise). Set once at construction.
   std::uint32_t data_kind_ = 0;
-  // Fill at which a staged block is full and published: flush_batch for
-  // unit keys, flush_batch rounded down to even for pairs. Set once at
-  // construction.
-  std::uint32_t full_fill_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // The "one driver thread" contract as a capability: the thread that calls

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/bitutil.h"
 #include "common/contracts.h"
 
 namespace fcm::sketch {
@@ -45,26 +44,6 @@ TopKFilter::Offer TopKFilter::offer_at(std::size_t bucket, flow::FlowKey key) {
   }
   result.outcome = Offer::Outcome::kPassThrough;
   return result;
-}
-
-void TopKFilter::offer_batch(std::span<const flow::FlowKey> keys,
-                             std::span<Offer> offers) {
-  Entry* const table = table_.data();
-  const std::size_t width = table_.size();
-  std::uint32_t idx[common::kBatchBlock];
-  for (std::size_t base = 0; base < keys.size(); base += common::kBatchBlock) {
-    const std::size_t n = std::min(common::kBatchBlock, keys.size() - base);
-    const auto block = keys.subspan(base, n);
-    hash_.index_batch(block, width, std::span<std::uint32_t>(idx, n));
-    for (std::size_t i = 0; i < n; ++i) {
-      FCM_PREFETCH_WRITE(table + idx[i]);
-    }
-    // Apply in key order: an eviction changes what a later duplicate in the
-    // same block observes, so the sequence must match the scalar loop.
-    for (std::size_t i = 0; i < n; ++i) {
-      offers[base + i] = block[i].value == 0 ? Offer{} : offer_at(idx[i], block[i]);
-    }
-  }
 }
 
 std::vector<TopKFilter::MergeEviction> TopKFilter::merge(const TopKFilter& other) {

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/hash.h"
@@ -53,13 +52,6 @@ class TopKFilter {
     if (key.value == 0) return Offer{};
     return offer_at(hash_.index(key, table_.size()), key);
   }
-
-  // Batched offer (DESIGN.md §9): hashes `keys` block by block through
-  // SeededHash::index_batch, prefetches the vote-table buckets, then applies
-  // the offers in key order — bit-exact against per-key offer(), duplicates
-  // within a batch included. Writes offers[i] for keys[i];
-  // offers.size() >= keys.size().
-  void offer_batch(std::span<const flow::FlowKey> keys, std::span<Offer> offers);
 
   // One flow displaced while merging two filters; its heavy-part count must
   // be flushed into the backing sketch by the caller (FcmTopK::merge does).
@@ -124,8 +116,7 @@ class TopKFilter {
   friend class ::fcm::agg::WireCodec;
 
   // The vote/eviction state machine for one non-sentinel key whose bucket
-  // index is already known. offer() and offer_batch() both land here, so the
-  // two paths cannot drift.
+  // index is already known (offer() hashes it).
   Offer offer_at(std::size_t bucket, flow::FlowKey key);
 
   struct Entry {

@@ -396,7 +396,6 @@ TEST(AggregationServiceTest, MetricsRecordOutcomesAndWatermark) {
   obs::MetricsRegistry registry;
   auto options = service_options(2);
   options.metrics = &registry;
-  options.metrics_instance = "t";
   AggregationService service(std::move(options));
   framework::FcmFramework fw(service.vantage_options());
   fw.process(flow::FlowKey{1});
@@ -407,26 +406,20 @@ TEST(AggregationServiceTest, MetricsRecordOutcomesAndWatermark) {
   ASSERT_EQ(service.deliver(envelope_for(fw, 1, 1)), DeliveryStatus::kAccepted);
 
   const auto labeled = [&](const char* status) {
-    return registry
-        .counter("fcm_agg_snapshots_total",
-                 {{"instance", "t"}, {"status", status}})
+    return registry.counter("fcm_agg_snapshots_total", {{"status", status}})
         .value();
   };
   EXPECT_EQ(labeled("accepted"), 2u);
   EXPECT_EQ(labeled("rejected_duplicate"), 1u);
-  EXPECT_EQ(registry.gauge("fcm_agg_published_epoch", {{"instance", "t"}})
-                .value(),
-            1.0);
-  EXPECT_GT(registry
-                .counter("fcm_agg_vantage_bytes_total",
-                         {{"instance", "t"}, {"vantage", "0"}})
-                .value(),
-            0u);
+  EXPECT_EQ(registry.gauge("fcm_agg_published_epoch").value(), 1.0);
+  EXPECT_GT(
+      registry.counter("fcm_agg_vantage_bytes_total", {{"vantage", "0"}})
+          .value(),
+      0u);
   // One merge per non-first snapshot of the epoch.
   EXPECT_EQ(registry
                 .histogram("fcm_agg_merge_seconds",
-                           obs::Histogram::latency_bounds(),
-                           {{"instance", "t"}})
+                           obs::Histogram::latency_bounds())
                 .count(),
             1u);
 }

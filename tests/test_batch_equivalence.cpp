@@ -2,11 +2,10 @@
 //
 // Every batch entry point added for the hot path — SeededHash::index_batch
 // (one overload, 32-bit indices), FcmTree::index_block/apply_block,
-// FcmSketch::add_batch, TopKFilter::offer_batch via FcmTopK::add_batch,
-// FcmFramework::process_batch and the span overloads, and
+// FcmSketch::add_batch, FcmFramework::process_batch and the span overloads, and
 // ShardedFcmFramework::ingest(span) — must leave EXACTLY the state the
 // scalar per-packet path leaves: every tree node, the promotion counters,
-// TopK vote-table entries, heavy-hitter sets, and the per-key estimates.
+// heavy-hitter sets, and the per-key estimates.
 // Tolerances are zero throughout; any divergence means the fast path changed
 // semantics, not just speed.
 //
@@ -14,8 +13,9 @@
 // stride, odd tails included), duplicate keys within one batch (carry and
 // eviction ordering), and batches interleaved with rotate_async() epoch
 // markers on the sharded runtime. Everything that hashes through
-// index_batch (the trees and the TopK filter) also runs under every kernel
-// tier the CPU supports.
+// index_batch (the trees) also runs under every kernel tier the CPU
+// supports. The Top-K plane applies FcmTopK::update key by key, so it has no
+// batch path to compare.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,6 @@
 #include "common/hash.h"
 #include "common/simd_dispatch.h"
 #include "fcm/fcm_sketch.h"
-#include "fcm/fcm_topk.h"
 #include "fcm/fcm_tree.h"
 #include "flow/flow_key.h"
 #include "flow/packet.h"
@@ -43,7 +42,6 @@ namespace {
 
 using fcm::core::FcmConfig;
 using fcm::core::FcmSketch;
-using fcm::core::FcmTopK;
 using fcm::core::FcmTree;
 using fcm::flow::FlowKey;
 using fcm::flow::Packet;
@@ -275,66 +273,6 @@ TEST(BatchEquivalence, SketchBatchSplitArbitrarily) {
   expect_sketch_identical(scalar, batched);
 }
 
-// --- FcmTopK -----------------------------------------------------------------
-
-TEST(BatchEquivalence, TopKBatchMatchesScalarUpdates) {
-  // offer_batch hashes through the dispatched index_batch, so every tier
-  // runs; update() never dispatches and is the ground truth.
-  for (const KernelTier tier : equivalence_tiers()) {
-    ForcedTier forced(tier);
-    SCOPED_TRACE(fcm::common::simd::kernel_tier_name(tier));
-    for (const std::size_t n : kBatchSizes) {
-      const auto keys = skewed_keys(n, 555 + n);
-      FcmTopK::Config config;
-      config.fcm = small_config();
-      config.topk_entries = 64;  // tiny table: plenty of evictions
-      FcmTopK scalar(config);
-      FcmTopK batched(config);
-      scalar.set_heavy_hitter_threshold(20);
-      batched.set_heavy_hitter_threshold(20);
-
-      for (const FlowKey key : keys) scalar.update(key);
-      batched.add_batch(std::span<const FlowKey>(keys));
-
-      // Sketch parts bit-exact (including eviction flush ordering) ...
-      expect_sketch_identical(scalar.sketch(), batched.sketch());
-      // ... and the filter tables hold the same entries.
-      auto ea = scalar.filter().entries();
-      auto eb = batched.filter().entries();
-      const auto by_key = [](const auto& x, const auto& y) { return x.key < y.key; };
-      std::sort(ea.begin(), ea.end(), by_key);
-      std::sort(eb.begin(), eb.end(), by_key);
-      ASSERT_EQ(ea.size(), eb.size()) << "n=" << n;
-      for (std::size_t i = 0; i < ea.size(); ++i) {
-        EXPECT_EQ(ea[i].key, eb[i].key);
-        EXPECT_EQ(ea[i].count, eb[i].count);
-        EXPECT_EQ(ea[i].has_light_part, eb[i].has_light_part);
-      }
-      for (const FlowKey key : keys) {
-        ASSERT_EQ(scalar.query(key), batched.query(key));
-      }
-    }
-  }
-}
-
-TEST(BatchEquivalence, TopKBatchZeroKeyPassesThrough) {
-  // FlowKey{0} is the filter's empty sentinel; the batch path must route it
-  // to the sketch exactly as offer() does.
-  FcmTopK::Config config;
-  config.fcm = small_config();
-  config.topk_entries = 64;
-  FcmTopK scalar(config);
-  FcmTopK batched(config);
-  std::vector<FlowKey> keys = skewed_keys(100, 77);
-  for (std::size_t i = 0; i < keys.size(); i += 3) keys[i] = FlowKey{0};
-
-  for (const FlowKey key : keys) scalar.update(key);
-  batched.add_batch(std::span<const FlowKey>(keys));
-
-  expect_sketch_identical(scalar.sketch(), batched.sketch());
-  EXPECT_EQ(scalar.query(FlowKey{0}), batched.query(FlowKey{0}));
-}
-
 // --- FcmFramework ------------------------------------------------------------
 
 TEST(BatchEquivalence, FrameworkSpanMatchesPerPacket) {
@@ -405,7 +343,6 @@ TEST(BatchEquivalence, ShardedSpanIngestInterleavedWithRotations) {
     options.framework.metrics = nullptr;
     options.metrics = nullptr;
     options.shard_count = shards;
-    options.queue_capacity = 1 << 10;
     ShardedFcmFramework sharded(options);
 
     std::span<const FlowKey> all(keys);
@@ -434,14 +371,14 @@ TEST(BatchEquivalence, ShardedSpanIngestInterleavedWithRotations) {
 }
 
 TEST(BatchEquivalence, ShardedBlockStagedSpansBitExactAcrossSizesAndShards) {
-  // The block-staged hand-off matrix the ISSUE pins: N in {1, 2, 4, 8} and
-  // span sizes {1, block-1, block, block+1, 10*block} around the publication
-  // boundary (block == flush_batch), interleaved with rotations so partial
+  // The block-staged hand-off matrix: N in {1, 2, 4, 8} and span sizes
+  // {1, block-1, block, block+1, 10*block} around the publication boundary
+  // (block == common::kBatchBlock), interleaved with rotations so partial
   // blocks get flushed by the marker path mid-stream. Each merged epoch must
   // be tree-bit-exact against a serial framework fed the same keys — the
   // rotation boundary falls INSIDE a span-size cycle, so epochs end on
   // ragged, partially-staged state.
-  constexpr std::size_t kBlock = 64;  // default Options::flush_batch
+  constexpr std::size_t kBlock = fcm::common::kBatchBlock;
   const std::size_t span_sizes[] = {1, kBlock - 1, kBlock, kBlock + 1,
                                     10 * kBlock};
   // One cycle consumes 1 + 63 + 64 + 65 + 640 = 833 keys; three cycles total.
@@ -496,11 +433,9 @@ TEST(BatchEquivalence, ShardedBlockStagedSpansBitExactAcrossSizesAndShards) {
 // index kernel — forced in-process through force_kernel_tier(), must produce
 // bit-identical hashes, indices, tree state, promotion counters, and per-key
 // estimates. The tier only decides how SeededHash::index_batch runs; each
-// tree test drives the full index_batch -> apply_block path under it, and
-// BatchEquivalence.TopKBatchMatchesScalarUpdates drives offer_batch under
-// it. The scalar per-key entry points (FcmTree::add, FcmSketch::update,
-// FcmTopK::update) never dispatch, so they are the tier-independent ground
-// truth throughout.
+// tree test drives the full index_batch -> apply_block path under it. The
+// scalar per-key entry points (FcmTree::add, FcmSketch::update) never
+// dispatch, so they are the tier-independent ground truth throughout.
 
 // Dispatch-matrix sizes: below / straddling / well above both the
 // kBatchBlock stride and the AVX2 index kernel's 8-lane group width.

@@ -92,6 +92,23 @@ TEST(FcmTopK, TopkFlowsExposesResidents) {
   EXPECT_EQ(flows.at(flow::FlowKey{5}), 50u);
 }
 
+// FlowKey{0} is the filter's empty-bucket sentinel: update() never installs
+// it, so its packets pass through to the sketch, which answers its queries.
+TEST(FcmTopK, ZeroKeyPassesThroughToTheSketch) {
+  FcmTopK topk(small_config());
+  std::uint64_t zeros = 0;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    const flow::FlowKey key{i % 3 == 0 ? 0u : 1 + i % 7};
+    topk.update(key);
+    zeros += key.value == 0 ? 1 : 0;
+  }
+  for (const auto& entry : topk.filter().entries()) {
+    EXPECT_NE(entry.key, flow::FlowKey{0});
+  }
+  EXPECT_EQ(topk.query(flow::FlowKey{0}), topk.sketch().query(flow::FlowKey{0}));
+  EXPECT_GE(topk.query(flow::FlowKey{0}), zeros);
+}
+
 TEST(FcmTopK, ClearResets) {
   FcmTopK topk(small_config());
   for (int i = 0; i < 100; ++i) topk.update(flow::FlowKey{5});

@@ -8,8 +8,7 @@
 // EM update, a miscounted stage — trips immediately.
 //
 // The second half pins the observability pipeline: the fcm.metrics.v1 JSON
-// snapshot schema and the Prometheus text exposition, so downstream
-// dashboards can rely on the exporter formats.
+// snapshot schema, so downstream dashboards can rely on the exporter format.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -212,7 +211,6 @@ TEST(GoldenFixture, ByteModeCacheAbsorbsTheWholeFixture) {
   options.cache_entries = 8192;
   options.cache_ways = 4;
   options.metrics = &registry;
-  options.metrics_instance = "fixture";
   runtime::ShardedFcmFramework sharded(options);
   sharded.ingest(std::span<const flow::Packet>(decoded.trace.packets()));
   const runtime::ShardedFcmFramework::EpochReport report = sharded.rotate();
@@ -224,13 +222,10 @@ TEST(GoldenFixture, ByteModeCacheAbsorbsTheWholeFixture) {
     bytes += packet.bytes;
     nonzero_keys += packet.key.value != 0 ? 1 : 0;
   }
-  const std::vector<obs::MetricLabel> labels = {{"instance", "fixture"}};
-  EXPECT_EQ(
-      registry.counter("fcm_datapath_cache_evictions_total", labels).value(),
-      0u);
-  EXPECT_EQ(registry.counter("fcm_datapath_cache_hits_total", labels).value() +
-                registry.counter("fcm_datapath_cache_misses_total", labels)
-                    .value(),
+  EXPECT_EQ(registry.counter("fcm_datapath_cache_evictions_total").value(),
+            0u);
+  EXPECT_EQ(registry.counter("fcm_datapath_cache_hits_total").value() +
+                registry.counter("fcm_datapath_cache_misses_total").value(),
             nonzero_keys);
   EXPECT_EQ(report.bytes, bytes);
 }
@@ -263,22 +258,6 @@ TEST(GoldenMetrics, JsonSnapshotSchema) {
   // Histogram samples expose cumulative buckets with le edges.
   EXPECT_NE(json.find("\"buckets\": ["), std::string::npos);
   EXPECT_NE(json.find("\"le\": \"+Inf\""), std::string::npos);
-}
-
-TEST(GoldenMetrics, PrometheusExposition) {
-  golden_run();
-  const std::string text =
-      obs::MetricsRegistry::global().snapshot().to_prometheus();
-
-  EXPECT_NE(text.find("# TYPE fcm_framework_analyze_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE fcm_framework_analyze_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("fcm_framework_analyze_seconds_bucket{le=\"+Inf\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("fcm_framework_analyze_seconds_count"),
-            std::string::npos);
-  EXPECT_NE(text.find("fcm_em_runs_total"), std::string::npos);
 }
 
 TEST(GoldenMetrics, AnalyzeCountsRuns) {

@@ -107,7 +107,7 @@ TEST(Registry, GetOrCreateReturnsStableSeries) {
   Counter& c = registry.counter("hits_total", {{"shard", "1"}});
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &c);
-  EXPECT_EQ(registry.series_count(), 2u);
+  EXPECT_EQ(registry.snapshot().samples.size(), 2u);
 }
 
 TEST(Registry, KindMismatchThrows) {
@@ -115,17 +115,6 @@ TEST(Registry, KindMismatchThrows) {
   registry.counter("x");
   EXPECT_THROW(registry.gauge("x"), std::logic_error);
   EXPECT_THROW(registry.histogram("x", {1.0}), std::logic_error);
-}
-
-TEST(Registry, ResetValuesZeroesEverySeries) {
-  MetricsRegistry registry;
-  registry.counter("c").inc(9);
-  registry.gauge("g").set(3.0);
-  registry.histogram("h", {1.0}).observe(0.5);
-  registry.reset_values();
-  EXPECT_EQ(registry.counter("c").value(), 0u);
-  EXPECT_EQ(registry.gauge("g").value(), 0.0);
-  EXPECT_EQ(registry.histogram("h", {1.0}).count(), 0u);
 }
 
 TEST(Registry, CallbackGaugeLifecycle) {
@@ -147,7 +136,7 @@ TEST(Registry, CallbackGaugeLifecycle) {
   ASSERT_EQ(registry.snapshot().samples.size(), 1u);
 }
 
-TEST(Registry, SnapshotRendersJsonAndPrometheus) {
+TEST(Registry, SnapshotRendersJson) {
   MetricsRegistry registry;
   registry.counter("req_total", {{"code", "200"}}, "requests").inc(3);
   registry.histogram("lat_seconds", {0.1, 1.0}, {}, "latency").observe(0.05);
@@ -158,28 +147,14 @@ TEST(Registry, SnapshotRendersJsonAndPrometheus) {
   EXPECT_NE(json.find("\"req_total\""), std::string::npos);
   EXPECT_NE(json.find("\"code\": \"200\""), std::string::npos);
   EXPECT_NE(json.find("\"value\": 3"), std::string::npos);
-
-  const std::string prom = snap.to_prometheus();
-  EXPECT_NE(prom.find("# HELP req_total requests"), std::string::npos);
-  EXPECT_NE(prom.find("req_total{code=\"200\"} 3"), std::string::npos);
-  EXPECT_NE(prom.find("lat_seconds_bucket{le=\"0.1\"} 1"), std::string::npos);
-  EXPECT_NE(prom.find("lat_seconds_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(prom.find("lat_seconds_count 1"), std::string::npos);
-}
-
-TEST(Registry, PrometheusEscapesLabelValues) {
-  MetricsRegistry registry;
-  registry.counter("esc_total", {{"path", "a\"b\\c\nd"}}).inc();
-  const std::string prom = registry.snapshot().to_prometheus();
-  // Backslash, double-quote and newline must be escaped per the text
-  // exposition format or the line is unparseable.
-  EXPECT_NE(prom.find("esc_total{path=\"a\\\"b\\\\c\\nd\"} 1"),
-            std::string::npos);
+  // Histogram buckets are cumulative; the last one's edge is "+Inf".
+  EXPECT_NE(json.find("{\"le\": \"0.1\", \"count\": 1}"), std::string::npos);
+  EXPECT_NE(json.find("{\"le\": \"+Inf\", \"count\": 1}"), std::string::npos);
 }
 
 TEST(Registry, NonFiniteValuesRenderVisibly) {
   // A pathological callback gauge must stay distinguishable from a
-  // legitimate zero in scraped data: null in JSON, NaN/Inf in Prometheus.
+  // legitimate zero in scraped data: JSON has no NaN/Inf, so null.
   MetricsRegistry registry;
   const auto nan_handle = registry.gauge_callback(
       "bad_gauge", {}, [] { return std::numeric_limits<double>::quiet_NaN(); });
@@ -189,9 +164,7 @@ TEST(Registry, NonFiniteValuesRenderVisibly) {
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"value\": null"), std::string::npos);
   EXPECT_EQ(json.find("1e308"), std::string::npos);
-  const std::string prom = snap.to_prometheus();
-  EXPECT_NE(prom.find("bad_gauge NaN"), std::string::npos);
-  EXPECT_NE(prom.find("inf_gauge +Inf"), std::string::npos);
+  EXPECT_EQ(json.find("\"value\": 0"), std::string::npos);
 }
 
 TEST(Registry, ScopedTimerObservesOnceAndToleratesNull) {
@@ -292,9 +265,7 @@ TEST(Concurrency, ShardedIngestScrapedConcurrently) {
   options.framework.fcm = core::FcmConfig::for_memory(64 * 1024, 2, 8, {8, 16, 32});
   options.shard_count = 2;
   options.metrics = &registry;
-  options.metrics_instance = "test";
   runtime::ShardedFcmFramework sharded(options);
-  ASSERT_TRUE(sharded.metrics_enabled());
 
   std::jthread scraper([&](const std::stop_token& token) {
     while (!token.stop_requested()) {
@@ -317,17 +288,14 @@ TEST(Concurrency, ShardedIngestScrapedConcurrently) {
     shard_packets +=
         registry
             .counter("fcm_runtime_shard_packets_total",
-                     {{"instance", "test"}, {"shard", std::to_string(s)}})
+                     {{"shard", std::to_string(s)}})
             .value();
   }
   EXPECT_EQ(shard_packets, trace.size());
-  EXPECT_GE(
-      registry.counter("fcm_runtime_epochs_merged_total", {{"instance", "test"}})
-          .value(),
-      1u);
+  EXPECT_GE(registry.counter("fcm_runtime_epochs_merged_total").value(), 1u);
   EXPECT_GE(registry
                 .histogram("fcm_runtime_merge_seconds",
-                           Histogram::latency_bounds(), {{"instance", "test"}})
+                           Histogram::latency_bounds())
                 .count(),
             1u);
 }
@@ -386,7 +354,10 @@ TEST(Registry, NullMetricsIsFullyUninstrumented) {
   // Regression: metrics == nullptr must not fall back to the global
   // registry anywhere in the pipeline — including an EM run on the sharded
   // runtime's merged epoch (the overhead baseline depends on it).
-  const std::size_t global_before = MetricsRegistry::global().series_count();
+  const auto global_series = [] {
+    return MetricsRegistry::global().snapshot().samples.size();
+  };
+  const std::size_t global_before = global_series();
 
   framework::FcmFramework::Options fw_options;
   fw_options.fcm = core::FcmConfig::for_memory(32 * 1024, 2, 8, {8, 16, 32});
@@ -395,7 +366,7 @@ TEST(Registry, NullMetricsIsFullyUninstrumented) {
   framework::FcmFramework fw(fw_options);
   for (std::uint32_t i = 0; i < 2'000; ++i) fw.process(flow::FlowKey{i % 50});
   (void)fw.analyze();
-  EXPECT_EQ(MetricsRegistry::global().series_count(), global_before);
+  EXPECT_EQ(global_series(), global_before);
 
   runtime::ShardedFcmFramework::Options options;
   options.framework = fw_options;
@@ -405,11 +376,11 @@ TEST(Registry, NullMetricsIsFullyUninstrumented) {
   options.shard_count = 2;
   options.metrics = nullptr;
   runtime::ShardedFcmFramework sharded(options);
-  EXPECT_FALSE(sharded.metrics_enabled());
+  EXPECT_EQ(global_series(), global_before);
   for (std::uint32_t i = 0; i < 2'000; ++i) sharded.ingest(flow::FlowKey{i % 50});
   sharded.rotate();
   EXPECT_GT(sharded.merged_epoch().analyze().estimated_flows, 0.0);
-  EXPECT_EQ(MetricsRegistry::global().series_count(), global_before);
+  EXPECT_EQ(global_series(), global_before);
 }
 
 TEST(Concurrency, SequentialInstrumentedInstancesReuseQueueGauges) {

@@ -9,7 +9,8 @@
 // non-stalling rotate_async, heavy-hitter re-qualification across shards at
 // runtime level, merged epochs delivered to an AggregationService for heavy
 // changes and EM (surging/vanishing flows, realistic windows), byte mode,
-// TopK mode, backpressure under a tiny ring, teardown discipline (stop()
+// TopK mode, backpressure at the fixed ring geometry, full and partial pair
+// blocks, teardown discipline (stop()
 // closes the un-rotated tail as a final epoch), and option validation via
 // contracts.
 //
@@ -33,6 +34,7 @@
 #include "agg/wire.h"
 #include "common/block_queue.h"
 #include "common/contracts.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "flow/flow_key.h"
 #include "flow/packet.h"
@@ -131,14 +133,12 @@ void expect_same_counter_state(const FcmFramework& got,
 
 // Per-shard packet counters of an instance with its own registry.
 std::vector<std::uint64_t> shard_packet_counts(
-    fcm::obs::MetricsRegistry& registry, const std::string& instance,
-    std::size_t shards) {
+    fcm::obs::MetricsRegistry& registry, std::size_t shards) {
   std::vector<std::uint64_t> counts;
   for (std::size_t s = 0; s < shards; ++s) {
     counts.push_back(registry
                          .counter("fcm_runtime_shard_packets_total",
-                                  {{"instance", instance},
-                                   {"shard", std::to_string(s)}})
+                                  {{"shard", std::to_string(s)}})
                          .value());
   }
   return counts;
@@ -332,7 +332,7 @@ TEST(ShardedRuntime, BlockRotationIsSerialEquivalentAcrossShardsAndSpans) {
 
 // Rotation balances load by construction: within an epoch, shard packet
 // counts differ by at most one block, whatever the flow-size skew, so the
-// max/mean imbalance is at most 1 + N * flush_batch / packets.
+// max/mean imbalance is at most 1 + N * common::kBatchBlock / packets.
 TEST(ShardedRuntime, BlockRotationBalancesZipfTrafficToWithinOneBlock) {
   fcm::common::Xoshiro256 rng(0x21bf);
   fcm::common::ZipfSampler zipf(1 << 14, 1.1);
@@ -347,7 +347,6 @@ TEST(ShardedRuntime, BlockRotationBalancesZipfTrafficToWithinOneBlock) {
     options.framework = small_framework_options();
     options.shard_count = shard_count;
     options.metrics = &registry;
-    options.metrics_instance = "zipf";
     ShardedFcmFramework sharded(options);
     for (std::size_t at = 0; at < keys.size(); at += 1000) {
       sharded.ingest(std::span<const FlowKey>(keys).subspan(
@@ -355,14 +354,14 @@ TEST(ShardedRuntime, BlockRotationBalancesZipfTrafficToWithinOneBlock) {
     }
     const ShardedFcmFramework::EpochReport report = sharded.rotate();
     ASSERT_EQ(report.packets, keys.size());
-    const double block = static_cast<double>(options.flush_batch);
+    const double block = static_cast<double>(fcm::common::kBatchBlock);
     EXPECT_LE(report.fanout_imbalance,
               1.0 + static_cast<double>(shard_count) * block /
                         static_cast<double>(keys.size()));
     const std::vector<std::uint64_t> counts =
-        shard_packet_counts(registry, "zipf", shard_count);
+        shard_packet_counts(registry, shard_count);
     const auto [low, high] = std::minmax_element(counts.begin(), counts.end());
-    EXPECT_LE(*high - *low, options.flush_batch);
+    EXPECT_LE(*high - *low, fcm::common::kBatchBlock);
     EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
               keys.size());
   }
@@ -481,7 +480,6 @@ TEST(ShardedRuntime, SplitFlowWithExactlyThresholdPacketsIsReported) {
     options.framework.heavy_hitter_threshold = kThreshold;
     options.shard_count = shard_count;
     options.metrics = &registry;
-    options.metrics_instance = "split";
     ShardedFcmFramework sharded(options);
 
     // The split flow interleaved with 20 light flows of 5 packets each.
@@ -497,7 +495,7 @@ TEST(ShardedRuntime, SplitFlowWithExactlyThresholdPacketsIsReported) {
 
     // No shard saw T packets of any kind, so none saw T of the split flow.
     for (const std::uint64_t count :
-         shard_packet_counts(registry, "split", shard_count)) {
+         shard_packet_counts(registry, shard_count)) {
       EXPECT_LT(count, kThreshold);
     }
     const auto& hh = report.heavy_hitters;
@@ -707,20 +705,28 @@ TEST(ShardedRuntime, RetainedEpochWindowSlidesAndExpiredEpochsThrow) {
 
 // --- backpressure and teardown ----------------------------------------------
 
-TEST(ShardedRuntime, TinyQueueBackpressureLosesNothing) {
+// The driver memcpys a span into the rings far faster than four workers
+// apply it, so 2^18 keys overrun the 4 x 256 blocks the rings hold: ingest
+// spins on full rings, and every key still lands exactly once.
+TEST(ShardedRuntime, BackpressureOnFullRingsLosesNothing) {
+  fcm::obs::MetricsRegistry registry;
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.shard_count = 4;
-  options.queue_capacity = 64;  // force constant ring-full backpressure
-  options.flush_batch = 16;
+  options.metrics = &registry;
   ShardedFcmFramework sharded(options);
 
-  const std::vector<Packet> trace = fixed_trace(0x7e57, 30000, 1000);
+  const std::vector<Packet> trace = fixed_trace(0x7e57, 1 << 18, 1000);
+  std::vector<FlowKey> keys;
+  keys.reserve(trace.size());
+  for (const Packet& packet : trace) keys.push_back(packet.key);
   FcmFramework serial(small_framework_options());
-  for (const Packet& packet : trace) serial.process(packet.key);
-  for (const Packet& packet : trace) sharded.ingest(packet.key);
+  for (const FlowKey key : keys) serial.process(key);
+  sharded.ingest(std::span<const FlowKey>(keys));
   const auto report = sharded.rotate();
 
+  EXPECT_GT(registry.counter("fcm_runtime_backpressure_spins_total").value(),
+            0u);
   EXPECT_EQ(report.packets, trace.size());
   const FcmFramework merged = sharded.merged_epoch();
   for (const FlowKey key : distinct_keys(trace)) {
@@ -853,7 +859,6 @@ TEST(ShardedRuntime, CacheCountersCoverEveryOfferedKey) {
   options.shard_count = 2;
   options.cache_entries = 64;  // small: the Zipf tail keeps evicting
   options.metrics = &registry;
-  options.metrics_instance = "cache";
   ShardedFcmFramework sharded(options);
 
   const std::vector<Packet> trace = fixed_trace(0xcace, 24000, 1500);
@@ -888,13 +893,12 @@ TEST(ShardedRuntime, CacheCountersCoverEveryOfferedKey) {
   epoch_bytes += sharded.wait_epoch(3).bytes;
   EXPECT_EQ(epoch_bytes, ingested_bytes);
 
-  const std::vector<fcm::obs::MetricLabel> labels = {{"instance", "cache"}};
   const std::uint64_t hits =
-      registry.counter("fcm_datapath_cache_hits_total", labels).value();
+      registry.counter("fcm_datapath_cache_hits_total").value();
   const std::uint64_t misses =
-      registry.counter("fcm_datapath_cache_misses_total", labels).value();
+      registry.counter("fcm_datapath_cache_misses_total").value();
   const std::uint64_t evictions =
-      registry.counter("fcm_datapath_cache_evictions_total", labels).value();
+      registry.counter("fcm_datapath_cache_evictions_total").value();
   EXPECT_EQ(hits + misses, nonzero_offered);
   EXPECT_GT(hits, 0u);
   EXPECT_GT(evictions, 0u);
@@ -931,7 +935,7 @@ TEST(ShardedRuntime, CacheDemotionHeavierThanU32SumsBackExactly) {
 
 // --- partial blocks -----------------------------------------------------------
 
-// Trickle traffic: far fewer keys than flush_batch. The partial block stays
+// Trickle traffic: far fewer keys than a block holds. The partial block stays
 // staged while the epoch is open and is published at rotation, ahead of the
 // marker, so every key lands in the epoch it was ingested into.
 TEST(ShardedRuntime, TrickleReachesItsEpochAtRotation) {
@@ -939,14 +943,12 @@ TEST(ShardedRuntime, TrickleReachesItsEpochAtRotation) {
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.shard_count = 1;
-  options.flush_batch = 64;
   options.metrics = &registry;
-  options.metrics_instance = "trickle";
   ShardedFcmFramework sharded(options);
 
   // The series the runtime publishes into (idempotent lookup by name+labels).
   fcm::obs::Counter& partial_flushes =
-      registry.counter("fcm_runtime_partial_flushes_total", {{"instance", "trickle"}});
+      registry.counter("fcm_runtime_partial_flushes_total");
 
   for (std::uint32_t i = 1; i <= 6; ++i) sharded.ingest(FlowKey{i});
   EXPECT_EQ(partial_flushes.value(), 0u);
@@ -959,35 +961,39 @@ TEST(ShardedRuntime, TrickleReachesItsEpochAtRotation) {
   }
 }
 
-// A (key, bytes) pair never splits across blocks, so with an odd flush_batch
-// a pair block is full one slot short: it must be published as full, not
-// counted as a partial flush.
-TEST(ShardedRuntime, OddFlushBatchPairBlocksAreFull) {
+// Byte mode stages (key, bytes) pairs, so a block holds kBatchBlock / 2 of
+// them. The 32nd pair fills a block, which is published at once as full; a
+// 33rd pair opens the next block, which rotation publishes as partial.
+TEST(ShardedRuntime, PairBlocksHoldHalfABatchBlock) {
+  constexpr std::uint32_t kPairsPerBlock = fcm::common::kBatchBlock / 2;
   fcm::obs::MetricsRegistry registry;
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.framework.count_mode = FcmFramework::CountMode::kBytes;
   options.shard_count = 1;
-  options.flush_batch = 5;
   options.metrics = &registry;
-  options.metrics_instance = "odd";
   ShardedFcmFramework sharded(options);
 
   fcm::obs::Counter& blocks_published =
-      registry.counter("fcm_runtime_blocks_published_total", {{"instance", "odd"}});
+      registry.counter("fcm_runtime_blocks_published_total");
   fcm::obs::Counter& partial_flushes =
-      registry.counter("fcm_runtime_partial_flushes_total", {{"instance", "odd"}});
+      registry.counter("fcm_runtime_partial_flushes_total");
 
   std::uint64_t total_bytes = 0;
-  for (std::uint32_t i = 1; i <= 8; ++i) {
+  const auto ingest = [&](std::uint32_t i) {
     const Packet packet{FlowKey{i}, 100 + i, 0};
     sharded.ingest(packet);
     total_bytes += packet.bytes;
-  }
-  const auto report = sharded.rotate();
-
-  EXPECT_EQ(blocks_published.value(), 4u);  // two pairs per block
+  };
+  for (std::uint32_t i = 1; i <= kPairsPerBlock; ++i) ingest(i);
+  EXPECT_EQ(blocks_published.value(), 1u);
   EXPECT_EQ(partial_flushes.value(), 0u);
+
+  ingest(kPairsPerBlock + 1);
+  const auto report = sharded.rotate();
+  EXPECT_EQ(blocks_published.value(), 2u);
+  EXPECT_EQ(partial_flushes.value(), 1u);
+  EXPECT_EQ(report.packets, kPairsPerBlock + 1u);
   EXPECT_EQ(report.bytes, total_bytes);
 }
 
@@ -1021,21 +1027,7 @@ TEST(ShardedRuntime, RejectsInvalidOptions) {
   };
   EXPECT_THROW(make([](auto& o) { o.shard_count = 0; }), ContractViolation);
   EXPECT_THROW(make([](auto& o) { o.shard_count = 1000; }), ContractViolation);
-  EXPECT_THROW(make([](auto& o) { o.queue_capacity = 100; }), ContractViolation);
-  EXPECT_THROW(make([](auto& o) { o.queue_capacity = 1; }), ContractViolation);
-  EXPECT_THROW(make([](auto& o) { o.flush_batch = 0; }), ContractViolation);
-  EXPECT_THROW(make([](auto& o) {
-                 o.queue_capacity = 64;
-                 o.flush_batch = 128;
-               }),
-               ContractViolation);
   EXPECT_THROW(make([](auto& o) { o.retained_epochs = 0; }), ContractViolation);
-  // Byte mode stages (key, bytes) pairs: a 1-slot block cannot hold one.
-  EXPECT_THROW(make([](auto& o) {
-                 o.framework.count_mode = FcmFramework::CountMode::kBytes;
-                 o.flush_batch = 1;
-               }),
-               ContractViolation);
   // The heavy-flow cache counts bytes: packet mode cannot run it.
   EXPECT_THROW(make([](auto& o) { o.cache_entries = 64; }), ContractViolation);
 }

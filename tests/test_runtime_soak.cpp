@@ -1,10 +1,10 @@
 // Lifecycle soak for the sharded ingestion runtime (DESIGN.md §7, §13; CI
 // runs this under TSan in the tsan job, with a hard ctest TIMEOUT). Each
 // configuration runs one long-lived runtime that rotates after every one of
-// thousands of random-sized ingest spans, then builds and tears down a
-// series of runtimes with seeded random shard counts, block sizes and ring
-// capacities; each of those sees hundreds of spans and rotate_async() calls,
-// and stop() lands at a seeded random point: mid-epoch (an un-rotated tail),
+// thousands of ingest spans of seeded lengths around the block size, then
+// builds and tears down a series of runtimes with seeded random shard
+// counts; each of those sees hundreds of spans and rotate_async() calls, and
+// stop() lands at a seeded random point: mid-epoch (an un-rotated tail),
 // right after a rotation (one still in flight), or before any traffic.
 //
 // Checked on every runtime:
@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <random>
 #include <span>
 #include <string>
@@ -59,7 +60,11 @@ constexpr std::size_t kLongRounds = 2000;  // the long-lived runtime's rotations
 constexpr std::size_t kWarmRounds = 200;   // its warm-up, before the RSS baseline
 constexpr std::size_t kRuntimes = 9;       // short-lived runtimes per configuration
 constexpr std::size_t kMaxRounds = 400;    // ingest-then-maybe-rotate rounds
-constexpr std::size_t kMaxSpan = 300;      // packets per ingest call
+// Packets per ingest call, drawn per span. The runtime's blocks are fixed at
+// common::kBatchBlock = 64 keys (32 pairs in byte mode), so these lengths (a
+// lone packet, one short of a block, exactly one, one past it, ten blocks)
+// leave full, ragged and partial blocks at every rotation.
+constexpr std::size_t kSpanLengths[] = {1, 63, 64, 65, 640};
 // Allowed RSS growth after warm-up (it reads ~0.1 MiB on x86-64 glibc). One
 // merged epoch of the small sketch is ~37 KiB, so keeping one per rotation
 // would add ~65 MiB over the long-lived runtime.
@@ -109,8 +114,6 @@ Totals run_one(const SoakConfig& soak, std::mt19937_64& rng, std::size_t rounds,
   ShardedFcmFramework::Options options;
   options.framework = fw;
   options.shard_count = 1 + rng() % 4;
-  options.flush_batch = std::size_t{8} << (rng() % 4);  // 8..64
-  options.queue_capacity = options.flush_batch << (1 + rng() % 4);
   options.cache_entries = soak.cache_entries;
   options.metrics = nullptr;
   ShardedFcmFramework runtime(options);
@@ -130,7 +133,8 @@ Totals run_one(const SoakConfig& soak, std::mt19937_64& rng, std::size_t rounds,
   };
 
   std::vector<Packet> span;
-  const auto ingest_span = [&](std::size_t length) {
+  const auto ingest_span = [&] {
+    const std::size_t length = kSpanLengths[rng() % std::size(kSpanLengths)];
     const auto keys = fcm::proptest::random_keys(rng(), length, 500);
     span.clear();
     for (const FlowKey key : keys) span.push_back(Packet{key, packet_bytes(rng), 0});
@@ -143,7 +147,7 @@ Totals run_one(const SoakConfig& soak, std::mt19937_64& rng, std::size_t rounds,
   };
   for (std::size_t round = 0; round < rounds; ++round) {
     if (rss != nullptr && round == kWarmRounds) rss->warm = resident_bytes();
-    ingest_span(rng() % (kMaxSpan + 1));
+    ingest_span();
     if (rng() % 1000 < rotate_per_mille) {
       const std::size_t index = runtime.rotate_async();
       EXPECT_EQ(index, next_index);
@@ -154,7 +158,7 @@ Totals run_one(const SoakConfig& soak, std::mt19937_64& rng, std::size_t rounds,
       if (index > 0) read_report(index - 1);
     }
   }
-  if (tail) ingest_span(1 + rng() % kMaxSpan);
+  if (tail) ingest_span();
   if (rss != nullptr) rss->end = resident_bytes();
   runtime.stop();
   if (rng() % 2 == 0) runtime.stop();  // idempotent
@@ -165,8 +169,7 @@ Totals run_one(const SoakConfig& soak, std::mt19937_64& rng, std::size_t rounds,
   // At most the last rotated epoch and the tail are still unread.
   while (reports_read < expected_epochs) read_report(reports_read);
   EXPECT_EQ(epoch_total, in_total)
-      << "shards " << options.shard_count << " flush_batch "
-      << options.flush_batch << " rounds " << rounds;
+      << "shards " << options.shard_count << " rounds " << rounds;
   return {next_index, expected_epochs};
 }
 

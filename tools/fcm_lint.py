@@ -88,10 +88,14 @@ Rules:
 
   hot-path-alloc   No heap allocation (``new``, ``make_unique``,
                    ``std::vector<...>`` construction) inside the bodies of
-                   the batched hot-path entry points in ``src/`` —
-                   functions named ``add_batch``, ``ingest``,
-                   ``process_batch``, ``offer_batch``, ``update_batch``,
-                   ``index_block`` or ``apply_block`` (DESIGN.md §9).
+                   the per-packet entry points in ``src/`` — the batched
+                   sketch kernel (``add_batch``, ``process_batch``,
+                   ``process_weighted``, ``index_block``, ``apply_block``;
+                   DESIGN.md §9) and the runtime's driver staging path
+                   (``ingest``, ``ingest_keys``, ``ingest_packets``,
+                   ``open_block``, ``publish_block``, ``stage_unit``,
+                   ``stage_pair``, ``stage_demotion``, ``offer_cached``;
+                   DESIGN.md §13).
 
   datapath-bounds  Inside ``src/datapath`` (hostile-input territory: every
                    byte comes off the wire), no ``reinterpret_cast``, no
@@ -259,12 +263,19 @@ GUARDED_DIRS = ("src",)
 HOTPATH_DIRS = ("src",)
 HOTPATH_FN_NAMES = {
     "add_batch",
-    "ingest",
     "process_batch",
-    "offer_batch",
-    "update_batch",
+    "process_weighted",
     "index_block",
     "apply_block",
+    "ingest",
+    "ingest_keys",
+    "ingest_packets",
+    "open_block",
+    "publish_block",
+    "stage_unit",
+    "stage_pair",
+    "stage_demotion",
+    "offer_cached",
 }
 HOTPATH_ALLOC_RE = re.compile(r"(?<![\w:])new\b|\bmake_unique\b|std::vector\s*<")
 HOTPATH_LOCK_RE = re.compile(
