@@ -7,7 +7,9 @@
 // borrows the block in place (no dequeue copy), feeds it to the batched
 // sketch kernel, and releases the slot with one release store. Per item, the
 // ring costs one store on each side — per-entry cursor traffic is amortized
-// over the block.
+// over the block. Capture decode (DESIGN.md §12.2) uses the same ring the
+// same way: its framer writes record views into the open block, and its
+// parser thread parses them in place.
 //
 // Layout: `block_count` payload blocks of `block_size` T slots, each block
 // padded out to a whole number of cache lines and the base 64-byte aligned,
@@ -42,9 +44,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -55,6 +59,18 @@ namespace fcm::common {
 
 // Destructive interference distance; 64 bytes on every target we build for.
 inline constexpr std::size_t kCacheLineBytes = 64;
+
+// The one wait policy of every ring user, for a side that finds the ring
+// full or empty. Yield first; park briefly once clearly idle so a
+// single-core host still makes progress. `spins` counts this wait's calls.
+inline void backoff(unsigned& spins) {
+  ++spins;
+  if (spins < 64) {
+    std::this_thread::yield();
+  } else {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
 
 template <typename T>
 class BlockQueue {
@@ -150,6 +166,14 @@ class BlockQueue {
     if (inflight > high_water_.load(std::memory_order_relaxed)) {
       high_water_.store(inflight, std::memory_order_relaxed);
     }
+  }
+
+  // True once the consumer has released every published block. The acquire
+  // load orders the consumer's reads of those blocks before the producer's
+  // next writes, so memory the blocks pointed into may then be reused.
+  bool drained() noexcept FCM_REQUIRES(producer_role_) {
+    cached_tail_ = tail_.load(std::memory_order_acquire);
+    return head_.load(std::memory_order_relaxed) == cached_tail_;
   }
 
   // --- consumer side -------------------------------------------------------

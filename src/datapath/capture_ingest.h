@@ -8,7 +8,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
 
@@ -40,26 +39,43 @@ struct DecodedCapture {
   DecodeStats stats;
 };
 
+// Capture decode runs as a two-stage pipeline (DESIGN.md §12.2). The
+// calling thread, the framer, reads the input one chunk at a time into the
+// buffer of a ring slot, frames it with the resumable PcapReader and writes
+// each record's view straight into the slot's block of a
+// common::BlockQueue<RawRecord>; the record or block cut by the chunk edge
+// is copied to the front of the next slot's buffer. One parser thread per
+// call parses each published block in order into the trace and the ledger,
+// then releases the slot, and only then is its buffer rewritten. An
+// exception on either side ends both and is rethrown on the caller.
+
+// Bytes one read fills, and so the size of each slot's buffer: a record up
+// to this long (a 64 KiB loopback frame included) never grows a buffer.
+inline constexpr std::size_t kCaptureChunkBytes = std::size_t{128} << 10;
+// Slots of the ring, each a block of kCaptureChunkBytes / 16 record views
+// paired with one buffer. A longer record grows its slot's buffer; growth
+// first waits for the parser to drain the ring and frees any other grown
+// buffer, so memory stays within the ring plus one buffer of at most twice
+// the largest record.
+inline constexpr std::size_t kCaptureRingSlots = 8;
+
 // Decodes an in-memory capture. Packet bytes are the ORIGINAL wire length
 // (so kBytes-mode frameworks measure real traffic volume even for sliced
 // captures). Throws PcapError only for structural pre-packet damage (empty
 // input included); every mid-stream problem lands in stats.
 //
-// Runs the same refill loop as load_capture, copying at most `chunk_bytes`
-// (> 0) of `data` per refill; the default feeds the whole span at once.
+// Runs load_capture's pipeline, copying at most `chunk_bytes` (> 0) of
+// `data` per read; the default reads whole chunks, as load_capture does.
 // Every chunk size yields the same trace and ledger.
-DecodedCapture decode_capture(
-    std::span<const std::byte> data,
-    std::size_t chunk_bytes = std::numeric_limits<std::size_t>::max());
+DecodedCapture decode_capture(std::span<const std::byte> data,
+                              std::size_t chunk_bytes = kCaptureChunkBytes);
 
-// Streams the file at `path` through a reusable 1 MiB buffer and decodes it;
-// the buffer grows only for a record or block larger than itself. Throws
+// Streams the file at `path` through the pipeline and decodes it. Throws
 // std::runtime_error on I/O failure, PcapError as above.
 DecodedCapture load_capture(const std::string& path);
 
 // Publishes the decode ledger as fcm_datapath_* counters (hit the same
-// registry the frameworks use; instance label optional, "" = unlabeled).
-void export_metrics(const DecodeStats& stats, obs::MetricsRegistry* registry,
-                    const std::string& instance = "");
+// registry the frameworks use).
+void export_metrics(const DecodeStats& stats, obs::MetricsRegistry* registry);
 
 }  // namespace fcm::datapath

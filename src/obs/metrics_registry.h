@@ -100,9 +100,6 @@ class Counter {
     }
     return total;
   }
-  void reset() noexcept {
-    for (auto& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
-  }
 
  private:
   friend class MetricsRegistry;
@@ -121,7 +118,6 @@ class Gauge {
   double value() const noexcept {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
-  void reset() noexcept { set(0.0); }
 
  private:
   friend class MetricsRegistry;

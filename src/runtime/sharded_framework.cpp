@@ -45,18 +45,6 @@ static_assert(kBlockItems % 2 == 0);
 constexpr std::uint32_t kMaxPairWeight =
     std::numeric_limits<std::uint32_t>::max();
 
-// Progressive backoff for spin loops (driver backpressure, idle workers,
-// blocked marker pushes). Yield first; park briefly once clearly idle so a
-// single-core host still makes progress.
-void backoff(unsigned& spins) {
-  ++spins;
-  if (spins < 64) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
 }  // namespace
 
 // Registry series the runtime writes (DESIGN.md §8). Handles are resolved
@@ -257,7 +245,7 @@ void ShardedFcmFramework::open_block() {
   if (slots == nullptr) [[unlikely]] {
     unsigned spins = 0;
     do {
-      backoff(spins);  // ring full: backpressure
+      common::backoff(spins);  // ring full: backpressure
       slots = ring.try_open();
     } while (slots == nullptr);
     if (instruments_ != nullptr) {
@@ -426,7 +414,7 @@ std::size_t ShardedFcmFramework::rotate_async() {
     flow::FlowKey* slots = ring.try_open();
     unsigned spins = 0;
     while (slots == nullptr) {
-      backoff(spins);
+      common::backoff(spins);
       slots = ring.try_open();
     }
     ring.publish(0, kMarker);
@@ -544,7 +532,7 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
     publish_data_items();
     if (!any) {
       if (stopping) return;
-      backoff(spins);
+      common::backoff(spins);
     } else {
       spins = 0;
     }

@@ -9,10 +9,12 @@
 // PcapError, typed RecordOutcome/ParseOutcome values, and honest counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <utility>
@@ -1061,6 +1063,28 @@ Bytes good_pcapng_capture(bool be) {
 // record header, record body and pcapng block gets cut at many offsets.
 constexpr std::size_t kBatteryChunkSizes[] = {1, 2, 3, 5, 16, 61};
 
+// The decode every pipelined one must reproduce: one PcapReader over the
+// whole span (so it never refills) and parse_packet per record, on this
+// thread. It shares no chunk edge, buffer or ring with decode_capture.
+DecodedCapture reference_decode(std::span<const std::byte> data) {
+  DecodedCapture decoded;
+  PcapReader reader(data);
+  RawRecord record;
+  ParsedPacket parsed;
+  RecordOutcome outcome;
+  while ((outcome = reader.next(record)) == RecordOutcome::kRecord) {
+    const ParseOutcome result = datapath::parse_packet(record, parsed);
+    ++decoded.stats.parse_outcomes[static_cast<std::size_t>(result)];
+    if (result != ParseOutcome::kOk) continue;
+    ++decoded.stats.parsed;
+    decoded.trace.append(flow::Packet{parsed.tuple.source_key(),
+                                      parsed.wire_bytes, parsed.timestamp_ns});
+  }
+  decoded.stats.capture_end = outcome;
+  decoded.stats.capture = reader.stats();
+  return decoded;
+}
+
 // A chunked decode must match the whole-buffer decode packet for packet and
 // ledger field for ledger field.
 void expect_same_decode(const DecodedCapture& whole,
@@ -1090,16 +1114,23 @@ void expect_same_decode(const DecodedCapture& whole,
 }
 
 // Runs the whole ingest pipeline over arbitrary bytes; the only acceptable
-// escapes are PcapError (structural) and typed outcomes. Every battery chunk
-// size must reproduce the whole-buffer result, error message included.
-// Returns how many packets decoded, so sweeps can assert monotone-ish
-// behavior.
+// escapes are PcapError (structural) and typed outcomes. decode_capture at
+// its default chunk and at every battery chunk size must reproduce the
+// whole-buffer reference, error message included. Returns how many packets
+// decoded, so sweeps can assert monotone-ish behavior.
 std::size_t ingest_survives(std::span<const std::byte> data) {
   DecodedCapture whole;
   try {
-    whole = datapath::decode_capture(data);
+    whole = reference_decode(data);
   } catch (const PcapError& error) {
     // Structural rejection is a valid outcome for damaged input.
+    try {
+      datapath::decode_capture(data);
+      ADD_FAILURE() << "decode_capture decoded what the whole buffer "
+                    << "rejected: " << error.what();
+    } catch (const PcapError& pipelined_error) {
+      EXPECT_STREQ(pipelined_error.what(), error.what());
+    }
     for (const std::size_t chunk : kBatteryChunkSizes) {
       try {
         datapath::decode_capture(data, chunk);
@@ -1115,6 +1146,8 @@ std::size_t ingest_survives(std::span<const std::byte> data) {
   // Ledger sanity: everything next() saw is accounted somewhere.
   EXPECT_EQ(stats.records, whole.stats.parsed + whole.stats.parse_failures());
   EXPECT_LE(stats.malformed_terminal, 1u);
+  expect_same_decode(whole, datapath::decode_capture(data),
+                     datapath::kCaptureChunkBytes);
   for (const std::size_t chunk : kBatteryChunkSizes) {
     expect_same_decode(whole, datapath::decode_capture(data, chunk), chunk);
   }
@@ -1234,23 +1267,15 @@ TEST(CaptureIngest, ExportMetricsPublishesTheLedger) {
   stats.capture.malformed_terminal = 1;
   stats.parse_outcomes[static_cast<std::size_t>(
       ParseOutcome::kUnsupportedEtherType)] = 3;
-  datapath::export_metrics(stats, &registry, "test");
-  EXPECT_EQ(registry.counter("fcm_datapath_packets_total",
-                             {{"instance", "test"}})
-                .value(),
-            10u);
-  EXPECT_EQ(registry.counter("fcm_datapath_capture_truncated_total",
-                             {{"instance", "test"}})
-                .value(),
+  datapath::export_metrics(stats, &registry);
+  EXPECT_EQ(registry.counter("fcm_datapath_packets_total").value(), 10u);
+  EXPECT_EQ(registry.counter("fcm_datapath_capture_truncated_total").value(),
             1u);
-  EXPECT_EQ(registry.counter("fcm_datapath_capture_malformed_total",
-                             {{"instance", "test"}})
-                .value(),
+  EXPECT_EQ(registry.counter("fcm_datapath_capture_malformed_total").value(),
             3u);
   EXPECT_EQ(registry
                 .counter("fcm_datapath_parse_failures_total",
-                         {{"instance", "test"},
-                          {"outcome", "unsupported-ether-type"}})
+                         {{"outcome", "unsupported-ether-type"}})
                 .value(),
             3u);
 }
@@ -1269,12 +1294,15 @@ TEST(CaptureIngest, CommittedFixtureDecodesWithCleanLedger) {
   EXPECT_LT(decoded.stats.parse_failures(), decoded.stats.parsed / 10);
 }
 
-// load_capture reads through a 1 MiB buffer. The captures below are large
-// enough that it refills mid-record, or must grow for one block.
+// load_capture reads kCaptureChunkBytes at a time into kCaptureRingSlots
+// buffers. The captures below are large enough that it refills mid-record,
+// wraps the ring, or must grow a buffer for one block.
+constexpr std::size_t kChunk = datapath::kCaptureChunkBytes;
+constexpr std::size_t kRingBytes = kChunk * datapath::kCaptureRingSlots;
 constexpr std::size_t kMiB = std::size_t{1} << 20;
 
-// Writes `capture` to a temp file, loads it, and checks the result against
-// decode_capture on the same bytes.
+// Writes `capture` to a temp file, loads it, and checks the result, and
+// decode_capture's on the same bytes, against the whole-buffer reference.
 DecodedCapture load_matches_decode(const Bytes& capture,
                                    const std::string& name) {
   const std::string path = testing::TempDir() + name;
@@ -1283,7 +1311,9 @@ DecodedCapture load_matches_decode(const Bytes& capture,
              static_cast<std::streamsize>(capture.size()));
   DecodedCapture loaded = datapath::load_capture(path);
   std::remove(path.c_str());
-  expect_same_decode(datapath::decode_capture(capture), loaded, kMiB);
+  const DecodedCapture reference = reference_decode(capture);
+  expect_same_decode(reference, loaded, kChunk);
+  expect_same_decode(reference, datapath::decode_capture(capture), kChunk);
   return loaded;
 }
 
@@ -1299,11 +1329,13 @@ TEST(CaptureIngest, LoadCaptureMatchesDecodeAcrossRefills) {
   Bytes capture = classic_header(be, false);
   common::Xoshiro256 rng(0x5eed);
   std::uint32_t records = 0;
-  while (capture.size() < 3 * kMiB + kMiB / 2) {
+  // Four times the ring's bytes: the ring wraps, and the framer runs into a
+  // full ring whenever it gets ahead of the parser.
+  while (capture.size() < 4 * kRingBytes + kChunk / 2) {
     Bytes frame = padded_frame(records % 4096, rng.next() % 1400);
-    // No record may end exactly on a 1 MiB file offset, so one straddles
-    // each of those edges.
-    if ((capture.size() + 16 + frame.size()) % kMiB == 0) put8(frame, 0);
+    // No record may end exactly on a chunk-multiple file offset, so one
+    // straddles each of those edges.
+    if ((capture.size() + 16 + frame.size()) % kChunk == 0) put8(frame, 0);
     classic_record(capture, be, records, records % 1'000'000, frame);
     ++records;
   }
@@ -1312,6 +1344,59 @@ TEST(CaptureIngest, LoadCaptureMatchesDecodeAcrossRefills) {
   EXPECT_EQ(loaded.stats.capture_end, RecordOutcome::kEndOfCapture);
   EXPECT_EQ(loaded.stats.capture.records, records);
   EXPECT_EQ(loaded.stats.parsed, records);
+}
+
+TEST(CaptureIngest, LoadCaptureStopsAtTerminalCaplenChunksIn) {
+  // A caplen over kMaxCaptureLength several chunks into the capture ends
+  // the framer while the parser still holds earlier blocks; the bytes after
+  // it are never framed.
+  const bool be = false;
+  Bytes capture = classic_header(be, false, /*snaplen=*/0);
+  std::uint32_t records = 0;
+  while (capture.size() < 3 * kChunk + kChunk / 3) {
+    classic_record(capture, be, records, 0, padded_frame(records, 300));
+    ++records;
+  }
+  put32(capture, records, be);
+  put32(capture, 0, be);
+  put32(capture, 1u << 30, be);
+  put32(capture, 1u << 30, be);
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    classic_record(capture, be, i, 0, padded_frame(i, 300));
+  }
+  const DecodedCapture loaded =
+      load_matches_decode(capture, "fcm_test_pcap_terminal.pcap");
+  for (const std::size_t chunk : {std::size_t{61}, kChunk / 3, kChunk - 1}) {
+    expect_same_decode(loaded, datapath::decode_capture(capture, chunk), chunk);
+  }
+  EXPECT_EQ(loaded.stats.capture_end, RecordOutcome::kMalformedTerminal);
+  EXPECT_EQ(loaded.stats.capture.malformed_terminal, 1u);
+  EXPECT_EQ(loaded.stats.capture.records, records);
+  EXPECT_EQ(loaded.trace.size(), records);
+  EXPECT_EQ(loaded.trace.packets().back().timestamp_ns,
+            std::uint64_t{records - 1} * 1'000'000'000);
+}
+
+TEST(CaptureIngest, LoadCaptureSplitsAGrownBufferAcrossBlocks) {
+  // A record four chunks long grows one buffer to eight chunks, which then
+  // holds far more 16-byte records than one block takes: the framer
+  // publishes full blocks and carries tails longer than a chunk.
+  const bool be = false;
+  Bytes capture = classic_header(be, false, /*snaplen=*/0);
+  classic_record(capture, be, 0, 0, padded_frame(1, 4 * kChunk));
+  const Bytes no_bytes;
+  const std::uint32_t tiny = 6 * kChunk / 16;
+  for (std::uint32_t i = 0; i < tiny; ++i) {
+    classic_record(capture, be, i, 0, no_bytes, 0, 60);
+  }
+  classic_record(capture, be, 1, 0, padded_frame(2, 10));
+  const DecodedCapture loaded =
+      load_matches_decode(capture, "fcm_test_pcap_split.pcap");
+  EXPECT_EQ(loaded.stats.capture_end, RecordOutcome::kEndOfCapture);
+  EXPECT_EQ(loaded.stats.capture.records, tiny + 2);
+  EXPECT_EQ(loaded.stats.parse_failures(), tiny);
+  ASSERT_EQ(loaded.trace.size(), 2u);
+  EXPECT_EQ(loaded.trace.packets()[1].key, flow::FlowKey{2});
 }
 
 TEST(CaptureIngest, LoadCaptureGrowsForBlockLargerThanBuffer) {
@@ -1355,6 +1440,51 @@ TEST(CaptureIngest, LoadCaptureLyingCaplenEndsTruncated) {
 TEST(CaptureIngest, LoadCaptureThrowsOnMissingFile) {
   EXPECT_THROW(datapath::load_capture("/nonexistent/no-such.pcap"),
                std::runtime_error);
+}
+
+TEST(CaptureIngest, LoadCaptureThrowsWhenReadFails) {
+  // A directory opens read-only, but read() on it fails (on the first read,
+  // before the parser thread starts).
+  EXPECT_THROW(datapath::load_capture(testing::TempDir()), std::runtime_error);
+}
+
+TEST(CaptureIngest, PcapngFirstSectionErrorStopsTheRunningParser) {
+  // The reader parses a pcapng capture's first SHB on its first next(), in
+  // the framer after the parser thread started; its PcapError must end both
+  // stages and reach the caller with the same text at every chunk size.
+  for (const bool be : {false, true}) {
+    Bytes capture = shb(be);
+    Bytes major;
+    put16(major, 2, be);
+    std::copy(major.begin(), major.end(), capture.begin() + 12);
+    append(capture, idb(be));
+    while (capture.size() < 2 * kChunk) {
+      append(capture, epb(be, 0, 0, padded_frame(1, 1000)));
+    }
+    std::vector<std::size_t> chunks(std::begin(kBatteryChunkSizes),
+                                    std::end(kBatteryChunkSizes));
+    chunks.push_back(kChunk);
+    for (const std::size_t chunk : chunks) {
+      try {
+        datapath::decode_capture(capture, chunk);
+        ADD_FAILURE() << "chunk " << chunk << " decoded a version-2 section";
+      } catch (const PcapError& error) {
+        EXPECT_STREQ(error.what(), "pcapng: unsupported major version")
+            << "chunk " << chunk;
+      }
+    }
+    const std::string path = testing::TempDir() + "fcm_test_pcap_v2.pcapng";
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(capture.data()),
+               static_cast<std::streamsize>(capture.size()));
+    try {
+      datapath::load_capture(path);
+      ADD_FAILURE() << "load_capture decoded a version-2 section";
+    } catch (const PcapError& error) {
+      EXPECT_STREQ(error.what(), "pcapng: unsupported major version");
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

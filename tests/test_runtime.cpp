@@ -153,10 +153,12 @@ TEST(BlockQueue, OpenPublishConsumeRoundTrip) {
   EXPECT_EQ(queue.block_count(), 4u);
   EXPECT_EQ(queue.block_size(), 16u);
 
+  EXPECT_TRUE(queue.drained());
   std::uint32_t* slots = queue.try_open();
   ASSERT_NE(slots, nullptr);
   for (std::uint32_t i = 0; i < 10; ++i) slots[i] = 100 + i;
   queue.publish(10, /*kind=*/7);
+  EXPECT_FALSE(queue.drained()) << "published block not yet released";
 
   BlockQueue<std::uint32_t>::View view;
   ASSERT_TRUE(queue.try_front(view));
@@ -168,6 +170,7 @@ TEST(BlockQueue, OpenPublishConsumeRoundTrip) {
   EXPECT_EQ(view.count, 10u);
   queue.release();
   EXPECT_FALSE(queue.try_front(view)) << "released block still visible";
+  EXPECT_TRUE(queue.drained());
 }
 
 TEST(BlockQueue, FullRingReturnsNullAndWrapsWithoutCorruption) {
