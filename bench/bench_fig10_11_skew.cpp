@@ -63,12 +63,7 @@ int main(int argc, char** argv) {
           for (const flow::Packet& p : workload.trace.packets()) topk.update(p.key);
           err = metrics::size_errors(
               truth.flow_sizes(), [&](flow::FlowKey key) { return topk.query(key); });
-          auto fsd =
-              control::EmFsdEstimator(control::convert_sketch(topk.sketch()), em).run();
-          for (const auto& [key, count] : topk.topk_flows()) {
-            fsd.add_flows(static_cast<std::size_t>(topk.query(key)), 1.0);
-          }
-          wmre = fsd.wmre(true_fsd);
+          wmre = control::topk_fsd(topk, em).wmre(true_fsd);
         } else {
           core::FcmSketch fcm(bench::fcm_config(memory, k));
           for (const flow::Packet& p : workload.trace.packets()) fcm.update(p.key);

@@ -126,11 +126,7 @@ int main(int argc, char** argv) {
     // FSD + entropy.
     const auto fcm_fsd =
         control::EmFsdEstimator(control::convert_sketch(fcm), em).run();
-    auto topk_fsd =
-        control::EmFsdEstimator(control::convert_sketch(topk.sketch()), em).run();
-    for (const auto& [key, count] : topk.topk_flows()) {
-      topk_fsd.add_flows(static_cast<std::size_t>(topk.query(key)), 1.0);
-    }
+    const auto topk_fsd = control::topk_fsd(topk, em);
     auto elastic_fsd =
         control::EmFsdEstimator(
             {control::from_plain_counters_u8(elastic.light_counters())}, em)

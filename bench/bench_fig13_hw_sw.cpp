@@ -54,11 +54,7 @@ int main(int argc, char** argv) {
   const auto hw_topk_err = metrics::size_errors(
       truth.flow_sizes(), [&](flow::FlowKey key) { return hw_topk.query(key); });
 
-  auto sw_topk_fsd =
-      control::EmFsdEstimator(control::convert_sketch(sw_topk.sketch()), em).run();
-  for (const auto& [key, count] : sw_topk.topk_flows()) {
-    sw_topk_fsd.add_flows(static_cast<std::size_t>(sw_topk.query(key)), 1.0);
-  }
+  const auto sw_topk_fsd = control::topk_fsd(sw_topk, em);
   auto hw_topk_fsd =
       control::EmFsdEstimator(control::convert_sketch(hw_topk.sketch()), em).run();
   for (const auto& entry : hw_topk.filter().entries()) {

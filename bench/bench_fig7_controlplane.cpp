@@ -10,21 +10,6 @@
 
 using namespace fcm;
 
-namespace {
-
-// FCM+TopK control-plane estimate: EM over the sketch plus the filter's
-// exact flows (§6).
-control::FlowSizeDistribution topk_fsd(const core::FcmTopK& topk,
-                                       const control::EmConfig& em) {
-  auto fsd = control::EmFsdEstimator(control::convert_sketch(topk.sketch()), em).run();
-  for (const auto& [key, count] : topk.topk_flows()) {
-    fsd.add_flows(static_cast<std::size_t>(topk.query(key)), 1.0);
-  }
-  return fsd;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const bench::BenchCli cli = bench::BenchCli::parse_or_exit(argc, argv);
   const double scale = metrics::bench_scale();
@@ -62,7 +47,7 @@ int main(int argc, char** argv) {
     }
     const auto fcm_fsd =
         control::EmFsdEstimator(control::convert_sketch(fcm), em).run();
-    const auto topk_dist = topk_fsd(topk, em);
+    const auto topk_dist = control::topk_fsd(topk, em);
 
     fsd_table.add_row({std::to_string(k),
                        metrics::Table::fmt(fcm_fsd.wmre(true_fsd), 4),

@@ -28,8 +28,7 @@ int main() {
   const std::uint64_t threshold = truth_a.total_packets() / 2000;  // 0.05%
 
   framework::FcmFramework::Options options;
-  options.fcm = core::FcmConfig::for_memory(600'000, 2, 16, {8, 16, 32});
-  options.topk_entries = 4096;  // FCM+TopK: pin heavy flows with exact counts
+  options.fcm = core::FcmConfig::for_memory(600'000, 2, 8, {8, 16, 32});
   options.heavy_hitter_threshold = threshold;
 
   // One framework instance per window; in a deployment the same switch

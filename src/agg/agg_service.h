@@ -182,8 +182,8 @@ class VantagePoint {
   // `options` should equal the service's vantage_options() (up to local
   // policy: EM parameters and metrics sinks may differ and never leave the
   // vantage — the service analyzes under its own reference.em; geometry,
-  // seeds, count mode, thresholds and Top-K shape may not, or every flush
-  // is rejected with kRejectedFingerprint). The service must outlive this.
+  // seeds, count mode and thresholds may not, or every flush is rejected
+  // with kRejectedFingerprint). The service must outlive this.
   VantagePoint(std::uint32_t id, framework::FcmFramework::Options options,
                AggregationService& service);
 

@@ -15,8 +15,6 @@ constexpr std::size_t kFrameHeaderBytes = 24;
 constexpr std::uint64_t kFingerprintSalt = 0xfc3a'9617'57a9'e001ull;
 // The one payload type tag; peek() rejects every other value.
 constexpr std::uint8_t kFrameworkTag = 9;
-// One encoded Top-K entry: u32 key, count and negative votes + u8 flags.
-constexpr std::uint64_t kFilterEntryBytes = 13;
 
 // Smallest fixed width that holds a b-bit stage's overflow marker 2^b - 1.
 std::uint64_t stage_elem_bytes(unsigned bits) {
@@ -73,14 +71,8 @@ std::uint64_t WireCodec::merge_fingerprint(
   WireWriter w;
   w.u8(kFrameworkTag);
   encode_config(w, options.fcm);
-  w.u64(options.topk_entries);
   w.u64(options.heavy_hitter_threshold);
   w.u8(static_cast<std::uint8_t>(options.count_mode));
-  // The framework always builds its Top-K filter with the default eviction
-  // lambda (FcmTopK::Config); 0 marks "no filter" so plain and filtered
-  // deployments can never collide.
-  w.u32(options.topk_entries > 0 ? core::FcmTopK::Config{}.eviction_lambda
-                                 : 0u);
   return fingerprint_bytes(w.bytes());
 }
 
@@ -255,60 +247,15 @@ core::FcmSketch WireCodec::decode_sketch_body(common::ByteCursor& in) {
   return sketch;
 }
 
-// --- TopKFilter -------------------------------------------------------------
-
-void WireCodec::encode_filter_body(WireWriter& out,
-                                   const sketch::TopKFilter& filter) {
-  out.u32(filter.hash_.seed());
-  out.u32(filter.lambda_);
-  out.u64(filter.table_.size());
-  for (const sketch::TopKFilter::Entry& entry : filter.table_) {
-    out.u32(entry.key.value);
-    out.u32(entry.count);
-    out.u32(entry.negative);
-    out.u8(entry.has_light_part ? 1 : 0);
-  }
-}
-
-sketch::TopKFilter WireCodec::decode_filter_body(common::ByteCursor& in) {
-  const std::uint32_t seed = in.u32le();
-  const std::uint32_t lambda = in.u32le();
-  FCM_REQUIRE(lambda >= 1, "wire: Top-K eviction lambda must be positive");
-  const std::uint64_t entry_count = in.u64le();
-  FCM_REQUIRE(entry_count >= 1, "wire: Top-K entry count must be positive");
-  require_payload(in, entry_count, kFilterEntryBytes);
-  sketch::TopKFilter filter(static_cast<std::size_t>(entry_count), lambda);
-  filter.hash_ = common::SeededHash(seed);
-  for (sketch::TopKFilter::Entry& entry : filter.table_) {
-    entry.key = flow::FlowKey{in.u32le()};
-    entry.count = in.u32le();
-    entry.negative = in.u32le();
-    const std::uint8_t flags = in.u8();
-    FCM_REQUIRE(flags <= 1, "wire: Top-K entry flags out of range");
-    entry.has_light_part = flags == 1;
-  }
-  // The vote-table ordering invariants (empty buckets carry nothing,
-  // residents dominate challengers) catch bit flips the field checks miss.
-  filter.check_invariants();
-  return filter;
-}
-
 // --- FcmFramework -----------------------------------------------------------
 
 std::vector<std::byte> WireCodec::serialize(const framework::FcmFramework& fw) {
   const framework::FcmFramework::Options& options = fw.options_;
   WireWriter payload;
-  payload.u8(fw.with_topk_.has_value() ? 1 : 0);
   encode_config(payload, options.fcm);
-  payload.u64(options.topk_entries);
   payload.u64(options.heavy_hitter_threshold);
   payload.u8(static_cast<std::uint8_t>(options.count_mode));
-  if (fw.with_topk_.has_value()) {
-    encode_sketch_body(payload, fw.with_topk_->sketch_);
-    encode_filter_body(payload, fw.with_topk_->filter_);
-  } else {
-    encode_sketch_body(payload, *fw.plain_);
-  }
+  encode_sketch_body(payload, fw.sketch_);
   WireWriter out;
   for (const std::uint8_t m : kMagic) out.u8(m);
   out.u16(kWireVersion);
@@ -327,48 +274,26 @@ framework::FcmFramework WireCodec::deserialize_framework(
     const framework::FcmFramework::Options& local) {
   const WireHeader header = peek(buffer);
   common::ByteCursor in(buffer.subspan(kFrameHeaderBytes));
-  const std::uint8_t has_topk = in.u8();
-  FCM_REQUIRE(has_topk <= 1, "wire: boolean field out of range");
 
   framework::FcmFramework::Options options;
   options.fcm = decode_config(in);
-  const std::uint64_t topk_entries = in.u64le();
   options.heavy_hitter_threshold = in.u64le();
   const std::uint8_t count_mode = in.u8();
   FCM_REQUIRE(count_mode <= 1, "wire: count mode out of range");
   options.count_mode =
       static_cast<framework::FcmFramework::CountMode>(count_mode);
-  FCM_REQUIRE((has_topk == 1) == (topk_entries > 0),
-              "wire: Top-K presence flag contradicts the entry count");
-  // The constructor below sizes the vote table from this count, so it is
-  // bounded by the filter body it promises before anything is allocated.
-  require_payload(in, topk_entries, kFilterEntryBytes);
-  options.topk_entries = static_cast<std::size_t>(topk_entries);
   // Analysis policy and telemetry are the receiver's, never the sender's.
   options.em = local.em;
   options.metrics = local.metrics;
 
-  // The constructor re-runs all Options cross-field validation (e.g. byte
-  // counting excludes the Top-K plane) before any state is restored.
-  framework::FcmFramework fw(options);
-  if (has_topk == 1) {
-    core::FcmSketch sketch = decode_sketch_body(in);
-    sketch::TopKFilter filter = decode_filter_body(in);
-    FCM_REQUIRE(sketch.config() == options.fcm,
-                "wire: framework body config contradicts its options");
-    FCM_REQUIRE(filter.entry_count() == options.topk_entries,
-                "wire: framework filter geometry contradicts its options");
-    fw.with_topk_->sketch_ = std::move(sketch);
-    fw.with_topk_->filter_ = std::move(filter);
-  } else {
-    core::FcmSketch sketch = decode_sketch_body(in);
-    FCM_REQUIRE(sketch.config() == options.fcm,
-                "wire: framework body config contradicts its options");
-    *fw.plain_ = std::move(sketch);
-  }
+  core::FcmSketch sketch = decode_sketch_body(in);
+  FCM_REQUIRE(sketch.config() == options.fcm,
+              "wire: framework body config contradicts its options");
   FCM_REQUIRE(in.remaining() == 0,
               "wire: trailing bytes after FcmFramework state");
-  const core::FcmSketch& restored = fw.sketch();
+  framework::FcmFramework fw(options);
+  fw.sketch_ = std::move(sketch);
+  const core::FcmSketch& restored = fw.sketch_;
   FCM_REQUIRE(
       (restored.hh_threshold_.has_value() ? *restored.hh_threshold_ : 0) ==
           options.heavy_hitter_threshold,

@@ -2,14 +2,13 @@
 //
 // One frame type crosses the wire: the FcmFramework snapshot a vantage
 // point ships to the AggregationService at an epoch boundary. It carries
-// the framework's data plane — the FCM sketch, plus the Top-K filter when
-// enabled — and the merge-relevant options, and is reconstructed
-// bit-exactly on the other side: every data-plane query (flow size,
-// cardinality, heavy hitters) returns the same answer on the deserialized
-// framework as on the original, and merge() on deserialized replicas is
-// bit-exact with merge() on the in-memory ones (tests/test_wire.cpp pins
-// both properties). Analysis policy (EmConfig) and telemetry wiring never
-// travel: the receiver supplies its own.
+// the framework's data plane — its one FCM sketch — and the merge-relevant
+// options, and is reconstructed bit-exactly on the other side: every
+// data-plane query (flow size, cardinality, heavy hitters) returns the same
+// answer on the deserialized framework as on the original, and merge() on
+// deserialized replicas is bit-exact with merge() on the in-memory ones
+// (tests/test_wire.cpp pins both properties). Analysis policy (EmConfig)
+// and telemetry wiring never travel: the receiver supplies its own.
 //
 // Frame layout (all integers little-endian, fixed width, byte-at-a-time —
 // no struct dumps, no reinterpret_cast; tools/fcm_lint.py's wire-encoding
@@ -25,11 +24,11 @@
 //   24     ...   framework payload
 //
 // The merge fingerprint hashes the *merge-relevant* configuration
-// (geometry + hash seeds + count mode + heavy-hitter threshold + Top-K
-// shape — exactly the preconditions FcmFramework::merge() checks, not
-// local policy like EM iteration caps). Two frames with equal fingerprints
-// are mergeable; the AggregationService rejects mismatches from the header
-// alone, without deserializing the payload.
+// (geometry + hash seeds + count mode + heavy-hitter threshold — exactly
+// the preconditions FcmFramework::merge() checks, not local policy like EM
+// iteration caps). Two frames with equal fingerprints are mergeable; the
+// AggregationService rejects mismatches from the header alone, without
+// deserializing the payload.
 //
 // Hostile-input posture: the decoder reads through the bounds-checked
 // common::ByteCursor (the capture datapath's reader too) and validates
@@ -57,7 +56,7 @@ namespace fcm::agg {
 // Bump when the byte layout changes incompatibly. Policy (DESIGN.md §11):
 // readers accept exactly their own version; the version byte exists so a
 // mixed-fleet rollout fails loudly at the header, not by misparsing state.
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 
 // Append-only little-endian encoder. Integers are emitted byte by byte so
 // the layout is identical on every host.
@@ -120,17 +119,14 @@ class WireCodec {
       const framework::FcmFramework::Options& options);
 
  private:
-  // Body encoders/decoders the framework payload nests: a sketch body,
-  // followed by a filter body when the Top-K plane is enabled.
+  // Encoders/decoders of the sections the framework payload nests
+  // (DESIGN.md §11.1).
   static void encode_config(WireWriter& out, const core::FcmConfig& config);
   static core::FcmConfig decode_config(common::ByteCursor& in);
   static void encode_tree_state(WireWriter& out, const core::FcmTree& tree);
   static void decode_tree_state(common::ByteCursor& in, core::FcmTree& tree);
   static void encode_sketch_body(WireWriter& out, const core::FcmSketch& s);
   static core::FcmSketch decode_sketch_body(common::ByteCursor& in);
-  static void encode_filter_body(WireWriter& out,
-                                 const sketch::TopKFilter& filter);
-  static sketch::TopKFilter decode_filter_body(common::ByteCursor& in);
 };
 
 }  // namespace fcm::agg

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/contracts.h"
+#include "fcm/fcm_topk.h"
 #include "obs/metrics_registry.h"
 
 namespace fcm::control {
@@ -325,6 +326,15 @@ FlowSizeDistribution EmFsdEstimator::run(const IterationCallback& callback) {
   if (em_delta != nullptr) em_delta->set(last_delta);
   if (em_runs != nullptr) em_runs->inc();
   return current_;
+}
+
+FlowSizeDistribution topk_fsd(const core::FcmTopK& topk, const EmConfig& config) {
+  FlowSizeDistribution fsd =
+      EmFsdEstimator(convert_sketch(topk.sketch()), config).run();
+  for (const auto& [key, count] : topk.topk_flows()) {
+    fsd.add_flows(static_cast<std::size_t>(topk.query(key)), 1.0);
+  }
+  return fsd;
 }
 
 }  // namespace fcm::control

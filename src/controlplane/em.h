@@ -19,6 +19,10 @@
 #include "controlplane/virtual_counter.h"
 #include "obs/metrics_registry.h"
 
+namespace fcm::core {
+class FcmTopK;
+}
+
 namespace fcm::control {
 
 struct EmConfig {
@@ -89,5 +93,10 @@ class EmFsdEstimator {
   std::uint64_t max_value_ = 0;
   FlowSizeDistribution current_;
 };
+
+// FCM+TopK's control-plane estimate (§6): EM over the virtual counters of
+// the sketch part, plus one flow per filter-resident entry at its query()
+// size (the filter pins heavy flows with exact counts).
+FlowSizeDistribution topk_fsd(const core::FcmTopK& topk, const EmConfig& config);
 
 }  // namespace fcm::control

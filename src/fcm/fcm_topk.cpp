@@ -37,28 +37,6 @@ void FcmTopK::update(flow::FlowKey key) {
   }
 }
 
-void FcmTopK::add_weighted(flow::FlowKey key, std::uint64_t count) {
-  sketch_.add(key, count);
-  // If the flow holds a filter entry, its sketch-side residue must be made
-  // visible to query(): without the light-part flag the filter would answer
-  // with its exact count alone and UNDERESTIMATE by `count`.
-  filter_.note_light_part(key);
-}
-
-void FcmTopK::merge(const FcmTopK& other) {
-  // Sketches first (bit-exact linear merge), then the heavy parts; flows
-  // displaced by bucket contention flush into the merged sketch the same way
-  // a data-plane eviction would.
-  sketch_.merge(other.sketch_);
-  for (const auto& evicted : filter_.merge(other.filter_)) {
-    sketch_.add(evicted.key, evicted.count);
-  }
-}
-
-void FcmTopK::requalify_heavy_hitters(std::uint64_t threshold) {
-  sketch_.requalify_heavy_hitters(threshold);
-}
-
 std::uint64_t FcmTopK::query(flow::FlowKey key) const {
   if (const auto hit = filter_.query(key)) {
     return hit->has_light_part ? hit->count + sketch_.query(key) : hit->count;

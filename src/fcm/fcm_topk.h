@@ -2,6 +2,10 @@
 // FCM-Sketch. Heavy flows are pinned in the filter with exact counts;
 // pass-through packets and evicted incumbents land in the FCM-Sketch.
 // The paper's default geometry is 16-ary trees with a 4K-entry filter (§7.2).
+// It models one switch: the filter's heavy part is not linear, so FcmTopK
+// has no merge and no wire form. Network-wide measurement runs plain FCM
+// through framework::FcmFramework; control::topk_fsd is FCM+TopK's flow
+// size distribution estimate.
 #pragma once
 
 #include <cstdint>
@@ -29,30 +33,10 @@ class FcmTopK {
                             std::uint64_t seed = 0x5555aaaa);
 
   // One packet: the filter's offer decides whether it is kept, passes
-  // through to the sketch, or evicts an incumbent into it. Applied key by
-  // key, also under FcmFramework::process_batch (DESIGN.md §9).
+  // through to the sketch, or evicts an incumbent into it.
   void update(flow::FlowKey key);
 
-  // Weighted bulk insert: `count` packets of `key` land in the FCM sketch in
-  // one add, exactly as an eviction flush would deposit them — the datapath
-  // heavy-flow cache demotes cold flows through this (DESIGN.md §12). If the
-  // flow is filter-resident its light-part flag is set so query() keeps
-  // combining both parts and never underestimates.
-  void add_weighted(flow::FlowKey key, std::uint64_t count);
-
   std::uint64_t query(flow::FlowKey key) const;
-
-  // Merges `other` into this instance: the FCM sketches merge bit-exactly
-  // (FcmSketch::merge); the Top-K heavy parts merge bucket-wise, with flows
-  // displaced from contended buckets flushed into the merged sketch exactly
-  // as a data-plane eviction would flush them (TopKFilter::merge). Queries
-  // on the merged structure never underestimate. Requires identical configs
-  // (ContractViolation otherwise).
-  void merge(const FcmTopK& other);
-
-  // Lifts the sketch-side heavy-hitter threshold and prunes its recorded
-  // set against the merged counters (see FcmSketch::requalify_heavy_hitters).
-  void requalify_heavy_hitters(std::uint64_t threshold);
 
   double estimate_cardinality() const;
 
@@ -78,8 +62,6 @@ class FcmTopK {
   void clear();
 
  private:
-  friend class ::fcm::agg::WireCodec;
-
   FcmSketch sketch_;
   sketch::TopKFilter filter_;
 };

@@ -1,17 +1,19 @@
-// The FCM framework (paper Figure 1): FCM-Sketch in the data plane with an
-// optional Top-K filter, plus the control-plane pipeline (virtual counter
-// conversion, EM, entropy, heavy change) behind one facade. This is the
-// public API an application embeds; the examples/ directory shows it in use.
+// The FCM framework (paper Figure 1): one FCM-Sketch in the data plane plus
+// the control-plane pipeline (virtual counter conversion, EM, entropy, heavy
+// change) behind one facade. This is the public API an application embeds;
+// the examples/ directory shows it in use. Its state is linear, so
+// frameworks merge bit-exactly (runtime shards, network vantages). FCM+TopK
+// (§6) is the single-switch core::FcmTopK, whose FSD estimate is
+// control::topk_fsd.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "controlplane/em.h"
 #include "controlplane/heavy_change.h"
-#include "fcm/fcm_topk.h"
+#include "fcm/fcm_sketch.h"
 #include "flow/packet.h"
 #include "obs/metrics_registry.h"
 
@@ -29,13 +31,8 @@ class FcmFramework {
 
   struct Options {
     core::FcmConfig fcm = core::FcmConfig::paper_default();
-    // 0 disables the Top-K filter (plain FCM); the paper's FCM+TopK uses
-    // 4096 entries with 16-ary trees.
-    std::size_t topk_entries = 0;
     // 0 disables on-path heavy-hitter tracking.
     std::uint64_t heavy_hitter_threshold = 0;
-    // Byte counting requires the plain-FCM data plane (the TopK filter's
-    // vote counters are per-packet); the constructor rejects the combination.
     CountMode count_mode = CountMode::kPackets;
     control::EmConfig em;
     // Telemetry sink for the control plane (analyze() counters/latency and,
@@ -67,21 +64,18 @@ class FcmFramework {
   void process(std::span<const flow::Packet> packets);
 
   // Batched per-packet ingest (DESIGN.md §9): equivalent to process(key) for
-  // each key in order, bit-exact. The plain-FCM plane runs
-  // FcmSketch::add_batch (bulk hashing, level-1 prefetch, compacted level-1
-  // and level-2 passes ahead of the carry walk); the Top-K plane applies
-  // FcmTopK::update key by key. The span overload of
-  // process() feeds packet keys through this in kPackets mode; kBytes stays
-  // per-packet (the increment is data-dependent).
+  // each key in order, bit-exact. Runs FcmSketch::add_batch (bulk hashing,
+  // level-1 prefetch, compacted level-1 and level-2 passes ahead of the
+  // carry walk). The span overload of process() feeds packet keys through
+  // this in kPackets mode; kBytes stays per-packet (the increment is
+  // data-dependent).
   void process_batch(std::span<const flow::FlowKey> keys);
 
   // Weighted bulk insert: absorbs `count` units (packets in kPackets mode,
   // bytes in kBytes mode) of flow `key` in one call — the demotion path of
   // the datapath heavy-flow cache and the sharded runtime's cache flush
-  // (DESIGN.md §12). For the plain-FCM plane this is bit-exact equivalent to
-  // `count` separate unit inserts (FCM counters are order-independent sums);
-  // with the Top-K filter the count lands in the backing sketch and the
-  // filter's light-part flag is set, so queries never underestimate.
+  // (DESIGN.md §12). Bit-exact equivalent to `count` separate unit inserts
+  // (FCM counters are order-independent sums).
   void process_weighted(flow::FlowKey key, std::uint64_t count);
 
   // Data-plane queries (§3.3): available at line rate.
@@ -106,13 +100,12 @@ class FcmFramework {
                                                   const FcmFramework& window_b,
                                                   std::uint64_t threshold);
 
-  // Merges `other`'s data plane into this framework (FcmSketch/FcmTopK
-  // merge; see DESIGN.md §7). Both frameworks must have been built from
-  // equivalent Options — same FcmConfig, Top-K geometry, count mode, and
-  // heavy-hitter threshold (ContractViolation otherwise). For the plain-FCM
-  // data plane the merged state is bit-exact the state of one framework fed
-  // both packet streams; FCM+TopK merges the heavy part approximately but
-  // never underestimates. The runtime's shard replicas merge through this.
+  // Merges `other`'s data plane into this framework (FcmSketch::merge; see
+  // DESIGN.md §7). Both frameworks must have been built from equivalent
+  // Options — same FcmConfig, count mode, and heavy-hitter threshold
+  // (ContractViolation otherwise). The merged state is bit-exact the state
+  // of one framework fed both packet streams. The runtime's shard replicas
+  // and the aggregation service's vantages merge through this.
   void merge(const FcmFramework& other);
 
   // Lifts the heavy-hitter threshold to `threshold` (e.g. from a per-shard
@@ -120,32 +113,31 @@ class FcmFramework {
   // candidates against the current counters.
   void requalify_heavy_hitters(std::uint64_t threshold);
 
-  // The underlying FCM sketch (the data-plane structure behind the facade);
-  // the TopK variant exposes the sketch part. Read-only: used by the
-  // control plane, the sharded runtime's equivalence tests, and benches.
-  const core::FcmSketch& sketch() const { return active_sketch(); }
+  // The underlying FCM sketch (the data-plane structure behind the facade).
+  // Read-only: used by the control plane, the sharded runtime's equivalence
+  // tests, and benches.
+  const core::FcmSketch& sketch() const { return sketch_; }
 
   // Resets the data plane for the next measurement window.
   void reset();
 
   const Options& options() const noexcept { return options_; }
-  std::size_t memory_bytes() const;
+  std::size_t memory_bytes() const { return sketch_.memory_bytes(); }
 
   // --- observability (DESIGN.md §8) ---------------------------------------
-  // Overflow-promotion events in the active sketch's trees and how often
-  // linear counting hit its full-table guard. Plain counters inside the data
-  // plane (no atomics on the hot path); the sharded runtime and the benches
+  // Overflow-promotion events in the sketch's trees and how often linear
+  // counting hit its full-table guard. Plain counters inside the data plane
+  // (no atomics on the hot path); the sharded runtime and the benches
   // scrape them into the obs::MetricsRegistry at epoch boundaries.
   std::uint64_t overflow_promotion_count() const {
-    return active_sketch().overflow_promotion_count();
+    return sketch_.overflow_promotion_count();
   }
   std::uint64_t cardinality_saturation_count() const {
-    return active_sketch().cardinality_saturation_count();
+    return sketch_.cardinality_saturation_count();
   }
 
-  // Deep invariants of the active data plane (sketch trees, and the vote
-  // table when the Top-K filter is enabled).
-  void check_invariants() const;
+  // Deep invariants of the data plane (the sketch's trees).
+  void check_invariants() const { sketch_.check_invariants(); }
 
   // Frameworks are copyable (keep a snapshot per epoch for heavy change)
   // and movable: a move hands over the sketch's buffers without copying.
@@ -157,11 +149,8 @@ class FcmFramework {
  private:
   friend class ::fcm::agg::WireCodec;
 
-  const core::FcmSketch& active_sketch() const;
-
   Options options_;
-  std::optional<core::FcmSketch> plain_;
-  std::optional<core::FcmTopK> with_topk_;
+  core::FcmSketch sketch_;
 };
 
 }  // namespace fcm::framework

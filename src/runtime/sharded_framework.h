@@ -5,15 +5,15 @@
 // software. One driver thread stages traffic into blocks and hands WHOLE
 // blocks to N shard workers, in strict rotation, over lock-free block rings
 // (common/block_queue.h); each worker owns a private FcmFramework replica
-// (plain FCM or FCM+TopK) and feeds popped blocks straight into the batched
-// ingest kernel (FcmFramework::process_batch), so the hot path is entirely
+// and feeds popped blocks straight into the batched ingest kernel
+// (FcmFramework::process_batch), so the hot path is entirely
 // unsynchronized and pays one release store per block of
 // common::kBatchBlock packets instead of per packet. FCM counters are
-// linear, so at each epoch boundary the N
-// shard replicas are merged into ONE logical sketch — bit-exact equal, for
-// the plain-FCM plane, to the sketch a serial run would hold (FcmTree::merge)
-// whatever split of the traffic the shards saw — which the existing control
-// plane (EM/FSD, entropy, heavy change) consumes unchanged.
+// linear, so at each epoch boundary the N shard replicas are merged into
+// ONE logical sketch — bit-exact equal to the sketch a serial run would
+// hold (FcmTree::merge) whatever split of the traffic the shards saw —
+// which the existing control plane (EM/FSD, entropy, heavy change)
+// consumes unchanged.
 //
 // Block staging (DESIGN.md §13): the driver keeps ONE open block, reserved
 // in place inside the ring of the shard whose turn it is (zero staging
@@ -103,9 +103,9 @@ class ShardedFcmFramework {
     // and are demoted as one (key, bytes) pair on eviction and at every
     // rotation (several pairs past 2^32 - 1 bytes), staged like any other
     // pair, so each merged epoch holds exactly the bytes ingested into it
-    // (the plain-FCM merged COUNTER state is bit-exact equal to a cache-off
-    // run; the on-path HH ledger is trajectory-dependent but never misses a
-    // truly heavy flow — the differential battery checks both).
+    // (the merged COUNTER state is bit-exact equal to a cache-off run; the
+    // on-path HH ledger is trajectory-dependent but never misses a truly
+    // heavy flow — the differential battery checks both).
     std::size_t cache_entries = 0;
     std::size_t cache_ways = 4;       // set associativity (see HeavyFlowCache)
     // Telemetry sink (DESIGN.md §8). Defaults to the process-global

@@ -31,12 +31,8 @@ CmSketch CmSketch::for_memory(std::size_t memory_bytes, std::size_t depth,
 void CmSketch::add(flow::FlowKey key, std::uint64_t count) {
   for (std::size_t d = 0; d < rows_.size(); ++d) {
     auto& counter = rows_[d][row_index(d, key)];
-    const std::uint64_t next = counter + count;
-    if (next > std::numeric_limits<std::uint32_t>::max()) {
-      ++saturations_;  // observability: the counter clamped (undersized sketch)
-    }
-    counter = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(next, std::numeric_limits<std::uint32_t>::max()));
+    counter = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        std::uint64_t{counter} + count, std::numeric_limits<std::uint32_t>::max()));
   }
 }
 
@@ -66,7 +62,6 @@ void CmSketch::check_invariants() const {
 
 void CmSketch::clear() {
   for (auto& row : rows_) std::fill(row.begin(), row.end(), 0u);
-  saturations_ = 0;
 }
 
 CuSketch CuSketch::for_memory(std::size_t memory_bytes, std::size_t depth,

@@ -32,12 +32,6 @@ class CmSketch : public FrequencyEstimator {
   std::size_t depth() const noexcept { return rows_.size(); }
   std::size_t width() const noexcept { return width_; }
 
-  // Observability: how many counter increments clamped at the 32-bit
-  // ceiling since construction / clear(). A non-zero value means the sketch
-  // is undersized for the workload (estimates silently stop growing); the
-  // benches surface it through the metrics registry.
-  std::uint64_t saturation_count() const noexcept { return saturations_; }
-
   // Deep invariants: row geometry (depth >= 1, every row exactly `width()`
   // counters, one hash per row).
   void check_invariants() const;
@@ -53,7 +47,6 @@ class CmSketch : public FrequencyEstimator {
   std::size_t width_;
   std::vector<common::SeededHash> hashes_;
   std::vector<std::vector<std::uint32_t>> rows_;
-  std::uint64_t saturations_ = 0;  // see saturation_count()
 };
 
 // Count-Min with conservative update [Estan & Varghese 2003]: only counters

@@ -93,13 +93,6 @@ std::unordered_map<flow::FlowKey, std::uint64_t> ElasticSketch::heavy_flows() co
   return flows;
 }
 
-bool ElasticSketch::has_light_residue(flow::FlowKey key) const {
-  for (const auto& level : heavy_) {
-    if (const auto hit = level.query(key); hit && hit->has_light_part) return true;
-  }
-  return false;
-}
-
 void ElasticSketch::clear() {
   for (auto& level : heavy_) level.clear();
   std::fill(light_.begin(), light_.end(), std::uint8_t{0});

@@ -44,8 +44,6 @@ class ElasticSketch : public FrequencyEstimator {
   // --- control-plane accessors ---
   // Aggregated heavy-part flows (summed across levels).
   std::unordered_map<flow::FlowKey, std::uint64_t> heavy_flows() const;
-  // Whether any heavy entry of `key` is flagged as having light-part residue.
-  bool has_light_residue(flow::FlowKey key) const;
   // The light-part counter array (8-bit values, saturating at 255), for
   // MRAC-style flow-size-distribution recovery.
   const std::vector<std::uint8_t>& light_counters() const noexcept { return light_; }

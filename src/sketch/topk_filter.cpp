@@ -1,7 +1,6 @@
 #include "sketch/topk_filter.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -44,60 +43,6 @@ TopKFilter::Offer TopKFilter::offer_at(std::size_t bucket, flow::FlowKey key) {
   }
   result.outcome = Offer::Outcome::kPassThrough;
   return result;
-}
-
-std::vector<TopKFilter::MergeEviction> TopKFilter::merge(const TopKFilter& other) {
-  FCM_REQUIRE(table_.size() == other.table_.size(),
-              "TopKFilter::merge: mismatched entry counts (" +
-                  std::to_string(table_.size()) + " vs " +
-                  std::to_string(other.table_.size()) + ")");
-  FCM_REQUIRE(lambda_ == other.lambda_,
-              "TopKFilter::merge: mismatched eviction lambdas");
-  FCM_REQUIRE(hash_.seed() == other.hash_.seed(),
-              "TopKFilter::merge: filters use different hash functions");
-  std::vector<MergeEviction> evictions;
-  constexpr std::uint64_t kCounterMax = std::numeric_limits<std::uint32_t>::max();
-  for (std::size_t i = 0; i < table_.size(); ++i) {
-    Entry& ours = table_[i];
-    const Entry& theirs = other.table_[i];
-    if (theirs.key.value == 0) continue;  // nothing arrives from `other`
-    if (ours.key.value == 0) {
-      // Our bucket never saw a packet (first offer always installs), so the
-      // incoming flow has no light-part residue on our side: copy verbatim.
-      ours = theirs;
-      continue;
-    }
-    if (ours.key == theirs.key) {
-      const std::uint64_t count =
-          std::min<std::uint64_t>(static_cast<std::uint64_t>(ours.count) +
-                                      theirs.count,
-                                  kCounterMax);
-      // Clamp challenger votes below the eviction threshold: a resident
-      // entry must keep dominating (check_invariants' ordering property).
-      const std::uint64_t negative =
-          std::min<std::uint64_t>(static_cast<std::uint64_t>(ours.negative) +
-                                      theirs.negative,
-                                  static_cast<std::uint64_t>(lambda_) * count - 1);
-      ours.count = static_cast<std::uint32_t>(count);
-      ours.negative = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(negative, kCounterMax));
-      ours.has_light_part = ours.has_light_part || theirs.has_light_part;
-      continue;
-    }
-    // Two different incumbents contend for the bucket: keep the heavier one
-    // (ties keep ours), flush the loser's exact count into the backing
-    // sketch. The winner may have had pass-through packets in the loser's
-    // shard, so its light-part flag must be set.
-    if (theirs.count > ours.count) {
-      evictions.push_back({ours.key, ours.count});
-      ours = theirs;
-    } else {
-      evictions.push_back({theirs.key, theirs.count});
-    }
-    ours.has_light_part = true;
-  }
-  FCM_CHECKED_ONLY(check_invariants());
-  return evictions;
 }
 
 std::optional<TopKFilter::QueryResult> TopKFilter::query(flow::FlowKey key) const {

@@ -3,6 +3,8 @@
 // level — exactly what the paper deploys in front of FCM ("FCM+TopK", §6,
 // §7.2: "a single level of Top-K algorithm with 4K entries") and what its
 // Tofino implementation approximates ElasticSketch with (§8.1).
+// The vote table is order-dependent, so two filters have no exact merge;
+// FCM+TopK (core::FcmTopK) stays a single-switch structure.
 #pragma once
 
 #include <cstdint>
@@ -11,10 +13,6 @@
 
 #include "common/hash.h"
 #include "flow/flow_key.h"
-
-namespace fcm::agg {
-class WireCodec;  // wire-format (de)serializer, the single state-access friend
-}
 
 namespace fcm::sketch {
 
@@ -53,38 +51,6 @@ class TopKFilter {
     return offer_at(hash_.index(key, table_.size()), key);
   }
 
-  // One flow displaced while merging two filters; its heavy-part count must
-  // be flushed into the backing sketch by the caller (FcmTopK::merge does).
-  struct MergeEviction {
-    flow::FlowKey key{};
-    std::uint64_t count = 0;
-  };
-
-  // Merges `other` bucket by bucket (requires identical entry count, lambda
-  // and hash seed; ContractViolation otherwise). Same-key buckets sum their
-  // counts and OR their light-part flags; when two different flows contend
-  // for a bucket the larger count wins (ties keep the incumbent), the loser
-  // is returned for flushing into the backing sketch, and the winner's
-  // light-part flag is set — its pass-through traffic in the other shard
-  // lives in that shard's sketch. The heavy part is not linear, so this is
-  // an approximation (unlike FcmTree/CmSketch merges); queries on the merged
-  // FcmTopK still never underestimate. Vote counters are clamped so
-  // check_invariants() ordering properties keep holding.
-  std::vector<MergeEviction> merge(const TopKFilter& other);
-
-  // Marks a resident flow as having light-part (sketch-side) traffic; called
-  // when some of its packets were deposited into the backing sketch OUTSIDE
-  // the offer path (FcmTopK::add_weighted's cache demotions). Returns whether
-  // the flow was resident; a miss is fine — non-resident flows are answered
-  // from the sketch anyway.
-  bool note_light_part(flow::FlowKey key) {
-    if (key.value == 0) return false;
-    Entry& entry = table_[hash_.index(key, table_.size())];
-    if (entry.key != key) return false;
-    entry.has_light_part = true;
-    return true;
-  }
-
   // Heavy-part lookup; nullopt when the flow holds no entry.
   std::optional<QueryResult> query(flow::FlowKey key) const;
 
@@ -113,8 +79,6 @@ class TopKFilter {
   void clear();
 
  private:
-  friend class ::fcm::agg::WireCodec;
-
   // The vote/eviction state machine for one non-sentinel key whose bucket
   // index is already known (offer() hashes it).
   Offer offer_at(std::size_t bucket, flow::FlowKey key);

@@ -189,36 +189,6 @@ TEST(AggregationServiceTest, ViewAnalyzesUnderReferencePolicyInAnyOrder) {
   EXPECT_EQ(a.cardinality, b.cardinality);
 }
 
-// A Top-K deployment's frame whose options declare a giant vote table is
-// malformed, not an allocation: deliver() reports it and stays usable.
-TEST(AggregationServiceTest, HostileTopKEntryCountIsRejectedMalformed) {
-  auto options = service_options(1);
-  options.reference.topk_entries = 64;
-  AggregationService service(options);
-  framework::FcmFramework fw(service.vantage_options());
-  fw.process(flow::FlowKey{4});
-
-  // u64 topk_entries follows the header, the u8 Top-K flag and the options'
-  // FcmConfig (25 bytes + one per stage).
-  const std::size_t offset =
-      24 + 1 + 25 + service.vantage_options().fcm.stage_count();
-  for (const unsigned shift : {26u, 40u, 60u}) {
-    SnapshotEnvelope hostile = envelope_for(fw, 0, 1);
-    for (std::size_t i = 0; i < 8; ++i) {
-      hostile.payload[offset + i] =
-          static_cast<std::byte>(((1ull << shift) >> (8 * i)) & 0xff);
-    }
-    EXPECT_EQ(service.deliver(std::move(hostile)),
-              DeliveryStatus::kRejectedMalformed)
-        << "2^" << shift << " entries";
-  }
-  EXPECT_EQ(service.deliver(envelope_for(fw, 0, 1)), DeliveryStatus::kAccepted);
-  ASSERT_NE(service.query_plane().current(), nullptr);
-  EXPECT_EQ(service.query_plane().current()->network.flow_size(
-                flow::FlowKey{4}),
-            1u);
-}
-
 TEST(AggregationServiceTest, OutOfOrderEpochsPublishInOrder) {
   AggregationService service(service_options(2));
   framework::FcmFramework fw(service.vantage_options());

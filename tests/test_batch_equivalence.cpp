@@ -14,8 +14,7 @@
 // eviction ordering), and batches interleaved with rotate_async() epoch
 // markers on the sharded runtime. Everything that hashes through
 // index_batch (the trees) also runs under every kernel tier the CPU
-// supports. The Top-K plane applies FcmTopK::update key by key, so it has no
-// batch path to compare.
+// supports.
 
 #include <gtest/gtest.h>
 
@@ -276,32 +275,29 @@ TEST(BatchEquivalence, SketchBatchSplitArbitrarily) {
 // --- FcmFramework ------------------------------------------------------------
 
 TEST(BatchEquivalence, FrameworkSpanMatchesPerPacket) {
-  for (const bool with_topk : {false, true}) {
-    FcmFramework::Options options;
-    options.fcm = small_config();
-    options.topk_entries = with_topk ? 64 : 0;
-    options.heavy_hitter_threshold = 25;
-    options.metrics = nullptr;
-    FcmFramework scalar(options);
-    FcmFramework batched(options);
+  FcmFramework::Options options;
+  options.fcm = small_config();
+  options.heavy_hitter_threshold = 25;
+  options.metrics = nullptr;
+  FcmFramework scalar(options);
+  FcmFramework batched(options);
 
-    const auto keys = skewed_keys(3000, 13);
-    std::vector<Packet> packets;
-    packets.reserve(keys.size());
-    for (const FlowKey key : keys) packets.push_back({key, 100, 0});
+  const auto keys = skewed_keys(3000, 13);
+  std::vector<Packet> packets;
+  packets.reserve(keys.size());
+  for (const FlowKey key : keys) packets.push_back({key, 100, 0});
 
-    for (const Packet& packet : packets) scalar.process(packet);
-    batched.process(std::span<const Packet>(packets));
+  for (const Packet& packet : packets) scalar.process(packet);
+  batched.process(std::span<const Packet>(packets));
 
-    expect_sketch_identical(scalar.sketch(), batched.sketch());
-    auto hh_a = scalar.heavy_hitters();
-    auto hh_b = batched.heavy_hitters();
-    std::sort(hh_a.begin(), hh_a.end());
-    std::sort(hh_b.begin(), hh_b.end());
-    EXPECT_EQ(hh_a, hh_b) << "with_topk=" << with_topk;
-    for (const FlowKey key : keys) {
-      ASSERT_EQ(scalar.flow_size(key), batched.flow_size(key));
-    }
+  expect_sketch_identical(scalar.sketch(), batched.sketch());
+  auto hh_a = scalar.heavy_hitters();
+  auto hh_b = batched.heavy_hitters();
+  std::sort(hh_a.begin(), hh_a.end());
+  std::sort(hh_b.begin(), hh_b.end());
+  EXPECT_EQ(hh_a, hh_b);
+  for (const FlowKey key : keys) {
+    ASSERT_EQ(scalar.flow_size(key), batched.flow_size(key));
   }
 }
 

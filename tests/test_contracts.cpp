@@ -338,7 +338,6 @@ TEST(InvariantSweep, BaselinesAndFramework) {
 
   framework::FcmFramework::Options options;
   options.fcm = small_config(15);
-  options.topk_entries = 512;
   framework::FcmFramework fw(options);
 
   for (const flow::Packet& p : trace.packets()) {

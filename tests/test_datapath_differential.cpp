@@ -190,37 +190,6 @@ TEST_P(ShardedDifferential, PerItemIngestMatchesSpanIngest) {
   spans.stop();
 }
 
-// FCM+TopK's filter state is order-dependent, so no bit-exact claim; a small
-// 64-entry filter churns through evict-and-flush on every shard and must
-// still never underestimate. At 4 shards block rotation splits every flow
-// with more than one block of packets, so the hot flows reach the filter
-// merge from several shards. TopK counts packets only, so the byte-mode
-// cache can never front it: asking for both is a contract violation.
-TEST_P(ShardedDifferential, TopKNeverUnderestimatesAndTakesNoCache) {
-  const std::size_t shards = GetParam();
-  ShardedFcmFramework::Options options = sharded_options(shards, 0, 200);
-  options.framework.count_mode = FcmFramework::CountMode::kPackets;
-  options.framework.topk_entries = 64;
-  {
-    ShardedFcmFramework::Options cached = options;
-    cached.cache_entries = 256;
-    EXPECT_THROW(ShardedFcmFramework{cached}, common::ContractViolation);
-  }
-  ShardedFcmFramework topk(options);
-  const std::vector<flow::Packet> packets = zipf_packets(kSeed, 40'000, 2'000);
-  std::unordered_map<flow::FlowKey, std::uint64_t> truth;
-  for (const flow::Packet& packet : packets) {
-    topk.ingest(packet.key);
-    ++truth[packet.key];
-  }
-  topk.rotate();
-  for (const auto& [key, count] : truth) {
-    ASSERT_GE(topk.flow_size(key), count)
-        << "TopK underestimates flow " << key.value;
-  }
-  topk.stop();
-}
-
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedDifferential,
                          ::testing::Values(std::size_t{1}, std::size_t{4}));
 

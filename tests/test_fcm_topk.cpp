@@ -26,6 +26,7 @@ TEST(FcmTopK, ForMemorySplitsBudget) {
   EXPECT_LE(topk.memory_bytes(), 500'000u);
   EXPECT_GE(topk.memory_bytes(), 450'000u);
   EXPECT_EQ(topk.filter().entry_count(), 4096u);
+  EXPECT_EQ(topk.memory_bytes(), topk.sketch().memory_bytes() + 4096 * 8);
   EXPECT_THROW(FcmTopK::for_memory(1000, 2, 16, 4096), std::invalid_argument);
 }
 

@@ -1,5 +1,7 @@
-// End-to-end tests of the FcmFramework facade (Figure 1) and cross-module
-// integration sanity checks against the paper's headline claims.
+// End-to-end tests of the FcmFramework facade (Figure 1), of FCM+TopK's
+// single-switch pipeline (core::FcmTopK plus control::topk_fsd), and
+// cross-module integration sanity checks against the paper's headline
+// claims.
 #include "framework/fcm_framework.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +10,8 @@
 #include <cstdint>
 #include <utility>
 
+#include "controlplane/em.h"
+#include "fcm/fcm_topk.h"
 #include "flow/synthetic.h"
 #include "metrics/evaluator.h"
 #include "sketch/cm_sketch.h"
@@ -15,10 +19,9 @@
 namespace fcm::framework {
 namespace {
 
-FcmFramework::Options small_options(std::size_t topk_entries = 0) {
+FcmFramework::Options small_options() {
   FcmFramework::Options options;
   options.fcm = core::FcmConfig::for_memory(150'000, 2, 8, {8, 16, 32});
-  options.topk_entries = topk_entries;
   options.heavy_hitter_threshold = 100;
   options.em.max_iterations = 5;
   return options;
@@ -32,12 +35,10 @@ flow::Trace small_trace(std::uint64_t seed = 1) {
   return flow::SyntheticTraceGenerator(config).generate();
 }
 
-class FrameworkModeTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FrameworkModeTest, EndToEndQueries) {
+TEST(FcmFramework, EndToEndQueries) {
   const flow::Trace trace = small_trace();
   const flow::GroundTruth truth(trace);
-  FcmFramework framework(small_options(GetParam()));
+  FcmFramework framework(small_options());
   framework.process(trace.packets());
 
   // Flow size: never underestimates.
@@ -61,18 +62,48 @@ TEST_P(FrameworkModeTest, EndToEndQueries) {
   EXPECT_NEAR(report.entropy, truth.entropy(), truth.entropy() * 0.05);
 }
 
+// The same checks on FCM+TopK (§6): the single-switch core::FcmTopK with a
+// 1024-entry filter in front of the framework's sketch geometry, its FSD
+// from control::topk_fsd.
+TEST(FcmTopKPipeline, EndToEndQueries) {
+  const flow::Trace trace = small_trace();
+  const flow::GroundTruth truth(trace);
+  const FcmFramework::Options options = small_options();
+  core::FcmTopK::Config config;
+  config.fcm = options.fcm;
+  config.topk_entries = 1024;
+  core::FcmTopK topk(config);
+  topk.set_heavy_hitter_threshold(options.heavy_hitter_threshold);
+  for (const flow::Packet& packet : trace.packets()) topk.update(packet.key);
+
+  for (const auto& [key, size] : truth.flow_sizes()) {
+    ASSERT_GE(topk.query(key), size);
+  }
+  EXPECT_NEAR(topk.estimate_cardinality(),
+              static_cast<double>(truth.flow_count()),
+              truth.flow_count() * 0.05);
+  const auto scores = metrics::classification_scores(
+      topk.heavy_hitters(options.heavy_hitter_threshold),
+      truth.heavy_hitters(100));
+  EXPECT_GT(scores.f1, 0.95);
+
+  const control::FlowSizeDistribution fsd = control::topk_fsd(topk, options.em);
+  EXPECT_LT(fsd.wmre(truth.flow_size_distribution()), 0.35);
+  EXPECT_NEAR(fsd.entropy(), truth.entropy(), truth.entropy() * 0.05);
+}
+
 // A move hands the sketch's buffers over instead of copying them, and the
 // moved-to framework answers every query as the source did.
-TEST_P(FrameworkModeTest, MoveTakesTheBuffersAndKeepsEveryAnswer) {
+TEST(FcmFramework, MoveTakesTheBuffersAndKeepsEveryAnswer) {
   const flow::Trace trace = small_trace();
-  FcmFramework source(small_options(GetParam()));
+  FcmFramework source(small_options());
   source.process(trace.packets());
   const FcmFramework expected = source;
   const std::uint32_t* buffer = source.sketch().tree(0).stage(1).data();
 
   FcmFramework moved(std::move(source));
   EXPECT_EQ(moved.sketch().tree(0).stage(1).data(), buffer);
-  FcmFramework assigned(small_options(GetParam()));
+  FcmFramework assigned(small_options());
   assigned = std::move(moved);
   EXPECT_EQ(assigned.sketch().tree(0).stage(1).data(), buffer);
 
@@ -93,9 +124,6 @@ TEST_P(FrameworkModeTest, MoveTakesTheBuffersAndKeepsEveryAnswer) {
   EXPECT_EQ(got_report.fsd.counts(), expected_report.fsd.counts());
   EXPECT_EQ(got_report.entropy, expected_report.entropy);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, FrameworkModeTest,
-                         ::testing::Values(0, 1024));  // plain FCM, FCM+TopK
 
 TEST(FcmFramework, ResetClearsState) {
   FcmFramework framework(small_options());
@@ -130,18 +158,14 @@ TEST(FcmFramework, HeavyChangesAcrossWindows) {
   EXPECT_GT(scores.f1, 0.9);
 }
 
-TEST(FcmFramework, MemoryBytesReflectsParts) {
-  const FcmFramework plain(small_options(0));
-  const FcmFramework with_topk(small_options(1024));
-  EXPECT_GT(with_topk.memory_bytes(), 0u);
-  EXPECT_EQ(with_topk.memory_bytes(),
-            with_topk.options().fcm.memory_bytes() + 1024 * 8);
-  EXPECT_EQ(plain.memory_bytes(), plain.options().fcm.memory_bytes());
+TEST(FcmFramework, MemoryBytesIsTheSketchs) {
+  const FcmFramework framework(small_options());
+  EXPECT_GT(framework.memory_bytes(), 0u);
+  EXPECT_EQ(framework.memory_bytes(), framework.options().fcm.memory_bytes());
 }
 
 TEST(FcmFramework, ByteCountingMode) {
   FcmFramework::Options options = small_options();
-  options.topk_entries = 0;
   options.heavy_hitter_threshold = 0;
   options.count_mode = FcmFramework::CountMode::kBytes;
   FcmFramework framework(options);
@@ -150,12 +174,6 @@ TEST(FcmFramework, ByteCountingMode) {
   framework.process(flow::Packet{flow::FlowKey{2}, 64, 0});
   EXPECT_EQ(framework.flow_size(flow::FlowKey{1}), 2000u);
   EXPECT_EQ(framework.flow_size(flow::FlowKey{2}), 64u);
-}
-
-TEST(FcmFramework, ByteModeRejectsTopK) {
-  FcmFramework::Options options = small_options(1024);
-  options.count_mode = FcmFramework::CountMode::kBytes;
-  EXPECT_THROW(FcmFramework{options}, std::invalid_argument);
 }
 
 TEST(FcmFramework, CopyActsAsSnapshot) {
@@ -209,23 +227,22 @@ TEST(Integration, TopKImprovesOrMatchesFcm) {
   const flow::GroundTruth truth(trace);
   constexpr std::size_t kMemory = 150'000;
 
-  FcmFramework::Options plain_options;
-  plain_options.fcm = core::FcmConfig::for_memory(kMemory, 2, 8, {8, 16, 32});
-  FcmFramework plain(plain_options);
-
-  FcmFramework::Options topk_options;
-  topk_options.fcm =
+  core::FcmSketch plain(core::FcmConfig::for_memory(kMemory, 2, 8, {8, 16, 32}));
+  core::FcmTopK::Config topk_config;
+  topk_config.fcm =
       core::FcmConfig::for_memory(kMemory - 1024 * 8, 2, 16, {8, 16, 32});
-  topk_options.topk_entries = 1024;
-  FcmFramework with_topk(topk_options);
+  topk_config.topk_entries = 1024;
+  core::FcmTopK with_topk(topk_config);
 
-  plain.process(trace.packets());
-  with_topk.process(trace.packets());
+  for (const flow::Packet& p : trace.packets()) {
+    plain.update(p.key);
+    with_topk.update(p.key);
+  }
 
   const auto plain_errors = metrics::size_errors(
-      truth.flow_sizes(), [&](flow::FlowKey k) { return plain.flow_size(k); });
+      truth.flow_sizes(), [&](flow::FlowKey k) { return plain.query(k); });
   const auto topk_errors = metrics::size_errors(
-      truth.flow_sizes(), [&](flow::FlowKey k) { return with_topk.flow_size(k); });
+      truth.flow_sizes(), [&](flow::FlowKey k) { return with_topk.query(k); });
   EXPECT_LE(topk_errors.are, plain_errors.are * 1.1);
 }
 

@@ -22,7 +22,6 @@
 
 #include "common/contracts.h"
 #include "fcm/fcm_sketch.h"
-#include "fcm/fcm_topk.h"
 #include "flow/synthetic.h"
 
 namespace fcm {
@@ -30,7 +29,6 @@ namespace {
 
 using core::FcmConfig;
 using core::FcmSketch;
-using core::FcmTopK;
 using core::FcmTree;
 using flow::FlowKey;
 using flow::Trace;
@@ -383,54 +381,6 @@ TEST(FcmSketchMerge, UnionIsDedupedAndRequalifiedAgainstMergedCounters) {
   // Recorded by both shards; the union holds it exactly once.
   EXPECT_EQ(merged.heavy_hitters().count(both), 1u);
   EXPECT_EQ(merged.query(both), 100u);
-}
-
-// --- FCM+TopK ---------------------------------------------------------------
-
-FcmTopK::Config topk_config() {
-  FcmTopK::Config config;
-  config.fcm = small_config();
-  config.topk_entries = 512;
-  return config;
-}
-
-TEST(FcmTopKMerge, NeverUnderestimatesAndKeepsInvariants) {
-  const Trace trace = fixed_trace(31, 30'000, 2'000);
-  const flow::GroundTruth truth(trace);
-
-  FcmTopK shard_a(topk_config());
-  FcmTopK shard_b(topk_config());
-  std::size_t i = 0;
-  for (const auto& packet : trace.packets()) {
-    ((i++ % 2 == 0) ? shard_a : shard_b).update(packet.key);
-  }
-  shard_a.merge(shard_b);
-  shard_a.check_invariants();
-
-  for (const auto& [key, size] : truth.flow_sizes()) {
-    ASSERT_GE(shard_a.query(key), size)
-        << "merged FCM+TopK underestimated a flow";
-  }
-}
-
-TEST(FcmTopKMerge, SameKeyBucketsSumExactly) {
-  // Two shards each hold the same single resident flow: merged heavy-part
-  // count is the exact sum (no other flow contended for the bucket).
-  FcmTopK shard_a(topk_config());
-  FcmTopK shard_b(topk_config());
-  const FlowKey elephant{0x42424242};
-  for (int i = 0; i < 700; ++i) shard_a.update(elephant);
-  for (int i = 0; i < 300; ++i) shard_b.update(elephant);
-  shard_a.merge(shard_b);
-  EXPECT_EQ(shard_a.query(elephant), 1000u);
-}
-
-TEST(FcmTopKMerge, RejectsMismatchedFilters) {
-  FcmTopK a(topk_config());
-  FcmTopK::Config wrong = topk_config();
-  wrong.topk_entries = 1024;
-  FcmTopK b(wrong);
-  EXPECT_THROW(a.merge(b), common::ContractViolation);
 }
 
 }  // namespace

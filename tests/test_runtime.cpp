@@ -9,10 +9,9 @@
 // non-stalling rotate_async, heavy-hitter re-qualification across shards at
 // runtime level, merged epochs delivered to an AggregationService for heavy
 // changes and EM (surging/vanishing flows, realistic windows), byte mode,
-// TopK mode, backpressure at the fixed ring geometry, full and partial pair
-// blocks, teardown discipline (stop()
-// closes the un-rotated tail as a final epoch), and option validation via
-// contracts.
+// backpressure at the fixed ring geometry, full and partial pair blocks,
+// teardown discipline (stop() closes the un-rotated tail as a final epoch),
+// and option validation via contracts.
 //
 // CI runs this binary under TSan (FCM_SANITIZE=thread): every cross-thread
 // handoff in the runtime is exercised here.
@@ -393,38 +392,6 @@ TEST(ShardedRuntime, ByteModeCountsBytesExactly) {
     ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
     // FCM never underestimates.
     ASSERT_GE(merged.flow_size(key), bytes);
-  }
-}
-
-TEST(ShardedRuntime, TopKModeNeverUnderestimatesAndMatchesSerialHeavyFlows) {
-  const std::vector<Packet> trace = fixed_trace(0x70b, 30000, 1500);
-  std::unordered_map<std::uint32_t, std::uint64_t> truth;
-  for (const Packet& packet : trace) ++truth[packet.key.value];
-
-  FcmFramework::Options fw = small_framework_options();
-  fw.topk_entries = 512;
-  fw.heavy_hitter_threshold = 200;
-
-  ShardedFcmFramework::Options options;
-  options.framework = fw;
-  options.shard_count = 4;
-  ShardedFcmFramework sharded(options);
-  for (const Packet& packet : trace) sharded.ingest(packet.key);
-  const auto report = sharded.rotate();
-
-  const FcmFramework merged = sharded.merged_epoch();
-  merged.check_invariants();
-  for (const auto& [key_value, count] : truth) {
-    ASSERT_GE(merged.flow_size(FlowKey{key_value}), count)
-        << "TopK merge underestimated flow " << key_value;
-  }
-  // Every flow at >= 2x threshold must be reported (estimates only inflate).
-  for (const auto& [key_value, count] : truth) {
-    if (count < 2 * fw.heavy_hitter_threshold) continue;
-    EXPECT_TRUE(std::find(report.heavy_hitters.begin(),
-                          report.heavy_hitters.end(),
-                          FlowKey{key_value}) != report.heavy_hitters.end())
-        << "missed heavy hitter " << key_value << " (count " << count << ")";
   }
 }
 

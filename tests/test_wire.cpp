@@ -1,7 +1,7 @@
 // Wire-format suite (DESIGN.md §11): the FcmFramework snapshot round-trip,
 // header and fingerprint semantics, the receiver-owned analysis policy, the
-// hostile-input battery on plain and Top-K frames, and seeded property
-// tests (tests/property_harness.h) pinning that serialize→deserialize→
+// refusal of other wire versions, the hostile-input battery, and seeded
+// property tests (tests/property_harness.h) pinning that serialize→deserialize→
 // merge() is bit-exact with the all-in-memory merge for N∈{1,2,4,8}
 // vantage points.
 #include <gtest/gtest.h>
@@ -43,12 +43,6 @@ framework::FcmFramework::Options plain_options(std::uint64_t seed = kSeed) {
   return options;
 }
 
-framework::FcmFramework::Options topk_options(std::uint64_t seed = kSeed) {
-  framework::FcmFramework::Options options = plain_options(seed);
-  options.topk_entries = 64;
-  return options;
-}
-
 framework::FcmFramework loaded(framework::FcmFramework::Options options,
                                std::size_t length, std::uint32_t universe) {
   framework::FcmFramework fw(std::move(options));
@@ -79,19 +73,11 @@ std::vector<std::byte> patch_u64(std::vector<std::byte> buf, std::size_t offset,
   return buf;
 }
 
-// Framework payload offsets (DESIGN.md §11.1): u8 has_topk, then the
+// Framework payload offsets (DESIGN.md §11.1): the payload opens with the
 // options' FcmConfig (u32 tree_count, u32 k, u64 leaf_count, u64 seed,
-// u8 stage_count, u8 per stage), then u64 topk_entries.
-constexpr std::size_t kTreeCountOffset = kHeaderBytes + 1;
+// u8 stage_count, u8 per stage).
+constexpr std::size_t kTreeCountOffset = kHeaderBytes;
 constexpr std::size_t kLeafCountOffset = kTreeCountOffset + 8;
-std::size_t topk_entries_offset(const framework::FcmFramework::Options& o) {
-  return kTreeCountOffset + 25 + o.fcm.stage_count();
-}
-
-// Bytes the Top-K filter body occupies at the end of the frame.
-std::size_t filter_body_bytes(const framework::FcmFramework::Options& o) {
-  return o.topk_entries == 0 ? 0 : 16 + 13 * o.topk_entries;
-}
 
 void expect_same_policy(const control::EmConfig& got,
                         const control::EmConfig& want) {
@@ -101,39 +87,35 @@ void expect_same_policy(const control::EmConfig& got,
 
 // --- round-trips ------------------------------------------------------------
 
-TEST(WireRoundTrip, FrameworkPlainAndTopKAreBitExact) {
-  for (const auto& options : {plain_options(), topk_options()}) {
-    const framework::FcmFramework fw =
-        loaded(options, kTraceLength, kUniverse);
-    const auto wire = WireCodec::serialize(fw);
-    const framework::FcmFramework restored =
-        WireCodec::deserialize_framework(wire, options);
-    restored.check_invariants();
-    for (std::uint32_t id = 0; id < kUniverse; ++id) {
-      const flow::FlowKey key{id};
-      ASSERT_EQ(fw.flow_size(key), restored.flow_size(key))
-          << "key " << id << " topk=" << options.topk_entries;
-    }
-    EXPECT_EQ(fw.cardinality(), restored.cardinality());
-    // analyze() parity: same state + same EM config => identical report.
-    const auto a = fw.analyze();
-    const auto b = restored.analyze();
-    EXPECT_EQ(a.entropy, b.entropy);
-    EXPECT_EQ(a.estimated_flows, b.estimated_flows);
-    EXPECT_EQ(a.cardinality, b.cardinality);
-    // Canonical encoding: re-serializing the restored framework reproduces
-    // the exact bytes.
-    EXPECT_EQ(wire, WireCodec::serialize(restored));
+TEST(WireRoundTrip, FrameworkIsBitExact) {
+  const auto options = plain_options();
+  const framework::FcmFramework fw = loaded(options, kTraceLength, kUniverse);
+  const auto wire = WireCodec::serialize(fw);
+  const framework::FcmFramework restored =
+      WireCodec::deserialize_framework(wire, options);
+  restored.check_invariants();
+  for (std::uint32_t id = 0; id < kUniverse; ++id) {
+    const flow::FlowKey key{id};
+    ASSERT_EQ(fw.flow_size(key), restored.flow_size(key)) << "key " << id;
   }
+  EXPECT_EQ(fw.cardinality(), restored.cardinality());
+  // analyze() parity: same state + same EM config => identical report.
+  const auto a = fw.analyze();
+  const auto b = restored.analyze();
+  EXPECT_EQ(a.entropy, b.entropy);
+  EXPECT_EQ(a.estimated_flows, b.estimated_flows);
+  EXPECT_EQ(a.cardinality, b.cardinality);
+  // Canonical encoding: re-serializing the restored framework reproduces
+  // the exact bytes.
+  EXPECT_EQ(wire, WireCodec::serialize(restored));
 }
 
 TEST(WireRoundTrip, EmptyObjectsRoundTrip) {
-  for (const auto& options : {plain_options(), topk_options()}) {
-    const framework::FcmFramework fw(options);
-    const framework::FcmFramework restored =
-        WireCodec::deserialize_framework(WireCodec::serialize(fw), options);
-    EXPECT_EQ(restored.flow_size(flow::FlowKey{7}), 0u);
-  }
+  const auto options = plain_options();
+  const framework::FcmFramework fw(options);
+  const framework::FcmFramework restored =
+      WireCodec::deserialize_framework(WireCodec::serialize(fw), options);
+  EXPECT_EQ(restored.flow_size(flow::FlowKey{7}), 0u);
 }
 
 // The frame carries the data plane and the merge-relevant options only:
@@ -173,7 +155,7 @@ TEST(WireHeaderTest, PeekReportsTypeVersionFingerprint) {
   const auto wire = WireCodec::serialize(fw);
   const WireHeader header = WireCodec::peek(wire);
   EXPECT_EQ(header.version, agg::kWireVersion);
-  EXPECT_EQ(agg::kWireVersion, 2u);
+  EXPECT_EQ(agg::kWireVersion, 3u);
   // The type tag kept its version-1 value for the framework snapshot.
   EXPECT_EQ(wire[6], std::byte{9});
   EXPECT_EQ(header.fingerprint, WireCodec::merge_fingerprint(fw.options()));
@@ -204,7 +186,41 @@ TEST(WireHeaderTest, FingerprintTracksMergeCompatibilityOnly) {
   auto mode_changed = base;
   mode_changed.count_mode = framework::FcmFramework::CountMode::kBytes;
   EXPECT_NE(fp, WireCodec::merge_fingerprint(mode_changed));
-  EXPECT_NE(fp, WireCodec::merge_fingerprint(topk_options()));
+}
+
+// A version-2 frame, laid out as a version-2 sender wrote a plain
+// framework (a u8 Top-K flag ahead of the options' FcmConfig and a u64 Top-K
+// entry count behind it, both zero), is refused at the header with an error
+// naming both versions; deserialize refuses it too.
+TEST(WireHeaderTest, VersionTwoFrameIsRefusedAtPeek) {
+  const auto options = plain_options();
+  const auto v3 = WireCodec::serialize(framework::FcmFramework(options));
+  const std::size_t config_bytes = 25 + options.fcm.stage_count();
+  std::vector<std::byte> v2(v3.begin(), v3.begin() + kHeaderBytes);
+  v2.push_back(std::byte{0});  // Top-K presence flag
+  v2.insert(v2.end(), v3.begin() + kHeaderBytes,
+            v3.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + config_bytes));
+  v2.insert(v2.end(), 8, std::byte{0});  // Top-K entry count
+  v2.insert(v2.end(),
+            v3.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + config_bytes),
+            v3.end());
+  ASSERT_EQ(v2.size(), v3.size() + 9);
+  v2[4] = std::byte{2};
+  v2[5] = std::byte{0};
+  const std::uint64_t v2_payload_bytes = v2.size() - kHeaderBytes;
+  v2 = patch_u64(std::move(v2), 16, v2_payload_bytes);
+
+  try {
+    (void)WireCodec::peek(v2);
+    FAIL() << "a version-2 frame passed peek";
+  } catch (const ContractViolation& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("unsupported wire version 2"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("reads 3"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)WireCodec::deserialize_framework(v2, options),
+               ContractViolation);
 }
 
 // Only the framework tag (9) opens; the tags version 1 gave other sketch
@@ -226,31 +242,29 @@ TEST(WireHeaderTest, ForeignTypeTagsAreRejected) {
 // so truncation at ANY byte is detectable (and must never read past the
 // end — the ASan job enforces the "never UB" half).
 TEST(WireHostile, EveryTruncationThrows) {
-  for (const auto& options : {plain_options(), topk_options()}) {
-    const auto wire = hostile_frame(options);
-    for (std::size_t len = 0; len < wire.size(); ++len) {
-      const std::vector<std::byte> prefix(
-          wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
-      EXPECT_THROW((void)WireCodec::deserialize_framework(prefix, options),
-                   ContractViolation)
-          << "prefix length " << len << " topk=" << options.topk_entries;
-    }
+  const auto options = plain_options();
+  const auto wire = hostile_frame(options);
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    const std::vector<std::byte> prefix(
+        wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW((void)WireCodec::deserialize_framework(prefix, options),
+                 ContractViolation)
+        << "prefix length " << len;
   }
 }
 
 TEST(WireHostile, HeaderCorruptionsThrow) {
-  for (const auto& options : {plain_options(), topk_options()}) {
-    const auto wire = hostile_frame(options);
-    // Wrong magic, flipped version byte, foreign type tag, non-zero
-    // reserved byte, fingerprint flip, and payload-length flip: every header
-    // byte is load-bearing, so flipping ANY of the 24 must throw.
-    for (std::size_t i = 0; i < kHeaderBytes; ++i) {
-      auto corrupt = wire;
-      corrupt[i] ^= std::byte{0x40};
-      EXPECT_THROW((void)WireCodec::deserialize_framework(corrupt, options),
-                   ContractViolation)
-          << "header byte " << i << " topk=" << options.topk_entries;
-    }
+  const auto options = plain_options();
+  const auto wire = hostile_frame(options);
+  // Wrong magic, flipped version byte, foreign type tag, non-zero reserved
+  // byte, fingerprint flip, and payload-length flip: every header byte is
+  // load-bearing, so flipping ANY of the 24 must throw.
+  for (std::size_t i = 0; i < kHeaderBytes; ++i) {
+    auto corrupt = wire;
+    corrupt[i] ^= std::byte{0x40};
+    EXPECT_THROW((void)WireCodec::deserialize_framework(corrupt, options),
+                 ContractViolation)
+        << "header byte " << i;
   }
 }
 
@@ -261,96 +275,66 @@ TEST(WireHostile, HeaderCorruptionsThrow) {
 // one flip, rotating through its eight bits so every bit position of every
 // multi-byte count field is hit somewhere.
 TEST(WireHostile, PayloadBitFlipsNeverBreakInvariants) {
-  for (const auto& options : {plain_options(), topk_options()}) {
-    const auto wire = hostile_frame(options);
-    std::size_t rejected = 0;
-    for (std::size_t i = kHeaderBytes; i < wire.size(); ++i) {
-      auto corrupt = wire;
-      corrupt[i] ^= static_cast<std::byte>(1u << (i % 8));
-      try {
-        const framework::FcmFramework restored =
-            WireCodec::deserialize_framework(corrupt, options);
-        restored.check_invariants();
-      } catch (const ContractViolation&) {
-        ++rejected;
-      }
+  const auto options = plain_options();
+  const auto wire = hostile_frame(options);
+  std::size_t rejected = 0;
+  for (std::size_t i = kHeaderBytes; i < wire.size(); ++i) {
+    auto corrupt = wire;
+    corrupt[i] ^= static_cast<std::byte>(1u << (i % 8));
+    try {
+      const framework::FcmFramework restored =
+          WireCodec::deserialize_framework(corrupt, options);
+      restored.check_invariants();
+    } catch (const ContractViolation&) {
+      ++rejected;
     }
-    // The options, config section, seeds, markers and count fields must all
-    // reject; only flips inside plain counter values can legitimately decode.
-    EXPECT_GT(rejected, 0u) << "topk=" << options.topk_entries;
   }
+  // The options, config section, seeds, markers and count fields must all
+  // reject; only flips inside plain counter values can legitimately decode.
+  EXPECT_GT(rejected, 0u);
 }
 
 // Oversized declared counts must be rejected BEFORE any allocation is
 // sized from them (the require_payload discipline): a frame of a few KB
-// claiming 2^60 heavy hitters / leaves / Top-K entries throws instead of
-// reserving petabytes. If any of these ever allocated first, the test
-// would throw bad_alloc or OOM-kill the suite rather than pass.
+// claiming 2^60 heavy hitters / leaves throws instead of reserving
+// petabytes. If any of these ever allocated first, the test would throw
+// bad_alloc or OOM-kill the suite rather than pass.
 TEST(WireHostile, OversizedDeclaredCountsThrowWithoutAllocating) {
-  for (const auto& options : {plain_options(), topk_options()}) {
-    const framework::FcmFramework fw = hostile_framework(options);
-    const auto wire = WireCodec::serialize(fw);
-    // hh_count: the sketch body ends with u64 hh_count, the u32 candidate
-    // keys and a u64 cardinality-saturations field, ahead of any filter
-    // body.
-    const std::size_t hh_offset = wire.size() - filter_body_bytes(options) -
-                                  8 - 4 * fw.sketch().heavy_hitters().size() -
-                                  8;
-    ASSERT_GT(fw.sketch().heavy_hitters().size(), 0u);
-    EXPECT_THROW((void)WireCodec::deserialize_framework(
-                     patch_u64(wire, hh_offset, 1ull << 60), options),
-                 ContractViolation)
-        << "topk=" << options.topk_entries;
-    // FcmConfig leaf_count: a giant tree would dwarf the buffer.
-    EXPECT_THROW((void)WireCodec::deserialize_framework(
-                     patch_u64(wire, kLeafCountOffset, 1ull << 40), options),
-                 ContractViolation)
-        << "topk=" << options.topk_entries;
-  }
-}
-
-// The options' Top-K entry count sizes the framework's vote table; it is
-// bounded by the bytes present before the framework is constructed. 2^26
-// entries would be a ~1 GiB table, 2^40 and 2^60 a bad_alloc.
-TEST(WireHostile, OversizedTopKEntryCountsThrowWithoutAllocating) {
-  const auto options = topk_options();
-  const auto wire = hostile_frame(options);
-  for (const unsigned shift : {26u, 40u, 60u}) {
-    EXPECT_THROW((void)WireCodec::deserialize_framework(
-                     patch_u64(wire, topk_entries_offset(options),
-                               1ull << shift),
-                     options),
-                 ContractViolation)
-        << "options entry count 2^" << shift;
-    // The filter body's own entry count: the u64 before its entries.
-    EXPECT_THROW((void)WireCodec::deserialize_framework(
-                     patch_u64(wire, wire.size() - 13 * options.topk_entries - 8,
-                               1ull << shift),
-                     options),
-                 ContractViolation)
-        << "filter body entry count 2^" << shift;
-  }
+  const auto options = plain_options();
+  const framework::FcmFramework fw = hostile_framework(options);
+  const auto wire = WireCodec::serialize(fw);
+  // hh_count: the sketch body ends with u64 hh_count, the u32 candidate keys
+  // and a u64 cardinality-saturations field.
+  const std::size_t hh_offset =
+      wire.size() - 8 - 4 * fw.sketch().heavy_hitters().size() - 8;
+  ASSERT_GT(fw.sketch().heavy_hitters().size(), 0u);
+  EXPECT_THROW((void)WireCodec::deserialize_framework(
+                   patch_u64(wire, hh_offset, 1ull << 60), options),
+               ContractViolation);
+  // FcmConfig leaf_count: a giant tree would dwarf the buffer.
+  EXPECT_THROW((void)WireCodec::deserialize_framework(
+                   patch_u64(wire, kLeafCountOffset, 1ull << 40), options),
+               ContractViolation);
 }
 
 // A frame declaring more trees than FcmConfig::kMaxTrees is refused by the
 // config decoder itself, before any per-tree state is sized from the count.
 TEST(WireHostile, TreeCountAboveMaxTreesThrows) {
-  for (const auto& options : {plain_options(), topk_options()}) {
-    std::vector<std::byte> wire = hostile_frame(options);
-    const auto too_many =
-        static_cast<std::uint32_t>(core::FcmConfig::kMaxTrees + 1);
-    for (std::size_t i = 0; i < 4; ++i) {
-      wire[kTreeCountOffset + i] =
-          static_cast<std::byte>((too_many >> (8 * i)) & 0xff);
-    }
-    try {
-      (void)WireCodec::deserialize_framework(wire, options);
-      FAIL() << "a 9-tree frame decoded";
-    } catch (const ContractViolation& err) {
-      EXPECT_NE(std::string(err.what()).find("tree count out of range"),
-                std::string::npos)
-          << err.what();
-    }
+  const auto options = plain_options();
+  std::vector<std::byte> wire = hostile_frame(options);
+  const auto too_many =
+      static_cast<std::uint32_t>(core::FcmConfig::kMaxTrees + 1);
+  for (std::size_t i = 0; i < 4; ++i) {
+    wire[kTreeCountOffset + i] =
+        static_cast<std::byte>((too_many >> (8 * i)) & 0xff);
+  }
+  try {
+    (void)WireCodec::deserialize_framework(wire, options);
+    FAIL() << "a 9-tree frame decoded";
+  } catch (const ContractViolation& err) {
+    EXPECT_NE(std::string(err.what()).find("tree count out of range"),
+              std::string::npos)
+        << err.what();
   }
 }
 
@@ -369,10 +353,10 @@ TEST(WireHostile, EmptyAndGarbageBuffersThrow) {
 // merge the restored replicas, and compare every flow estimate (plus
 // cardinality and heavy hitters) against merging the in-memory replicas.
 proptest::Property wire_merge_bit_exact(std::size_t vantage_count,
-                                        bool with_topk, std::uint64_t seed) {
+                                        std::uint64_t seed) {
   return [=](const std::vector<flow::FlowKey>& keys)
              -> std::optional<proptest::Counterexample> {
-    const auto options = with_topk ? topk_options(seed) : plain_options(seed);
+    const auto options = plain_options(seed);
     std::vector<framework::FcmFramework> replicas(vantage_count,
                                                   framework::FcmFramework(options));
     for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -413,16 +397,9 @@ class WireMergeProperty
 
 TEST_P(WireMergeProperty, PlainFrameworkBitExactAcrossVantages) {
   const auto [vantages, seed] = GetParam();
-  proptest::expect_property(wire_merge_bit_exact(vantages, false, seed), seed,
+  proptest::expect_property(wire_merge_bit_exact(vantages, seed), seed,
                             12'000, kUniverse,
                             "wire round-trip + merge (plain FCM)");
-}
-
-TEST_P(WireMergeProperty, TopKFrameworkBitExactAcrossVantages) {
-  const auto [vantages, seed] = GetParam();
-  proptest::expect_property(wire_merge_bit_exact(vantages, true, seed), seed,
-                            12'000, kUniverse,
-                            "wire round-trip + merge (FCM+TopK)");
 }
 
 INSTANTIATE_TEST_SUITE_P(
