@@ -67,9 +67,11 @@ class AggregationService {
     // The network-wide configuration. Vantages run vantage_options() —
     // `reference` split over vantage_count parts — and snapshots whose
     // header fingerprint differs from merge_fingerprint(vantage_options())
-    // are rejected without deserialization. `reference.em` is the analysis
-    // policy of every deserialized snapshot and so of every published view
-    // (frames never carry EM parameters), and `reference.metrics` is the
+    // are rejected without deserialization. Frames carry counters only:
+    // every snapshot is deserialized with vantage_options() as
+    // deserialize_framework's `local`, which supplies its geometry, seeds,
+    // count mode and threshold as well as `reference.em`, the analysis
+    // policy of every published view, and `reference.metrics`, the
     // registry the merged network view analyzes through.
     framework::FcmFramework::Options reference;
 

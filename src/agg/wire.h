@@ -2,13 +2,17 @@
 //
 // One frame type crosses the wire: the FcmFramework snapshot a vantage
 // point ships to the AggregationService at an epoch boundary. It carries
-// the framework's data plane — its one FCM sketch — and the merge-relevant
-// options, and is reconstructed bit-exactly on the other side: every
-// data-plane query (flow size, cardinality, heavy hitters) returns the same
-// answer on the deserialized framework as on the original, and merge() on
-// deserialized replicas is bit-exact with merge() on the in-memory ones
-// (tests/test_wire.cpp pins both properties). Analysis policy (EmConfig)
-// and telemetry wiring never travel: the receiver supplies its own.
+// only the state the receiver can neither supply nor derive: the counters
+// of the framework's one FCM sketch, its heavy-hitter candidates and its
+// cardinality-saturation count. Every option comes from the receiver, who
+// configured the fleet; the header's merge fingerprint proves the sender
+// ran the same merge-relevant options. Tree hash seeds follow from the
+// config and promotion tallies from the counters, so neither travels. The
+// framework is reconstructed bit-exactly: every data-plane query (flow
+// size, cardinality, heavy hitters) returns the same answer on the
+// deserialized framework as on the original, and merge() on deserialized
+// replicas is bit-exact with merge() on the in-memory ones
+// (tests/test_wire.cpp pins both properties).
 //
 // Frame layout (all integers little-endian, fixed width, byte-at-a-time —
 // no struct dumps, no reinterpret_cast; tools/fcm_lint.py's wire-encoding
@@ -21,25 +25,28 @@
 //   7      1     u8  reserved, must be zero
 //   8      8     u64 merge fingerprint (see below)
 //   16     8     u64 payload length; must equal exactly the bytes that follow
-//   24     ...   framework payload
+//   24     ...   payload: each tree's stage arrays at their stage widths,
+//                u64 heavy-hitter count + sorted u32 keys, u64
+//                cardinality-saturation count
 //
 // The merge fingerprint hashes the *merge-relevant* configuration
 // (geometry + hash seeds + count mode + heavy-hitter threshold — exactly
 // the preconditions FcmFramework::merge() checks, not local policy like EM
 // iteration caps). Two frames with equal fingerprints are mergeable; the
 // AggregationService rejects mismatches from the header alone, without
-// deserializing the payload.
+// deserializing the payload, and the decoder refuses them too.
 //
 // Hostile-input posture: the decoder reads through the bounds-checked
-// common::ByteCursor (the capture datapath's reader too) and validates
-// BEFORE it allocates or builds state. Truncated buffers, wrong magic, unsupported versions,
-// foreign type tags, non-zero reserved bytes, payload-length mismatches,
-// oversized declared counts, out-of-range node values, and fingerprint
-// mismatches all raise fcm::common::ContractViolation; declared element
-// counts are checked against the bytes actually present, so a flipped
-// count byte cannot cause allocation amplification (tests/test_wire.cpp,
-// hostile suite). A final check_invariants() sweep on the rebuilt framework
-// catches bit flips that survive the field-level checks.
+// common::ByteCursor (the capture datapath's reader too) and sizes nothing
+// from the frame except the heavy-hitter count, which is checked against
+// the bytes present before it reserves. Truncated buffers, wrong magic,
+// unsupported versions, foreign type tags, non-zero reserved bytes,
+// payload-length mismatches, fingerprint mismatches, oversized declared
+// counts and out-of-range node values all raise
+// fcm::common::ContractViolation (tests/test_wire.cpp, hostile suite). A
+// final check_invariants() sweep on the rebuilt framework catches bit flips
+// that survive the field-level checks. A forged fingerprint only makes the
+// counters decode under the receiver's own geometry.
 #pragma once
 
 #include <cstddef>
@@ -56,7 +63,7 @@ namespace fcm::agg {
 // Bump when the byte layout changes incompatibly. Policy (DESIGN.md §11):
 // readers accept exactly their own version; the version byte exists so a
 // mixed-fleet rollout fails loudly at the header, not by misparsing state.
-inline constexpr std::uint16_t kWireVersion = 3;
+inline constexpr std::uint16_t kWireVersion = 4;
 
 // Append-only little-endian encoder. Integers are emitted byte by byte so
 // the layout is identical on every host.
@@ -98,11 +105,10 @@ class WireCodec {
   static std::vector<std::byte> serialize(const framework::FcmFramework& fw);
 
   // Rebuilds the framework a frame carries; throws ContractViolation on any
-  // malformed input (see header comment). The frame fixes the data plane
-  // and its merge-relevant options; `local` supplies what never travels:
-  // the analysis policy (`em`) and the telemetry sink (`metrics`, nullptr
-  // for an uninstrumented replica). Every other field of `local` is
-  // ignored.
+  // malformed input (see header comment). Every option is `local`'s: the
+  // frame's fingerprint must equal merge_fingerprint(local), and the
+  // counters decode into one FcmFramework(local), which analyzes under
+  // `local.em` and reports into `local.metrics`.
   static framework::FcmFramework deserialize_framework(
       std::span<const std::byte> buffer,
       const framework::FcmFramework::Options& local);
@@ -119,14 +125,10 @@ class WireCodec {
       const framework::FcmFramework::Options& options);
 
  private:
-  // Encoders/decoders of the sections the framework payload nests
-  // (DESIGN.md §11.1).
-  static void encode_config(WireWriter& out, const core::FcmConfig& config);
-  static core::FcmConfig decode_config(common::ByteCursor& in);
+  // One tree's stage arrays (DESIGN.md §11.1), decoded in place into a
+  // tree of the receiver's geometry.
   static void encode_tree_state(WireWriter& out, const core::FcmTree& tree);
   static void decode_tree_state(common::ByteCursor& in, core::FcmTree& tree);
-  static void encode_sketch_body(WireWriter& out, const core::FcmSketch& s);
-  static core::FcmSketch decode_sketch_body(common::ByteCursor& in);
 };
 
 }  // namespace fcm::agg

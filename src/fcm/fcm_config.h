@@ -13,8 +13,7 @@ namespace fcm::core {
 
 struct FcmConfig {
   // Most trees a sketch may have: FcmSketch::add_batch stages one index row
-  // per tree in fixed stack buffers, and the wire decoder rejects larger
-  // counts before allocating.
+  // per tree in fixed stack buffers.
   static constexpr std::size_t kMaxTrees = 8;
 
   std::size_t tree_count = 2;           // d, number of trees (min-query over them)

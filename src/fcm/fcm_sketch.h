@@ -31,8 +31,8 @@ class FcmSketch {
   std::uint64_t add(flow::FlowKey key, std::uint64_t count);
 
   // Batched per-packet update (DESIGN.md §9): equivalent to update(key) for
-  // each key in order, bit-exact — tree state, promotion counters, and the
-  // heavy-hitter set all match the scalar loop. Block by block, every tree
+  // each key in order, bit-exact — tree state and the heavy-hitter set
+  // both match the scalar loop. Block by block, every tree
   // hashes and prefetches through FcmTree::index_block, then every tree
   // applies through FcmTree::apply_block. Without a heavy-hitter threshold
   // the trees settle each block out of key order (compacted level-1,

@@ -50,7 +50,6 @@ std::uint64_t FcmTree::add_at(std::size_t index, std::uint64_t count) {
       carry -= room;
       node = common::checked_narrow<std::uint32_t>(mark);
       estimate += cap;
-      ++promotions_;  // observability: a fresh overflow promotion
     }
     if (l + 1 == levels) {
       // Final stage has no parent; counts beyond its range are lost
@@ -82,8 +81,8 @@ void FcmTree::apply_block(std::span<const std::uint32_t> idx,
   const std::size_t n = idx.size();
   if (min_estimates.empty()) {
     // No estimate consumer (heavy-hitter tracking off): only the final
-    // stages and promotions_ are observable, and both are functions of the
-    // per-leaf arrival totals alone (the linearity merge() relies on,
+    // stages are observable, and they are a function of the per-leaf
+    // arrival totals alone (the linearity merge() relies on,
     // DESIGN.md §7). So the block is settled out of key order, in three
     // passes that each compact what they could not settle into `left`.
     FCM_ASSERT(n <= common::kBatchBlock,
@@ -165,11 +164,6 @@ void FcmTree::merge(const FcmTree& other) {
   // have no children, so each buffer is sized by the level it feeds.
   std::vector<std::uint64_t> promoted;
   std::vector<std::uint64_t> next_promoted;
-  // A serial tree trips each node at most once, so its promotion tally is
-  // its count of overflowed nodes; the merged tally is that count in the
-  // merged state. (Summing the inputs' tallies would count a node tripped
-  // in both of them twice.)
-  std::uint64_t overflowed = 0;
   for (std::size_t l = 0; l < levels; ++l) {
     const std::uint64_t cap = counting_max_[l];
     const std::uint32_t mark = marker_[l];
@@ -194,14 +188,12 @@ void FcmTree::merge(const FcmTree& other) {
         if (l + 1 < levels) next_promoted[i / config_.k] += sum - cap;
         // Beyond the root the serial tree drops the excess too.
         stages_[l][i] = mark;
-        ++overflowed;
       } else {
         stages_[l][i] = common::checked_narrow<std::uint32_t>(sum);
       }
     }
     promoted.swap(next_promoted);
   }
-  promotions_ = overflowed;
   FCM_CHECKED_ONLY(check_invariants());
 }
 
@@ -214,6 +206,15 @@ std::uint64_t FcmTree::node_count(std::size_t stage_1based,
 bool FcmTree::node_overflowed(std::size_t stage_1based,
                               std::size_t index) const noexcept {
   return stages_[stage_1based - 1][index] == marker_[stage_1based - 1];
+}
+
+std::uint64_t FcmTree::overflow_promotion_count() const noexcept {
+  std::uint64_t tripped = 0;
+  for (std::size_t l = 0; l < stages_.size(); ++l) {
+    tripped += static_cast<std::uint64_t>(
+        std::count(stages_[l].begin(), stages_[l].end(), marker_[l]));
+  }
+  return tripped;
 }
 
 std::size_t FcmTree::empty_leaf_count() const noexcept {
@@ -279,7 +280,6 @@ void FcmTree::check_invariants() const {
 
 void FcmTree::clear() noexcept {
   for (auto& stage : stages_) std::fill(stage.begin(), stage.end(), 0u);
-  promotions_ = 0;
 }
 
 }  // namespace fcm::core

@@ -41,8 +41,8 @@ class FcmTree {
   //
   // index_block hashes `keys` into level-1 indices and issues a write
   // prefetch for each touched counter line. apply_block applies one +1 per
-  // index and leaves the tree state and promotion counter bit-exact against
-  // per-key add() (tests/test_batch_equivalence.cpp):
+  // index and leaves the tree state bit-exact against per-key add()
+  // (tests/test_batch_equivalence.cpp):
   //   - with an EMPTY `min_estimates` (no estimate consumer), it settles the
   //     block out of key order: a branch-free level-1 pass, a branch-free
   //     level-2 pass for keys whose leaf has overflowed, then the scalar
@@ -101,14 +101,12 @@ class FcmTree {
   // Observability: how many nodes this tree has tripped into the overflow
   // state (a counter saturating and carrying to its parent — Figure 3's
   // promotion event) since construction / clear(). A node trips at most
-  // once, so this equals the number of overflowed nodes; merge() sets it to
-  // that number in the merged state, the tally a serial run over both
-  // inputs' traffic would hold.
-  // Scraped into the obs::MetricsRegistry by the layers above (the tree
-  // itself stays free of atomics so the single-shard hot path is untouched).
-  std::uint64_t overflow_promotion_count() const noexcept {
-    return promotions_;
-  }
+  // once and stays tripped, so the tally is the number of nodes holding
+  // their stage's overflow marker, counted from the stage arrays on each
+  // call (one pass over the tree; the layers above scrape it once per
+  // epoch, never per packet). It is therefore exact after a merge or a wire
+  // round-trip, the tally a serial run over all inputs' traffic would hold.
+  std::uint64_t overflow_promotion_count() const noexcept;
 
   const FcmConfig& config() const noexcept { return config_; }
 
@@ -146,8 +144,6 @@ class FcmTree {
   // Per-stage cached limits, so the hot path avoids recomputing shifts.
   std::vector<std::uint32_t> counting_max_;
   std::vector<std::uint32_t> marker_;
-  // Overflow-promotion events (see overflow_promotion_count()).
-  std::uint64_t promotions_ = 0;
 };
 
 }  // namespace fcm::core

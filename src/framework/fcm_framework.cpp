@@ -131,9 +131,9 @@ void FcmFramework::merge(const FcmFramework& other) {
 }
 
 void FcmFramework::requalify_heavy_hitters(std::uint64_t threshold) {
-  options_.heavy_hitter_threshold = threshold;
-  if (threshold == 0) return;
+  // The sketch refuses threshold 0 before anything changes.
   sketch_.requalify_heavy_hitters(threshold);
+  options_.heavy_hitter_threshold = threshold;
 }
 
 void FcmFramework::reset() { sketch_.clear(); }

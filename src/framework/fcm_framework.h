@@ -110,7 +110,9 @@ class FcmFramework {
 
   // Lifts the heavy-hitter threshold to `threshold` (e.g. from a per-shard
   // ceil(T/N) back to the global T after merging) and prunes recorded
-  // candidates against the current counters.
+  // candidates against the current counters. `threshold` must be positive
+  // (ContractViolation otherwise, with nothing changed): tracking cannot be
+  // switched off after construction.
   void requalify_heavy_hitters(std::uint64_t threshold);
 
   // The underlying FCM sketch (the data-plane structure behind the facade).
@@ -125,10 +127,11 @@ class FcmFramework {
   std::size_t memory_bytes() const { return sketch_.memory_bytes(); }
 
   // --- observability (DESIGN.md §8) ---------------------------------------
-  // Overflow-promotion events in the sketch's trees and how often linear
-  // counting hit its full-table guard. Plain counters inside the data plane
-  // (no atomics on the hot path); the sharded runtime and the benches
-  // scrape them into the obs::MetricsRegistry at epoch boundaries.
+  // Overflow-promotion events in the sketch's trees (counted from the stage
+  // arrays on each call, see FcmTree::overflow_promotion_count) and how
+  // often linear counting hit its full-table guard (a plain counter). No
+  // atomics on the hot path; the sharded runtime and the benches scrape
+  // both into the obs::MetricsRegistry at epoch boundaries.
   std::uint64_t overflow_promotion_count() const {
     return sketch_.overflow_promotion_count();
   }

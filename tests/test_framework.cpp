@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
+#include "common/contracts.h"
 #include "controlplane/em.h"
 #include "fcm/fcm_topk.h"
 #include "flow/synthetic.h"
@@ -199,6 +201,30 @@ TEST(FcmFramework, PartOptionsSplitTheThresholdRoundingUp) {
       << "no overflow rounding up near the top of the range";
   EXPECT_EQ(FcmFramework::part_options(options, 3).fcm, options.fcm);
   EXPECT_THROW(FcmFramework::part_options(options, 0), std::invalid_argument);
+}
+
+// Heavy-hitter tracking cannot be switched off after construction: a zero
+// threshold is refused, and the options, the sketch's threshold and the
+// recorded candidates all stay as they were.
+TEST(FcmFramework, RequalifyToZeroIsRefusedAndChangesNothing) {
+  FcmFramework::Options options = small_options();
+  options.heavy_hitter_threshold = 8;
+  FcmFramework framework(options);
+  framework.process(small_trace().packets());
+  const std::vector<flow::FlowKey> before = framework.heavy_hitters();
+  ASSERT_FALSE(before.empty());
+
+  EXPECT_THROW(framework.requalify_heavy_hitters(0), common::ContractViolation);
+  EXPECT_EQ(framework.options().heavy_hitter_threshold, 8u);
+  EXPECT_EQ(framework.heavy_hitters(), before);
+
+  // A positive threshold still lifts both.
+  framework.requalify_heavy_hitters(400);
+  EXPECT_EQ(framework.options().heavy_hitter_threshold, 400u);
+  EXPECT_LT(framework.heavy_hitters().size(), before.size());
+  for (const flow::FlowKey key : framework.heavy_hitters()) {
+    EXPECT_GE(framework.flow_size(key), 400u);
+  }
 }
 
 // --- integration sanity: the paper's headline orderings --------------------

@@ -1,9 +1,9 @@
 // Wire-format suite (DESIGN.md §11): the FcmFramework snapshot round-trip,
-// header and fingerprint semantics, the receiver-owned analysis policy, the
-// refusal of other wire versions, the hostile-input battery, and seeded
-// property tests (tests/property_harness.h) pinning that serialize→deserialize→
-// merge() is bit-exact with the all-in-memory merge for N∈{1,2,4,8}
-// vantage points.
+// the version-4 frame size, header and fingerprint semantics, the
+// receiver-owned options, the refusal of other wire versions, the
+// hostile-input battery, and seeded property tests
+// (tests/property_harness.h) pinning that serialize→deserialize→merge() is
+// bit-exact with the all-in-memory merge for N∈{1,2,4,8} vantage points.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,17 +52,34 @@ framework::FcmFramework loaded(framework::FcmFramework::Options options,
   return fw;
 }
 
-// The small frameworks the hostile battery serializes and corrupts: a low
-// heavy-hitter threshold so the candidate list is non-empty.
-framework::FcmFramework hostile_framework(
-    framework::FcmFramework::Options options) {
+// The options of the small frameworks the hostile battery serializes and
+// corrupts: a low heavy-hitter threshold so the candidate list is
+// non-empty. Every hostile case decodes under these same options, so its
+// frame passes the fingerprint check and the corruption reaches the
+// payload decoder.
+framework::FcmFramework::Options hostile_options() {
+  auto options = plain_options();
   options.heavy_hitter_threshold = 8;
-  return loaded(std::move(options), 2'000, 200);
+  return options;
 }
 
-std::vector<std::byte> hostile_frame(
-    const framework::FcmFramework::Options& options) {
-  return WireCodec::serialize(hostile_framework(options));
+framework::FcmFramework hostile_framework() {
+  return loaded(hostile_options(), 2'000, 200);
+}
+
+std::vector<std::byte> hostile_frame() {
+  return WireCodec::serialize(hostile_framework());
+}
+
+// Bytes one tree's stage arrays take on the wire: width(l) counters per
+// stage, each in the smallest of u8/u16/u32 that holds 2^b_l - 1.
+std::size_t tree_wire_bytes(const core::FcmConfig& config) {
+  std::size_t total = 0;
+  for (std::size_t l = 1; l <= config.stage_count(); ++l) {
+    const unsigned bits = config.stage_bits[l - 1];
+    total += config.width(l) * (bits <= 8 ? 1 : bits <= 16 ? 2 : 4);
+  }
+  return total;
 }
 
 std::vector<std::byte> patch_u64(std::vector<std::byte> buf, std::size_t offset,
@@ -72,12 +89,6 @@ std::vector<std::byte> patch_u64(std::vector<std::byte> buf, std::size_t offset,
   }
   return buf;
 }
-
-// Framework payload offsets (DESIGN.md §11.1): the payload opens with the
-// options' FcmConfig (u32 tree_count, u32 k, u64 leaf_count, u64 seed,
-// u8 stage_count, u8 per stage).
-constexpr std::size_t kTreeCountOffset = kHeaderBytes;
-constexpr std::size_t kLeafCountOffset = kTreeCountOffset + 8;
 
 void expect_same_policy(const control::EmConfig& got,
                         const control::EmConfig& want) {
@@ -110,6 +121,29 @@ TEST(WireRoundTrip, FrameworkIsBitExact) {
   EXPECT_EQ(wire, WireCodec::serialize(restored));
 }
 
+// Version 4 (DESIGN.md §11.1): the header, every tree's stage arrays at
+// their stage widths, the heavy-hitter count and keys, and the
+// cardinality-saturation count; nothing else.
+TEST(WireRoundTrip, FrameIsTheCountersAndTheCandidates) {
+  const auto options = plain_options();
+  const framework::FcmFramework fw = loaded(options, kTraceLength, kUniverse);
+  const std::size_t candidates = fw.heavy_hitters().size();
+  ASSERT_GT(candidates, 0u);
+  const auto wire = WireCodec::serialize(fw);
+  EXPECT_EQ(wire.size(), kHeaderBytes +
+                             options.fcm.tree_count *
+                                 tree_wire_bytes(options.fcm) +
+                             8 + 4 * candidates + 8);
+  // The payload opens with tree 0's 8-bit leaf stage, one byte per leaf.
+  ASSERT_EQ(options.fcm.stage_bits[0], 8u);
+  const auto leaves = fw.sketch().tree(0).stage(1);
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    ASSERT_EQ(std::to_integer<std::uint32_t>(wire[kHeaderBytes + i]),
+              leaves[i])
+        << "leaf " << i;
+  }
+}
+
 TEST(WireRoundTrip, EmptyObjectsRoundTrip) {
   const auto options = plain_options();
   const framework::FcmFramework fw(options);
@@ -118,9 +152,9 @@ TEST(WireRoundTrip, EmptyObjectsRoundTrip) {
   EXPECT_EQ(restored.flow_size(flow::FlowKey{7}), 0u);
 }
 
-// The frame carries the data plane and the merge-relevant options only:
-// the restored framework analyzes under the receiver's EmConfig and reports
-// into the receiver's registry, whatever the sender ran.
+// The frame carries the data plane only: the restored framework analyzes
+// under the receiver's EmConfig and reports into the receiver's registry,
+// whatever the sender ran.
 TEST(WireRoundTrip, ReceiverOwnsAnalysisPolicy) {
   auto sender = plain_options();
   sender.em.max_iterations = 1;
@@ -155,7 +189,7 @@ TEST(WireHeaderTest, PeekReportsTypeVersionFingerprint) {
   const auto wire = WireCodec::serialize(fw);
   const WireHeader header = WireCodec::peek(wire);
   EXPECT_EQ(header.version, agg::kWireVersion);
-  EXPECT_EQ(agg::kWireVersion, 3u);
+  EXPECT_EQ(agg::kWireVersion, 4u);
   // The type tag kept its version-1 value for the framework snapshot.
   EXPECT_EQ(wire[6], std::byte{9});
   EXPECT_EQ(header.fingerprint, WireCodec::merge_fingerprint(fw.options()));
@@ -188,39 +222,51 @@ TEST(WireHeaderTest, FingerprintTracksMergeCompatibilityOnly) {
   EXPECT_NE(fp, WireCodec::merge_fingerprint(mode_changed));
 }
 
-// A version-2 frame, laid out as a version-2 sender wrote a plain
-// framework (a u8 Top-K flag ahead of the options' FcmConfig and a u64 Top-K
-// entry count behind it, both zero), is refused at the header with an error
-// naming both versions; deserialize refuses it too.
-TEST(WireHeaderTest, VersionTwoFrameIsRefusedAtPeek) {
-  const auto options = plain_options();
-  const auto v3 = WireCodec::serialize(framework::FcmFramework(options));
-  const std::size_t config_bytes = 25 + options.fcm.stage_count();
-  std::vector<std::byte> v2(v3.begin(), v3.begin() + kHeaderBytes);
-  v2.push_back(std::byte{0});  // Top-K presence flag
-  v2.insert(v2.end(), v3.begin() + kHeaderBytes,
-            v3.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + config_bytes));
-  v2.insert(v2.end(), 8, std::byte{0});  // Top-K entry count
-  v2.insert(v2.end(),
-            v3.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + config_bytes),
-            v3.end());
-  ASSERT_EQ(v2.size(), v3.size() + 9);
-  v2[4] = std::byte{2};
-  v2[5] = std::byte{0};
-  const std::uint64_t v2_payload_bytes = v2.size() - kHeaderBytes;
-  v2 = patch_u64(std::move(v2), 16, v2_payload_bytes);
+// A version-3 frame is refused at the header, before its payload is read,
+// with an error naming both versions; deserialize refuses it too.
+TEST(WireHeaderTest, VersionThreeFrameIsRefusedAtPeek) {
+  const auto options = hostile_options();
+  auto frame = hostile_frame();
+  frame[4] = std::byte{3};
+  frame[5] = std::byte{0};
 
   try {
-    (void)WireCodec::peek(v2);
-    FAIL() << "a version-2 frame passed peek";
+    (void)WireCodec::peek(frame);
+    FAIL() << "a version-3 frame passed peek";
   } catch (const ContractViolation& err) {
     const std::string what = err.what();
-    EXPECT_NE(what.find("unsupported wire version 2"), std::string::npos)
+    EXPECT_NE(what.find("unsupported wire version 3"), std::string::npos)
         << what;
-    EXPECT_NE(what.find("reads 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("reads 4"), std::string::npos) << what;
   }
-  EXPECT_THROW((void)WireCodec::deserialize_framework(v2, options),
+  EXPECT_THROW((void)WireCodec::deserialize_framework(frame, options),
                ContractViolation);
+}
+
+// The frame carries no options, so a receiver whose merge options differ in
+// geometry, seed, threshold or count mode refuses it at the fingerprint,
+// before building anything.
+TEST(WireHeaderTest, FrameIsRefusedUnderOtherOptions) {
+  const auto options = hostile_options();
+  const auto wire = hostile_frame();
+  auto geometry = options;
+  geometry.fcm.leaf_count *= 2;
+  auto seed = options;
+  seed.fcm.seed ^= 1;
+  auto threshold = options;
+  threshold.heavy_hitter_threshold += 1;
+  auto mode = options;
+  mode.count_mode = framework::FcmFramework::CountMode::kBytes;
+  for (const auto& receiver : {geometry, seed, threshold, mode}) {
+    try {
+      (void)WireCodec::deserialize_framework(wire, receiver);
+      ADD_FAILURE() << "a frame decoded under foreign options";
+    } catch (const ContractViolation& err) {
+      EXPECT_NE(std::string(err.what()).find("fingerprint mismatch"),
+                std::string::npos)
+          << err.what();
+    }
+  }
 }
 
 // Only the framework tag (9) opens; the tags version 1 gave other sketch
@@ -242,8 +288,8 @@ TEST(WireHeaderTest, ForeignTypeTagsAreRejected) {
 // so truncation at ANY byte is detectable (and must never read past the
 // end — the ASan job enforces the "never UB" half).
 TEST(WireHostile, EveryTruncationThrows) {
-  const auto options = plain_options();
-  const auto wire = hostile_frame(options);
+  const auto options = hostile_options();
+  const auto wire = hostile_frame();
   for (std::size_t len = 0; len < wire.size(); ++len) {
     const std::vector<std::byte> prefix(
         wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
@@ -254,11 +300,12 @@ TEST(WireHostile, EveryTruncationThrows) {
 }
 
 TEST(WireHostile, HeaderCorruptionsThrow) {
-  const auto options = plain_options();
-  const auto wire = hostile_frame(options);
+  const auto options = hostile_options();
+  const auto wire = hostile_frame();
   // Wrong magic, flipped version byte, foreign type tag, non-zero reserved
-  // byte, fingerprint flip, and payload-length flip: every header byte is
-  // load-bearing, so flipping ANY of the 24 must throw.
+  // byte, fingerprint flip (a mismatch with the receiver's options), and
+  // payload-length flip: every header byte is load-bearing, so flipping ANY
+  // of the 24 must throw.
   for (std::size_t i = 0; i < kHeaderBytes; ++i) {
     auto corrupt = wire;
     corrupt[i] ^= std::byte{0x40};
@@ -275,9 +322,10 @@ TEST(WireHostile, HeaderCorruptionsThrow) {
 // one flip, rotating through its eight bits so every bit position of every
 // multi-byte count field is hit somewhere.
 TEST(WireHostile, PayloadBitFlipsNeverBreakInvariants) {
-  const auto options = plain_options();
-  const auto wire = hostile_frame(options);
+  const auto options = hostile_options();
+  const auto wire = hostile_frame();
   std::size_t rejected = 0;
+  std::size_t decoded = 0;
   for (std::size_t i = kHeaderBytes; i < wire.size(); ++i) {
     auto corrupt = wire;
     corrupt[i] ^= static_cast<std::byte>(1u << (i % 8));
@@ -285,56 +333,58 @@ TEST(WireHostile, PayloadBitFlipsNeverBreakInvariants) {
       const framework::FcmFramework restored =
           WireCodec::deserialize_framework(corrupt, options);
       restored.check_invariants();
+      ++decoded;
     } catch (const ContractViolation&) {
       ++rejected;
     }
   }
-  // The options, config section, seeds, markers and count fields must all
-  // reject; only flips inside plain counter values can legitimately decode.
+  // Flips past a stage's overflow marker, into the candidate count or that
+  // break the overflow structure must reject; flips inside plain counter
+  // values, candidate keys and the saturation count legitimately decode.
   EXPECT_GT(rejected, 0u);
+  EXPECT_GT(decoded, 0u);
 }
 
-// Oversized declared counts must be rejected BEFORE any allocation is
-// sized from them (the require_payload discipline): a frame of a few KB
-// claiming 2^60 heavy hitters / leaves throws instead of reserving
-// petabytes. If any of these ever allocated first, the test would throw
-// bad_alloc or OOM-kill the suite rather than pass.
+// An oversized declared heavy-hitter count, the one count the decoder reads
+// from the frame, must be rejected BEFORE any allocation is sized from it
+// (the require_payload discipline): a frame of a few KB claiming 2^60
+// heavy hitters throws instead of reserving petabytes. If it ever
+// allocated first, the test would throw bad_alloc or OOM-kill the suite
+// rather than pass.
 TEST(WireHostile, OversizedDeclaredCountsThrowWithoutAllocating) {
-  const auto options = plain_options();
-  const framework::FcmFramework fw = hostile_framework(options);
+  const auto options = hostile_options();
+  const framework::FcmFramework fw = hostile_framework();
   const auto wire = WireCodec::serialize(fw);
-  // hh_count: the sketch body ends with u64 hh_count, the u32 candidate keys
-  // and a u64 cardinality-saturations field.
+  // The payload ends with u64 hh_count, the u32 candidate keys and a u64
+  // cardinality-saturations field.
   const std::size_t hh_offset =
       wire.size() - 8 - 4 * fw.sketch().heavy_hitters().size() - 8;
   ASSERT_GT(fw.sketch().heavy_hitters().size(), 0u);
   EXPECT_THROW((void)WireCodec::deserialize_framework(
                    patch_u64(wire, hh_offset, 1ull << 60), options),
                ContractViolation);
-  // FcmConfig leaf_count: a giant tree would dwarf the buffer.
-  EXPECT_THROW((void)WireCodec::deserialize_framework(
-                   patch_u64(wire, kLeafCountOffset, 1ull << 40), options),
-               ContractViolation);
 }
 
-// A frame declaring more trees than FcmConfig::kMaxTrees is refused by the
-// config decoder itself, before any per-tree state is sized from the count.
-TEST(WireHostile, TreeCountAboveMaxTreesThrows) {
-  const auto options = plain_options();
-  std::vector<std::byte> wire = hostile_frame(options);
-  const auto too_many =
-      static_cast<std::uint32_t>(core::FcmConfig::kMaxTrees + 1);
-  for (std::size_t i = 0; i < 4; ++i) {
-    wire[kTreeCountOffset + i] =
-        static_cast<std::byte>((too_many >> (8 * i)) & 0xff);
-  }
-  try {
-    (void)WireCodec::deserialize_framework(wire, options);
-    FAIL() << "a 9-tree frame decoded";
-  } catch (const ContractViolation& err) {
-    EXPECT_NE(std::string(err.what()).find("tree count out of range"),
-              std::string::npos)
-        << err.what();
+// A fingerprint forged to match a receiver of another geometry gets the
+// frame past the header, and the counters then decode under the receiver's
+// own geometry: a larger sketch runs out of bytes, a smaller one leaves
+// trailing bytes, and both throw.
+TEST(WireHostile, ForgedFingerprintForForeignGeometryThrows) {
+  const auto wire = hostile_frame();
+  auto larger = hostile_options();
+  larger.fcm.leaf_count *= 2;
+  auto smaller = hostile_options();
+  smaller.fcm.leaf_count /= 2;
+  auto deeper = hostile_options();
+  deeper.fcm.stage_bits = {8, 16, 24, 32};
+  deeper.fcm.leaf_count = 8 * 8 * 8 * 8;
+  for (const auto& receiver : {larger, smaller, deeper}) {
+    const auto forged =
+        patch_u64(wire, 8, WireCodec::merge_fingerprint(receiver));
+    EXPECT_THROW((void)WireCodec::deserialize_framework(forged, receiver),
+                 ContractViolation)
+        << receiver.fcm.leaf_count << " leaves, "
+        << receiver.fcm.stage_count() << " stages";
   }
 }
 
