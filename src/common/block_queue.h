@@ -117,8 +117,12 @@ class BlockQueue {
   // Published-but-unconsumed blocks; exact only when both sides are
   // quiescent. For monitoring, not for synchronization decisions.
   std::size_t size_approx_blocks() const noexcept {
+    // Tail first: the consumer released tail only after acquiring a head at
+    // least as large, so the head read after it cannot be smaller and the
+    // difference never wraps.
+    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
     return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -
-                                    tail_.load(std::memory_order_acquire));
+                                    tail);
   }
 
   // Producer-side occupancy high-water mark, in blocks. Updated against the

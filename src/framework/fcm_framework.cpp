@@ -63,8 +63,11 @@ double FcmFramework::cardinality() const {
 }
 
 std::vector<flow::FlowKey> FcmFramework::heavy_hitters() const {
+  // Sorted, so the report does not depend on the hash set's bucket layout.
   const auto& set = sketch_.heavy_hitters();
-  return {set.begin(), set.end()};
+  std::vector<flow::FlowKey> keys(set.begin(), set.end());
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 FcmFramework::Report FcmFramework::analyze() const {

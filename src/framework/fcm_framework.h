@@ -81,6 +81,7 @@ class FcmFramework {
   // Data-plane queries (§3.3): available at line rate.
   std::uint64_t flow_size(flow::FlowKey key) const;
   double cardinality() const;
+  // Recorded heavy-hitter candidates, in ascending key order.
   std::vector<flow::FlowKey> heavy_hitters() const;
 
   // --- control plane ------------------------------------------------------

@@ -76,7 +76,7 @@ void MetricsLogger::stop() {
   cv_.notify_all();
   thread_.join();
   common::MutexLock lock(mutex_);
-  if (options_.flush_on_stop) write_snapshot();
+  write_snapshot();
   out_.close();
 }
 

@@ -24,8 +24,6 @@ class MetricsLogger {
   struct Options {
     std::string path;  // appended to; must be non-empty
     std::chrono::milliseconds interval{1000};
-    // Also write one final snapshot on stop(), so short runs still record.
-    bool flush_on_stop = true;
   };
 
   MetricsLogger(MetricsRegistry& registry, Options options);
@@ -34,7 +32,8 @@ class MetricsLogger {
   MetricsLogger(const MetricsLogger&) = delete;
   MetricsLogger& operator=(const MetricsLogger&) = delete;
 
-  // Idempotent; joins the logger thread.
+  // Idempotent; joins the logger thread and writes one final snapshot, so
+  // short runs still record.
   void stop();
 
   std::size_t snapshots_written() const;

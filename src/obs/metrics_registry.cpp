@@ -36,9 +36,9 @@ std::string fmt_double(double v) {
   return buffer;
 }
 
-// JSON has no NaN/Inf literal, so a non-finite value (a pathological gauge
-// callback, say) is emitted as null — visibly broken in scraped data rather
-// than silently rewritten to a legitimate-looking number.
+// JSON has no NaN/Inf literal, so a non-finite value (a gauge set to a
+// degenerate ratio, say) is emitted as null — visibly broken in scraped data
+// rather than silently rewritten to a legitimate-looking number.
 std::string fmt_double_json(double v) {
   if (!std::isfinite(v)) return "null";
   return fmt_double(v);
@@ -225,10 +225,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
   common::MutexLock lock(mutex_);
   Entry& entry =
       find_or_create_locked(name, std::move(labels), MetricKind::kGauge, help);
-  if (entry.callback) {
-    throw std::logic_error("obs::MetricsRegistry: gauge '" + name +
-                           "' is already a callback gauge");
-  }
   if (!entry.gauge) entry.gauge.reset(new Gauge());
   return *entry.gauge;
 }
@@ -244,38 +240,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
     entry.histogram.reset(new Histogram(std::move(bounds)));
   }
   return *entry.histogram;
-}
-
-MetricsRegistry::CallbackHandle MetricsRegistry::gauge_callback(
-    const std::string& name, std::vector<MetricLabel> labels,
-    std::function<double()> fn, const std::string& help) {
-  // Get-or-create and callback installation under ONE lock acquisition: a
-  // concurrent gauge()/gauge_callback() on the same name either runs fully
-  // before this (and the guard below throws) or fully after (and sees the
-  // installed callback) — no interleaving window.
-  common::MutexLock lock(mutex_);
-  Entry& entry =
-      find_or_create_locked(name, std::move(labels), MetricKind::kGauge, help);
-  if (entry.gauge || entry.callback) {
-    throw std::logic_error("obs::MetricsRegistry: gauge '" + name +
-                           "' already registered");
-  }
-  entry.callback = std::move(fn);
-  std::size_t index = 0;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].get() == &entry) {
-      index = i;
-      break;
-    }
-  }
-  return CallbackHandle(this, index);
-}
-
-void MetricsRegistry::CallbackHandle::release() {
-  if (registry_ == nullptr) return;
-  common::MutexLock lock(registry_->mutex_);
-  registry_->entries_[index_]->callback = nullptr;
-  registry_ = nullptr;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -294,13 +258,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         sample.value = static_cast<double>(entry->counter->value());
         break;
       case MetricKind::kGauge:
-        if (entry->callback) {
-          sample.value = entry->callback();
-        } else if (entry->gauge) {
-          sample.value = entry->gauge->value();
-        } else {
-          continue;  // callback gauge whose handle was released
-        }
+        if (!entry->gauge) continue;  // defensive: never constructed
+        sample.value = entry->gauge->value();
         break;
       case MetricKind::kHistogram: {
         if (!entry->histogram) continue;  // defensive: never constructed

@@ -3,13 +3,13 @@
 //
 // Hot-path discipline: instrumented code holds raw Counter/Gauge/Histogram
 // handles (stable addresses inside the registry) and touches ONLY
-// relaxed-order atomics — no locks, no allocation, no shared cache line
-// between writer threads. Counters are striped across cache-line-aligned
-// cells (one writer thread ~ one cell), so N shard workers incrementing the
-// same logical counter never contend. Aggregation happens on scrape:
-// snapshot() sums the cells under the registry mutex, which only writers of
-// NEW metrics ever take. That makes scrape-while-ingest data-race-free by
-// construction (CI's FCM_SANITIZE=thread job covers it in test_obs).
+// relaxed-order atomics — no locks, no allocation. A counter is one atomic:
+// every series has one writer at a time (the runtime's shard workers write
+// none; the epoch coordinator publishes their per-epoch tallies), so there
+// is nothing to stripe. snapshot() reads each series under the registry
+// mutex, which only writers of NEW metrics ever take. That makes
+// scrape-while-ingest data-race-free by construction (CI's
+// FCM_SANITIZE=thread job covers it in test_obs).
 //
 // The registry is the ONLY sanctioned home for cross-thread telemetry state:
 // tools/fcm_lint.py bans raw std::atomic outside src/common/ and src/obs/ so
@@ -20,17 +20,13 @@
 // MetricsLogger and the golden-schema test).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -42,24 +38,12 @@ namespace fcm::obs {
 // so it stays includable from the layers below common/).
 inline constexpr std::size_t kObsCacheLineBytes = 64;
 
-// Writer stripes per counter. Power of two; 16 covers the runtime's maximum
-// useful shard fan-out on one socket without bloating each counter past 1KB.
-inline constexpr std::size_t kMetricStripes = 16;
-
 namespace detail {
 
+// One histogram bucket per cache line.
 struct alignas(kObsCacheLineBytes) Cell {
   std::atomic<std::uint64_t> value{0};
 };
-
-// Stable per-thread stripe index, so unpinned callers (tests, examples)
-// still spread across cells.
-inline std::size_t this_thread_stripe() noexcept {
-  static thread_local const std::size_t stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) &
-      (kMetricStripes - 1);
-  return stripe;
-}
 
 // fetch_add for doubles via CAS (std::atomic<double>::fetch_add is C++20 but
 // a CAS loop is portable across the toolchains CI builds with). Relaxed is
@@ -80,31 +64,22 @@ inline void atomic_add_double(std::atomic<std::uint64_t>& bits,
 
 }  // namespace detail
 
-// Monotone event counter. inc() is wait-free: one relaxed fetch_add on a
-// cache-line-private cell.
-class Counter {
+// Monotone event counter. inc() is wait-free: one relaxed fetch_add. Alone
+// on its cache line, so a counter the driver bumps per block never shares
+// one with a shard worker's data.
+class alignas(kObsCacheLineBytes) Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-    inc_at(detail::this_thread_stripe(), n);
-  }
-  // Explicit stripe for pinned writers (the runtime passes its shard index
-  // so each worker owns one cell outright).
-  void inc_at(std::size_t stripe, std::uint64_t n = 1) noexcept {
-    cells_[stripe & (kMetricStripes - 1)].value.fetch_add(
-        n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& cell : cells_) {
-      total += cell.value.load(std::memory_order_relaxed);
-    }
-    return total;
+    return value_.load(std::memory_order_relaxed);
   }
 
  private:
   friend class MetricsRegistry;
   Counter() = default;
-  std::array<detail::Cell, kMetricStripes> cells_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 // Last-write-wins instantaneous value. Single cell: gauges are set from one
@@ -114,7 +89,6 @@ class Gauge {
   void set(double v) noexcept {
     bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
   }
-  void add(double delta) noexcept { detail::atomic_add_double(bits_, delta); }
   double value() const noexcept {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
@@ -237,41 +211,7 @@ class MetricsRegistry {
                        std::vector<MetricLabel> labels = {},
                        const std::string& help = "");
 
-  // A gauge whose value is pulled at scrape time (e.g. SPSC queue
-  // occupancy). The callback runs under the registry mutex and must be
-  // cheap and thread-safe. The returned handle unregisters on destruction —
-  // destroy it before anything the callback reads.
-  class CallbackHandle {
-   public:
-    CallbackHandle() = default;
-    CallbackHandle(CallbackHandle&& other) noexcept { swap(other); }
-    CallbackHandle& operator=(CallbackHandle&& other) noexcept {
-      release();
-      swap(other);
-      return *this;
-    }
-    CallbackHandle(const CallbackHandle&) = delete;
-    CallbackHandle& operator=(const CallbackHandle&) = delete;
-    ~CallbackHandle() { release(); }
-    void release();
-
-   private:
-    friend class MetricsRegistry;
-    CallbackHandle(MetricsRegistry* registry, std::size_t index)
-        : registry_(registry), index_(index) {}
-    void swap(CallbackHandle& other) noexcept {
-      std::swap(registry_, other.registry_);
-      std::swap(index_, other.index_);
-    }
-    MetricsRegistry* registry_ = nullptr;
-    std::size_t index_ = 0;
-  };
-  [[nodiscard]] CallbackHandle gauge_callback(const std::string& name,
-                                              std::vector<MetricLabel> labels,
-                                              std::function<double()> fn,
-                                              const std::string& help = "");
-
-  // Aggregates every registered series. Safe to call from any thread while
+  // Reads every registered series. Safe to call from any thread while
   // writers are hot (the acceptance gate for the sharded runtime).
   MetricsSnapshot snapshot() const;
 
@@ -284,7 +224,6 @@ class MetricsRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::function<double()> callback;  // callback gauges only
   };
 
   // Requires mutex_ held. Lookup, kind check, and (in the callers) value

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,12 +46,10 @@ constexpr std::uint32_t kMaxPairWeight =
 
 }  // namespace
 
-// Registry series the runtime writes (DESIGN.md §8). Handles are resolved
-// once at construction; every hot-path touch is a relaxed atomic on a
-// cache-line-private cell, batched per BLOCK, never per packet. Queue-depth
-// gauges are pull-style callbacks (sampled at scrape from
-// BlockQueue::size_approx_blocks, itself acquire-ordered), so idle periods
-// cost nothing.
+// Registry series the runtime writes (DESIGN.md §8), resolved once at
+// construction. Only two threads write them: the driver (block and
+// backpressure counters, once per block at most) and the coordinator, which
+// publishes each merged epoch's tallies. Shard workers write none.
 struct ShardedFcmFramework::Instruments {
   obs::Counter* backpressure_spins = nullptr;   // driver spins on full rings
   obs::Counter* blocks_published = nullptr;     // block publications (all kinds)
@@ -65,9 +62,15 @@ struct ShardedFcmFramework::Instruments {
   obs::Histogram* rotation_wait_seconds = nullptr;  // driver stall per rotate
   obs::Gauge* epoch_packets = nullptr;          // last epoch's packet count
   obs::Gauge* fanout_imbalance = nullptr;       // last epoch max/mean ratio
-  std::vector<obs::Counter*> shard_packets;     // one series per shard
-  std::vector<obs::Counter*> shard_bytes;       // one series per shard (kBytes)
-  std::vector<obs::MetricsRegistry::CallbackHandle> queue_depth_gauges;
+  // Per-shard series (label shard=<index>), set by the coordinator from the
+  // drained generation's tallies and the ring's occupancy at each merge.
+  struct PerShard {
+    obs::Counter* packets = nullptr;
+    obs::Counter* bytes = nullptr;  // kBytes mode; stays 0 otherwise
+    obs::Gauge* queue_depth = nullptr;             // staged items
+    obs::Gauge* queue_high_water_blocks = nullptr;
+  };
+  std::vector<PerShard> shards;
 };
 
 struct ShardedFcmFramework::Shard {
@@ -83,7 +86,7 @@ struct ShardedFcmFramework::Shard {
                                                                kBlockItems);
   }
 
-  const std::size_t index;  // shard number (stripe + label value)
+  const std::size_t index;  // shard number (rotation slot + label value)
   // The driver -> worker SPSC block ring; carries data and epoch markers.
   std::unique_ptr<common::BlockQueue<flow::FlowKey>> ring;
   // Double-buffered generations: `active` is worker-local; the coordinator
@@ -148,8 +151,8 @@ ShardedFcmFramework::ShardedFcmFramework(Options options)
     shard_flips_.assign(options_.shard_count, 0);
   }
   init_instruments();
-  // Start threads only after every shard (and the instruments the worker
-  // loops read) exists.
+  // Start threads only after every shard (and the instruments the
+  // coordinator writes) exists.
   for (auto& shard : shards_) {
     Shard* raw = shard.get();
     raw->worker = std::jthread([this, raw] { worker_loop(*raw); });
@@ -199,37 +202,22 @@ void ShardedFcmFramework::init_instruments() {
   instruments->fanout_imbalance = &registry->gauge(
       "fcm_runtime_fanout_imbalance", {},
       "Max-shard over mean-shard packets in the last epoch (1.0 = balanced)");
-  instruments->shard_packets.reserve(shards_.size());
-  instruments->shard_bytes.reserve(shards_.size());
+  instruments->shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    instruments->shard_packets.push_back(&registry->counter(
+    Instruments::PerShard& series = instruments->shards.emplace_back();
+    series.packets = &registry->counter(
         "fcm_runtime_shard_packets_total", shard_labels(shard->index),
-        "Packets ingested per shard worker"));
-    instruments->shard_bytes.push_back(&registry->counter(
+        "Packets ingested per shard worker (published per merged epoch)");
+    series.bytes = &registry->counter(
         "fcm_runtime_shard_bytes_total", shard_labels(shard->index),
-        "Payload bytes ingested per shard worker (kBytes mode; tallied in "
-        "the block-apply sweep, batched per block)"));
-  }
-  // Pull-style occupancy gauges. Two live instances sharing one registry
-  // would collide here; the later instance simply runs without queue-depth
-  // gauges (give each instance its own registry).
-  try {
-    for (const auto& shard : shards_) {
-      Shard* raw = shard.get();
-      instruments->queue_depth_gauges.push_back(registry->gauge_callback(
-          "fcm_runtime_queue_depth", shard_labels(raw->index),
-          [raw] {
-            return static_cast<double>(raw->ring->size_approx_blocks() *
-                                       kBlockItems);
-          },
-          "Ring occupancy in staged items (sampled at scrape)"));
-      instruments->queue_depth_gauges.push_back(registry->gauge_callback(
-          "fcm_runtime_queue_high_water_blocks", shard_labels(raw->index),
-          [raw] { return static_cast<double>(raw->ring->high_water_blocks()); },
-          "Peak ring occupancy in blocks"));
-    }
-  } catch (const std::logic_error&) {
-    instruments->queue_depth_gauges.clear();
+        "Payload bytes ingested per shard worker (kBytes mode; published per "
+        "merged epoch)");
+    series.queue_depth = &registry->gauge(
+        "fcm_runtime_queue_depth", shard_labels(shard->index),
+        "Ring occupancy in staged items (read at the last merge)");
+    series.queue_high_water_blocks = &registry->gauge(
+        "fcm_runtime_queue_high_water_blocks", shard_labels(shard->index),
+        "Peak ring occupancy in blocks (read at the last merge)");
   }
   instruments_ = std::move(instruments);
 }
@@ -249,7 +237,7 @@ void ShardedFcmFramework::open_block() {
       slots = ring.try_open();
     } while (slots == nullptr);
     if (instruments_ != nullptr) {
-      instruments_->backpressure_spins->inc_at(rr_shard_, spins);
+      instruments_->backpressure_spins->inc(spins);
     }
   }
   open_.slots = slots;
@@ -262,8 +250,8 @@ void ShardedFcmFramework::publish_block() {
   ring.publish(open_.fill, data_kind_);
   if (instruments_ != nullptr) {
     Instruments& ins = *instruments_;
-    ins.blocks_published->inc_at(rr_shard_);
-    if (open_.fill < kBlockItems) ins.partial_flushes->inc_at(rr_shard_);
+    ins.blocks_published->inc();
+    if (open_.fill < kBlockItems) ins.partial_flushes->inc();
   }
   open_.slots = nullptr;
   open_.fill = 0;
@@ -454,9 +442,9 @@ ShardedFcmFramework::EpochReport ShardedFcmFramework::wait_epoch(
 void ShardedFcmFramework::worker_loop(Shard& shard) {
   // Applies one published block to the active generation. Unit-key blocks
   // feed the batched kernel IN PLACE from ring memory — the span is only
-  // valid until release(), which the loop below performs right after.
-  std::uint64_t data_items = 0;
-  std::uint64_t data_bytes = 0;
+  // valid until release(), which the loop below performs right after. The
+  // generation tallies are plain integers: the coordinator reads them once
+  // the worker has flipped away, and publishes them to the registry.
   const auto apply_block =
       [&](const common::BlockQueue<flow::FlowKey>::View& view) {
         switch (view.kind) {
@@ -464,7 +452,6 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
             shard.replicas[shard.active].process_batch(
                 std::span<const flow::FlowKey>(view.data, view.count));
             shard.packets_in_generation[shard.active] += view.count;
-            data_items += view.count;
             break;
           case kPairs: {
             // Byte accounting folds into the same decode loop that feeds
@@ -478,28 +465,13 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
             }
             // A pair is one item (see EpochReport::packets).
             shard.packets_in_generation[shard.active] += view.count / 2;
-            data_items += view.count / 2;
             shard.bytes_in_generation[shard.active] += block_bytes;
-            data_bytes += block_bytes;
             break;
           }
           default:
             FCM_ASSERT(false, "ShardedFcmFramework: unknown block kind");
         }
       };
-  const auto publish_data_items = [&] {
-    if (data_items > 0 && instruments_ != nullptr) {
-      // Per-block, not per-packet: one relaxed fetch_add on this worker's
-      // own cache-line-aligned cell covers a whole block run.
-      instruments_->shard_packets[shard.index]->inc_at(shard.index, data_items);
-      if (data_bytes > 0) {
-        instruments_->shard_bytes[shard.index]->inc_at(shard.index, data_bytes);
-      }
-    }
-    data_items = 0;
-    data_bytes = 0;
-  };
-
   auto& ring = *shard.ring;
   ring.assume_consumer();  // this worker IS the ring's single consumer
   unsigned spins = 0;
@@ -517,7 +489,6 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
         // Epoch boundary: flip and publish the flip. The mutex makes every
         // replica write above happen-before the coordinator's reads once it
         // observes the new flip count.
-        publish_data_items();
         {
           common::MutexLock lock(mutex_);
           shard.active ^= 1;
@@ -529,7 +500,6 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
       }
       ring.release();
     }
-    publish_data_items();
     if (!any) {
       if (stopping) return;
       common::backoff(spins);
@@ -587,14 +557,27 @@ void ShardedFcmFramework::coordinator_loop() {
     report.index = epoch;
     report.merge_seconds = merge_seconds;
     std::uint64_t max_shard_packets = 0;
-    for (auto& shard : shards_) {
-      report.packets += shard->packets_in_generation[gen];
-      report.bytes += shard->bytes_in_generation[gen];
-      max_shard_packets =
-          std::max(max_shard_packets, shard->packets_in_generation[gen]);
-      shard->packets_in_generation[gen] = 0;
-      shard->bytes_in_generation[gen] = 0;
-      shard->replicas[gen].reset();  // ready for the epoch after next
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& shard = *shards_[s];
+      const std::uint64_t packets = shard.packets_in_generation[gen];
+      const std::uint64_t bytes = shard.bytes_in_generation[gen];
+      report.packets += packets;
+      report.bytes += bytes;
+      max_shard_packets = std::max(max_shard_packets, packets);
+      if (instruments_ != nullptr) {
+        // The shard's tallies go to the registry once per epoch, here, so
+        // the worker loop never touches it.
+        const Instruments::PerShard& series = instruments_->shards[s];
+        series.packets->inc(packets);
+        series.bytes->inc(bytes);
+        series.queue_depth->set(static_cast<double>(
+            shard.ring->size_approx_blocks() * kBlockItems));
+        series.queue_high_water_blocks->set(
+            static_cast<double>(shard.ring->high_water_blocks()));
+      }
+      shard.packets_in_generation[gen] = 0;
+      shard.bytes_in_generation[gen] = 0;
+      shard.replicas[gen].reset();  // ready for the epoch after next
     }
     if (report.packets > 0) {
       const double mean = static_cast<double>(report.packets) /
@@ -613,15 +596,17 @@ void ShardedFcmFramework::coordinator_loop() {
           merged.cardinality_saturation_count());
       instruments_->epoch_packets->set(static_cast<double>(report.packets));
       instruments_->fanout_imbalance->set(report.fanout_imbalance);
+      instruments_->epochs_merged->inc();
     }
 
+    // Every series above is written before the epoch becomes visible: a
+    // wait_epoch() that returns it reads the registry with this epoch in.
     {
       common::MutexLock lock(mutex_);
       history_.push_back(std::move(entry));
       while (history_.size() > options_.retained_epochs) history_.pop_front();
       ++epochs_merged_;
     }
-    if (instruments_ != nullptr) instruments_->epochs_merged->inc();
     cv_.notify_all();
   }
 }
@@ -675,13 +660,6 @@ framework::FcmFramework ShardedFcmFramework::merged_epoch(
                   " epochs back (retained: " + std::to_string(history_.size()) +
                   ")");
   return history_[history_.size() - 1 - back].merged;
-}
-
-std::uint64_t ShardedFcmFramework::flow_size(flow::FlowKey key) const {
-  common::MutexLock lock(mutex_);
-  FCM_REQUIRE(!history_.empty(),
-              "ShardedFcmFramework: flow_size before the first rotation");
-  return history_.back().merged.flow_size(key);
 }
 
 std::size_t ShardedFcmFramework::epochs_completed() const {

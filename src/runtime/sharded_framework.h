@@ -52,8 +52,8 @@
 // points assert it, the private helpers (block staging included) REQUIRE it,
 // and driver-only state (the open block and its rotation cursor included)
 // is GUARDED_BY it.
-// wait_epoch()/merged_epoch()/flow_size()/epochs_completed() are safe from
-// any thread (they only read mutex_-guarded published state).
+// wait_epoch()/merged_epoch()/epochs_completed() are safe from any thread
+// (they only read mutex_-guarded published state).
 // The destructor stops and joins all threads; workers are std::jthread, so
 // teardown is exception-safe (tools/fcm_lint.py bans plain std::thread in
 // src/ for exactly this reason).
@@ -114,11 +114,13 @@ class ShardedFcmFramework {
     // the whole runtime: it is propagated into framework.metrics at
     // construction, so every merged_epoch() copy — and an analyze() run on
     // it — follows the same knob. The registry must outlive this framework
-    // and every merged_epoch() copy that analyzes through it. Per-packet
-    // cost is a handful of batched relaxed fetch_adds per BLOCK — measured
-    // < 1% on the 8-shard ingest path. Series carry no instance label: two
-    // live instances that share a registry add into the same series, and
-    // the second runs without queue-depth gauges, so give each its own.
+    // and every merged_epoch() copy that analyzes through it. Shard workers
+    // write no telemetry: the driver bumps a counter at most once per
+    // block, and the coordinator publishes each merged epoch's per-shard
+    // tallies and ring gauges before wait_epoch() can return it. Series
+    // carry no instance label: two live instances that share a registry add
+    // into the same counters and overwrite each other's gauges, so give
+    // each its own.
     obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
   };
 
@@ -134,8 +136,9 @@ class ShardedFcmFramework {
     // that applies the blocks (DESIGN.md §13.1).
     // Meaningful in kBytes mode (every pair carries its bytes, cache
     // demotions included); 0 in kPackets mode, where sizes never cross the
-    // rings. Also exported per shard as
-    // fcm_runtime_shard_bytes_total.
+    // rings. The coordinator adds each shard's share to
+    // fcm_runtime_shard_bytes_total{shard} (and `packets` to
+    // fcm_runtime_shard_packets_total{shard}) as it merges the epoch.
     std::uint64_t bytes = 0;
     double cardinality = 0.0;
     std::vector<flow::FlowKey> heavy_hitters;   // re-qualified at global T
@@ -200,9 +203,6 @@ class ShardedFcmFramework {
   // had ingested the whole epoch.
   framework::FcmFramework merged_epoch(std::size_t back = 0) const;
 
-  // Merged count-query against the most recent completed epoch.
-  std::uint64_t flow_size(flow::FlowKey key) const;
-
   std::size_t epochs_completed() const;
   std::size_t shard_count() const noexcept { return shards_.size(); }
   const Options& options() const noexcept { return options_; }
@@ -218,8 +218,8 @@ class ShardedFcmFramework {
   void check_invariants() const;
 
   // The registry series this runtime writes (all prefixed fcm_runtime_ /
-  // fcm_sketch_), resolved once at construction so the hot path never takes
-  // the registry lock. Null when Options::metrics == nullptr.
+  // fcm_sketch_), resolved once at construction so no write takes the
+  // registry lock.
   struct Instruments;
 
  private:
@@ -304,8 +304,8 @@ class ShardedFcmFramework {
   };
   std::deque<Epoch> history_ FCM_GUARDED_BY(mutex_);
 
-  // Declared after shards_ so the queue-depth callback gauges unregister
-  // (handle destructors) before the queues they sample are destroyed.
+  // Null when Options::metrics == nullptr. Written by the driver and the
+  // coordinator, never by a shard worker.
   std::unique_ptr<Instruments> instruments_;
 
   // Threads last: their loops touch everything above.

@@ -132,9 +132,11 @@ TEST_P(ShardedDifferential, ThresholdRunsAgreeOnEstimatesAndTrueHeavyFlows) {
   cache_off.rotate();
   // Counter state is identical even with on-path detection enabled: every
   // merged per-flow estimate agrees.
+  const auto merged_on = cache_on.merged_epoch();
+  const auto merged_off = cache_off.merged_epoch();
   for (std::uint32_t id = 1; id <= 2'000; ++id) {
     const flow::FlowKey key{id};
-    ASSERT_EQ(cache_on.flow_size(key), cache_off.flow_size(key))
+    ASSERT_EQ(merged_on.flow_size(key), merged_off.flow_size(key))
         << "flow " << id;
   }
   // The epoch drain demotes every cached byte before the markers, so the
@@ -151,7 +153,7 @@ TEST_P(ShardedDifferential, ThresholdRunsAgreeOnEstimatesAndTrueHeavyFlows) {
   EXPECT_GT(truly_heavy, 5u);
   // Every report clears the bar against the merged (identical) counters.
   for (const flow::FlowKey key : report_on.heavy_hitters) {
-    EXPECT_GE(cache_on.flow_size(key), kThreshold) << "flow " << key.value;
+    EXPECT_GE(merged_on.flow_size(key), kThreshold) << "flow " << key.value;
   }
   cache_on.stop();
   cache_off.stop();
@@ -163,8 +165,9 @@ TEST_P(ShardedDifferential, FlowSizeNeverUnderestimatesAfterRotation) {
   const std::vector<flow::Packet> packets = zipf_packets(kSeed, 40'000, 1'500);
   cache_on.ingest(std::span<const flow::Packet>(packets));
   cache_on.rotate();
+  const auto merged = cache_on.merged_epoch();
   for (const auto& [key, truth] : exact_bytes(packets)) {
-    ASSERT_GE(cache_on.flow_size(key), truth)
+    ASSERT_GE(merged.flow_size(key), truth)
         << "sharded cache-on underestimates flow " << key.value;
   }
   cache_on.stop();

@@ -1,8 +1,9 @@
 // Unit and concurrency tests for the observability layer (DESIGN.md §8).
 //
 // The concurrency suites are the acceptance gate for scrape-while-ingest:
-// CI's FCM_SANITIZE=thread job runs this binary, so every snapshot() racing
-// hot relaxed-atomic writers is exercised under TSan.
+// CI's FCM_SANITIZE=thread job runs this binary, so snapshot() racing hot
+// relaxed-atomic writers — plain writer threads, and a live runtime's driver
+// and epoch coordinator — is exercised under TSan.
 #include "obs/metrics_registry.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,37 +28,27 @@ namespace {
 
 // --- Counter -----------------------------------------------------------------
 
-TEST(Counter, SumsAcrossStripes) {
+TEST(Counter, IncAddsToOneValue) {
+  static_assert(sizeof(Counter) <= kObsCacheLineBytes,
+                "a counter is one atomic, not a stripe array");
   MetricsRegistry registry;
   Counter& counter = registry.counter("events_total");
+  EXPECT_EQ(counter.value(), 0u);
   counter.inc();
   counter.inc(41);
   EXPECT_EQ(counter.value(), 42u);
-  // Explicit stripes land in distinct cells but one logical value.
-  for (std::size_t stripe = 0; stripe < kMetricStripes; ++stripe) {
-    counter.inc_at(stripe, 1);
-  }
-  EXPECT_EQ(counter.value(), 42u + kMetricStripes);
-}
-
-TEST(Counter, StripeIndexWrapsModuloStripes) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("wrap_total");
-  counter.inc_at(kMetricStripes + 3, 5);  // same cell as stripe 3
-  counter.inc_at(3, 5);
-  EXPECT_EQ(counter.value(), 10u);
 }
 
 // --- Gauge -------------------------------------------------------------------
 
-TEST(Gauge, SetAddValue) {
+TEST(Gauge, SetValue) {
   MetricsRegistry registry;
   Gauge& gauge = registry.gauge("depth");
   EXPECT_EQ(gauge.value(), 0.0);
   gauge.set(2.5);
   EXPECT_EQ(gauge.value(), 2.5);
-  gauge.add(-1.0);
-  EXPECT_EQ(gauge.value(), 1.5);
+  gauge.set(-1.0);
+  EXPECT_EQ(gauge.value(), -1.0);
 }
 
 // --- Histogram ---------------------------------------------------------------
@@ -113,25 +105,6 @@ TEST(Registry, KindMismatchThrows) {
   EXPECT_THROW(registry.histogram("x", {1.0}), std::logic_error);
 }
 
-TEST(Registry, CallbackGaugeLifecycle) {
-  MetricsRegistry registry;
-  double depth = 7.0;
-  {
-    const auto handle =
-        registry.gauge_callback("queue_depth", {}, [&] { return depth; });
-    // Registering a plain gauge over a live callback is a logic error.
-    EXPECT_THROW(registry.gauge("queue_depth"), std::logic_error);
-    const MetricsSnapshot snap = registry.snapshot();
-    ASSERT_EQ(snap.samples.size(), 1u);
-    EXPECT_EQ(snap.samples[0].value, 7.0);
-  }
-  // Handle released: the series is skipped, and the name is reusable.
-  EXPECT_TRUE(registry.snapshot().samples.empty());
-  const auto handle =
-      registry.gauge_callback("queue_depth", {}, [] { return 1.0; });
-  ASSERT_EQ(registry.snapshot().samples.size(), 1u);
-}
-
 TEST(Registry, SnapshotRendersJson) {
   MetricsRegistry registry;
   registry.counter("req_total", {{"code", "200"}}, "requests").inc(3);
@@ -149,16 +122,20 @@ TEST(Registry, SnapshotRendersJson) {
 }
 
 TEST(Registry, NonFiniteValuesRenderVisibly) {
-  // A pathological callback gauge must stay distinguishable from a
+  // A gauge set to a non-finite value must stay distinguishable from a
   // legitimate zero in scraped data: JSON has no NaN/Inf, so null.
   MetricsRegistry registry;
-  const auto nan_handle = registry.gauge_callback(
-      "bad_gauge", {}, [] { return std::numeric_limits<double>::quiet_NaN(); });
-  const auto inf_handle = registry.gauge_callback(
-      "inf_gauge", {}, [] { return std::numeric_limits<double>::infinity(); });
+  registry.gauge("nan_gauge").set(std::numeric_limits<double>::quiet_NaN());
+  registry.gauge("inf_gauge").set(std::numeric_limits<double>::infinity());
+  registry.gauge("ninf_gauge").set(-std::numeric_limits<double>::infinity());
   const MetricsSnapshot snap = registry.snapshot();
   const std::string json = snap.to_json();
-  EXPECT_NE(json.find("\"value\": null"), std::string::npos);
+  std::size_t nulls = 0;
+  for (std::size_t at = json.find("\"value\": null"); at != std::string::npos;
+       at = json.find("\"value\": null", at + 1)) {
+    ++nulls;
+  }
+  EXPECT_EQ(nulls, 3u);
   EXPECT_EQ(json.find("1e308"), std::string::npos);
   EXPECT_EQ(json.find("\"value\": 0"), std::string::npos);
 }
@@ -220,9 +197,9 @@ TEST(Concurrency, SnapshotWhileWritersAreHot) {
   std::vector<std::jthread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
+    writers.emplace_back([&] {
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-        counter.inc_at(static_cast<std::size_t>(w));
+        counter.inc();
         gauge.set(static_cast<double>(i));
         histogram.observe(static_cast<double>(i % 100) * 1e-3);
       }
@@ -275,7 +252,7 @@ TEST(Concurrency, ShardedIngestScrapedConcurrently) {
   }
   const auto report = sharded.rotate();
   scraper.request_stop();
-  scraper = {};  // join before the framework (and its gauges) go away
+  scraper = {};  // join
 
   EXPECT_EQ(report.packets, trace.size());
   // Every packet must be attributed to exactly one shard counter.
@@ -380,20 +357,117 @@ TEST(Registry, NullMetricsIsFullyUninstrumented) {
 }
 
 TEST(Concurrency, SequentialInstrumentedInstancesReuseQueueGauges) {
-  // Non-overlapping instances must be able to re-register the same
-  // callback-gauge series (handles release on destruction).
+  // Non-overlapping instances on one registry share the queue gauges: each
+  // instance's coordinator overwrites them at its merges.
   MetricsRegistry registry;
   for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
     runtime::ShardedFcmFramework::Options options;
     options.framework.fcm =
         core::FcmConfig::for_memory(32 * 1024, 2, 8, {8, 16, 32});
     options.shard_count = 2;
     options.metrics = &registry;
     runtime::ShardedFcmFramework sharded(options);
+    std::vector<Gauge*> gauges;
+    for (const char* name :
+         {"fcm_runtime_queue_depth", "fcm_runtime_queue_high_water_blocks"}) {
+      for (const char* shard : {"0", "1"}) {
+        gauges.push_back(&registry.gauge(name, {{"shard", shard}}));
+        gauges.back()->set(-1.0);  // stale value this round must replace
+      }
+    }
     sharded.ingest(flow::FlowKey{7});
     sharded.rotate();
+    for (const Gauge* gauge : gauges) EXPECT_GE(gauge->value(), 0.0);
+    // Shard 0 received the one staged block, so its high water is at least
+    // one block.
+    EXPECT_GE(gauges[2]->value(), 1.0);
   }
-  SUCCEED();
+}
+
+// Every series DESIGN.md §8 lists, with its kind and whether it carries a
+// shard label. A runtime with the cache on, one rotation and one analyze()
+// of the merged epoch writes all of them, and nothing else.
+TEST(Registry, RuntimeExportsEverySeriesTheDesignLists) {
+  struct Documented {
+    const char* name;
+    MetricKind kind;
+    bool per_shard;
+  };
+  const std::vector<Documented> documented = {
+      {"fcm_sketch_overflow_promotions_total", MetricKind::kCounter, false},
+      {"fcm_sketch_cardinality_saturations_total", MetricKind::kCounter, false},
+      {"fcm_framework_analyze_total", MetricKind::kCounter, false},
+      {"fcm_framework_analyze_seconds", MetricKind::kHistogram, false},
+      {"fcm_em_runs_total", MetricKind::kCounter, false},
+      {"fcm_em_iterations_total", MetricKind::kCounter, false},
+      {"fcm_em_iteration_seconds", MetricKind::kHistogram, false},
+      {"fcm_em_convergence_delta", MetricKind::kGauge, false},
+      {"fcm_datapath_cache_hits_total", MetricKind::kCounter, false},
+      {"fcm_datapath_cache_misses_total", MetricKind::kCounter, false},
+      {"fcm_datapath_cache_evictions_total", MetricKind::kCounter, false},
+      {"fcm_datapath_cache_resident_flows", MetricKind::kGauge, false},
+      {"fcm_runtime_blocks_published_total", MetricKind::kCounter, false},
+      {"fcm_runtime_partial_flushes_total", MetricKind::kCounter, false},
+      {"fcm_runtime_backpressure_spins_total", MetricKind::kCounter, false},
+      {"fcm_runtime_rotations_total", MetricKind::kCounter, false},
+      {"fcm_runtime_rotation_wait_seconds", MetricKind::kHistogram, false},
+      {"fcm_runtime_merge_seconds", MetricKind::kHistogram, false},
+      {"fcm_runtime_epochs_merged_total", MetricKind::kCounter, false},
+      {"fcm_runtime_epoch_packets", MetricKind::kGauge, false},
+      {"fcm_runtime_fanout_imbalance", MetricKind::kGauge, false},
+      {"fcm_runtime_shard_packets_total", MetricKind::kCounter, true},
+      {"fcm_runtime_shard_bytes_total", MetricKind::kCounter, true},
+      {"fcm_runtime_queue_depth", MetricKind::kGauge, true},
+      {"fcm_runtime_queue_high_water_blocks", MetricKind::kGauge, true},
+  };
+  constexpr std::size_t kShards = 2;
+
+  MetricsRegistry registry;
+  runtime::ShardedFcmFramework::Options options;
+  options.framework.fcm = core::FcmConfig::for_memory(32 * 1024, 2, 8, {8, 16, 32});
+  options.framework.count_mode =
+      framework::FcmFramework::CountMode::kBytes;
+  options.framework.em.max_iterations = 2;
+  options.shard_count = kShards;
+  options.cache_entries = 64;
+  options.metrics = &registry;
+  runtime::ShardedFcmFramework sharded(options);
+  for (std::uint32_t i = 0; i < 2'000; ++i) {
+    sharded.ingest(flow::Packet{flow::FlowKey{1 + i % 50}, 100, i});
+  }
+  sharded.rotate();
+  (void)sharded.merged_epoch().analyze();
+
+  // Series identity: the name, then each label as |key=value.
+  const auto series_id = [](const std::string& name,
+                            const std::vector<MetricLabel>& labels) {
+    std::string id = name;
+    for (const MetricLabel& label : labels) {
+      id += "|" + label.key + "=" + label.value;
+    }
+    return id;
+  };
+  const MetricsSnapshot snap = registry.snapshot();
+  std::map<std::string, MetricKind> exported;
+  for (const MetricsSnapshot::Sample& sample : snap.samples) {
+    exported[series_id(sample.name, sample.labels)] = sample.kind;
+  }
+  std::size_t expected_series = 0;
+  for (const Documented& series : documented) {
+    const std::size_t copies = series.per_shard ? kShards : 1;
+    expected_series += copies;
+    for (std::size_t s = 0; s < copies; ++s) {
+      const std::string id =
+          series.per_shard
+              ? series_id(series.name, {{"shard", std::to_string(s)}})
+              : std::string(series.name);
+      ASSERT_TRUE(exported.contains(id)) << id;
+      EXPECT_EQ(exported.at(id), series.kind) << id;
+    }
+  }
+  EXPECT_EQ(exported.size(), expected_series)
+      << "a series the design does not list";
 }
 
 }  // namespace

@@ -130,17 +130,23 @@ void expect_same_counter_state(const FcmFramework& got,
   }
 }
 
-// Per-shard packet counters of an instance with its own registry.
+// One shard-labelled counter's per-shard values, for an instance with its
+// own registry.
+std::vector<std::uint64_t> shard_counter_values(
+    fcm::obs::MetricsRegistry& registry, const std::string& name,
+    std::size_t shards) {
+  std::vector<std::uint64_t> values;
+  for (std::size_t s = 0; s < shards; ++s) {
+    values.push_back(
+        registry.counter(name, {{"shard", std::to_string(s)}}).value());
+  }
+  return values;
+}
+
 std::vector<std::uint64_t> shard_packet_counts(
     fcm::obs::MetricsRegistry& registry, std::size_t shards) {
-  std::vector<std::uint64_t> counts;
-  for (std::size_t s = 0; s < shards; ++s) {
-    counts.push_back(registry
-                         .counter("fcm_runtime_shard_packets_total",
-                                  {{"shard", std::to_string(s)}})
-                         .value());
-  }
-  return counts;
+  return shard_counter_values(registry, "fcm_runtime_shard_packets_total",
+                              shards);
 }
 
 // --- BlockQueue: block hand-off semantics ------------------------------------
@@ -669,8 +675,7 @@ TEST(ShardedRuntime, RetainedEpochWindowSlidesAndExpiredEpochsThrow) {
   EXPECT_EQ(sharded.wait_epoch(3).index, 3u);
   // Expired epoch: merged but evicted from the history window.
   EXPECT_THROW(sharded.wait_epoch(0), ContractViolation);
-  // flow_size queries the latest epoch.
-  EXPECT_EQ(sharded.flow_size(FlowKey{4}), 1u);
+  EXPECT_EQ(sharded.merged_epoch().flow_size(FlowKey{4}), 1u);
 }
 
 // --- backpressure and teardown ----------------------------------------------
@@ -726,7 +731,7 @@ TEST(ShardedRuntime, StopIsIdempotentAndDestructorIsSafeWithoutRotation) {
     sharded.stop();  // idempotent
     sharded.check_invariants();
     // Results remain queryable after stop().
-    EXPECT_EQ(sharded.flow_size(FlowKey{1}), 1u);
+    EXPECT_EQ(sharded.merged_epoch().flow_size(FlowKey{1}), 1u);
     EXPECT_EQ(sharded.epochs_completed(), 1u);
   }
 }
@@ -876,6 +881,63 @@ TEST(ShardedRuntime, CacheCountersCoverEveryOfferedKey) {
   sharded.check_invariants();
 }
 
+// Shard workers keep plain per-generation tallies; the coordinator adds them
+// to the shard counters as it merges each epoch, before wait_epoch() can
+// return it. So after every rotate() the counters hold exactly the epochs so
+// far, and each ring gauge holds what the ring showed at that merge.
+TEST(ShardedRuntime, ShardSeriesMatchEpochTalliesAfterEveryRotation) {
+  constexpr std::size_t kShards = 2;
+  constexpr double kRingBlocks = 256;  // DESIGN.md §13.3
+  fcm::obs::MetricsRegistry registry;
+  ShardedFcmFramework::Options options;
+  options.framework = small_framework_options();
+  options.framework.count_mode = FcmFramework::CountMode::kBytes;
+  options.shard_count = kShards;
+  options.cache_entries = 64;
+  options.metrics = &registry;
+  ShardedFcmFramework sharded(options);
+
+  const std::vector<Packet> trace = fixed_trace(0x7a11, 24000, 1500);
+  const std::span<const Packet> all(trace);
+  constexpr std::size_t kEpochs = 6;
+  const std::size_t window = trace.size() / kEpochs;
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+  for (std::size_t e = 0; e < kEpochs; ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    sharded.ingest(all.subspan(e * window, window));
+    const ShardedFcmFramework::EpochReport report = sharded.rotate();
+    packets += report.packets;
+    bytes += report.bytes;
+
+    const auto sum = [](const std::vector<std::uint64_t>& values) {
+      return std::accumulate(values.begin(), values.end(), std::uint64_t{0});
+    };
+    EXPECT_EQ(sum(shard_packet_counts(registry, kShards)), packets);
+    EXPECT_EQ(sum(shard_counter_values(
+                  registry, "fcm_runtime_shard_bytes_total", kShards)),
+              bytes);
+    const std::vector<double> high_water = sharded.queue_high_water();
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const std::vector<fcm::obs::MetricLabel> shard = {
+          {"shard", std::to_string(s)}};
+      EXPECT_EQ(
+          registry.gauge("fcm_runtime_queue_high_water_blocks", shard).value(),
+          high_water[s] * kRingBlocks)
+          << "shard " << s;
+      const double depth =
+          registry.gauge("fcm_runtime_queue_depth", shard).value();
+      EXPECT_GE(depth, 0.0);
+      EXPECT_LE(depth, kRingBlocks * fcm::common::kBatchBlock);
+    }
+  }
+  std::uint64_t ingested_bytes = 0;
+  for (const Packet& packet : all.first(kEpochs * window)) {
+    ingested_bytes += packet.bytes;
+  }
+  EXPECT_EQ(bytes, ingested_bytes);
+}
+
 // A resident flow heavier than a pair's u32 weight slot is demoted at
 // rotation as several pairs; the shard's counters sum them back exactly.
 TEST(ShardedRuntime, CacheDemotionHeavierThanU32SumsBackExactly) {
@@ -927,7 +989,7 @@ TEST(ShardedRuntime, TrickleReachesItsEpochAtRotation) {
   EXPECT_EQ(partial_flushes.value(), 1u);
   EXPECT_EQ(report.packets, 6u);
   for (std::uint32_t i = 1; i <= 6; ++i) {
-    EXPECT_EQ(sharded.flow_size(FlowKey{i}), 1u);
+    EXPECT_EQ(sharded.merged_epoch().flow_size(FlowKey{i}), 1u);
   }
 }
 
@@ -1011,7 +1073,7 @@ TEST(ShardedRuntime, ByteModeRejectsZeroBytePackets) {
   EXPECT_THROW(sharded.ingest(Packet{FlowKey{1}, 0, 0}), ContractViolation);
   sharded.ingest(Packet{FlowKey{1}, 100, 0});
   sharded.rotate();
-  EXPECT_EQ(sharded.flow_size(FlowKey{1}), 100u);
+  EXPECT_EQ(sharded.merged_epoch().flow_size(FlowKey{1}), 100u);
 }
 
 TEST(ShardedRuntime, ByteModeRejectsBareKeys) {
