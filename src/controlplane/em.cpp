@@ -54,6 +54,38 @@ void enumerate_partitions(std::uint64_t n, std::size_t p, std::uint64_t max_part
   }
 }
 
+// Visits Ω for an enumerable counter of value `v` and `degree` on a tree
+// whose leaf paths hold at least `ell` = theta_1 + 1, calling `f(parts)`
+// with each combination's flow sizes, non-increasing, built in the one
+// scratch buffer `parts`. The visit order is fixed, so two walks agree.
+template <typename F>
+void visit_omega(std::uint64_t v, std::uint32_t degree, std::uint64_t ell,
+                 std::vector<std::uint64_t>& parts, const F& f) {
+  if (degree == 1) {
+    // Up to 1 + kMaxExtraFlows colliding flows, any sizes >= 1.
+    for (std::size_t p = 1; p <= 1 + kMaxExtraFlows; ++p) {
+      if (v < p) break;
+      enumerate_partitions(v, p, v, 1, parts, f);
+    }
+    return;
+  }
+  // Exactly `degree` merged paths, each with mandatory mass >= ell (every
+  // merged path overflowed its leaf, §4.3's constraint), plus optionally one
+  // small flow `extra` < ell (so it cannot be its own overflowed path)
+  // colliding into one of them; extra == 0 means none. It goes last, being
+  // smaller than every path's part.
+  const std::uint64_t residual = v - degree * ell;
+  for (std::uint64_t extra = 0; extra <= std::min(residual, ell - 1); ++extra) {
+    enumerate_partitions(v - extra, degree, residual - extra + ell, ell, parts,
+                         [&](std::vector<std::uint64_t>& paths) {
+                           if (extra == 0) return f(paths);
+                           paths.push_back(extra);
+                           f(paths);
+                           paths.pop_back();
+                         });
+  }
+}
+
 }  // namespace
 
 EmFsdEstimator::EmFsdEstimator(std::vector<VirtualCounterArray> arrays,
@@ -97,7 +129,6 @@ void EmFsdEstimator::initialize() {
   // counter reads as one flow of its value; merged counters read as their
   // minimal-flow split.
   std::vector<double> init(max_value_ + 1, 0.0);
-  current_ = FlowSizeDistribution(std::vector<double>(max_value_ + 1, 0.0));
   for (const Group& g : groups_) {
     split_fallback(g, init);
   }
@@ -124,8 +155,7 @@ void EmFsdEstimator::accumulate_group(const Group& group,
                                       std::vector<double>& out) const {
   const std::uint64_t v = group.value;
   const std::uint32_t degree = group.degree;
-  const std::uint64_t theta = arrays_[group.array].leaf_counting_max;
-  const std::uint64_t ell = theta + 1;
+  const std::uint64_t ell = arrays_[group.array].leaf_counting_max + 1;
 
   // Decide whether this group is enumerable under the truncation heuristic.
   const bool enumerable =
@@ -139,15 +169,10 @@ void EmFsdEstimator::accumulate_group(const Group& group,
     return;
   }
 
-  // Collect combinations as (weight, multiset) pairs. A combination's prior
-  // weight is prod_s lambda_s^{c_s} / c_s! (the shared exp(-sum lambda)
-  // cancels in the per-counter normalization of Eqn. 2).
-  struct Combo {
-    double weight;
-    std::vector<std::uint64_t> parts;  // non-increasing flow sizes
-  };
-  std::vector<Combo> combos;
-
+  // A combination's prior weight is prod_s lambda_s^{c_s} / c_s! (the shared
+  // exp(-sum lambda) cancels in the per-counter normalization of Eqn. 2).
+  // Ω is walked twice over one scratch buffer: once for the normalizer, then
+  // again to add each combination's posterior share to its flow sizes.
   const auto weigh = [&](const std::vector<std::uint64_t>& parts) {
     double weight = 1.0;
     std::size_t run = 1;
@@ -160,83 +185,52 @@ void EmFsdEstimator::accumulate_group(const Group& group,
         run = 1;
       }
     }
-    combos.push_back(Combo{weight, parts});
+    return weight;
   };
 
-  std::vector<std::uint64_t> scratch;
-  if (degree == 1) {
-    // Up to 1 + kMaxExtraFlows colliding flows, any sizes >= 1.
-    for (std::size_t p = 1; p <= 1 + kMaxExtraFlows; ++p) {
-      if (v < p) break;
-      enumerate_partitions(v, p, v, 1, scratch, weigh);
-    }
-  } else {
-    // Exactly `degree` merged paths, each with mandatory mass >= ell
-    // (every merged path overflowed its leaf, §4.3's constraint).
-    const std::uint64_t residual = v - degree * ell;
-    const auto weigh_shifted = [&](const std::vector<std::uint64_t>& t_parts) {
-      std::vector<std::uint64_t> parts(t_parts);
-      for (auto& part : parts) part += ell;
-      weigh(parts);
-    };
-    enumerate_partitions(residual, degree, residual, 0, scratch, weigh_shifted);
-
-    // One additional small flow (< ell, so it cannot be its own overflowed
-    // path) colliding into one of the merged paths.
-    if (ell >= 2) {
-      const std::uint64_t extra_max = std::min<std::uint64_t>(residual, ell - 1);
-      for (std::uint64_t extra = 1; extra <= extra_max; ++extra) {
-        const auto weigh_with_extra = [&](const std::vector<std::uint64_t>& t_parts) {
-          std::vector<std::uint64_t> parts(t_parts);
-          for (auto& part : parts) part += ell;
-          parts.push_back(extra);  // extra < ell <= all other parts
-          weigh(parts);
-        };
-        enumerate_partitions(residual - extra, degree, residual - extra, 0,
-                             scratch, weigh_with_extra);
-      }
-    }
-  }
-
+  std::vector<std::uint64_t> parts;
   double total_weight = 0.0;
-  for (const Combo& combo : combos) total_weight += combo.weight;
+  visit_omega(v, degree, ell, parts,
+              [&](const std::vector<std::uint64_t>& combo) {
+                total_weight += weigh(combo);
+              });
   if (!(total_weight > 0.0)) {
     split_fallback(group, out);
     return;
   }
-  for (const Combo& combo : combos) {
-    const double posterior = combo.weight / total_weight;
-    for (const std::uint64_t size : combo.parts) {
-      out[size] += group.multiplicity * posterior;
-    }
-  }
+  visit_omega(v, degree, ell, parts,
+              [&](const std::vector<std::uint64_t>& combo) {
+                const double posterior = weigh(combo) / total_weight;
+                for (const std::uint64_t size : combo) {
+                  out[size] += group.multiplicity * posterior;
+                }
+              });
 }
 
 void EmFsdEstimator::iterate() {
-  std::vector<double> next(max_value_ + 1, 0.0);
-  const std::size_t threads =
-      std::min<std::size_t>(std::max<std::size_t>(config_.thread_count, 1),
-                            groups_.size() > 0 ? groups_.size() : 1);
-  if (threads <= 1) {
-    for (const Group& group : groups_) accumulate_group(group, next);
-  } else {
-    std::vector<std::vector<double>> partial(
-        threads, std::vector<double>(max_value_ + 1, 0.0));
+  // Worker t sums every `threads`-th group into partial[t]; worker 0 is the
+  // calling thread, so one thread spawns nothing. The partials are added to
+  // partial[0] in worker order.
+  const std::size_t threads = std::clamp<std::size_t>(
+      config_.thread_count, 1, std::max<std::size_t>(groups_.size(), 1));
+  std::vector<std::vector<double>> partial(threads);
+  const auto scan = [&](std::size_t t) {
+    partial[t].assign(max_value_ + 1, 0.0);
+    for (std::size_t g = t; g < groups_.size(); g += threads) {
+      accumulate_group(groups_[g], partial[t]);
+    }
+  };
+  {
     // jthread: joins on destruction, so an exception while spawning (or in
-    // this scope) cannot reach ~thread() on a joinable thread and terminate.
+    // worker 0's scan) cannot reach ~thread() on a joinable thread.
     std::vector<std::jthread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        for (std::size_t g = t; g < groups_.size(); g += threads) {
-          accumulate_group(groups_[g], partial[t]);
-        }
-      });
-    }
-    for (auto& worker : workers) worker.join();
-    for (const auto& local : partial) {
-      for (std::size_t j = 0; j <= max_value_; ++j) next[j] += local[j];
-    }
+    workers.reserve(threads - 1);
+    for (std::size_t t = 1; t < threads; ++t) workers.emplace_back(scan, t);
+    scan(0);
+  }
+  std::vector<double>& next = partial[0];
+  for (std::size_t t = 1; t < threads; ++t) {
+    for (std::size_t j = 0; j <= max_value_; ++j) next[j] += partial[t][j];
   }
   const double d = static_cast<double>(arrays_.size());
   for (auto& value : next) value /= d;
@@ -313,12 +307,9 @@ FlowSizeDistribution EmFsdEstimator::run(const IterationCallback& callback) {
     if (em_iteration_seconds != nullptr) em_iteration_seconds->observe(seconds);
     const auto& counts = current_.counts();
     double l1 = 0.0;
-    const std::size_t overlap = std::min(previous.size(), counts.size());
-    for (std::size_t j = 0; j < overlap; ++j) {
+    for (std::size_t j = 0; j < counts.size(); ++j) {
       l1 += std::abs(counts[j] - previous[j]);
     }
-    for (std::size_t j = overlap; j < previous.size(); ++j) l1 += previous[j];
-    for (std::size_t j = overlap; j < counts.size(); ++j) l1 += counts[j];
     const double total = current_.total_flows();
     last_delta = total > 0.0 ? l1 / total : l1;
     if (callback) callback(i, seconds, current_);

@@ -34,10 +34,11 @@ struct EmConfig {
   // own Options::metrics so one knob controls the whole pipeline.
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
 
-  // Worker threads for the per-iteration scan (Fig. 9a's FCM(m) mode). The
-  // FSD's low bits depend on it: each thread sums its strided share of the
-  // groups into its own partial, and the partials are added in thread order,
-  // so 1 and 4 threads give different golden checksums.
+  // Threads N for the per-iteration scan (Fig. 9a's FCM(m) mode), the
+  // calling thread included; 0 reads as 1, and N is clamped to the group
+  // count. Thread t sums groups t, t + N, ... into its own partial, and the
+  // partials are added in thread order, so the FSD's low bits depend on N:
+  // 1 and 4 threads give different golden checksums.
   std::size_t thread_count = 1;
 };
 
@@ -55,9 +56,6 @@ class EmFsdEstimator {
   // Runs max_iterations EM steps (from the §4.3 initialization) and returns
   // the final estimate.
   FlowSizeDistribution run(const IterationCallback& callback = nullptr);
-
-  // Single EM step, for callers that manage their own schedule.
-  void iterate();
 
   const FlowSizeDistribution& current() const noexcept { return current_; }
 
@@ -80,6 +78,7 @@ class EmFsdEstimator {
   };
 
   void initialize();
+  void iterate();  // one EM step: Eqn. 2 per group, Eqn. 5 across trees
   // Expected flow-size contributions of `group`, accumulated into `out`
   // (scaled by the group's multiplicity).
   void accumulate_group(const Group& group, std::vector<double>& out) const;

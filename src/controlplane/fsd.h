@@ -16,7 +16,6 @@ class FlowSizeDistribution {
       : counts_(std::move(counts)) {}
 
   const std::vector<double>& counts() const noexcept { return counts_; }
-  std::vector<double>& counts() noexcept { return counts_; }
 
   // Total estimated number of flows (n in the paper).
   double total_flows() const noexcept;

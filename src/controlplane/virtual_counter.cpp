@@ -1,8 +1,8 @@
 #include "controlplane/virtual_counter.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
-#include <unordered_map>
 
 #include "common/contracts.h"
 
@@ -55,34 +55,39 @@ VirtualCounterArray convert_tree(const core::FcmTree& tree) {
   const auto& config = tree.config();
   const std::size_t levels = config.stage_count();
 
-  // Terminal node of the path starting at (stage, index): walk up while the
-  // node overflowed and a parent exists. Encoded as stage * 2^32 + index.
-  const auto terminal_of = [&](std::size_t stage, std::size_t index) {
-    while (stage < levels && tree.node_overflowed(stage, index)) {
-      ++stage;
-      index /= config.k;
+  // Nodes are numbered stage by stage from the leaves; stage s starts at
+  // offset[s - 1]. A node's terminal ends the path through it: the node
+  // itself, or its parent's terminal if it overflowed (a root always ends
+  // its path). Filled from the roots down.
+  std::vector<std::size_t> offset(levels + 1, 0);
+  for (std::size_t stage = 1; stage <= levels; ++stage) {
+    offset[stage] = offset[stage - 1] + config.width(stage);
+  }
+  std::vector<std::size_t> terminal(offset[levels]);
+  for (std::size_t stage = levels; stage >= 1; --stage) {
+    for (std::size_t index = 0; index < config.width(stage); ++index) {
+      const std::size_t node = offset[stage - 1] + index;
+      terminal[node] = stage < levels && tree.node_overflowed(stage, index)
+                           ? terminal[offset[stage] + index / config.k]
+                           : node;
     }
-    if (stage > levels) stage = levels;  // root overflowed: terminal is root
-    // When the loop exited because stage == levels was reached with the root
-    // overflowed, (stage, index) already points past; clamp handled above.
-    return (static_cast<std::uint64_t>(stage) << 32) | static_cast<std::uint64_t>(index);
-  };
+  }
 
   VirtualCounterArray array;
   array.leaf_count = config.leaf_count;
   array.leaf_counting_max = config.counting_max(1);
 
-  std::unordered_map<std::uint64_t, std::size_t> vc_index;
-  vc_index.reserve(config.leaf_count);
-
-  // Step 1: one virtual counter per distinct terminal, degree = merged leaves.
+  // Step 1: one virtual counter per distinct terminal, in first-leaf order;
+  // degree = merged leaves.
+  constexpr std::size_t kNoCounter = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> counter_of(terminal.size(), kNoCounter);
   for (std::size_t leaf = 0; leaf < config.leaf_count; ++leaf) {
-    const std::uint64_t terminal = terminal_of(1, leaf);
-    const auto [it, inserted] = vc_index.try_emplace(terminal, array.counters.size());
-    if (inserted) {
+    std::size_t& slot = counter_of[terminal[leaf]];
+    if (slot == kNoCounter) {
+      slot = array.counters.size();
       array.counters.push_back(VirtualCounter{0, 0});
     }
-    array.counters[it->second].degree += 1;
+    array.counters[slot].degree += 1;
   }
 
   // Step 2: every node's capped count is credited to its terminal's counter
@@ -94,11 +99,8 @@ VirtualCounterArray convert_tree(const core::FcmTree& tree) {
     for (std::size_t index = 0; index < width; ++index) {
       const std::uint64_t count = tree.node_count(stage, index);
       if (count == 0) continue;
-      const std::uint64_t terminal = terminal_of(stage, index);
-      const auto it = vc_index.find(terminal);
-      if (it != vc_index.end()) {
-        array.counters[it->second].value += count;
-      }
+      const std::size_t slot = counter_of[terminal[offset[stage - 1] + index]];
+      if (slot != kNoCounter) array.counters[slot].value += count;
     }
   }
   // §4.1 round-trip guarantee: the conversion preserves the tree's total

@@ -68,13 +68,15 @@ TEST(EmFsdEstimator, MassConservedEachIteration) {
   }
   const double expected_mass = 5.0 * (50.0 * 51.0 / 2.0);
   EmConfig config;
-  config.max_iterations = 1;
+  config.max_iterations = 5;
   EmFsdEstimator estimator({array}, config);
   EXPECT_NEAR(estimator.current().total_packets(), expected_mass, 1e-6);
-  for (int i = 0; i < 5; ++i) {
-    estimator.iterate();
-    EXPECT_NEAR(estimator.current().total_packets(), expected_mass, expected_mass * 1e-9);
-  }
+  std::size_t iterations = 0;
+  estimator.run([&](std::size_t, double, const FlowSizeDistribution& fsd) {
+    EXPECT_NEAR(fsd.total_packets(), expected_mass, expected_mass * 1e-9);
+    ++iterations;
+  });
+  EXPECT_EQ(iterations, 5u);
 }
 
 TEST(EmFsdEstimator, PaperOmegaConstraintForMergedCounters) {
@@ -186,6 +188,50 @@ TEST(EmFsdEstimator, DeterministicAcrossRuns) {
   ASSERT_EQ(first.counts().size(), second.counts().size());
   for (std::size_t j = 0; j < first.counts().size(); ++j) {
     ASSERT_EQ(first.counts()[j], second.counts()[j]) << "size " << j;
+  }
+}
+
+TEST(EmFsdEstimator, ThreadCountZeroIsOneThread) {
+  // 0 reads as 1: the calling thread runs the whole scan, bit for bit the
+  // same as thread_count = 1.
+  flow::SyntheticTraceConfig trace_config;
+  trace_config.packet_count = 40000;
+  trace_config.flow_count = 4000;
+  const flow::Trace trace = flow::SyntheticTraceGenerator(trace_config).generate();
+  core::FcmSketch sketch(core::FcmConfig::for_memory(80'000, 2, 8, {8, 16, 32}));
+  for (const flow::Packet& p : trace.packets()) sketch.update(p.key);
+
+  EmConfig config;
+  config.max_iterations = 3;
+  config.thread_count = 0;
+  const auto zero = EmFsdEstimator(convert_sketch(sketch), config).run();
+  config.thread_count = 1;
+  const auto one = EmFsdEstimator(convert_sketch(sketch), config).run();
+  ASSERT_EQ(zero.counts().size(), one.counts().size());
+  for (std::size_t j = 0; j < zero.counts().size(); ++j) {
+    ASSERT_EQ(zero.counts()[j], one.counts()[j]) << "size " << j;
+  }
+}
+
+TEST(EmFsdEstimator, ThreadCountAboveGroupCountIsClamped) {
+  // Three (degree, value) groups: asking for more threads than groups runs
+  // one thread per group and gives the same bits as thread_count = 3.
+  VirtualCounterArray array;
+  array.leaf_count = 1000;
+  array.leaf_counting_max = 254;
+  for (const std::uint64_t value : {3u, 3u, 7u, 40u}) {
+    array.counters.push_back(VirtualCounter{value, 1});
+  }
+  EmConfig config;
+  config.max_iterations = 3;
+  config.thread_count = 3;
+  const auto per_group = EmFsdEstimator({array}, config).run();
+  config.thread_count = 64;
+  const auto clamped = EmFsdEstimator({array}, config).run();
+  EXPECT_NEAR(clamped.total_packets(), 53.0, 1e-9);
+  ASSERT_EQ(per_group.counts().size(), clamped.counts().size());
+  for (std::size_t j = 0; j < clamped.counts().size(); ++j) {
+    ASSERT_EQ(per_group.counts()[j], clamped.counts()[j]) << "size " << j;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/random.h"
 #include "flow/synthetic.h"
@@ -109,6 +110,77 @@ TEST_P(ConversionPropertyTest, TotalCountPreservedUnderLoad) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConversionPropertyTest,
     ::testing::Combine(::testing::Values(2, 4, 8), ::testing::Values(1, 2, 3)));
+
+// Reference conversion: each leaf walks up to its terminal node (the first
+// node that did not overflow, or its root), counters are numbered in
+// first-leaf order, and every node's capped count goes to its terminal's
+// counter.
+std::vector<VirtualCounter> reference_conversion(const core::FcmTree& tree) {
+  const auto& config = tree.config();
+  const std::size_t levels = config.stage_count();
+  const auto terminal_of = [&](std::size_t stage, std::size_t index) {
+    while (stage < levels && tree.node_overflowed(stage, index)) {
+      ++stage;
+      index /= config.k;
+    }
+    return std::pair<std::size_t, std::size_t>{stage, index};
+  };
+  std::map<std::pair<std::size_t, std::size_t>, std::size_t> counter_of;
+  std::vector<VirtualCounter> counters;
+  for (std::size_t leaf = 0; leaf < config.leaf_count; ++leaf) {
+    const auto [it, inserted] = counter_of.try_emplace(terminal_of(1, leaf), counters.size());
+    if (inserted) counters.push_back(VirtualCounter{0, 0});
+    ++counters[it->second].degree;
+  }
+  for (std::size_t stage = 1; stage <= levels; ++stage) {
+    for (std::size_t index = 0; index < config.width(stage); ++index) {
+      const auto it = counter_of.find(terminal_of(stage, index));
+      if (it != counter_of.end()) counters[it->second].value += tree.node_count(stage, index);
+    }
+  }
+  return counters;
+}
+
+class ConversionReferenceTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(ConversionReferenceTest, MatchesLeafWalkFieldForField) {
+  // Narrow stages and heavy random flows overflow many paths and saturate
+  // roots, so merged counters of every degree show up.
+  const auto [k, stages] = GetParam();
+  const std::vector<unsigned> bits = {2, 3, 4};
+  core::FcmConfig config;
+  config.tree_count = 1;
+  config.k = k;
+  config.stage_bits.assign(bits.begin(), bits.begin() + static_cast<std::ptrdiff_t>(stages));
+  config.leaf_count = 4;
+  for (std::size_t l = 1; l < stages; ++l) config.leaf_count *= k;
+  std::size_t saturated_roots = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    core::FcmTree tree(config, common::make_hash(seed, 0));
+    common::Xoshiro256 rng(seed);
+    const std::size_t flows = rng.next_below(2 * config.leaf_count) + 1;
+    for (std::size_t f = 0; f < flows; ++f) {
+      tree.add(flow::FlowKey{static_cast<std::uint32_t>(rng.next_below(1u << 20) + 1)},
+               rng.next_below(40) + 1);
+    }
+    for (std::size_t root = 0; root < config.width(stages); ++root) {
+      saturated_roots += tree.node_overflowed(stages, root);
+    }
+    const std::vector<VirtualCounter> want = reference_conversion(tree);
+    const VirtualCounterArray got = convert_tree(tree);
+    ASSERT_EQ(got.counters.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.counters[i].degree, want[i].degree) << "seed " << seed << " counter " << i;
+      EXPECT_EQ(got.counters[i].value, want[i].value) << "seed " << seed << " counter " << i;
+    }
+  }
+  EXPECT_GT(saturated_roots, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConversionReferenceTest,
+    ::testing::Combine(::testing::Values(3, 8), ::testing::Values(1, 2, 3)));
 
 TEST(VirtualCounter, FromPlainCounters) {
   const std::vector<std::uint32_t> counters = {0, 5, 0, 7, 1};
