@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <string>
+#include <type_traits>
+#include <variant>
 
 #include "common/hash.h"
 
@@ -14,11 +16,6 @@ constexpr std::size_t kFrameHeaderBytes = 24;
 constexpr std::uint64_t kFingerprintSalt = 0xfc3a'9617'57a9'e001ull;
 // The one payload type tag; peek() rejects every other value.
 constexpr std::uint8_t kFrameworkTag = 9;
-
-// Smallest fixed width that holds a b-bit stage's overflow marker 2^b - 1.
-std::uint64_t stage_elem_bytes(unsigned bits) {
-  return bits <= 8 ? 1 : bits <= 16 ? 2 : 4;
-}
 
 // Contract guard for array decodes: `count` elements of `element_bytes`
 // each must still be present. Called BEFORE any reserve/resize so a hostile
@@ -94,39 +91,49 @@ WireHeader WireCodec::peek(std::span<const std::byte> buffer) {
 
 // --- FcmTree ----------------------------------------------------------------
 
+// Each stage is encoded as its stored array: one little-endian integer per
+// node at the stage's storage width (FcmConfig::stage_storage_bytes).
 void WireCodec::encode_tree_state(WireWriter& out, const core::FcmTree& tree) {
-  const core::FcmConfig& config = tree.config();
-  for (std::size_t l = 1; l <= config.stage_count(); ++l) {
-    const std::uint64_t elem = stage_elem_bytes(config.stage_bits[l - 1]);
-    for (const std::uint32_t value : tree.stages_[l - 1]) {
-      if (elem == 1) {
-        out.u8(static_cast<std::uint8_t>(value));
-      } else if (elem == 2) {
-        out.u16(static_cast<std::uint16_t>(value));
-      } else {
-        out.u32(value);
+  for (const core::FcmTree::StageArray& stage : tree.stages_) {
+    std::visit([&out](const auto& nodes) {
+      for (const auto value : nodes) {
+        if constexpr (sizeof(value) == 1) {
+          out.u8(value);
+        } else if constexpr (sizeof(value) == 2) {
+          out.u16(value);
+        } else {
+          out.u32(value);
+        }
       }
-    }
+    }, stage);
   }
 }
 
 void WireCodec::decode_tree_state(common::ByteCursor& in, core::FcmTree& tree) {
   const core::FcmConfig& config = tree.config();
   for (std::size_t l = 1; l <= config.stage_count(); ++l) {
-    const std::uint64_t elem = stage_elem_bytes(config.stage_bits[l - 1]);
-    const std::size_t width = config.width(l);
-    require_payload(in, width, elem);
-    // The overflow marker 2^b - 1 is the largest storable value.
+    // The overflow marker 2^b - 1 is the largest legal value. It is checked
+    // before storing: a stage narrower than its storage type (say 12 bits in
+    // a uint16_t) could otherwise hold a value no update can produce.
     const std::uint64_t marker = config.counting_max(l) + 1;
-    std::vector<std::uint32_t>& stage = tree.stages_[l - 1];
-    for (std::size_t i = 0; i < width; ++i) {
-      const std::uint32_t value =
-          elem == 1 ? in.u8() : elem == 2 ? in.u16le() : in.u32le();
-      FCM_REQUIRE(value <= marker,
-                  "wire: tree node value exceeds its stage bit width "
-                  "(corrupt or hostile buffer)");
-      stage[i] = value;
-    }
+    std::visit([&](auto& nodes) {
+      using Node = typename std::decay_t<decltype(nodes)>::value_type;
+      require_payload(in, nodes.size(), sizeof(Node));
+      for (Node& node : nodes) {
+        std::uint32_t value = 0;
+        if constexpr (sizeof(Node) == 1) {
+          value = in.u8();
+        } else if constexpr (sizeof(Node) == 2) {
+          value = in.u16le();
+        } else {
+          value = in.u32le();
+        }
+        FCM_REQUIRE(value <= marker,
+                    "wire: tree node value exceeds its stage bit width "
+                    "(corrupt or hostile buffer)");
+        node = static_cast<Node>(value);
+      }
+    }, tree.stages_[l - 1]);
   }
 }
 

@@ -94,6 +94,10 @@ EmFsdEstimator::EmFsdEstimator(std::vector<VirtualCounterArray> arrays,
   FCM_REQUIRE(!arrays_.empty(), "EmFsdEstimator: no virtual counter arrays");
   FCM_REQUIRE(config_.max_iterations > 0,
               "EmFsdEstimator: max_iterations must be positive");
+  FCM_REQUIRE(config_.thread_count <= EmConfig::kMaxThreadCount,
+              "EmFsdEstimator: thread_count " +
+                  std::to_string(config_.thread_count) + " exceeds " +
+                  std::to_string(EmConfig::kMaxThreadCount));
   for (std::size_t a = 0; a < arrays_.size(); ++a) {
     FCM_REQUIRE(arrays_[a].leaf_count > 0,
                 "EmFsdEstimator: array " + std::to_string(a) +
@@ -295,23 +299,28 @@ FlowSizeDistribution EmFsdEstimator::run(const IterationCallback& callback) {
                              "last EM iteration")
           : nullptr;
 
+  // Only the convergence gauge reads the L1 change, so the previous
+  // estimate is copied (and the change summed) only when the gauge exists.
   double last_delta = 0.0;
+  std::vector<double> previous;
   for (std::size_t i = 0; i < config_.max_iterations; ++i) {
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<double> previous = current_.counts();
+    if (em_delta != nullptr) previous = current_.counts();
     iterate();
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     if (em_iterations != nullptr) em_iterations->inc();
     if (em_iteration_seconds != nullptr) em_iteration_seconds->observe(seconds);
-    const auto& counts = current_.counts();
-    double l1 = 0.0;
-    for (std::size_t j = 0; j < counts.size(); ++j) {
-      l1 += std::abs(counts[j] - previous[j]);
+    if (em_delta != nullptr) {
+      const auto& counts = current_.counts();
+      double l1 = 0.0;
+      for (std::size_t j = 0; j < counts.size(); ++j) {
+        l1 += std::abs(counts[j] - previous[j]);
+      }
+      const double total = current_.total_flows();
+      last_delta = total > 0.0 ? l1 / total : l1;
     }
-    const double total = current_.total_flows();
-    last_delta = total > 0.0 ? l1 / total : l1;
     if (callback) callback(i, seconds, current_);
   }
   if (em_delta != nullptr) em_delta->set(last_delta);

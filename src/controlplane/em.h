@@ -38,7 +38,11 @@ struct EmConfig {
   // calling thread included; 0 reads as 1, and N is clamped to the group
   // count. Thread t sums groups t, t + N, ... into its own partial, and the
   // partials are added in thread order, so the FSD's low bits depend on N:
-  // 1 and 4 threads give different golden checksums.
+  // 1 and 4 threads give different golden checksums. Each iteration starts
+  // N - 1 threads with one dense partial each, so the constructor refuses
+  // N above kMaxThreadCount (ContractViolation). The bound is a constant,
+  // not the host's core count, so the FSD never depends on the host.
+  static constexpr std::size_t kMaxThreadCount = 64;
   std::size_t thread_count = 1;
 };
 

@@ -26,6 +26,11 @@ std::size_t FcmConfig::memory_bytes() const noexcept {
   return tree_count * bits / 8;
 }
 
+std::size_t FcmConfig::stage_storage_bytes(std::size_t stage) const noexcept {
+  const unsigned bits = stage_bits[stage - 1];
+  return bits <= 8 ? 1 : bits <= 16 ? 2 : 4;
+}
+
 void FcmConfig::validate() const {
   FCM_REQUIRE(tree_count > 0, "FcmConfig: tree_count == 0");
   FCM_REQUIRE(tree_count <= kMaxTrees,

@@ -39,6 +39,13 @@ struct FcmConfig {
   // usage" axis measures): sum over trees and stages of w_l * b_l / 8.
   std::size_t memory_bytes() const noexcept;
 
+  // Bytes per node at stage l (1-based): the narrowest of 1, 2 and 4 that
+  // holds the stage's overflow marker 2^b_l - 1. FcmTree stores, and the
+  // wire frame encodes, every node of the stage at this width, so a sketch
+  // whose bit widths are whole bytes (the paper's 8/16/32) is resident in
+  // exactly memory_bytes().
+  std::size_t stage_storage_bytes(std::size_t stage) const noexcept;
+
   // Throws std::invalid_argument when the geometry is inconsistent
   // (tree_count outside [1, kMaxTrees], non-increasing bit widths, k < 2,
   // leaf count not divisible, ...).

@@ -5,10 +5,18 @@
 // at 2^b_l - 2 and increments have been carried to the parent" (Figure 3).
 // Update feeds increments forward (Algorithm 1); count-query sums capped
 // values along the path until the first non-overflowed node.
+//
+// Each stage is one register array of uint8_t, uint16_t or uint32_t: the
+// narrowest that holds b_l bits (FcmConfig::stage_storage_bytes), so the
+// paper's 8/16/32-bit tree is resident in exactly its logical memory. Every
+// cap, marker, carry, merge sum and estimate is computed in 32/64-bit
+// temporaries and only the stored value is narrowed, so the state is the
+// same whatever the storage width.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "common/hash.h"
@@ -81,11 +89,36 @@ class FcmTree {
     return hash_.index(key, config_.leaf_count);
   }
 
-  // Raw stored node values at stage l (1-based): 2^b-1 entries are overflow
-  // markers. Used by the control-plane conversion algorithm.
-  std::span<const std::uint32_t> stage(std::size_t stage_1based) const noexcept {
-    return stages_[stage_1based - 1];
-  }
+  // Read-only view of one stage's stored node values: 2^b-1 entries are
+  // overflow markers. operator[] widens a node to 32 bits; data() and
+  // size_bytes() expose the stored array itself, whose nodes are
+  // FcmConfig::stage_storage_bytes(l) bytes wide.
+  class StageView {
+   public:
+    std::size_t size() const noexcept { return size_; }
+    const void* data() const noexcept { return data_; }
+    std::size_t size_bytes() const noexcept { return size_ * node_bytes_; }
+    std::uint32_t operator[](std::size_t i) const noexcept {
+      switch (node_bytes_) {
+        case 1: return static_cast<const std::uint8_t*>(data_)[i];
+        case 2: return static_cast<const std::uint16_t*>(data_)[i];
+        default: return static_cast<const std::uint32_t*>(data_)[i];
+      }
+    }
+
+   private:
+    friend class FcmTree;
+    StageView(const void* data, std::size_t size, std::size_t node_bytes) noexcept
+        : data_(data), size_(size), node_bytes_(node_bytes) {}
+
+    const void* data_;
+    std::size_t size_;
+    std::size_t node_bytes_;
+  };
+
+  // Stage l (1-based); the view lives as long as the tree is neither
+  // destroyed nor assigned to.
+  StageView stage(std::size_t stage_1based) const noexcept;
 
   // The count a node contributes locally: min(value, 2^b - 2).
   std::uint64_t node_count(std::size_t stage_1based, std::size_t index) const noexcept;
@@ -112,7 +145,7 @@ class FcmTree {
 
   // Deep structural invariants (§3.1/Figure 3 semantics); throws/aborts per
   // the contract level on violation:
-  //   - geometry: stage vector shapes match the config;
+  //   - geometry: stage array sizes and storage widths match the config;
   //   - bit-width saturation: every stored node value <= overflow marker;
   //   - overflow-flag ↔ parent consistency: an overflowed node's parent
   //     holds a positive count (the carry landed), and a non-leaf node with
@@ -136,11 +169,23 @@ class FcmTree {
   std::uint64_t add_at(std::size_t index, std::uint64_t count);
   std::uint64_t query_at(std::size_t index) const noexcept;
 
+  // One stage's nodes, at FcmConfig::stage_storage_bytes(l) bytes each.
+  using StageArray =
+      std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
+                   std::vector<std::uint32_t>>;
+
+  // Stored value of node `index` at 0-based stage `l`, widened.
+  std::uint32_t load(std::size_t l, std::size_t index) const noexcept {
+    return std::visit([index](const auto& nodes) -> std::uint32_t {
+      return nodes[index];
+    }, stages_[l]);
+  }
+
   FcmConfig config_;
   common::SeededHash hash_;
   // config_.k, narrowed once for the level-2 parent index in apply_block.
   std::uint32_t k_ = 0;
-  std::vector<std::vector<std::uint32_t>> stages_;
+  std::vector<StageArray> stages_;
   // Per-stage cached limits, so the hot path avoids recomputing shifts.
   std::vector<std::uint32_t> counting_max_;
   std::vector<std::uint32_t> marker_;

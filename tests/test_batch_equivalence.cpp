@@ -36,6 +36,7 @@
 #include "flow/packet.h"
 #include "framework/fcm_framework.h"
 #include "runtime/sharded_framework.h"
+#include "storage_widths.h"
 
 namespace {
 
@@ -582,13 +583,15 @@ std::uint64_t path_capacity(const FcmConfig& config, std::size_t stages) {
   return total;
 }
 
-TEST(DispatchMatrix, NoConsumerApplyMatchesPerKeyState) {
+TEST(DispatchMatrix, ApplyBlockMatchesPerKeyStateAtEveryWidth) {
   // apply_block without an estimate consumer settles a block out of key
-  // order (level-1 pass, overflowed-leaf level-2 pass, carry walk). Its
-  // stage state and promotion counter must equal per-key add() in order.
-  // Each config gets one hand-built 64-key block in which a leaf trips from
-  // below its cap, a level-2 parent saturates and the root saturates, plus a
-  // long skewed stream through many blocks.
+  // order (level-1 pass, overflowed-leaf level-2 pass, carry walk); with
+  // one it applies in key order. Both run once per storage type of the
+  // first two stages. On each path the stage state and promotion counter
+  // must equal per-key add() in order, and the consumer's estimates must
+  // equal add()'s returns. Each config gets one hand-built 64-key block in
+  // which a leaf trips from below its cap, a level-2 parent saturates and
+  // the root saturates, plus a long skewed stream through many blocks.
   const auto make = [](std::size_t k, std::vector<unsigned> bits,
                        std::size_t leaves) {
     FcmConfig config;
@@ -599,12 +602,16 @@ TEST(DispatchMatrix, NoConsumerApplyMatchesPerKeyState) {
     config.seed = 0x1234;
     return config;
   };
-  const FcmConfig configs[] = {
+  std::vector<FcmConfig> configs = {
       make(8, {4, 8, 32}, 64),  // three stages, one 32-bit root
       make(3, {4, 8, 16}, 63),  // k not a power of two: parent = x / 3
       make(8, {8, 16}, 64),     // two stages: the level-2 parent is the root
       make(8, {32}, 64),        // one stage: no level-2 pass
   };
+  // Every storage type, including stages narrower than their type.
+  for (const auto& bits : fcm::testing::kStorageWidthMatrix) {
+    configs.push_back(make(8, bits, 64));
+  }
   constexpr std::size_t kHits = 6;
 
   for (const KernelTier tier : equivalence_tiers()) {
@@ -614,9 +621,10 @@ TEST(DispatchMatrix, NoConsumerApplyMatchesPerKeyState) {
       SCOPED_TRACE("tier " +
                    std::string(fcm::common::simd::kernel_tier_name(tier)) +
                    " k=" + std::to_string(config.k) +
-                   " stages=" + std::to_string(levels));
+                   " bits=" + fcm::testing::describe_bits(config.stage_bits));
       FcmTree scalar(config, fcm::common::SeededHash(0x55));
       FcmTree batched(config, fcm::common::SeededHash(0x55));
+      FcmTree consumer(config, fcm::common::SeededHash(0x55));
 
       // Three keys whose leaves sit under three different level-2 parents
       // (different leaves, for the one-stage tree).
@@ -647,6 +655,7 @@ TEST(DispatchMatrix, NoConsumerApplyMatchesPerKeyState) {
         if (primes[s] == 0) continue;
         scalar.add(special[s], primes[s]);
         batched.add(special[s], primes[s]);
+        consumer.add(special[s], primes[s]);
       }
       const std::size_t trip_leaf = scalar.leaf_index(trip);
       const std::size_t parent_node =
@@ -670,9 +679,20 @@ TEST(DispatchMatrix, NoConsumerApplyMatchesPerKeyState) {
       }
       std::shuffle(block.begin(), block.end(), rng);
 
+      // Applies `keys` per key to `scalar` and block-wise to `batched` and
+      // `consumer`; the consumer's estimates must be add()'s returns.
+      const auto apply = [&](const std::vector<FlowKey>& keys) {
+        std::vector<std::uint64_t> want;
+        for (const FlowKey key : keys) want.push_back(scalar.add(key));
+        tree_add_batch(batched, std::span<const FlowKey>(keys), {});
+        std::vector<std::uint64_t> got(
+            keys.size(), std::numeric_limits<std::uint64_t>::max());
+        tree_add_batch(consumer, std::span<const FlowKey>(keys),
+                       std::span<std::uint64_t>(got));
+        EXPECT_EQ(got, want);
+      };
       const std::uint64_t promotions_before = scalar.overflow_promotion_count();
-      for (const FlowKey key : block) scalar.add(key);
-      tree_add_batch(batched, std::span<const FlowKey>(block), {});
+      apply(block);
 
       // The fixture did what it claims, inside that one block.
       EXPECT_TRUE(scalar.node_overflowed(1, trip_leaf));
@@ -682,18 +702,19 @@ TEST(DispatchMatrix, NoConsumerApplyMatchesPerKeyState) {
       EXPECT_TRUE(scalar.node_overflowed(levels, root_node));
       EXPECT_GT(scalar.overflow_promotion_count(), promotions_before);
 
-      // Then a long dup-heavy stream through many no-consumer blocks.
-      const auto stream = skewed_keys(4000, 7 + levels, 512);
-      for (const FlowKey key : stream) scalar.add(key);
-      tree_add_batch(batched, std::span<const FlowKey>(stream), {});
+      // Then a long dup-heavy stream through many blocks, on both paths.
+      apply(skewed_keys(4000, 7 + levels, 512));
 
-      EXPECT_EQ(scalar.overflow_promotion_count(),
-                batched.overflow_promotion_count());
-      for (std::size_t l = 1; l <= levels; ++l) {
-        const auto sa = scalar.stage(l);
-        const auto sb = batched.stage(l);
-        for (std::size_t i = 0; i < sa.size(); ++i) {
-          ASSERT_EQ(sa[i], sb[i]) << "stage " << l << " node " << i;
+      for (const FcmTree* tree : {&batched, &consumer}) {
+        EXPECT_EQ(scalar.overflow_promotion_count(),
+                  tree->overflow_promotion_count());
+        for (std::size_t l = 1; l <= levels; ++l) {
+          const auto sa = scalar.stage(l);
+          const auto sb = tree->stage(l);
+          ASSERT_EQ(sa.size_bytes(), sb.size_bytes());
+          for (std::size_t i = 0; i < sa.size(); ++i) {
+            ASSERT_EQ(sa[i], sb[i]) << "stage " << l << " node " << i;
+          }
         }
       }
     }

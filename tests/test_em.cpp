@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 
+#include "common/contracts.h"
 #include "flow/synthetic.h"
 #include "sketch/mrac.h"
 
@@ -233,6 +234,48 @@ TEST(EmFsdEstimator, ThreadCountAboveGroupCountIsClamped) {
   for (std::size_t j = 0; j < clamped.counts().size(); ++j) {
     ASSERT_EQ(per_group.counts()[j], clamped.counts()[j]) << "size " << j;
   }
+}
+
+TEST(EmFsdEstimator, ThreadCountAboveTheBoundIsRefused) {
+  // Each iteration starts thread_count - 1 threads: a count above the fixed
+  // bound is refused when the estimator is built, before any thread starts.
+  VirtualCounterArray array;
+  array.leaf_count = 1000;
+  array.leaf_counting_max = 254;
+  array.counters.push_back(VirtualCounter{3, 1});
+  EmConfig config;
+  config.thread_count = EmConfig::kMaxThreadCount + 1;
+  ASSERT_EQ(config.thread_count, 65u);
+  EXPECT_THROW((void)EmFsdEstimator({array}, config), common::ContractViolation);
+  config.thread_count = EmConfig::kMaxThreadCount;
+  EXPECT_NO_THROW(EmFsdEstimator({array}, config).run());
+}
+
+TEST(EmFsdEstimator, ConvergenceGaugeLeavesTheEstimateAlone) {
+  // The L1 change between iterations feeds only fcm_em_convergence_delta,
+  // so it is computed only when a registry is given. The FSD is the same
+  // bits either way, and the gauge is set when there is one.
+  flow::SyntheticTraceConfig trace_config;
+  trace_config.packet_count = 40000;
+  trace_config.flow_count = 4000;
+  const flow::Trace trace = flow::SyntheticTraceGenerator(trace_config).generate();
+  core::FcmSketch sketch(core::FcmConfig::for_memory(80'000, 2, 8, {8, 16, 32}));
+  for (const flow::Packet& p : trace.packets()) sketch.update(p.key);
+
+  EmConfig config;
+  config.max_iterations = 3;
+  config.metrics = nullptr;
+  const auto bare = EmFsdEstimator(convert_sketch(sketch), config).run();
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+  const auto instrumented = EmFsdEstimator(convert_sketch(sketch), config).run();
+  ASSERT_EQ(bare.counts().size(), instrumented.counts().size());
+  for (std::size_t j = 0; j < bare.counts().size(); ++j) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(bare.counts()[j]),
+              std::bit_cast<std::uint64_t>(instrumented.counts()[j]))
+        << "size " << j;
+  }
+  EXPECT_GT(registry.gauge("fcm_em_convergence_delta").value(), 0.0);
 }
 
 // FNV-1a over the IEEE-754 bit patterns of an FSD's counts (and its length):

@@ -34,6 +34,18 @@ TEST(FcmConfig, MemoryBytesSumsStages) {
   EXPECT_EQ(config.memory_bytes(), 168u);
 }
 
+TEST(FcmConfig, StageStorageIsTheNarrowestWholeWidth) {
+  // Every legal stage width maps to the narrowest of 1, 2 and 4 bytes that
+  // holds its overflow marker 2^b - 1.
+  for (unsigned b = 2; b <= 32; ++b) {
+    FcmConfig config;
+    config.stage_bits = {b};
+    const std::size_t want = b <= 8 ? 1 : b <= 16 ? 2 : 4;
+    EXPECT_EQ(config.stage_storage_bytes(1), want) << "b = " << b;
+    EXPECT_LE(config.counting_max(1) + 1, (std::uint64_t{1} << (8 * want)) - 1);
+  }
+}
+
 TEST(FcmConfig, ValidateRejectsBadGeometry) {
   FcmConfig config;
   config.tree_count = 0;

@@ -5,6 +5,8 @@
 #include <map>
 
 #include "common/random.h"
+#include "fcm/fcm_sketch.h"
+#include "storage_widths.h"
 
 namespace fcm::core {
 namespace {
@@ -211,6 +213,126 @@ TEST(FcmTree, RootSaturationLosesCountsGracefully) {
   const std::uint64_t capacity = 2 + 14 + 254;  // sum of counting maxima
   EXPECT_EQ(tree.query(key), capacity);
   EXPECT_EQ(tree.total_count(), capacity);
+}
+
+
+// --- storage widths ---------------------------------------------------------
+
+FcmConfig width_config(const std::vector<unsigned>& bits) {
+  FcmConfig config;
+  config.tree_count = 1;
+  config.k = 4;
+  config.stage_bits = bits;
+  config.leaf_count = 64;
+  config.seed = 0x31337;
+  return config;
+}
+
+// One flow's path through every stage: each stage fills to its counting
+// max, trips to its marker 2^b - 1 on the next increment and carries
+// exactly that increment to its parent, until the root saturates and
+// further counts are lost. The steps across each boundary are single
+// increments; a second tree takes the same total in one bulk add and ends
+// in the same state.
+TEST(FcmTreeWidths, EveryStageSaturatesToItsMarkerAndCarriesExactly) {
+  for (const auto& bits : testing::kStorageWidthMatrix) {
+    SCOPED_TRACE(testing::describe_bits(bits));
+    const FcmConfig config = width_config(bits);
+    const auto hash = common::make_hash(config.seed, 0);
+    FcmTree tree(config, hash);
+    const flow::FlowKey key{7};
+    const std::size_t levels = config.stage_count();
+    std::vector<std::size_t> path;
+    for (std::size_t l = 1, node = tree.leaf_index(key); l <= levels;
+         ++l, node /= config.k) {
+      path.push_back(node);
+    }
+
+    std::uint64_t added = 0;
+    std::uint64_t capacity = 0;  // counting maxima of the stages filled
+    for (std::size_t l = 1; l <= levels; ++l) {
+      const std::uint64_t cap = config.counting_max(l);
+      const std::uint64_t marker = cap + 1;
+      ASSERT_EQ(marker, (std::uint64_t{1} << bits[l - 1]) - 1);
+      // A non-leaf stage holds the 1 its child carried when it tripped.
+      const std::uint64_t start = l == 1 ? 0 : 1;
+      ASSERT_EQ(tree.stage(l)[path[l - 1]], start);
+      tree.add(key, cap - 1 - start);
+      added += cap - 1 - start;
+      EXPECT_EQ(tree.add(key), capacity + cap) << "stage " << l << " at its max";
+      ++added;
+      EXPECT_EQ(tree.stage(l)[path[l - 1]], cap);
+      EXPECT_FALSE(tree.node_overflowed(l, path[l - 1]));
+      capacity += cap;
+      // The next increment trips the marker and lands in the parent; past
+      // the root it is lost.
+      const std::uint64_t estimate = tree.add(key);
+      ++added;
+      EXPECT_EQ(tree.stage(l)[path[l - 1]], marker) << "stage " << l;
+      EXPECT_TRUE(tree.node_overflowed(l, path[l - 1]));
+      if (l < levels) {
+        EXPECT_EQ(tree.stage(l + 1)[path[l]], 1u) << "carry into stage " << l + 1;
+        EXPECT_EQ(estimate, added);
+      } else {
+        EXPECT_EQ(estimate, capacity);
+      }
+    }
+    EXPECT_EQ(tree.query(key), capacity);
+    EXPECT_EQ(tree.total_count(), capacity);
+    EXPECT_EQ(tree.overflow_promotion_count(), levels);
+    tree.check_invariants();
+
+    FcmTree bulk(config, hash);
+    EXPECT_EQ(bulk.add(key, added), capacity);
+    for (std::size_t l = 1; l <= levels; ++l) {
+      for (std::size_t i = 0; i < config.width(l); ++i) {
+        ASSERT_EQ(bulk.stage(l)[i], tree.stage(l)[i]) << "stage " << l << " node " << i;
+      }
+    }
+  }
+}
+
+// Each stage is resident at its storage width, the narrowest of 1, 2 and 4
+// bytes that holds b_l bits; with byte-aligned widths a sketch is resident
+// in exactly its logical memory.
+TEST(FcmTreeWidths, ResidentStageBytesFollowTheStorageWidths) {
+  const auto storage_bytes = [](unsigned b) -> std::size_t {
+    return b <= 8 ? 1 : b <= 16 ? 2 : 4;
+  };
+  for (const auto& bits : testing::kStorageWidthMatrix) {
+    SCOPED_TRACE(testing::describe_bits(bits));
+    FcmConfig config = width_config(bits);
+    config.k = 8;
+    config.leaf_count = 512;
+    const FcmTree tree(config, common::make_hash(config.seed, 0));
+    std::size_t resident = 0;
+    std::size_t expected = 0;
+    for (std::size_t l = 1; l <= config.stage_count(); ++l) {
+      EXPECT_EQ(config.stage_storage_bytes(l), storage_bytes(bits[l - 1]));
+      EXPECT_EQ(tree.stage(l).size(), config.width(l));
+      resident += tree.stage(l).size_bytes();
+      expected += config.width(l) * storage_bytes(bits[l - 1]);
+    }
+    EXPECT_EQ(resident, expected);
+  }
+
+  for (const std::vector<unsigned>& bits :
+       {std::vector<unsigned>{8, 16, 32}, std::vector<unsigned>{16, 32}}) {
+    SCOPED_TRACE(testing::describe_bits(bits));
+    const FcmConfig config = FcmConfig::for_memory(600'000, 2, 8, bits);
+    const FcmSketch sketch(config);
+    std::size_t resident = 0;
+    for (std::size_t t = 0; t < sketch.tree_count(); ++t) {
+      std::size_t tree_bytes = 0;
+      for (std::size_t l = 1; l <= config.stage_count(); ++l) {
+        tree_bytes += sketch.tree(t).stage(l).size_bytes();
+      }
+      EXPECT_EQ(tree_bytes, config.memory_bytes() / config.tree_count);
+      resident += tree_bytes;
+    }
+    EXPECT_EQ(resident, config.memory_bytes());
+    EXPECT_LE(resident, 600'000u);
+  }
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ TEST(FcmFramework, MoveTakesTheBuffersAndKeepsEveryAnswer) {
   FcmFramework source(small_options());
   source.process(trace.packets());
   const FcmFramework expected = source;
-  const std::uint32_t* buffer = source.sketch().tree(0).stage(1).data();
+  const void* buffer = source.sketch().tree(0).stage(1).data();
 
   FcmFramework moved(std::move(source));
   EXPECT_EQ(moved.sketch().tree(0).stage(1).data(), buffer);

@@ -23,6 +23,7 @@
 #include "common/contracts.h"
 #include "fcm/fcm_sketch.h"
 #include "flow/synthetic.h"
+#include "storage_widths.h"
 
 namespace fcm {
 namespace {
@@ -182,6 +183,53 @@ TEST(FcmTreeMerge, PromotionTallyEqualsSerialWhenShardsTripTheSameNodes) {
     expect_same_tree_state(merged, serial);
     EXPECT_EQ(merged.overflow_promotion_count(),
               serial.overflow_promotion_count());
+  }
+}
+
+// The merge reads and writes every stage at its storage width; the sums
+// and promotions run in 64-bit temporaries. Over every storage type, and
+// stages narrower than their type, four shards merge into the serial state:
+// flows sized in multiples of the leaf cap overflow leaves in every shard,
+// flows just below it overflow only in the merge, and one flow saturates
+// the root.
+TEST(FcmTreeMerge, BitExactVersusSerialAtEveryStorageWidth) {
+  constexpr std::size_t kShards = 4;
+  for (const auto& bits : testing::kStorageWidthMatrix) {
+    SCOPED_TRACE(testing::describe_bits(bits));
+    FcmConfig config = tiny_config();
+    config.stage_bits = bits;
+    const auto hash = common::make_hash(config.seed, 0);
+    FcmTree serial(config, hash);
+    std::vector<FcmTree> shards(kShards, FcmTree(config, hash));
+    const auto add_split = [&](FlowKey key, std::uint64_t count) {
+      serial.add(key, count);
+      for (std::size_t s = 0; s < kShards; ++s) {
+        const std::uint64_t part = count / kShards + (s < count % kShards ? 1 : 0);
+        if (part > 0) shards[s].add(key, part);
+      }
+    };
+    const std::uint64_t cap1 = config.counting_max(1);
+    std::uint64_t capacity = 0;
+    for (std::size_t l = 1; l <= config.stage_count(); ++l) {
+      capacity += config.counting_max(l);
+    }
+    for (std::uint32_t f = 1; f <= 300; ++f) {
+      add_split(FlowKey{f}, f % 3 == 0 ? cap1 - 1 : (cap1 + 1) * (1 + f % 7));
+    }
+    add_split(FlowKey{42'000'000}, capacity + 1'000);
+
+    FcmTree merged = shards[0];
+    for (std::size_t s = 1; s < kShards; ++s) merged.merge(shards[s]);
+    expect_same_tree_state(merged, serial);
+    merged.check_invariants();
+    EXPECT_EQ(merged.overflow_promotion_count(),
+              serial.overflow_promotion_count());
+    EXPECT_EQ(merged.total_count(), serial.total_count());
+    EXPECT_EQ(merged.query(FlowKey{42'000'000}), capacity);
+    const std::size_t root = config.stage_count();
+    EXPECT_TRUE(merged.node_overflowed(
+        root, merged.leaf_index(FlowKey{42'000'000}) /
+                  (config.width(1) / config.width(root))));
   }
 }
 

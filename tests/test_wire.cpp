@@ -20,6 +20,7 @@
 #include "flow/flow_key.h"
 #include "framework/fcm_framework.h"
 #include "property_harness.h"
+#include "storage_widths.h"
 
 namespace fcm {
 namespace {
@@ -141,6 +142,51 @@ TEST(WireRoundTrip, FrameIsTheCountersAndTheCandidates) {
     ASSERT_EQ(std::to_integer<std::uint32_t>(wire[kHeaderBytes + i]),
               leaves[i])
         << "leaf " << i;
+  }
+}
+
+// Every stage travels at its storage width, which is also how it is held
+// in memory: over every storage type, and stages narrower than their type,
+// a framework with saturated stages up to the root round-trips bit for bit,
+// and the frame holds exactly the stage arrays, the candidates and the
+// saturation count.
+TEST(WireRoundTrip, EveryStorageWidthRoundTrips) {
+  for (const auto& bits : testing::kStorageWidthMatrix) {
+    SCOPED_TRACE(testing::describe_bits(bits));
+    auto options = plain_options();
+    options.fcm.stage_bits = bits;
+    options.fcm.leaf_count = 8 * 8 * 8;
+    framework::FcmFramework fw = loaded(options, kTraceLength, kUniverse);
+    std::uint64_t capacity = 0;
+    for (std::size_t l = 1; l <= options.fcm.stage_count(); ++l) {
+      capacity += options.fcm.counting_max(l);
+    }
+    fw.process_weighted(flow::FlowKey{kUniverse + 1}, capacity + 1);
+    for (std::uint32_t id = kUniverse + 2; id < kUniverse + 50; ++id) {
+      fw.process_weighted(flow::FlowKey{id}, options.fcm.counting_max(1) + id % 3);
+    }
+    ASSERT_EQ(fw.flow_size(flow::FlowKey{kUniverse + 1}), capacity);
+
+    const auto wire = WireCodec::serialize(fw);
+    EXPECT_EQ(wire.size(), kHeaderBytes +
+                               options.fcm.tree_count *
+                                   tree_wire_bytes(options.fcm) +
+                               8 + 4 * fw.heavy_hitters().size() + 8);
+    const framework::FcmFramework restored =
+        WireCodec::deserialize_framework(wire, options);
+    for (std::size_t t = 0; t < options.fcm.tree_count; ++t) {
+      const core::FcmTree& want = fw.sketch().tree(t);
+      const core::FcmTree& got = restored.sketch().tree(t);
+      for (std::size_t l = 1; l <= options.fcm.stage_count(); ++l) {
+        ASSERT_EQ(got.stage(l).size_bytes(), want.stage(l).size_bytes());
+        for (std::size_t i = 0; i < want.stage(l).size(); ++i) {
+          ASSERT_EQ(got.stage(l)[i], want.stage(l)[i])
+              << "tree " << t << " stage " << l << " node " << i;
+        }
+      }
+      EXPECT_EQ(got.overflow_promotion_count(), want.overflow_promotion_count());
+    }
+    EXPECT_EQ(wire, WireCodec::serialize(restored));
   }
 }
 
@@ -343,6 +389,45 @@ TEST(WireHostile, PayloadBitFlipsNeverBreakInvariants) {
   // values, candidate keys and the saturation count legitimately decode.
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(decoded, 0u);
+}
+
+// A stage narrower than its storage type (2 bits in a uint8_t, 12 in a
+// uint16_t) has wire values above its marker that the type could hold. The
+// decoder refuses each one before storing it, and accepts the marker.
+TEST(WireHostile, ValueAboveANarrowStageMarkerIsRefused) {
+  auto options = plain_options();
+  options.fcm.stage_bits = {2, 12, 32};
+  options.fcm.leaf_count = 8 * 8 * 8;
+  const framework::FcmFramework fw(options);
+  const auto wire = WireCodec::serialize(fw);
+  const auto decode_message = [&](const std::vector<std::byte>& frame) {
+    try {
+      (void)WireCodec::deserialize_framework(frame, options);
+    } catch (const ContractViolation& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  // Tree 0's 2-bit leaf 0 is the first payload byte: marker 3.
+  auto leaf = wire;
+  leaf[kHeaderBytes] = std::byte{4};
+  EXPECT_NE(decode_message(leaf).find("exceeds its stage bit width"),
+            std::string::npos);
+  // Tree 0's 12-bit stage-2 node 0 follows the leaves: marker 4095.
+  const std::size_t node = kHeaderBytes + options.fcm.width(1);
+  auto mid = wire;
+  mid[node] = std::byte{0x00};
+  mid[node + 1] = std::byte{0x10};  // 4096, little endian
+  EXPECT_NE(decode_message(mid).find("exceeds its stage bit width"),
+            std::string::npos);
+  // The marker itself is storable; here it breaks the overflow structure
+  // (an overflowed node whose parent holds nothing), which the decoder's
+  // invariant check refuses with its own message.
+  auto marked = wire;
+  marked[kHeaderBytes] = std::byte{3};
+  const std::string message = decode_message(marked);
+  EXPECT_EQ(message.find("exceeds its stage bit width"), std::string::npos);
+  EXPECT_NE(message.find("parent holds no count"), std::string::npos);
 }
 
 // An oversized declared heavy-hitter count, the one count the decoder reads
