@@ -351,11 +351,13 @@ std::vector<ScalingPoint> run_scaling_study(const flow::Trace& trace) {
 
 // Cache-on vs cache-off byte counting on the skewed trace, interleaved
 // best-of-9 like the scaling study. Cache-on is the runtime driver's stage
-// composed inline: offer each packet's bytes, demote evictions as weighted
-// adds, and drain the residents at the end (the rotation fold, timed too).
-// Cache-off adds every packet's bytes to the sketch. `cache_speedup` is an
-// in-run ratio (same process, same machine) so it cancels CPU model and
-// frequency — that ratio is what tools/check_perf_baseline.py guards
+// composed inline: offer each packet's bytes, stage evictions as (key,
+// bytes) pairs into a kBatchBlock block that is applied with one weighted
+// process_batch when full, and drain the residents at the end (the
+// rotation fold, timed too). Cache-off feeds every packet's bytes through
+// the span process(). `cache_speedup` is an in-run ratio (same process,
+// same machine) so it cancels CPU model and frequency — that ratio is what
+// tools/check_perf_baseline.py guards
 // (acceptance: >= 1.2x at Zipf 1.3, byte counts only; DESIGN.md §12.4).
 struct CacheStudy {
   double zipf_alpha = 1.3;
@@ -391,17 +393,29 @@ CacheStudy run_cache_study(const flow::Trace& trace) {
       datapath::HeavyFlowCache cache(cache_options);
       study.cached_pps =
           std::max(study.cached_pps, time_packets_per_sec(trace, [&] {
+            flow::FlowKey keys[common::kBatchBlock];
+            std::uint64_t weights[common::kBatchBlock];
+            std::size_t staged = 0;
+            const auto flush = [&] {
+              framework.process_batch(
+                  std::span<const flow::FlowKey>(keys, staged),
+                  std::span<const std::uint64_t>(weights, staged));
+              staged = 0;
+            };
+            const auto demote = [&](flow::FlowKey key, std::uint64_t bytes) {
+              keys[staged] = key;
+              weights[staged] = bytes;
+              if (++staged == common::kBatchBlock) flush();
+            };
             for (const flow::Packet& packet : packets) {
               const datapath::HeavyFlowCache::Result result =
                   cache.offer(packet.key, packet.bytes);
               if (result.demote_count > 0) {
-                framework.process_weighted(result.demote_key,
-                                           result.demote_count);
+                demote(result.demote_key, result.demote_count);
               }
             }
-            cache.drain([&](flow::FlowKey key, std::uint64_t bytes) {
-              framework.process_weighted(key, bytes);
-            });
+            cache.drain(demote);
+            flush();
           }));
       const std::uint64_t offers = cache.hits() + cache.misses();
       if (offers > 0) {

@@ -29,7 +29,10 @@ std::uint64_t FcmSketch::add(flow::FlowKey key, std::uint64_t count) {
   return estimate;
 }
 
-void FcmSketch::add_batch(std::span<const flow::FlowKey> keys) {
+void FcmSketch::add_batch(std::span<const flow::FlowKey> keys,
+                          std::span<const std::uint64_t> weights) {
+  FCM_REQUIRE(weights.empty() || weights.size() == keys.size(),
+              "FcmSketch::add_batch: weights must match keys one for one");
   const std::size_t total = keys.size();
   if (total == 0) return;
   // Cross-tree software pipeline (DESIGN.md §9): for each kBatchBlock block,
@@ -66,22 +69,20 @@ void FcmSketch::add_batch(std::span<const flow::FlowKey> keys) {
     const std::size_t next_base = base + n;
     std::size_t next_n = 0;
     if (next_base < total) next_n = stage(next_base, next);
-    if (!hh_threshold_) {
-      // No heavy-hitter consumer: no estimate bookkeeping at all.
-      for (std::size_t t = 0; t < tree_count; ++t) {
-        trees_[t].apply_block(std::span<const std::uint32_t>((*cur)[t], n), {});
-      }
-    } else {
-      std::fill_n(estimates, n, std::numeric_limits<std::uint64_t>::max());
-      // apply_block lowers estimates[i] toward the per-tree minimum.
-      for (std::size_t t = 0; t < tree_count; ++t) {
-        trees_[t].apply_block(std::span<const std::uint32_t>((*cur)[t], n),
-                              std::span<std::uint64_t>(estimates, n));
-      }
-      const std::uint64_t threshold = *hh_threshold_;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (estimates[i] >= threshold) heavy_hitters_.insert(keys[base + i]);
-      }
+    const auto block_weights =
+        weights.empty() ? weights : weights.subspan(base, n);
+    // Only a heavy-hitter threshold consumes estimates: apply_block lowers
+    // estimates[i] toward the per-tree minimum, checked once per key below.
+    const std::span<std::uint64_t> block_estimates(estimates,
+                                                   hh_threshold_ ? n : 0);
+    std::fill(block_estimates.begin(), block_estimates.end(),
+              std::numeric_limits<std::uint64_t>::max());
+    for (std::size_t t = 0; t < tree_count; ++t) {
+      trees_[t].apply_block(std::span<const std::uint32_t>((*cur)[t], n),
+                            block_weights, block_estimates);
+    }
+    for (std::size_t i = 0; i < block_estimates.size(); ++i) {
+      if (estimates[i] >= *hh_threshold_) heavy_hitters_.insert(keys[base + i]);
     }
     std::swap(cur, next);
     base = next_base;

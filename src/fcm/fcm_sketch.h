@@ -30,16 +30,15 @@ class FcmSketch {
   // Bulk insert of `count` packets of the same flow.
   std::uint64_t add(flow::FlowKey key, std::uint64_t count);
 
-  // Batched per-packet update (DESIGN.md §9): equivalent to update(key) for
-  // each key in order, bit-exact — tree state and the heavy-hitter set
-  // both match the scalar loop. Block by block, every tree
-  // hashes and prefetches through FcmTree::index_block, then every tree
-  // applies through FcmTree::apply_block. Without a heavy-hitter threshold
-  // the trees settle each block out of key order (compacted level-1,
-  // level-2 and carry-walk passes); with one, they apply in key order and
-  // per-key min estimates accumulate across trees in a stack buffer so the
-  // heavy-hitter check runs once per key at the end.
-  void add_batch(std::span<const flow::FlowKey> keys);
+  // Batched update (DESIGN.md §9): equivalent to add(keys[i], weights[i])
+  // for each key in order (update(keys[i]) when `weights` is empty;
+  // otherwise it holds one weight per key), bit-exact — tree state and the
+  // heavy-hitter set both match the scalar loop. Block by block, every tree
+  // hashes and prefetches through FcmTree::index_block, then applies through
+  // FcmTree::apply_block; with a heavy-hitter threshold, per-key min
+  // estimates accumulate across trees so the check runs once per key.
+  void add_batch(std::span<const flow::FlowKey> keys,
+                 std::span<const std::uint64_t> weights = {});
 
   // Count-query (§3.2): min over trees. Never underestimates.
   std::uint64_t query(flow::FlowKey key) const noexcept;

@@ -14,43 +14,57 @@ namespace {
 template <typename Nodes>
 using NodeOf = typename std::remove_cvref_t<Nodes>::value_type;
 
-// The two branch-free passes of a unit-key block (FcmTree::apply_block),
-// instantiated per storage type. Each compacts the keys it could not settle
-// into `left` and returns how many that is.
+// A unit key's weight: a compile-time 1, for which every pass is a +1 loop.
+using Unit = std::integral_constant<std::uint32_t, 1>;
+
+// Whether a node holding `v` takes `w` more within its counting max `cap`
+// (so v + w fits its storage type). Never for an overflowed node (cap + 1);
+// no sum is formed, so no weight wraps; `&` keeps the passes branch-free.
+template <typename W>
+constexpr bool fits(std::uint32_t v, W w, std::uint32_t cap) noexcept {
+  return (v <= cap) & (w <= cap - v);
+}
+
+// The two branch-free passes of an order-free block (FcmTree::apply_block),
+// per storage and weight type. Each compacts the keys it could not settle
+// into `left`, their weights into `kept`, and returns how many that is.
 //
-// Pass 1: +1 on every leaf below its counting max; leaves at the max or
-// overflowed stay behind. A leaf below the max of its b-bit stage holds at
-// most 2^b - 3, so v + 1 fits its storage type.
-template <typename T1>
+// Pass 1: each weight(i) lands on its leaf where it fits; keys whose leaf it
+// would fill past the max, or that is overflowed, stay behind.
+template <typename T1, typename Weight, typename W>
 std::size_t level1_pass(T1* level1, std::uint32_t cap,
-                        std::span<const std::uint32_t> idx,
-                        std::uint32_t* left) noexcept {
+                        std::span<const std::uint32_t> idx, Weight weight,
+                        std::uint32_t* left, W* kept) noexcept {
   std::size_t m = 0;
-  for (const std::uint32_t x : idx) {
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    const std::uint32_t x = idx[i];
+    const W w = weight(i);
     const std::uint32_t v = level1[x];
-    const std::uint32_t below = v < cap ? 1u : 0u;
-    level1[x] = static_cast<T1>(v + below);
+    const bool settled = fits(v, w, cap);
+    level1[x] = static_cast<T1>(v + (settled ? w : 0));
     left[m] = x;
-    m += below ^ 1u;
+    kept[m] = w;
+    m += !settled;
   }
   return m;
 }
 
-// Pass 2: an overflowed leaf forwards its +1 to its level-2 parent, while
-// that parent is below its counting max (so v + 1 fits T2, as in pass 1).
-template <typename T1, typename T2>
+// Pass 2: an overflowed leaf's weight goes to its level-2 parent, if it fits.
+template <typename T1, typename T2, typename W>
 std::size_t level2_pass(const T1* level1, T2* level2, std::uint32_t mark,
                         std::uint32_t cap2, std::uint32_t k,
-                        std::uint32_t* left, std::size_t m) noexcept {
+                        std::uint32_t* left, W* kept, std::size_t m) noexcept {
   std::size_t r = 0;
   for (std::size_t j = 0; j < m; ++j) {
     const std::uint32_t x = left[j];
+    const W w = kept[j];
     const std::uint32_t parent = x / k;
     const std::uint32_t v = level2[parent];
-    const std::uint32_t settled = (level1[x] == mark && v < cap2) ? 1u : 0u;
-    level2[parent] = static_cast<T2>(v + settled);
+    const bool settled = (level1[x] == mark) & fits(v, w, cap2);
+    level2[parent] = static_cast<T2>(v + (settled ? w : 0));
     left[r] = x;
-    r += settled ^ 1u;
+    kept[r] = w;
+    r += !settled;
   }
   return r;
 }
@@ -181,52 +195,60 @@ void FcmTree::index_block(std::span<const flow::FlowKey> keys,
 }
 
 void FcmTree::apply_block(std::span<const std::uint32_t> idx,
+                          std::span<const std::uint64_t> weights,
                           std::span<std::uint64_t> min_estimates) {
-  const std::uint32_t cap = counting_max_[0];
-  if (min_estimates.empty()) {
-    // No estimate consumer (heavy-hitter tracking off): only the final
-    // stages are observable, and they are a function of the per-leaf
-    // arrival totals alone (the linearity merge() relies on,
-    // DESIGN.md §7). So the block is settled out of key order, in three
-    // passes that each compact what they could not settle into `left`.
-    // The storage types are dispatched once per block, outside the loops.
-    FCM_ASSERT(idx.size() <= common::kBatchBlock,
-               "FcmTree::apply_block: block exceeds kBatchBlock keys");
-    std::uint32_t left[common::kBatchBlock];
-    // Pass 1: the level-1 increments.
-    std::size_t m = std::visit([&](auto& level1) {
-      return level1_pass(level1.data(), cap, idx, left);
-    }, stages_[0]);
-    // Pass 2: overflowed leaves carry into level 2.
-    if (stages_.size() > 1) {
-      m = std::visit([&](const auto& level1, auto& level2) {
-        return level2_pass(level1.data(), level2.data(), marker_[0],
-                           counting_max_[1], k_, left, m);
-      }, stages_[0], stages_[1]);
-    }
-    // Pass 3: trips and deeper carries take the scalar carry walk.
-    for (std::size_t j = 0; j < m; ++j) add_at(left[j], 1);
-    return;
-  }
-  // An estimate consumer reads each key's post-update estimate, which
-  // depends on order: apply in key order, specializing only the per-key
-  // work (a node's trip into overflow is observed by later duplicates).
-  std::visit([&](auto& stage) {
-    // A plain pointer: a store through a uint8_t node may alias any object,
-    // the vector's own data pointer included.
-    auto* const level1 = stage.data();
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      auto& node = level1[idx[i]];
-      std::uint64_t estimate;
-      if (node < cap) {
-        estimate = ++node;
-      } else {
-        estimate = add_at(idx[i], 1);
+  FCM_ASSERT(idx.size() <= common::kBatchBlock,
+             "FcmTree::apply_block: block exceeds kBatchBlock keys");
+  // One body for unit and weighted keys (weight(i)). Spans come by value: a
+  // uint8_t node store may alias them through a reference, reloading them.
+  const auto settle = [this](auto weight, std::span<const std::uint32_t> idx,
+                             std::span<std::uint64_t> min_estimates) {
+    using W = decltype(weight(0));
+    const std::uint32_t cap = counting_max_[0];
+    if (min_estimates.empty()) {
+      // No estimate consumer (heavy-hitter tracking off): only the final
+      // stages are observable, and they are a function of the per-leaf
+      // arrival totals alone (the linearity merge() relies on,
+      // DESIGN.md §7). So the block is settled out of key order, in three
+      // passes that each compact what they could not settle into `left`.
+      // The storage types are dispatched once per block, outside the loops.
+      std::uint32_t left[common::kBatchBlock];
+      W kept[common::kBatchBlock];
+      std::size_t m = std::visit([&](auto& level1) {
+        return level1_pass(level1.data(), cap, idx, weight, left, kept);
+      }, stages_[0]);
+      if (stages_.size() > 1) {
+        m = std::visit([&](const auto& level1, auto& level2) {
+          return level2_pass(level1.data(), level2.data(), marker_[0],
+                             counting_max_[1], k_, left, kept, m);
+        }, stages_[0], stages_[1]);
       }
-      std::uint64_t& slot = min_estimates[i];
-      slot = std::min(slot, estimate);
+      // Pass 3: trips and deeper carries take the scalar carry walk.
+      for (std::size_t j = 0; j < m; ++j) add_at(left[j], kept[j]);
+      return;
     }
-  }, stages_[0]);
+    // An estimate consumer reads each key's post-update estimate, which
+    // depends on order: apply in key order, specializing only the per-key
+    // work (a node's trip into overflow is observed by later duplicates).
+    std::visit([&](auto& stage) {
+      // A plain pointer, for the same reason: the vector's own data
+      // pointer may alias a uint8_t node too.
+      auto* const level1 = stage.data();
+      using T1 = std::remove_pointer_t<decltype(level1)>;
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        T1& node = level1[idx[i]];
+        const W w = weight(i);
+        const std::uint64_t estimate =
+            fits(node, w, cap) ? (node = static_cast<T1>(node + w))
+                               : add_at(idx[i], w);
+        min_estimates[i] = std::min(min_estimates[i], estimate);
+      }
+    }, stages_[0]);
+  };
+  if (weights.empty()) {
+    return settle([](std::size_t) { return Unit{}; }, idx, min_estimates);
+  }
+  settle([weights](std::size_t i) { return weights[i]; }, idx, min_estimates);
 }
 
 std::uint64_t FcmTree::query_at(std::size_t index) const noexcept {

@@ -41,28 +41,23 @@ class FcmTree {
     return add_at(leaf_index(key), count);
   }
 
-  // The two halves of the batched per-packet update (DESIGN.md §9), which
+  // The two halves of the batched update (DESIGN.md §9), which
   // FcmSketch::add_batch pipelines ACROSS trees: hash+prefetch one block for
   // every tree, then apply every tree's block, so the key block is read from
   // L1 once and the outstanding prefetches of all trees overlap. keys/idx
   // must be at most common::kBatchBlock entries.
   //
   // index_block hashes `keys` into level-1 indices and issues a write
-  // prefetch for each touched counter line. apply_block applies one +1 per
-  // index and leaves the tree state bit-exact against per-key add()
-  // (tests/test_batch_equivalence.cpp):
-  //   - with an EMPTY `min_estimates` (no estimate consumer), it settles the
-  //     block out of key order: a branch-free level-1 pass, a branch-free
-  //     level-2 pass for keys whose leaf has overflowed, then the scalar
-  //     carry walk (add_at) for the rest. Exact because the state depends
-  //     only on per-leaf arrival totals (DESIGN.md §7);
-  //   - otherwise it applies in key order and lowers min_estimates[i] toward
-  //     the post-update estimate of keys[i] (which must cover idx.size()
-  //     entries), so FcmSketch::add_batch reads off the min-query without a
-  //     second pass.
+  // prefetch for each touched counter line. apply_block adds weights[i] (1
+  // when `weights` is empty) to keys[i], bit-exact against add() in order:
+  // out of key order with an EMPTY `min_estimates` (DESIGN.md §7, §9), else
+  // in key order, lowering min_estimates[i] toward keys[i]'s post-update
+  // estimate for FcmSketch::add_batch's min-query. Non-empty `weights` and
+  // `min_estimates` cover idx.size() entries.
   void index_block(std::span<const flow::FlowKey> keys,
                    std::span<std::uint32_t> idx) const noexcept;
   void apply_block(std::span<const std::uint32_t> idx,
+                   std::span<const std::uint64_t> weights,
                    std::span<std::uint64_t> min_estimates);
 
   // Count-query (paper §3.2): sum along the overflow path.

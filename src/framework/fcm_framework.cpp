@@ -21,37 +21,30 @@ FcmFramework::FcmFramework(Options options)
 void FcmFramework::process(flow::FlowKey key) { sketch_.update(key); }
 
 void FcmFramework::process(const flow::Packet& packet) {
-  if (options_.count_mode == CountMode::kBytes) {
-    sketch_.add(packet.key, packet.bytes);
-  } else {
-    sketch_.update(packet.key);
-  }
+  sketch_.add(packet.key,
+              options_.count_mode == CountMode::kBytes ? packet.bytes : 1);
 }
 
 void FcmFramework::process(std::span<const flow::Packet> packets) {
-  if (options_.count_mode == CountMode::kBytes) {
-    // Byte counting adds a data-dependent increment per packet; the batched
-    // kernel is per-packet (+1) only.
-    for (const flow::Packet& packet : packets) process(packet);
-    return;
-  }
-  // Strip keys into a stack block and run the batched kernel on it; the
-  // copy is cheap next to the hashing it unlocks.
+  // Strip keys and byte sizes into a stack block and run the batched kernel
+  // on it; the copy is cheap next to the hashing it unlocks.
+  const bool bytes = options_.count_mode == CountMode::kBytes;
   flow::FlowKey keys[common::kBatchBlock];
+  std::uint64_t weights[common::kBatchBlock];
   for (std::size_t base = 0; base < packets.size(); base += common::kBatchBlock) {
     const std::size_t n = std::min(common::kBatchBlock, packets.size() - base);
-    for (std::size_t i = 0; i < n; ++i) keys[i] = packets[base + i].key;
-    process_batch(std::span<const flow::FlowKey>(keys, n));
+    for (std::size_t i = 0; i < n; ++i) {
+      keys[i] = packets[base + i].key;
+      weights[i] = packets[base + i].bytes;
+    }
+    process_batch(std::span<const flow::FlowKey>(keys, n),
+                  std::span<const std::uint64_t>(weights, bytes ? n : 0));
   }
 }
 
-void FcmFramework::process_batch(std::span<const flow::FlowKey> keys) {
-  sketch_.add_batch(keys);
-}
-
-void FcmFramework::process_weighted(flow::FlowKey key, std::uint64_t count) {
-  if (count == 0) return;
-  sketch_.add(key, count);
+void FcmFramework::process_batch(std::span<const flow::FlowKey> keys,
+                                 std::span<const std::uint64_t> weights) {
+  sketch_.add_batch(keys, weights);
 }
 
 std::uint64_t FcmFramework::flow_size(flow::FlowKey key) const {

@@ -60,23 +60,17 @@ class FcmFramework {
   // --- data plane -------------------------------------------------------
   void process(flow::FlowKey key);
   // In kBytes mode the packet's byte size is added; otherwise counts one.
+  // The span overload strips keys (and byte sizes) into stack blocks for
+  // process_batch, bit-exact against the per-packet loop.
   void process(const flow::Packet& packet);
   void process(std::span<const flow::Packet> packets);
 
-  // Batched per-packet ingest (DESIGN.md §9): equivalent to process(key) for
-  // each key in order, bit-exact. Runs FcmSketch::add_batch (bulk hashing,
-  // level-1 prefetch, compacted level-1 and level-2 passes ahead of the
-  // carry walk). The span overload of process() feeds packet keys through
-  // this in kPackets mode; kBytes stays per-packet (the increment is
-  // data-dependent).
-  void process_batch(std::span<const flow::FlowKey> keys);
-
-  // Weighted bulk insert: absorbs `count` units (packets in kPackets mode,
-  // bytes in kBytes mode) of flow `key` in one call — the demotion path of
-  // the datapath heavy-flow cache and the sharded runtime's cache flush
-  // (DESIGN.md §12). Bit-exact equivalent to `count` separate unit inserts
-  // (FCM counters are order-independent sums).
-  void process_weighted(flow::FlowKey key, std::uint64_t count);
+  // Batched ingest (DESIGN.md §9): absorbs weights[i] units (packets or
+  // bytes) of flow keys[i], or one each when `weights` is empty, bit-exact
+  // against the in-order scalar adds, through FcmSketch::add_batch. Byte-mode
+  // packets and heavy-flow-cache demotions arrive as weights (DESIGN.md §13).
+  void process_batch(std::span<const flow::FlowKey> keys,
+                     std::span<const std::uint64_t> weights = {});
 
   // Data-plane queries (§3.3): available at line rate.
   std::uint64_t flow_size(flow::FlowKey key) const;

@@ -22,10 +22,8 @@ namespace {
 enum BlockKind : std::uint32_t {
   // `count` FlowKeys, each one packet — fed to process_batch in place.
   kUnitKeys = 0,
-  // count/2 (key, u32 bytes) pairs interleaved in the payload, each applied
-  // with process_weighted: byte-mode packets and every heavy-flow-cache
-  // demotion. Weights are data-dependent, so the +1-only batch kernel does
-  // not apply.
+  // count/2 interleaved (key, u32 bytes) pairs: byte-mode packets and every
+  // heavy-flow-cache demotion, fed to one weighted process_batch call.
   kPairs = 1,
   // In-band epoch marker (count == 0).
   kMarker = 2,
@@ -447,30 +445,28 @@ void ShardedFcmFramework::worker_loop(Shard& shard) {
   // the worker has flipped away, and publishes them to the registry.
   const auto apply_block =
       [&](const common::BlockQueue<flow::FlowKey>::View& view) {
-        switch (view.kind) {
-          case kUnitKeys:
-            shard.replicas[shard.active].process_batch(
-                std::span<const flow::FlowKey>(view.data, view.count));
-            shard.packets_in_generation[shard.active] += view.count;
-            break;
-          case kPairs: {
-            // Byte accounting folds into the same decode loop that feeds
-            // the replica — no second pass over the block.
-            std::uint64_t block_bytes = 0;
-            framework::FcmFramework& replica = shard.replicas[shard.active];
-            for (std::uint32_t i = 0; i + 1 < view.count; i += 2) {
-              const auto bytes = std::bit_cast<std::uint32_t>(view.data[i + 1]);
-              replica.process_weighted(view.data[i], bytes);
-              block_bytes += bytes;
-            }
-            // A pair is one item (see EpochReport::packets).
-            shard.packets_in_generation[shard.active] += view.count / 2;
-            shard.bytes_in_generation[shard.active] += block_bytes;
-            break;
-          }
-          default:
-            FCM_ASSERT(false, "ShardedFcmFramework: unknown block kind");
+        framework::FcmFramework& replica = shard.replicas[shard.active];
+        if (view.kind == kUnitKeys) {
+          replica.process_batch(
+              std::span<const flow::FlowKey>(view.data, view.count));
+          shard.packets_in_generation[shard.active] += view.count;
+          return;
         }
+        FCM_ASSERT(view.kind == kPairs, "ShardedFcmFramework: bad block kind");
+        // One loop splits the pairs into key and weight runs on the stack and
+        // sums their bytes. A pair is one item (see EpochReport::packets).
+        const std::uint32_t pairs = view.count / 2;
+        flow::FlowKey keys[kBlockItems / 2];
+        std::uint64_t weights[kBlockItems / 2];
+        std::uint64_t& bytes = shard.bytes_in_generation[shard.active];
+        for (std::uint32_t i = 0; i < pairs; ++i) {
+          keys[i] = view.data[2 * i];
+          weights[i] = std::bit_cast<std::uint32_t>(view.data[2 * i + 1]);
+          bytes += weights[i];
+        }
+        replica.process_batch(std::span<const flow::FlowKey>(keys, pairs),
+                              std::span<const std::uint64_t>(weights, pairs));
+        shard.packets_in_generation[shard.active] += pairs;
       };
   auto& ring = *shard.ring;
   ring.assume_consumer();  // this worker IS the ring's single consumer

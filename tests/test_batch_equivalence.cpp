@@ -11,8 +11,8 @@
 //
 // Coverage: batch sizes {1, 7, 64, 1000} (below/at/above the kBatchBlock
 // stride, odd tails included), duplicate keys within one batch (carry and
-// eviction ordering), and batches interleaved with rotate_async() epoch
-// markers on the sharded runtime. Everything that hashes through
+// eviction ordering), (key, weight) pair blocks, and batches interleaved
+// with rotate_async() epoch markers on the sharded runtime. Everything that hashes through
 // index_batch (the trees) also runs under every kernel tier the CPU
 // supports.
 
@@ -21,11 +21,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -88,15 +90,18 @@ std::vector<FlowKey> skewed_keys(std::size_t n, std::uint64_t seed,
 
 // Drives FcmTree's batched kernel the way FcmSketch::add_batch does for
 // each tree: index_block then apply_block, one kBatchBlock block at a time.
-// An empty `min_estimates` takes apply_block's no-consumer path.
+// An empty `min_estimates` takes apply_block's no-consumer path, and empty
+// `weights` its unit-key instantiation.
 void tree_add_batch(FcmTree& tree, std::span<const FlowKey> keys,
-                    std::span<std::uint64_t> min_estimates) {
+                    std::span<std::uint64_t> min_estimates,
+                    std::span<const std::uint64_t> weights = {}) {
   constexpr std::size_t kBlock = fcm::common::kBatchBlock;
   std::uint32_t idx[kBlock];
   for (std::size_t base = 0; base < keys.size(); base += kBlock) {
     const std::size_t n = std::min(kBlock, keys.size() - base);
     tree.index_block(keys.subspan(base, n), std::span<std::uint32_t>(idx, n));
     tree.apply_block(std::span<const std::uint32_t>(idx, n),
+                     weights.empty() ? weights : weights.subspan(base, n),
                      min_estimates.empty() ? min_estimates
                                            : min_estimates.subspan(base, n));
   }
@@ -303,15 +308,9 @@ TEST(BatchEquivalence, FrameworkSpanMatchesPerPacket) {
 }
 
 TEST(BatchEquivalence, FrameworkByteModeSpanMatchesPerPacket) {
-  // kBytes increments are data-dependent, so the span overload stays on the
-  // per-packet path — but it must still produce identical state.
-  FcmFramework::Options options;
-  options.fcm = small_config();
-  options.count_mode = FcmFramework::CountMode::kBytes;
-  options.metrics = nullptr;
-  FcmFramework scalar(options);
-  FcmFramework batched(options);
-
+  // kBytes packets reach the batched kernel as (key, bytes) pairs; with and
+  // without a heavy-hitter threshold (key-order and order-free forms) the
+  // span overload must leave the per-packet loop's state and candidates.
   const auto keys = skewed_keys(2000, 21);
   std::mt19937_64 rng(22);
   std::vector<Packet> packets;
@@ -319,9 +318,20 @@ TEST(BatchEquivalence, FrameworkByteModeSpanMatchesPerPacket) {
   for (const FlowKey key : keys) {
     packets.push_back({key, static_cast<std::uint32_t>(40 + rng() % 1460), 0});
   }
-  for (const Packet& packet : packets) scalar.process(packet);
-  batched.process(std::span<const Packet>(packets));
-  expect_sketch_identical(scalar.sketch(), batched.sketch());
+  for (const std::uint64_t threshold : {0ul, 20000ul}) {
+    SCOPED_TRACE("threshold " + std::to_string(threshold));
+    FcmFramework::Options options;
+    options.fcm = small_config();
+    options.count_mode = FcmFramework::CountMode::kBytes;
+    options.heavy_hitter_threshold = threshold;
+    options.metrics = nullptr;
+    FcmFramework scalar(options);
+    FcmFramework batched(options);
+    for (const Packet& packet : packets) scalar.process(packet);
+    batched.process(std::span<const Packet>(packets));
+    expect_sketch_identical(scalar.sketch(), batched.sketch());
+    EXPECT_EQ(scalar.heavy_hitters().empty(), threshold == 0);
+  }
 }
 
 // --- sharded runtime ---------------------------------------------------------
@@ -717,6 +727,222 @@ TEST(DispatchMatrix, ApplyBlockMatchesPerKeyStateAtEveryWidth) {
           }
         }
       }
+    }
+  }
+}
+
+// A sketch over `bits` whose 512 leaves sit under 64 level-2 parents
+// (k = 8), so a handful of keys can own private paths up to level 2.
+FcmConfig pair_config(const std::vector<unsigned>& bits) {
+  FcmConfig config;
+  config.tree_count = 2;
+  config.k = 8;
+  config.stage_bits = bits;
+  config.leaf_count = 512;
+  config.seed = 0x9e37;
+  return config;
+}
+
+// Weights at the edges of a b1-bit leaf: 1, 2^b1 - 2 (the counting max,
+// which fills an empty leaf), 2^b1 - 1 and 2^b1 (which trip it), and
+// packet-sized ones.
+std::vector<std::uint64_t> pair_weights(const FcmConfig& config,
+                                        std::size_t n, std::uint64_t seed) {
+  const std::uint64_t cap1 = config.counting_max(1);
+  const std::uint64_t edges[] = {1, 1, 2, cap1, cap1 + 1, cap1 + 2};
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint64_t> weights;
+  weights.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    weights.push_back(rng() % 2 == 0 ? edges[rng() % std::size(edges)]
+                                     : 40 + rng() % 1460);
+  }
+  return weights;
+}
+
+TEST(DispatchMatrix, PairBlocksMatchPerPairAddAtEveryWidth) {
+  // apply_block with a weight per key, in both forms and at every storage
+  // width, against FcmSketch::add(key, weight) in order: tree state and
+  // promotion tallies (order-free form, no threshold), per-key returns and
+  // the heavy-hitter set (key-order form, threshold T). One hand-built
+  // 64-key block holds duplicate keys, a leaf trip, a level-2 trip, a root
+  // saturation by the largest u64 weight and a key whose estimate crosses T
+  // mid-block; a long stream of edge and packet-sized weights follows.
+  for (const KernelTier tier : equivalence_tiers()) {
+    ForcedTier forced(tier);
+    for (const auto& bits : fcm::testing::kStorageWidthMatrix) {
+      const FcmConfig config = pair_config(bits);
+      const std::size_t levels = config.stage_count();
+      SCOPED_TRACE("tier " +
+                   std::string(fcm::common::simd::kernel_tier_name(tier)) +
+                   " bits=" + fcm::testing::describe_bits(bits));
+      const std::uint64_t cap1 = config.counting_max(1);
+      const std::uint64_t threshold = cap1 + 4;
+      FcmSketch scalar(config);
+      FcmSketch hh_scalar(config);
+      FcmSketch batched(config);
+      FcmSketch hh_batched(config);
+      hh_scalar.set_heavy_hitter_threshold(threshold);
+      hh_batched.set_heavy_hitter_threshold(threshold);
+      const FcmTree& tree0 = scalar.tree(0);
+
+      // Four keys on four different level-2 parents of tree 0.
+      std::vector<FlowKey> special;
+      std::vector<std::size_t> parents;
+      for (std::uint32_t v = 1; special.size() < 4; ++v) {
+        const std::size_t parent = path_node(config, tree0.leaf_index(FlowKey{v}), 2);
+        if (std::find(parents.begin(), parents.end(), parent) != parents.end()) {
+          continue;
+        }
+        special.push_back(FlowKey{v});
+        parents.push_back(parent);
+      }
+      const FlowKey trip = special[0];    // leaf one below its cap
+      const FlowKey level2 = special[1];  // overflowed leaf, parent 3 below cap
+      const FlowKey root = special[2];    // whole path full, root 3 below cap
+      const FlowKey heavy = special[3];   // estimate T - 2, private to level 2
+
+      // Prime all four sketches identically with scalar adds.
+      const std::pair<FlowKey, std::uint64_t> primes[] = {
+          {trip, cap1 - 1},
+          {level2, path_capacity(config, 2) - 3},
+          {root, path_capacity(config, levels) - 3},
+          {heavy, threshold - 2},
+      };
+      for (FcmSketch* sketch : {&scalar, &hh_scalar, &batched, &hh_batched}) {
+        for (const auto& [key, weight] : primes) sketch->add(key, weight);
+      }
+      const std::size_t trip_leaf = tree0.leaf_index(trip);
+      const std::size_t level2_node = path_node(config, tree0.leaf_index(level2), 2);
+      const std::size_t root_node = path_node(config, tree0.leaf_index(root), levels);
+      ASSERT_FALSE(tree0.node_overflowed(1, trip_leaf));
+      ASSERT_FALSE(tree0.node_overflowed(2, level2_node));
+      ASSERT_FALSE(tree0.node_overflowed(levels, root_node));
+      ASSERT_EQ(hh_scalar.heavy_hitters().count(heavy), 0u);
+
+      // The block: each special key's arrivals in order, among filler keys
+      // that stay off the special keys' level-2 parents in tree 0.
+      constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+      const std::vector<std::pair<FlowKey, std::uint64_t>> arrivals = {
+          {trip, 1},   {trip, 1},   {trip, cap1 + 1},  // fills, then trips
+          {level2, 2}, {level2, 2},                    // 2 fits, the sum trips
+          {root, 1},   {root, 1},   {root, kMax},      // fills, then saturates
+          {heavy, 1},  {heavy, 1},  {heavy, 1},        // T - 1, T, T + 1
+      };
+      std::mt19937_64 rng(77 + levels);
+      std::vector<std::pair<FlowKey, std::uint64_t>> filler;
+      const std::vector<std::uint64_t> filler_weights =
+          pair_weights(config, fcm::common::kBatchBlock, 78);
+      while (filler.size() + arrivals.size() < fcm::common::kBatchBlock) {
+        const FlowKey key{static_cast<std::uint32_t>(rng()) | 1u};
+        const std::size_t parent = path_node(config, tree0.leaf_index(key), 2);
+        if (std::find(parents.begin(), parents.end(), parent) != parents.end()) {
+          continue;
+        }
+        filler.emplace_back(key, filler_weights[filler.size()]);
+        if (filler.size() % 4 == 0) filler.push_back(filler.back());  // dup
+      }
+      filler.resize(fcm::common::kBatchBlock - arrivals.size());
+      // Interleave: filler, then the special arrivals spread through the
+      // block in their own order.
+      std::vector<FlowKey> keys;
+      std::vector<std::uint64_t> weights;
+      for (std::size_t i = 0, f = 0, a = 0; i < fcm::common::kBatchBlock; ++i) {
+        const bool special_turn =
+            a < arrivals.size() && (f == filler.size() || i % 5 == 2);
+        const auto& [key, weight] = special_turn ? arrivals[a++] : filler[f++];
+        keys.push_back(key);
+        weights.push_back(weight);
+      }
+
+      // Applies the pairs per pair to the scalar sketches and as blocks to
+      // the batched ones, plus to bare copies of the fresh trees with an
+      // estimate consumer; returns add()'s per-pair returns.
+      std::vector<FcmTree> consumers;
+      const FcmSketch fresh(config);
+      for (std::size_t t = 0; t < config.tree_count; ++t) {
+        consumers.push_back(fresh.tree(t));
+        for (const auto& [key, weight] : primes) consumers.back().add(key, weight);
+      }
+      const auto apply = [&](const std::vector<FlowKey>& ks,
+                             const std::vector<std::uint64_t>& ws) {
+        std::vector<std::uint64_t> want;
+        for (std::size_t i = 0; i < ks.size(); ++i) {
+          want.push_back(hh_scalar.add(ks[i], ws[i]));
+          scalar.add(ks[i], ws[i]);
+        }
+        batched.add_batch(ks, ws);
+        hh_batched.add_batch(ks, ws);
+        std::vector<std::uint64_t> got(ks.size(), kMax);
+        for (FcmTree& tree : consumers) {
+          tree_add_batch(tree, ks, std::span<std::uint64_t>(got), ws);
+        }
+        EXPECT_EQ(got, want);
+        return want;
+      };
+      const std::vector<std::uint64_t> returns = apply(keys, weights);
+
+      // The fixture did what it claims, inside that one block.
+      EXPECT_TRUE(tree0.node_overflowed(1, trip_leaf));
+      EXPECT_TRUE(tree0.node_overflowed(2, level2_node));
+      EXPECT_TRUE(tree0.node_overflowed(levels, root_node));
+      const auto first_heavy = std::find(keys.begin(), keys.end(), heavy);
+      EXPECT_EQ(returns[static_cast<std::size_t>(first_heavy - keys.begin())],
+                threshold - 1);
+      const auto& hh = hh_scalar.heavy_hitters();
+      EXPECT_TRUE(hh.count(heavy) == 1 && hh.count(root) == 1);
+
+      // Then a long stream of pairs through many blocks.
+      const auto stream = skewed_keys(3000, 5 + levels, 512);
+      apply(stream, pair_weights(config, stream.size(), 6 + levels));
+
+      expect_sketch_identical(scalar, batched);
+      expect_sketch_identical(hh_scalar, hh_batched);
+      expect_trees_identical(scalar, hh_batched);
+      for (std::size_t t = 0; t < config.tree_count; ++t) {
+        for (std::size_t l = 1; l <= levels; ++l) {
+          const auto sa = scalar.tree(t).stage(l);
+          const auto sb = consumers[t].stage(l);
+          for (std::size_t i = 0; i < sa.size(); ++i) {
+            ASSERT_EQ(sa[i], sb[i]) << "tree " << t << " stage " << l << " node " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DispatchMatrix, WeightedSketchSplitBatchesAcrossTiers) {
+  // Weighted spans split at 1, 63, 64 and 65 pairs, and the rest, leave the
+  // state (and with a threshold, the candidates) of the in-order add loop.
+  const FcmConfig config = pair_config({8, 16, 32});
+  const auto keys = skewed_keys(2144, 19);
+  const auto weights = pair_weights(config, keys.size(), 20);
+  for (const KernelTier tier : equivalence_tiers()) {
+    ForcedTier forced(tier);
+    for (const std::uint64_t threshold : {0ul, 5000ul}) {
+      SCOPED_TRACE("tier " +
+                   std::string(fcm::common::simd::kernel_tier_name(tier)) +
+                   " threshold " + std::to_string(threshold));
+      FcmSketch scalar(config);
+      FcmSketch batched(config);
+      if (threshold > 0) {
+        scalar.set_heavy_hitter_threshold(threshold);
+        batched.set_heavy_hitter_threshold(threshold);
+      }
+      for (std::size_t i = 0; i < keys.size(); ++i) scalar.add(keys[i], weights[i]);
+
+      std::span<const FlowKey> rest(keys);
+      std::span<const std::uint64_t> rest_weights(weights);
+      for (const std::size_t n : {1ul, 63ul, 64ul, 65ul}) {
+        batched.add_batch(rest.subspan(0, n), rest_weights.subspan(0, n));
+        rest = rest.subspan(n);
+        rest_weights = rest_weights.subspan(n);
+      }
+      batched.add_batch(rest, rest_weights);
+
+      expect_sketch_identical(scalar, batched);
+      EXPECT_EQ(scalar.heavy_hitters().empty(), threshold == 0);
     }
   }
 }

@@ -148,11 +148,12 @@ TEST_P(ConversionReferenceTest, MatchesLeafWalkFieldForField) {
   // Narrow stages and heavy random flows overflow many paths and saturate
   // roots, so merged counters of every degree show up.
   const auto [k, stages] = GetParam();
-  const std::vector<unsigned> bits = {2, 3, 4};
   core::FcmConfig config;
   config.tree_count = 1;
   config.k = k;
-  config.stage_bits.assign(bits.begin(), bits.begin() + static_cast<std::ptrdiff_t>(stages));
+  // Stage l is l + 1 bits wide: {2}, {2, 3} or {2, 3, 4}.
+  config.stage_bits.clear();
+  for (unsigned l = 1; l <= stages; ++l) config.stage_bits.push_back(l + 1);
   config.leaf_count = 4;
   for (std::size_t l = 1; l < stages; ++l) config.leaf_count *= k;
   std::size_t saturated_roots = 0;

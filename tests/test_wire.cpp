@@ -161,10 +161,13 @@ TEST(WireRoundTrip, EveryStorageWidthRoundTrips) {
     for (std::size_t l = 1; l <= options.fcm.stage_count(); ++l) {
       capacity += options.fcm.counting_max(l);
     }
-    fw.process_weighted(flow::FlowKey{kUniverse + 1}, capacity + 1);
+    std::vector<flow::FlowKey> keys{flow::FlowKey{kUniverse + 1}};
+    std::vector<std::uint64_t> weights{capacity + 1};
     for (std::uint32_t id = kUniverse + 2; id < kUniverse + 50; ++id) {
-      fw.process_weighted(flow::FlowKey{id}, options.fcm.counting_max(1) + id % 3);
+      keys.push_back(flow::FlowKey{id});
+      weights.push_back(options.fcm.counting_max(1) + id % 3);
     }
+    fw.process_batch(keys, weights);
     ASSERT_EQ(fw.flow_size(flow::FlowKey{kUniverse + 1}), capacity);
 
     const auto wire = WireCodec::serialize(fw);

@@ -90,12 +90,11 @@ Rules:
                    ``std::vector<...>`` construction) inside the bodies of
                    the per-packet entry points in ``src/`` — the batched
                    sketch kernel (``add_batch``, ``process_batch``,
-                   ``process_weighted``, ``index_block``, ``apply_block``;
-                   DESIGN.md §9) and the runtime's driver staging path
-                   (``ingest``, ``ingest_keys``, ``ingest_packets``,
-                   ``open_block``, ``publish_block``, ``stage_unit``,
-                   ``stage_pair``, ``stage_demotion``, ``offer_cached``;
-                   DESIGN.md §13).
+                   ``index_block``, ``apply_block``; DESIGN.md §9) and the
+                   runtime's driver staging path (``ingest``,
+                   ``ingest_keys``, ``ingest_packets``, ``open_block``,
+                   ``publish_block``, ``stage_unit``, ``stage_pair``,
+                   ``stage_demotion``, ``offer_cached``; DESIGN.md §13).
 
   datapath-bounds  Inside ``src/datapath`` (hostile-input territory: every
                    byte comes off the wire), no ``reinterpret_cast``, no
@@ -264,7 +263,6 @@ HOTPATH_DIRS = ("src",)
 HOTPATH_FN_NAMES = {
     "add_batch",
     "process_batch",
-    "process_weighted",
     "index_block",
     "apply_block",
     "ingest",
